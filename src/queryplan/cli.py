@@ -18,6 +18,7 @@ from . import experiments, setcover
 from .exact import exact_error_table, exact_opt
 from .instances import (
     SCHEMA_VERSION,
+    Instance,
     calibrate,
     instance_to_dict,
     load_instance,
@@ -57,6 +58,16 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _load_valid(args: argparse.Namespace) -> Instance:
+    """Loads ``--instance`` and rejects it unless every domain requirement
+    holds, so no command computes on an invalid instance."""
+    inst = load_instance(args.instance, renormalize=args.renormalize)
+    result = validate(inst)
+    if not result.ok:
+        raise ValueError("invalid instance: " + "; ".join(result.violations))
+    return inst
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write JSON/CSV here instead of stdout")
 
@@ -83,24 +94,18 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance, renormalize=args.renormalize)
-    result = validate(inst)
-    if not result.ok:
-        _emit(result.to_dict(), args.output)
-        return 1
     cert = run_afptas(
-        inst,
+        _load_valid(args),
         args.epsilon,
         mode=args.mode,
         check_optimal=args.check_optimal,
-        dp_mode=args.dp_mode,
     )
     _emit(cert.to_dict(), args.output)
     return 0
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance, renormalize=args.renormalize)
+    inst = _load_valid(args)
     if (args.plan is None) == (args.opt is None):
         raise ValueError("pass exactly one of --plan or --opt")
     if args.plan is not None:
@@ -118,9 +123,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance, renormalize=args.renormalize)
     est = simulate_error(
-        inst,
+        _load_valid(args),
         _parse_plan(args.plan),
         args.label,
         trials=args.trials,
@@ -132,8 +136,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance, renormalize=args.renormalize)
-    report = is_surrogate_feasible(inst, _parse_plan(args.plan))
+    report = is_surrogate_feasible(_load_valid(args), _parse_plan(args.plan))
     _emit(report.to_dict(), args.output)
     return 0 if report.feasible else 1
 
@@ -168,9 +171,8 @@ def _cmd_reduce_setcover(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_tightness(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance, renormalize=args.renormalize)
     rows = experiments.tightness_sweep(
-        inst, _parse_floats(args.alphas), tie_policy=args.tie_policy
+        _load_valid(args), _parse_floats(args.alphas), tie_policy=args.tie_policy
     )
     if args.output:
         experiments.write_rows(args.output, rows, experiments.TIGHTNESS_FIELDS)
@@ -218,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--mode", choices=("auto", "search", "sweep"), default="auto")
-    p.add_argument("--dp-mode", choices=("dense", "sparse"), default="dense")
     p.add_argument("--check-optimal", action="store_true")
     p.add_argument("--renormalize", action="store_true")
     _add_common(p)

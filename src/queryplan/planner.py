@@ -11,12 +11,23 @@ within (1+eps) of the surrogate optimum once the tolerances are tight
 enough (the certificate reports whether that regime applies).
 
 Two solve modes are provided. "sweep" is the literal scheme: enumerate the
-full tilt grid, run the DP at every grid point, keep the cheapest feasible
-state. Its cost is grid^pairs x states and becomes impractical beyond toy
-fixtures. "search" walks plans in nondecreasing cost and accepts the first
-plan certifiable at some grid assignment; because certification decouples
-across pairs, this returns exactly the minimum cost the sweep would find,
-at a fraction of the work.
+full tilt grid, run the dense DP at every grid point, keep the cheapest
+feasible state. Its cost is grid^pairs x states and becomes impractical
+beyond toy fixtures. "search" walks plans in nondecreasing cost and accepts
+the first plan certifiable at some grid assignment; because certification
+decouples across pairs, this returns exactly the minimum cost the sweep
+would find, at a fraction of the work.
+
+The search certifies a plan by each pair's lowest floored-weight
+certificate over the tilt axis, whose length grows like 1/mesh (past a
+million points on weakly separated instances). It never scans the whole
+axis. The certificate is never below the convex exact proxy
+f_p(s) = s log(prior ratio) + sum_m r_m log M_m(s), so tangents of f_p at a
+fixed grid of tilts give a lower bound that rejects most plans outright,
+and for the rest the certificate's argmin lies in the short interval where
+every tangent stays below the certificate at one known axis point. Only
+that window is scanned, with the full axis's arithmetic, so the plans,
+tilts and answers equal those of a full-axis scan (see _WindowCertifier).
 """
 
 from __future__ import annotations
@@ -32,8 +43,6 @@ from .bounds import (
     GSS_TOL,
     PairTables,
     SurrogateReport,
-    _minimize_tilt,
-    golden_section,
     is_surrogate_feasible,
     max_pair_weights,
     ordered_pairs,
@@ -43,7 +52,6 @@ from .exact import lattice_ascending
 from .instances import IDENTIFIABILITY_TOL, Instance, QueryPlan, plan_cost
 
 GRID_BUDGET = 250_000
-AXIS_BUDGET = 200_000
 MEMORY_BUDGET = 1 << 28
 SEARCH_NODE_BUDGET = 2_000_000
 
@@ -224,13 +232,6 @@ def build_grid(
     return [tuple(p) for p in itertools.product(axis.tolist(), repeat=n_pairs)]
 
 
-def _pair_tables(instance: Instance) -> list[tuple[tuple[int, int], PairTables]]:
-    return [
-        (pair, PairTables(instance, pair[0], pair[1]))
-        for pair in ordered_pairs(instance.n_labels)
-    ]
-
-
 def round_weights(
     instance: Instance,
     constants: DerivedConstants,
@@ -270,26 +271,21 @@ class DpTable:
     and unreachable states).
     """
 
-    mode: str
     t_max: int
     n_pairs: int
     weights: np.ndarray
-    costs: np.ndarray | dict
-    backptr: np.ndarray | dict
+    costs: np.ndarray
+    backptr: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.t_max + 1,) * self.n_pairs
 
     def value(self, state: tuple[int, ...]) -> float:
-        if self.mode == "dense":
-            return float(self.costs[np.ravel_multi_index(state, self.shape)])
-        return self.costs.get(state, math.inf)
+        return float(self.costs[np.ravel_multi_index(state, self.shape)])
 
     def backpointer(self, state: tuple[int, ...]) -> int:
-        if self.mode == "dense":
-            return int(self.backptr[np.ravel_multi_index(state, self.shape)])
-        return self.backptr.get(state, -1)
+        return int(self.backptr[np.ravel_multi_index(state, self.shape)])
 
 
 def _shell_states(total: int, n_pairs: int, t_max: int) -> np.ndarray:
@@ -317,7 +313,6 @@ def dp_solve(
     instance: Instance,
     constants: DerivedConstants,
     weights: np.ndarray,
-    mode: str = "dense",
     memory_budget: int = MEMORY_BUDGET,
 ) -> DpTable:
     """Fills the covering DP for one grid point's integer weights.
@@ -326,12 +321,9 @@ def dp_solve(
     one query of model m, moving the requirement from max(t - w[m], 0) to t.
     Transitions that make no progress are skipped, so every predecessor lies
     in an earlier shell and each shell can be filled independently. Ties
-    between models are broken by the lower model index in both modes; the
-    sparse mode stores the same values and backpointers in dictionaries and
-    must agree with the dense mode exactly.
+    between models are broken by the lower model index. The table is dense,
+    so it only suits coarse constants: it is the literal scheme's oracle.
     """
-    if mode not in ("dense", "sparse"):
-        raise ValueError(f"unknown dp mode {mode!r}")
     K = instance.n_models
     if K > 127:
         raise ValueError("backpointers are int8; at most 127 models supported")
@@ -339,57 +331,32 @@ def dp_solve(
     P = weights.shape[1]
     costs_per = np.array([m.cost for m in instance.models])
     n_states = (T + 1) ** P
-    if mode == "dense":
-        if n_states > memory_budget:
-            raise MemoryBudgetError(
-                f"dense table needs {n_states} entries, over the budget of "
-                f"{memory_budget}; use sparse mode or coarser constants"
-            )
-        shape = (T + 1,) * P
-        table = np.full(n_states, math.inf)
-        bp = np.full(n_states, -1, dtype=np.int8)
-        table[0] = 0.0
-        for total in range(1, P * T + 1):
-            states = _shell_states(total, P, T)
-            if not len(states):
-                continue
-            idx = np.ravel_multi_index(states.T, shape)
-            best = np.full(len(states), math.inf)
-            bestm = np.full(len(states), -1, dtype=np.int8)
-            for m in range(K):
-                pred = np.maximum(states - weights[m], 0)
-                moved = (pred != states).any(axis=1)
-                cand = costs_per[m] + table[np.ravel_multi_index(pred.T, shape)]
-                upd = moved & (cand < best)
-                best[upd] = cand[upd]
-                bestm[upd] = m
-            table[idx] = best
-            bp[idx] = bestm
-        return DpTable(
-            mode="dense", t_max=T, n_pairs=P, weights=weights, costs=table, backptr=bp
+    if n_states > memory_budget:
+        raise MemoryBudgetError(
+            f"dense table needs {n_states} entries, over the budget of "
+            f"{memory_budget}; use coarser constants"
         )
-    # sparse: identical shell order and tie rules, associative storage
-    costs: dict[tuple[int, ...], float] = {(0,) * P: 0.0}
-    bps: dict[tuple[int, ...], int] = {(0,) * P: -1}
+    shape = (T + 1,) * P
+    table = np.full(n_states, math.inf)
+    bp = np.full(n_states, -1, dtype=np.int8)
+    table[0] = 0.0
     for total in range(1, P * T + 1):
-        for row in _shell_states(total, P, T):
-            t = tuple(int(v) for v in row)
-            best = math.inf
-            bestm = -1
-            for m in range(K):
-                pred = tuple(max(tv - int(wv), 0) for tv, wv in zip(t, weights[m]))
-                if pred == t:
-                    continue
-                cand = costs_per[m] + costs.get(pred, math.inf)
-                if cand < best:
-                    best = cand
-                    bestm = m
-            if math.isfinite(best):
-                costs[t] = best
-                bps[t] = bestm
-    return DpTable(
-        mode="sparse", t_max=T, n_pairs=P, weights=weights, costs=costs, backptr=bps
-    )
+        states = _shell_states(total, P, T)
+        if not len(states):
+            continue
+        idx = np.ravel_multi_index(states.T, shape)
+        best = np.full(len(states), math.inf)
+        bestm = np.full(len(states), -1, dtype=np.int8)
+        for m in range(K):
+            pred = np.maximum(states - weights[m], 0)
+            moved = (pred != states).any(axis=1)
+            cand = costs_per[m] + table[np.ravel_multi_index(pred.T, shape)]
+            upd = moved & (cand < best)
+            best[upd] = cand[upd]
+            bestm[upd] = m
+        table[idx] = best
+        bp[idx] = bestm
+    return DpTable(t_max=T, n_pairs=P, weights=weights, costs=table, backptr=bp)
 
 
 def _pair_label_masks(instance: Instance) -> list[np.ndarray]:
@@ -425,19 +392,6 @@ def find_feasible_state(
     masks = _pair_label_masks(instance)
     alphas = instance.tolerances
     scale = constants.round_scale
-
-    if table.mode == "sparse":
-        best: tuple[float, tuple[int, ...]] | None = None
-        for state, cost in table.costs.items():
-            terms = amps * np.exp(-scale * np.asarray(state, dtype=float))
-            if all(
-                float(terms[mask].sum()) <= float(alphas[yi])
-                for yi, mask in enumerate(masks)
-            ):
-                key = (cost, state)
-                if best is None or key < best:
-                    best = key
-        return None if best is None else best[1]
 
     shape = table.shape
     n_states = int(np.prod(shape))
@@ -531,141 +485,173 @@ def guarantee_threshold(instance: Instance, constants: DerivedConstants) -> floa
     return (L - 1) * float(pr.min()) / float(pr.max()) * math.exp(-pad)
 
 
-def _axis_weight_tables(
-    instance: Instance, constants: DerivedConstants, axis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputes per-axis certificates: log prior amplitudes (P, A) and
-    rounded weights (K, P, A)."""
-    pairs = ordered_pairs(instance.n_labels)
-    K = instance.n_models
-    A = len(axis)
-    log_amp = np.zeros((len(pairs), A))
-    w = np.zeros((K, len(pairs), A), dtype=np.int64)
-    for p, (yi, yj) in enumerate(pairs):
-        tables = PairTables(instance, yi, yj)
-        # (A, K, X) tilted log-likelihoods, reduced over symbols
-        v = (
-            (1.0 - axis)[:, None, None] * tables.log_p[None, :, :]
-            + axis[:, None, None] * tables.log_q[None, :, :]
-        )
+# Tilts, evenly spaced over [0, 1], at which the certifier tabulates every
+# pair's log-affinities and their slopes. It sets the speed of the reject
+# step and the width of the scanned window, never the certifier's output.
+_TANGENT_GRID = 129
+
+# Window points evaluated per numpy batch; bounds memory on fine axes.
+_WINDOW_CHUNK = 1 << 15
+
+
+class _WindowCertifier:
+    """The axis certificate of a plan, minimized per pair over the tilt axis
+    without scanning the axis.
+
+    For pair p and axis index i with tilt s_i, the certificate is
+
+        cert_p(i) = s_i * log(prior ratio) - round_scale * min(r . w_p(i), t_max),
+
+    with w_p(i) the floored weights of round_weights. A plan certifies when,
+    for every label, the pairs' minima over i sum (after exp) to at most the
+    tolerance; the certifying tilts are the first argmins.
+
+    Flooring only shrinks weights and the t_max clip only raises cert, so
+    cert_p(i) >= f_p(s_i), where f_p(s) = s * log(prior ratio) +
+    sum_m r_m log M_m(s) is the exact tilted proxy, which is convex in s.
+    Two consequences make a full-axis scan unnecessary:
+
+    * reject: tangents of f_p at a fixed grid of tilts bound min_s f_p from
+      below (in each grid cell, by the height where the two end tangents
+      cross). If those bounds already exceed some tolerance, no assignment
+      certifies.
+    * window: with U_p the certificate at one axis index, every index whose
+      certificate is <= U_p, the argmins among them, has f_p(s_i) <= U_p
+      and so lies where every grid tangent is <= U_p: an interval. Scanning
+      only that interval, with the same arithmetic as the full axis, yields
+      the same first argmins and values.
+
+    Both inequalities carry a margin of 1e-9 relative, far above the
+    rounding they absorb.
+    """
+
+    def __init__(self, instance: Instance, constants: DerivedConstants):
+        tabs = [PairTables(instance, i, j) for i, j in ordered_pairs(instance.n_labels)]
+        self.constants = constants
+        self.n_axis = tilt_axis_size(constants)
+        self.log_p = np.stack([t.log_p for t in tabs])  # (P, K, X)
+        self.log_q = np.stack([t.log_q for t in tabs])
+        self.log_ratio = np.array([t.log_prior_ratio for t in tabs])  # (P,)
+        self.masks = _pair_label_masks(instance)
+        self.mask_mat = np.array(self.masks, dtype=float)
+        self.tolerances = [float(a) for a in instance.tolerances]
+        self.alpha_cap = np.asarray(instance.tolerances, dtype=float) * (1.0 + 1e-9)
+
+        s = np.linspace(0.0, 1.0, _TANGENT_GRID)
+        self.grid = s
+        v = (1.0 - s)[None, :, None, None] * self.log_p[:, None] + s[
+            None, :, None, None
+        ] * self.log_q[:, None]  # (P, G, K, X)
+        top = v.max(axis=3)
+        e = np.exp(v - top[..., None])
+        z = e.sum(axis=3)
+        self.grid_log_m = np.log(z) + top  # (P, G, K)
+        # d/ds log M_m(s): the tilted mean of log q - log p (0 on padding)
+        self.grid_slope = (e * (self.log_q - self.log_p)[:, None]).sum(axis=3) / z
+        self.grid_amp = s[None, :] * self.log_ratio[:, None]  # (P, G)
+
+    def proxy_on_grid(self, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """f_p and its slope at every grid tilt, each shaped (P, G)."""
+        r = np.asarray(counts, dtype=float)
+        f = self.grid_amp + self.grid_log_m @ r
+        df = self.log_ratio[:, None] + self.grid_slope @ r
+        return f, df
+
+    def lower_bounds(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """Per pair, a value no larger than min_s f_p(s) over [0, 1].
+
+        A cell whose end slopes share a sign has its minimum at an end
+        point; otherwise the two end tangents cross inside it, and f lies
+        above their maximum, whose lowest point is that crossing.
+        """
+        d = float(self.grid[1] - self.grid[0])
+        fa, fb, da, db = f[:, :-1], f[:, 1:], df[:, :-1], df[:, 1:]
+        inner = (da < 0.0) & (db > 0.0)
+        u = np.clip((fa - fb + db * d) / np.where(inner, db - da, 1.0), 0.0, d)
+        cross = np.where(inner, fa + da * u, np.inf)
+        lb = np.minimum(f.min(axis=1), cross.min(axis=1))
+        return lb - 1e-9 * (1.0 + np.abs(lb))
+
+    def axis_tilts(self, index: np.ndarray) -> np.ndarray:
+        """The tilt_axis points at the given indices."""
+        mesh = self.constants.mesh
+        return np.where(index >= self.n_axis - 1, 1.0, np.minimum(index * mesh, 1.0))
+
+    def axis_certificates(
+        self, pair_of: np.ndarray, index: np.ndarray, r: np.ndarray
+    ) -> np.ndarray:
+        """cert_{pair_of[n]}(index[n]) for every n, computed with the same
+        operations in the same order as a full-axis table, so the values are
+        bit-identical to it."""
+        c = self.constants
+        s = self.axis_tilts(index)
+        v = (1.0 - s)[:, None, None] * self.log_p[pair_of] + s[
+            :, None, None
+        ] * self.log_q[pair_of]
         top = v.max(axis=2)
-        log_m = np.log(np.exp(v - top[:, :, None]).sum(axis=2)) + top  # (A, K)
-        raw = np.maximum(-log_m, 0.0)
-        w[:, p, :] = np.floor(raw / constants.round_scale).astype(np.int64).T
-        log_amp[p] = axis * tables.log_prior_ratio
-    return log_amp, w
+        log_m = np.log(np.exp(v - top[:, :, None]).sum(axis=2)) + top  # (N, K)
+        w = np.floor(np.maximum(-log_m, 0.0) / c.round_scale).astype(np.int64)
+        covered = np.minimum(w @ r, c.t_max)
+        return s * self.log_ratio[pair_of] - c.round_scale * covered
 
-
-def _certify_full_axis(
-    instance: Instance,
-    constants: DerivedConstants,
-    log_amp: np.ndarray,
-    w_axis: np.ndarray,
-    counts: tuple[int, ...],
-    masks: list[np.ndarray],
-) -> np.ndarray | None:
-    """Checks a plan against every axis tilt per pair at once.
-
-    Returns the per-pair argmin axis indices if some assignment certifies
-    all tolerances, else None.
-    """
-    r = np.asarray(counts, dtype=np.int64)
-    covered = np.minimum(
-        np.tensordot(r, w_axis, axes=1), constants.t_max
-    )  # (P, A)
-    cert = log_amp - constants.round_scale * covered
-    best_idx = cert.argmin(axis=1)
-    best = cert[np.arange(cert.shape[0]), best_idx]
-    for yi, mask in enumerate(masks):
-        if math.fsum(math.exp(v) for v in best[mask]) > float(
-            instance.tolerances[yi]
-        ):
+    def certify(self, counts: tuple[int, ...]) -> np.ndarray | None:
+        """Per-pair first-argmin axis indices if the plan certifies every
+        tolerance, else None; the same answer as scanning the whole axis."""
+        f, df = self.proxy_on_grid(counts)
+        if (self.mask_mat @ np.exp(self.lower_bounds(f, df)) > self.alpha_cap).any():
             return None
-    return best_idx
-
-
-def _certify_snapped(
-    instance: Instance,
-    constants: DerivedConstants,
-    pair_tabs: list[tuple[tuple[int, int], PairTables]],
-    axis_len: int,
-    counts: tuple[int, ...],
-    masks: list[np.ndarray],
-    tol: float,
-) -> np.ndarray | None:
-    """Certificate check probing only axis points near each pair's own
-    optimal tilt (plus the endpoints).
-
-    Sound because it is a restriction of the full-axis check; it preserves
-    the approximation factor because the padded near-optimal plan in the
-    guarantee argument certifies at the snap of its own minimizer.
-    """
-    r = np.asarray(counts, dtype=float)
-    h = constants.mesh
-    best_log = np.empty(len(pair_tabs))
-    best_idx = np.empty(len(pair_tabs), dtype=np.int64)
-    for p, (_, tables) in enumerate(pair_tabs):
-
-        def objective(s: float) -> float:
-            return s * tables.log_prior_ratio + float(
-                r @ tables.log_affinities(s)
-            )
-
-        if tables.flat and tables.log_prior_ratio == 0.0:
-            s_star = 0.5
-        else:
-            s_star = golden_section(objective, 0.0, 1.0, tol)
-        cand = {0, axis_len - 1}
-        for i in (math.floor(s_star / h), math.ceil(s_star / h)):
-            cand.add(min(max(i, 0), axis_len - 1))
-        best_log[p] = math.inf
-        for i in sorted(cand):
-            s = min(i * h, 1.0) if i < axis_len - 1 else 1.0
-            raw = np.maximum(-tables.log_affinities(s), 0.0)
-            w = np.floor(raw / constants.round_scale)
-            covered = min(float(r @ w), float(constants.t_max))
-            v = s * tables.log_prior_ratio - constants.round_scale * covered
-            if v < best_log[p]:
-                best_log[p] = v
-                best_idx[p] = i
-    for yi, mask in enumerate(masks):
-        if math.fsum(math.exp(v) for v in best_log[mask]) > float(
-            instance.tolerances[yi]
-        ):
-            return None
-    return best_idx
-
-
-def _axis_value(axis_len: int, mesh: float, index: int) -> float:
-    if index >= axis_len - 1:
-        return 1.0
-    return min(index * mesh, 1.0)
+        c = self.constants
+        r = np.asarray(counts, dtype=np.int64)
+        P = f.shape[0]
+        last = self.n_axis - 1
+        # U_p: the certificate at the axis index nearest the best grid tilt
+        near = np.clip(np.rint(self.grid[f.argmin(axis=1)] / c.mesh), 0, last)
+        near = near.astype(np.int64)
+        cap = self.axis_certificates(np.arange(P), near, r)
+        cap = cap + 1e-9 * (1.0 + np.abs(cap))
+        # where every tangent f_g + f'_g (s - s_g) stays <= cap
+        reach = self.grid + (cap[:, None] - f) / np.where(df != 0.0, df, 1.0)
+        s_lo = np.where(df < 0.0, reach, 0.0).max(axis=1)
+        s_hi = np.where(df > 0.0, reach, 1.0).min(axis=1)
+        lo = np.minimum(np.maximum(np.floor(s_lo / c.mesh) - 1, 0), near)
+        hi = np.maximum(np.minimum(np.ceil(s_hi / c.mesh) + 1, last), near)
+        lo = lo.astype(np.int64)
+        sizes = hi.astype(np.int64) - lo + 1
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        pair_of = np.repeat(np.arange(P), sizes)
+        index = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, sizes)
+        cert = np.concatenate(
+            [
+                self.axis_certificates(
+                    pair_of[k : k + _WINDOW_CHUNK], index[k : k + _WINDOW_CHUNK], r
+                )
+                for k in range(0, len(index), _WINDOW_CHUNK)
+            ]
+        )
+        best_idx = np.empty(P, dtype=np.int64)
+        best = np.empty(P)
+        for p in range(P):
+            j = int(cert[starts[p] : starts[p + 1]].argmin())
+            best_idx[p] = lo[p] + j
+            best[p] = cert[starts[p] + j]
+        for yi, mask in enumerate(self.masks):
+            if math.fsum(math.exp(v) for v in best[mask]) > self.tolerances[yi]:
+                return None
+        return best_idx
 
 
 def _solve_search(
     instance: Instance,
     constants: DerivedConstants,
     tol: float,
-    axis_budget: int,
     node_budget: int,
 ) -> tuple[QueryPlan, list[float], str]:
-    n_axis = tilt_axis_size(constants)
-    masks = _pair_label_masks(instance)
     costs = [m.cost for m in instance.models]
     cost_cap = (constants.n_unif + constants.k_max) * sum(costs) + 1e-9
-    full = n_axis <= axis_budget
-    if full:
-        log_amp, w_axis = _axis_weight_tables(
-            instance, constants, tilt_axis(constants)
-        )
-        pair_tabs = None
-    else:
-        pair_tabs = _pair_tables(instance)
+    certifier = _WindowCertifier(instance, constants)
     # prescreen: a plan whose optimistic per-pair bounds already blow a
     # tolerance can never be certified at any tilt, so skip it cheaply
     w_max, min_amp = max_pair_weights(instance, tol)
-    mask_mat = np.array(masks, dtype=float)
-    alphas = np.asarray(instance.tolerances, dtype=float) * (1.0 + 1e-9)
     enumerated = 0
     for _, counts in lattice_ascending(costs, cost_cap):
         enumerated += 1
@@ -675,21 +661,11 @@ def _solve_search(
                 "may be too tight for this instance at desk scale"
             )
         lb = min_amp * np.exp(-(w_max @ np.asarray(counts, dtype=float)))
-        if np.any(mask_mat @ lb > alphas):
+        if (certifier.mask_mat @ lb > certifier.alpha_cap).any():
             continue
-        if full:
-            idx = _certify_full_axis(
-                instance, constants, log_amp, w_axis, counts, masks
-            )
-        else:
-            idx = _certify_snapped(
-                instance, constants, pair_tabs, n_axis, counts, masks, tol
-            )
+        idx = certifier.certify(counts)
         if idx is not None:
-            tilts = [
-                _axis_value(n_axis, constants.mesh, int(i)) for i in idx
-            ]
-            return QueryPlan(counts), tilts, "search-axis" if full else "search-snap"
+            return QueryPlan(counts), certifier.axis_tilts(idx).tolist(), "search-axis"
     raise RuntimeError(
         "lattice exhausted without a certifiable plan; the uniform padded "
         "plan should always certify, so this indicates a constants bug"
@@ -701,14 +677,13 @@ def _solve_sweep(
     constants: DerivedConstants,
     grid_budget: int,
     memory_budget: int,
-    dp_mode: str,
 ) -> tuple[QueryPlan, list[float], str]:
     pairs = ordered_pairs(instance.n_labels)
     grid = build_grid(constants, len(pairs), grid_budget)
     best: tuple[float, int, QueryPlan, tuple[float, ...]] | None = None
     for gi, point in enumerate(grid):
         weights = round_weights(instance, constants, point)
-        table = dp_solve(instance, constants, weights, dp_mode, memory_budget)
+        table = dp_solve(instance, constants, weights, memory_budget)
         state = find_feasible_state(instance, constants, point, table)
         if state is None:
             continue
@@ -730,13 +705,20 @@ def run_afptas(
     mode: str = "auto",
     tol: float = GSS_TOL,
     check_optimal: bool = False,
-    axis_budget: int = AXIS_BUDGET,
     grid_budget: int = GRID_BUDGET,
     memory_budget: int = MEMORY_BUDGET,
     node_budget: int = SEARCH_NODE_BUDGET,
-    dp_mode: str = "dense",
 ) -> SolveCertificate:
     """Runs the approximation scheme end to end and audits the result.
+
+    mode "search" (and "auto") walks plans in cost order and certifies each
+    with the window certificate: per pair, the first argmin of the floored
+    certificate over the whole tilt axis, found by scanning only the window
+    where the exact proxy's grid tangents allow a value at or below a known
+    certificate. Every other axis point lies above that certificate, so the
+    result is the full-axis argmin, on every axis length; there is no axis
+    budget and no coarser fallback. mode "sweep" runs the literal scheme
+    under grid_budget and memory_budget.
 
     The returned plan is always surrogate-feasible (checked independently
     with exact tilt optimization, not just the discretized certificate).
@@ -750,12 +732,10 @@ def run_afptas(
     constants = derive_constants(instance, epsilon, tol)
     if mode == "sweep":
         plan, tilts, used = _solve_sweep(
-            instance, constants, grid_budget, memory_budget, dp_mode
+            instance, constants, grid_budget, memory_budget
         )
     else:
-        plan, tilts, used = _solve_search(
-            instance, constants, tol, axis_budget, node_budget
-        )
+        plan, tilts, used = _solve_search(instance, constants, tol, node_budget)
     report = is_surrogate_feasible(instance, plan, tol)
     if not report.feasible:
         raise RuntimeError(

@@ -75,8 +75,9 @@ def simulate_error(
     """Estimates the statewise MAP error for label y over repeated trials."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if not 0 <= seed < 2**64:
+        # Philox keys are unsigned 64-bit words
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie_policy!r}")
     plan = as_plan(plan, instance)

@@ -5,8 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from queryplan.instances import Instance, ModelSpec
+from queryplan.experiments import random_instance, random_plan
+from queryplan.instances import Instance, ModelSpec, QueryPlan
 from queryplan.setcover import SetCoverInstance
+
+# The acceptance suite: random instances alternating two and three labels,
+# each followed by one random plan from the same stream.
+SUITE_SEED = 20260826
+SUITE_SIZE = 200
+
+
+def acceptance_suite(n: int = SUITE_SIZE) -> list[tuple[Instance, QueryPlan]]:
+    """The first ``n`` (instance, plan) draws of the acceptance suite."""
+    rng = np.random.default_rng(SUITE_SEED)
+    items = []
+    for i in range(n):
+        inst = random_instance(
+            rng, n_labels=2 if i % 2 == 0 else 3, max_models=3, alpha=0.05
+        )
+        items.append((inst, random_plan(rng, inst)))
+    return items
 
 
 def symmetric_binary(p: float, cost: float, name: str) -> ModelSpec:

@@ -79,6 +79,62 @@ def test_validate_rejects_unnormalized_without_flag(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+@pytest.fixture
+def zero_entry_path(tmp_path):
+    """Loads fine, but a zero conditional entry fails validation."""
+    data = {
+        "schema_version": "1",
+        "labels": ["1", "2"],
+        "prior": [0.5, 0.5],
+        "models": [
+            {
+                "name": "m",
+                "alphabet": ["a", "b"],
+                "conditional": [[1.0, 0.0], [0.1, 0.9]],
+                "cost": 1.0,
+            }
+        ],
+        "tolerances": [0.05, 0.05],
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--epsilon", "0.5"],
+        ["exact", "--plan", "[6]"],
+        ["simulate", "--plan", "[6]", "--label", "1", "--trials", "10", "--seed", "1"],
+        ["verify", "--plan", "[6]"],
+        ["sweep-tightness", "--alphas", "0.05"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_reject_invalid_instance(zero_entry_path, capsys, argv):
+    code = main([argv[0], "--instance", zero_entry_path, *argv[1:]])
+    assert code == 1
+    line = one_error_line(capsys)
+    assert "invalid instance" in line
+    assert "conditional entries must be positive" in line
+
+
+def test_simulate_rejects_out_of_range_seed(bsc_path, capsys):
+    argv = ["simulate", "--instance", bsc_path, "--plan", "[2]", "--label", "1"]
+    code = main([*argv, "--trials", "10", "--seed", "99999999999999999999999"])
+    assert code == 1
+    assert "seed must lie in [0, 2**64)" in one_error_line(capsys)
+
+
 def test_solve(bsc_path, capsys):
     code, payload = run(
         capsys, ["solve", "--instance", bsc_path, "--epsilon", "0.5"]

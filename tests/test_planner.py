@@ -10,11 +10,9 @@ import pytest
 from conftest import symmetric_binary
 from queryplan.instances import Instance, QueryPlan, plan_cost
 from queryplan.planner import (
-    AXIS_BUDGET,
     GRID_BUDGET,
     MEMORY_BUDGET,
     SEARCH_NODE_BUDGET,
-    DpTable,
     GridBudgetError,
     MemoryBudgetError,
     _solve_search,
@@ -138,7 +136,7 @@ def test_dp_one_pair_hand_fixture(bsc_constants):
     inst = two_model_instance(2.0, 1.0)
     constants = dataclasses.replace(bsc_constants, t_max=5)
     weights = np.array([[3], [1]], dtype=np.int64)
-    table = dp_solve(inst, constants, weights, mode="dense")
+    table = dp_solve(inst, constants, weights)
     assert [table.value((t,)) for t in range(6)] == [0.0, 1.0, 2.0, 2.0, 3.0, 4.0]
     assert [table.backpointer((t,)) for t in range(6)] == [-1, 1, 0, 0, 0, 0]
     plan = backtrack(table, (5,))
@@ -146,12 +144,11 @@ def test_dp_one_pair_hand_fixture(bsc_constants):
     assert plan_cost(inst, plan) == table.value((5,))
 
 
-@pytest.mark.parametrize("mode", ["dense", "sparse"])
-def test_dp_two_pairs_matches_brute_force(bsc_constants, mode):
+def test_dp_two_pairs_matches_brute_force(bsc_constants):
     inst = two_model_instance(1.0, 1.0)
     constants = dataclasses.replace(bsc_constants, t_max=3)
     weights = np.array([[2, 1], [1, 2]], dtype=np.int64)
-    table = dp_solve(inst, constants, weights, mode=mode)
+    table = dp_solve(inst, constants, weights)
     for t in itertools.product(range(4), repeat=2):
         assert table.value(t) == brute_force_cover(weights, [1.0, 1.0], t, 3)
     assert table.value((3, 3)) == 2.0
@@ -166,7 +163,7 @@ def test_dp_randomized_against_brute_force(bsc_constants, seed):
     t_max = int(rng.integers(4, 13))
     constants = dataclasses.replace(bsc_constants, t_max=t_max)
     weights = rng.integers(0, 5, size=(2, 1)).astype(np.int64)
-    table = dp_solve(inst, constants, weights, mode="dense")
+    table = dp_solve(inst, constants, weights)
     for t in range(t_max + 1):
         assert table.value((t,)) == pytest.approx(
             brute_force_cover(weights, [1.0, 1.7], (t,), t_max), abs=1e-12
@@ -175,42 +172,28 @@ def test_dp_randomized_against_brute_force(bsc_constants, seed):
     t_max2 = int(rng.integers(3, 7))
     constants2 = dataclasses.replace(bsc_constants, t_max=t_max2)
     weights2 = rng.integers(0, 4, size=(2, 2)).astype(np.int64)
-    table2 = dp_solve(inst, constants2, weights2, mode="dense")
+    table2 = dp_solve(inst, constants2, weights2)
     for t in itertools.product(range(t_max2 + 1), repeat=2):
         assert table2.value(t) == pytest.approx(
             brute_force_cover(weights2, [1.0, 1.7], t, t_max2), abs=1e-12
         )
 
 
-@pytest.mark.parametrize("seed", [3, 4])
-def test_dense_and_sparse_tables_agree_exactly(bsc_constants, seed):
-    rng = np.random.default_rng(seed)
-    inst = two_model_instance(1.3, 0.4)
-    t_max = int(rng.integers(3, 7))
-    constants = dataclasses.replace(bsc_constants, t_max=t_max)
-    weights = rng.integers(0, 4, size=(2, 2)).astype(np.int64)
-    dense = dp_solve(inst, constants, weights, mode="dense")
-    sparse = dp_solve(inst, constants, weights, mode="sparse")
-    for t in itertools.product(range(t_max + 1), repeat=2):
-        assert dense.value(t) == sparse.value(t)
-        assert dense.backpointer(t) == sparse.backpointer(t)
-
-
 def test_dp_budget_and_mode_errors(bsc_constants):
     inst = two_model_instance(1.0, 1.0)
     constants = dataclasses.replace(bsc_constants, t_max=100)
     weights = np.ones((2, 2), dtype=np.int64)
-    with pytest.raises(MemoryBudgetError, match="sparse mode"):
-        dp_solve(inst, constants, weights, mode="dense", memory_budget=10)
-    with pytest.raises(ValueError, match="dp mode"):
-        dp_solve(inst, constants, weights, mode="lazy")
+    with pytest.raises(MemoryBudgetError, match="coarser constants"):
+        dp_solve(inst, constants, weights, memory_budget=10)
+    with pytest.raises(TypeError):
+        dp_solve(inst, constants, weights, mode="sparse")
 
 
 def test_backtrack_rejects_unreachable_state(bsc_constants):
     inst = two_model_instance(1.0, 1.0)
     constants = dataclasses.replace(bsc_constants, t_max=2)
     weights = np.zeros((2, 1), dtype=np.int64)
-    table = dp_solve(inst, constants, weights, mode="dense")
+    table = dp_solve(inst, constants, weights)
     assert table.value((1,)) == math.inf
     with pytest.raises(RuntimeError, match="backpointer"):
         backtrack(table, (1,))
@@ -220,28 +203,24 @@ def test_find_feasible_state_coarse_grid(bsc, coarse_constants):
     point = (0.5, 0.5)
     weights = round_weights(bsc, coarse_constants, point)
     assert weights.tolist() == [[2, 2]]
-    table = dp_solve(bsc, coarse_constants, weights, mode="dense")
+    table = dp_solve(bsc, coarse_constants, weights)
     # exp(-0.2 t) <= 0.05 needs t >= 15; ties resolve to the lex-first state
     state = find_feasible_state(bsc, coarse_constants, point, table)
     assert state == (15, 15)
     plan = backtrack(table, state)
     assert plan.counts == (8,)
 
-    sparse = dp_solve(bsc, coarse_constants, weights, mode="sparse")
-    assert find_feasible_state(bsc, coarse_constants, point, sparse) == (15, 15)
-
     tight = bsc.with_tolerances([1e-6, 1e-6])
     assert find_feasible_state(tight, coarse_constants, point, table) is None
 
 
-@pytest.mark.parametrize("dp_mode", ["dense", "sparse"])
-def test_sweep_and_search_agree_on_coarse_grid(bsc, coarse_constants, dp_mode):
+def test_sweep_and_search_agree_on_coarse_grid(bsc, coarse_constants):
     sweep_plan, sweep_tilts, used = _solve_sweep(
-        bsc, coarse_constants, GRID_BUDGET, MEMORY_BUDGET, dp_mode
+        bsc, coarse_constants, GRID_BUDGET, MEMORY_BUDGET
     )
     assert used == "sweep"
     search_plan, _, _ = _solve_search(
-        bsc, coarse_constants, 1e-6, AXIS_BUDGET, SEARCH_NODE_BUDGET
+        bsc, coarse_constants, 1e-6, SEARCH_NODE_BUDGET
     )
     assert plan_cost(bsc, sweep_plan) == plan_cost(bsc, search_plan) == 8.0
     assert len(sweep_tilts) == 2
@@ -270,12 +249,6 @@ def test_run_afptas_reference_instance(bsc):
     assert run_afptas(bsc, 0.1).plan.counts == (6,)
     # a coarser weight floor forfeits one query's evidence
     assert run_afptas(bsc, 1.0).plan.counts == (7,)
-
-
-def test_run_afptas_snapped_mode_matches(bsc):
-    cert = run_afptas(bsc, 0.5, axis_budget=10)
-    assert cert.mode == "search-snap"
-    assert cert.plan.counts == (6,)
 
 
 def test_run_afptas_oracle_check(bsc):

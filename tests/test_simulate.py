@@ -79,7 +79,8 @@ def test_tie_policies_match_exact(bsc, policy, label):
 def test_argument_validation(bsc):
     with pytest.raises(ValueError, match="trials"):
         simulate_error(bsc, (2,), "1", trials=0, seed=0)
-    with pytest.raises(ValueError, match="seed"):
-        simulate_error(bsc, (2,), "1", trials=10, seed=-1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_error(bsc, (2,), "1", trials=10, seed=seed)
     with pytest.raises(ValueError, match="tie policy"):
         simulate_error(bsc, (2,), "1", trials=10, seed=0, tie_policy="flip")
