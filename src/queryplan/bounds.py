@@ -27,7 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .instances import IDENTIFIABILITY_TOL, Instance, QueryPlan, as_plan
+from .instances import (
+    IDENTIFIABILITY_TOL,
+    Instance,
+    QueryPlan,
+    as_plan,
+    require_finite,
+)
 
 # Default interval width at which golden-section search stops.
 GSS_TOL = 1e-6
@@ -42,6 +48,21 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 def ordered_pairs(L: int) -> list[tuple[int, int]]:
     """All ordered label index pairs (y, y'), y != y', in lexicographic order."""
     return [(i, j) for i in range(L) for j in range(L) if i != j]
+
+
+def label_caps(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """What lower bounds on pair terms are tested against: (mask, caps).
+
+    mask[y, p] is 1.0 when ordered pair p is (y, y'), so mask @ terms sums
+    each label's pair terms; caps are the tolerances raised by 1e-9
+    relative, so a lower bound rules a plan out only when it exceeds a
+    tolerance by more than rounding.
+    """
+    pairs = ordered_pairs(instance.n_labels)
+    mask = np.array(
+        [[p[0] == y for p in pairs] for y in range(instance.n_labels)], dtype=float
+    )
+    return mask, np.asarray(instance.tolerances, dtype=float) * (1.0 + 1e-9)
 
 
 class PairTables:
@@ -363,7 +384,10 @@ def is_surrogate_feasible(
 
     Because the surrogate dominates the exact error, a feasible report is a
     proof of true feasibility; an infeasible report is only inconclusive.
+    Raises ValueError if the prior, a tolerance, a conditional or a cost is
+    NaN or infinite.
     """
+    require_finite(instance)
     plan = as_plan(plan, instance)
     values = []
     flags = []

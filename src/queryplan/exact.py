@@ -8,7 +8,12 @@ sequence space but still explodes on large plans, hence explicit budgets.
 
 The optimizer walks the plan lattice in best-first order (nondecreasing
 cost, ties broken lexicographically by count vector) and returns the first
-feasible plan, which is therefore a minimum-cost one.
+feasible plan, which is therefore a minimum-cost one. That walk,
+search_lattice, is shared with the planner's search: it takes plans from
+the lattice in batches of growing size, rules out most of a batch with one
+matrix product of optimistic pair bounds (Prescreen), and hands the
+survivors in walk order to a caller's acceptance check, which is exact
+tilt optimization here and the window certificate in the planner.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,10 +30,12 @@ from scipy.special import gammaln
 from .bounds import (
     PairTables,
     _minimize_tilt,
+    label_caps,
     max_pair_weights,
+    ordered_pairs,
     uniform_feasible_count,
 )
-from .instances import Instance, QueryPlan, as_plan, plan_cost
+from .instances import Instance, QueryPlan, as_plan, plan_cost, require_finite
 from .likelihood import SCORE_TOL, TIE_POLICIES
 
 # A log-likelihood difference this close to zero is counted as favoring the
@@ -287,6 +294,88 @@ def lattice_ascending(
 
 
 @dataclass(frozen=True)
+class Prescreen:
+    """Optimistic pair bounds that rule plans out before any per-plan work.
+
+    For a plan r, pair p's proxy is at least min_amp[p] * exp(-r . w_max[p])
+    at every tilt (see bounds.max_pair_weights). A plan whose bounds for
+    some label already sum past that label's cap can never be surrogate
+    feasible, so a search skips it without optimizing any tilt.
+    """
+
+    w_max: np.ndarray  # (P, K)
+    min_amp: np.ndarray  # (P,)
+    label_mask: np.ndarray  # (L, P), see bounds.label_caps
+    alpha_cap: np.ndarray  # (L,)
+
+    def passes(self, plans: np.ndarray) -> np.ndarray:
+        """For plans stacked as a (B, K) array, which the bounds keep."""
+        lb = self.min_amp * np.exp(-(plans @ self.w_max.T))
+        return ~(lb @ self.label_mask.T > self.alpha_cap).any(axis=1)
+
+
+def search_prescreen(instance: Instance, tol: float) -> Prescreen:
+    """The prescreen both searches run: exact_opt and the planner's."""
+    w_max, min_amp = max_pair_weights(instance, tol)
+    return Prescreen(w_max, min_amp, *label_caps(instance))
+
+
+# Plans taken from the lattice per prescreen batch. Many searches accept
+# within a few dozen plans, so the first batch is small; doubling it lets
+# long searches prescreen thousands of plans per numpy call.
+_BATCH_FIRST = 64
+_BATCH_MAX = 8192
+
+_T = TypeVar("_T")
+
+
+def search_lattice(
+    costs: Sequence[float],
+    cost_cap: float,
+    accept: Callable[[tuple[int, ...]], _T | None],
+    node_budget: int,
+    prescreen: Prescreen | None = None,
+    count_caps: Sequence[int] | None = None,
+) -> tuple[tuple[int, ...], _T, int] | None:
+    """The first plan, in lattice_ascending order, that the prescreen keeps
+    and that ``accept`` maps to a result other than None.
+
+    Returns (counts, result, enumerated), with enumerated the plan's
+    1-based position in the walk, or None if the capped lattice runs out.
+    Raises EnumerationBudgetError on reaching position node_budget + 1
+    without an accepted plan. Plans are taken from the walk and prescreened
+    in batches, but ``accept`` sees the survivors one at a time in walk
+    order and never a plan past the budget, so the result, the budget
+    behaviour and the sequence of accept calls are those of checking one
+    plan at a time.
+    """
+    walk = lattice_ascending(costs, cost_cap, count_caps)
+    enumerated = 0
+    size = _BATCH_FIRST
+    while True:
+        batch = [counts for _, counts in itertools.islice(walk, size)]
+        if not batch:
+            return None
+        if prescreen is None:
+            survivors = range(len(batch))
+        else:
+            kept = prescreen.passes(np.array(batch, dtype=float))
+            survivors = np.flatnonzero(kept).tolist()
+        for i in survivors:
+            if enumerated + i + 1 > node_budget:
+                break
+            result = accept(batch[i])
+            if result is not None:
+                return batch[i], result, enumerated + i + 1
+        enumerated += len(batch)
+        if enumerated > node_budget:
+            raise EnumerationBudgetError(
+                f"search enumerated more than {node_budget} plans"
+            )
+        size = min(2 * size, _BATCH_MAX)
+
+
+@dataclass(frozen=True)
 class OptResult:
     problem: str
     tie_policy: str | None
@@ -347,69 +436,59 @@ def exact_opt(
     ``problem`` selects the feasibility notion: "surrogate" uses the
     closed-form bound, "true" uses exact statewise errors under the given
     tie policy. The first feasible plan in (cost, lexicographic) order is
-    optimal for its problem. The default cost cap is the cost of querying
-    every model for the uniform certifying round count, which is always
+    optimal for its problem; search_lattice walks that order, and for
+    "surrogate" its prescreen rules most plans out before any tilt is
+    optimized. The default cost cap is the cost of querying every model
+    for the uniform certifying round count, which is always
     surrogate-feasible (and hence true-feasible).
 
-    Raises InfeasibleWithinCapError if the capped lattice holds no feasible
-    plan, and EnumerationBudgetError if the search or a single exact error
-    evaluation would exceed its budget.
+    Raises ValueError if the prior, a tolerance, a conditional or a cost is
+    NaN or infinite, InfeasibleWithinCapError if the capped lattice holds no
+    feasible plan, and EnumerationBudgetError if the search walks more
+    than node_budget plans or a single exact error evaluation would exceed
+    profile_budget.
     """
     if problem not in ("surrogate", "true"):
         raise ValueError(f"unknown problem {problem!r}")
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie_policy!r}")
+    require_finite(instance)
     costs = [m.cost for m in instance.models]
     if cost_cap is None:
         _, n_unif = uniform_feasible_count(instance, tol)
         cost_cap = n_unif * float(sum(costs))
-    tables = {}
-    prescreen = None
     if problem == "surrogate":
-        for yi in range(instance.n_labels):
-            for yj in range(instance.n_labels):
-                if yi != yj:
-                    tables[(yi, yj)] = PairTables(instance, yi, yj)
-        # optimistic per-pair bounds rule out most plans without any
-        # per-plan tilt optimization; see bounds.max_pair_weights
-        w_max, min_amp = max_pair_weights(instance, tol)
-        pairs = [(i, j) for i in range(instance.n_labels)
-                 for j in range(instance.n_labels) if i != j]
-        mask_mat = np.array(
-            [[p[0] == yi for p in pairs] for yi in range(instance.n_labels)],
-            dtype=float,
-        )
-        alphas = np.asarray(instance.tolerances, dtype=float) * (1.0 + 1e-9)
-        prescreen = (w_max, min_amp, mask_mat, alphas)
-    enumerated = 0
-    for cost, counts in lattice_ascending(costs, cost_cap, count_caps):
-        enumerated += 1
-        if enumerated > node_budget:
-            raise EnumerationBudgetError(
-                f"search enumerated more than {node_budget} plans"
-            )
-        if problem == "surrogate":
-            w_max, min_amp, mask_mat, alphas = prescreen
-            lb = min_amp * np.exp(-(w_max @ np.asarray(counts, dtype=float)))
-            if np.any(mask_mat @ lb > alphas):
-                continue
-            ok = _surrogate_feasible_fast(instance, tables, counts, tol)
-        else:
-            ok = all(
+        tables = {
+            (yi, yj): PairTables(instance, yi, yj)
+            for yi, yj in ordered_pairs(instance.n_labels)
+        }
+        prescreen = search_prescreen(instance, tol)
+
+        def accept(counts: tuple[int, ...]) -> bool | None:
+            return _surrogate_feasible_fast(instance, tables, counts, tol) or None
+
+    else:
+        prescreen = None
+
+        def accept(counts: tuple[int, ...]) -> bool | None:
+            return all(
                 exact_error(instance, counts, yi, tie_policy, profile_budget)
                 <= float(instance.tolerances[yi])
                 for yi in range(instance.n_labels)
-            )
-        if ok:
-            plan = QueryPlan(counts)
-            return OptResult(
-                problem=problem,
-                tie_policy=tie_policy if problem == "true" else None,
-                plan=plan,
-                cost=plan_cost(instance, plan),
-                enumerated=enumerated,
-                cost_cap=float(cost_cap),
-            )
-    raise InfeasibleWithinCapError(
-        f"no {problem}-feasible plan with cost <= {cost_cap}"
+            ) or None
+
+    found = search_lattice(costs, cost_cap, accept, node_budget, prescreen, count_caps)
+    if found is None:
+        raise InfeasibleWithinCapError(
+            f"no {problem}-feasible plan with cost <= {cost_cap}"
+        )
+    counts, _, enumerated = found
+    plan = QueryPlan(counts)
+    return OptResult(
+        problem=problem,
+        tie_policy=tie_policy if problem == "true" else None,
+        plan=plan,
+        cost=plan_cost(instance, plan),
+        enumerated=enumerated,
+        cost_cap=float(cost_cap),
     )

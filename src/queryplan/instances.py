@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -207,10 +208,12 @@ class Validation:
 def validate(instance: Instance) -> Validation:
     """Checks every domain requirement and reports all violations found.
 
-    Requirements: at least two labels, strictly positive prior summing to one
-    (within 1e-12), error tolerances strictly inside (0, 1), at least one
-    model, and for each model an alphabet of size >= 2, strictly positive
-    conditional entries, rows summing to one within 1e-12, and positive cost.
+    Requirements: a finite prior, tolerances, conditionals and costs, at
+    least two labels, strictly positive prior summing to one (within
+    1e-12), error tolerances strictly inside (0, 1), at least one model,
+    and for each model an alphabet of size >= 2, strictly positive
+    conditional entries, rows summing to one within 1e-12, and positive
+    cost.
     Additionally every label pair must be distinguishable by some model.
     """
     v: list[str] = []
@@ -225,6 +228,8 @@ def validate(instance: Instance) -> Validation:
     for y, a in zip(instance.labels, instance.tolerances):
         if not 0.0 < a < 1.0:
             v.append(f"tolerance for label {y!r} is {a!r}, must lie in (0, 1)")
+    for name in nonfinite_fields(instance):
+        v.append(f"{name} holds NaN or inf")
     if instance.n_models == 0:
         v.append("instance has no models")
     for m in instance.models:
@@ -255,6 +260,30 @@ def validate(instance: Instance) -> Validation:
                         "are indistinguishable under every model"
                     )
     return Validation(ok=not v, violations=tuple(v))
+
+
+def nonfinite_fields(instance: Instance) -> list[str]:
+    """The fields of the instance that hold NaN or an infinity."""
+    named = (("prior", instance.prior), ("tolerances", instance.tolerances))
+    bad = [name for name, values in named if not np.isfinite(values).all()]
+    for m in instance.models:
+        if not np.isfinite(m.conditional).all():
+            bad.append(f"model {m.name!r} conditional")
+        if not math.isfinite(m.cost):
+            bad.append(f"model {m.name!r} cost")
+    return bad
+
+
+def require_finite(instance: Instance) -> None:
+    """Raises ValueError naming every field that holds NaN or an infinity.
+
+    The solvers compute with these values and their logs and do not run
+    validate, so a non-finite entry would otherwise surface as an unrelated
+    error or a NaN-based answer.
+    """
+    bad = nonfinite_fields(instance)
+    if bad:
+        raise ValueError(f"non-finite value (NaN or inf) in {', '.join(bad)}")
 
 
 # ---------------------------------------------------------------------------

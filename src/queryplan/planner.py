@@ -16,7 +16,10 @@ feasible state. Its cost is grid^pairs x states and becomes impractical
 beyond toy fixtures. "search" walks plans in nondecreasing cost and accepts
 the first plan certifiable at some grid assignment; because certification
 decouples across pairs, this returns exactly the minimum cost the sweep
-would find, at a fraction of the work.
+would find, at a fraction of the work. The walk is exact.search_lattice,
+shared with the exact optimizer: it prescreens plans in batches with one
+matrix product of optimistic pair bounds and hands the survivors, in cost
+order, to the certifier below.
 
 The search certifies a plan by each pair's lowest floored-weight
 certificate over the tilt axis, whose length grows like 1/mesh (past a
@@ -44,12 +47,18 @@ from .bounds import (
     PairTables,
     SurrogateReport,
     is_surrogate_feasible,
-    max_pair_weights,
+    label_caps,
     ordered_pairs,
     uniform_feasible_count,
 )
-from .exact import lattice_ascending
-from .instances import IDENTIFIABILITY_TOL, Instance, QueryPlan, plan_cost
+from .exact import search_lattice, search_prescreen
+from .instances import (
+    IDENTIFIABILITY_TOL,
+    Instance,
+    QueryPlan,
+    plan_cost,
+    require_finite,
+)
 
 GRID_BUDGET = 250_000
 MEMORY_BUDGET = 1 << 28
@@ -359,15 +368,6 @@ def dp_solve(
     return DpTable(t_max=T, n_pairs=P, weights=weights, costs=table, backptr=bp)
 
 
-def _pair_label_masks(instance: Instance) -> list[np.ndarray]:
-    """For each label, the boolean mask over ordered pairs whose first
-    element is that label."""
-    pairs = ordered_pairs(instance.n_labels)
-    return [
-        np.array([p[0] == yi for p in pairs]) for yi in range(instance.n_labels)
-    ]
-
-
 def find_feasible_state(
     instance: Instance,
     constants: DerivedConstants,
@@ -389,7 +389,7 @@ def find_feasible_state(
         ]
     )
     amps = np.exp(np.asarray(grid_point) * log_ratios)
-    masks = _pair_label_masks(instance)
+    masks = label_caps(instance)[0] > 0
     alphas = instance.tolerances
     scale = constants.round_scale
 
@@ -532,10 +532,9 @@ class _WindowCertifier:
         self.log_p = np.stack([t.log_p for t in tabs])  # (P, K, X)
         self.log_q = np.stack([t.log_q for t in tabs])
         self.log_ratio = np.array([t.log_prior_ratio for t in tabs])  # (P,)
-        self.masks = _pair_label_masks(instance)
-        self.mask_mat = np.array(self.masks, dtype=float)
+        self.mask_mat, self.alpha_cap = label_caps(instance)
+        self.masks = self.mask_mat > 0
         self.tolerances = [float(a) for a in instance.tolerances]
-        self.alpha_cap = np.asarray(instance.tolerances, dtype=float) * (1.0 + 1e-9)
 
         s = np.linspace(0.0, 1.0, _TANGENT_GRID)
         self.grid = s
@@ -649,27 +648,16 @@ def _solve_search(
     costs = [m.cost for m in instance.models]
     cost_cap = (constants.n_unif + constants.k_max) * sum(costs) + 1e-9
     certifier = _WindowCertifier(instance, constants)
-    # prescreen: a plan whose optimistic per-pair bounds already blow a
-    # tolerance can never be certified at any tilt, so skip it cheaply
-    w_max, min_amp = max_pair_weights(instance, tol)
-    enumerated = 0
-    for _, counts in lattice_ascending(costs, cost_cap):
-        enumerated += 1
-        if enumerated > node_budget:
-            raise GridBudgetError(
-                f"search enumerated more than {node_budget} plans; tolerances "
-                "may be too tight for this instance at desk scale"
-            )
-        lb = min_amp * np.exp(-(w_max @ np.asarray(counts, dtype=float)))
-        if (certifier.mask_mat @ lb > certifier.alpha_cap).any():
-            continue
-        idx = certifier.certify(counts)
-        if idx is not None:
-            return QueryPlan(counts), certifier.axis_tilts(idx).tolist(), "search-axis"
-    raise RuntimeError(
-        "lattice exhausted without a certifiable plan; the uniform padded "
-        "plan should always certify, so this indicates a constants bug"
+    found = search_lattice(
+        costs, cost_cap, certifier.certify, node_budget, search_prescreen(instance, tol)
     )
+    if found is None:
+        raise RuntimeError(
+            "lattice exhausted without a certifiable plan; the uniform padded "
+            "plan should always certify, so this indicates a constants bug"
+        )
+    counts, idx, _ = found
+    return QueryPlan(counts), certifier.axis_tilts(idx).tolist(), "search-axis"
 
 
 def _solve_sweep(
@@ -711,14 +699,20 @@ def run_afptas(
 ) -> SolveCertificate:
     """Runs the approximation scheme end to end and audits the result.
 
-    mode "search" (and "auto") walks plans in cost order and certifies each
-    with the window certificate: per pair, the first argmin of the floored
-    certificate over the whole tilt axis, found by scanning only the window
-    where the exact proxy's grid tangents allow a value at or below a known
-    certificate. Every other axis point lies above that certificate, so the
-    result is the full-axis argmin, on every axis length; there is no axis
-    budget and no coarser fallback. mode "sweep" runs the literal scheme
-    under grid_budget and memory_budget.
+    mode "search" (and "auto") walks plans in cost order with
+    exact.search_lattice, the walk exact_opt also uses, and certifies each
+    plan its prescreen keeps with the window certificate: per pair, the
+    first argmin of the floored certificate over the whole tilt axis, found
+    by scanning only the window where the exact proxy's grid tangents allow
+    a value at or below a known certificate. Every other axis point lies
+    above that certificate, so the result is the full-axis argmin, on every
+    axis length; there is no axis budget and no coarser fallback. The walk
+    raises exact.EnumerationBudgetError once it passes node_budget plans.
+    mode "sweep" runs the literal scheme under grid_budget and
+    memory_budget, raising GridBudgetError and MemoryBudgetError.
+
+    Raises ValueError if the prior, a tolerance, a conditional or a cost is
+    NaN or infinite.
 
     The returned plan is always surrogate-feasible (checked independently
     with exact tilt optimization, not just the discretized certificate).
@@ -729,6 +723,7 @@ def run_afptas(
     """
     if mode not in ("auto", "search", "sweep"):
         raise ValueError(f"unknown mode {mode!r}")
+    require_finite(instance)
     constants = derive_constants(instance, epsilon, tol)
     if mode == "sweep":
         plan, tilts, used = _solve_sweep(

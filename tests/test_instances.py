@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queryplan.bounds import is_surrogate_feasible
+from queryplan.exact import exact_opt
 from queryplan.instances import (
     Instance,
     ModelSpec,
@@ -23,6 +25,7 @@ from queryplan.instances import (
     save_instance,
     validate,
 )
+from queryplan.planner import run_afptas
 
 
 def test_label_and_model_indexing(bsc):
@@ -128,6 +131,53 @@ def test_validate_flags_nonpositive_entries():
     )
     result = validate(inst)
     assert any("positive" in v for v in result.violations)
+
+
+def poisoned(inst: Instance, field: str, value: float) -> Instance:
+    """The instance with one entry of prior, tolerances or the first
+    model's conditional, or that model's cost, replaced by value."""
+    prior, tol = inst.prior.copy(), inst.tolerances.copy()
+    models = list(inst.models)
+    if field == "prior":
+        prior[0] = value
+    elif field == "tolerances":
+        tol[1] = value
+    else:
+        m = models[0]
+        rows = m.conditional.copy()
+        cost = value if field == "cost" else m.cost
+        if field == "conditional":
+            rows[1, 0] = value
+        models[0] = ModelSpec(m.name, m.alphabet, rows, cost)
+    return Instance(inst.labels, prior, tuple(models), tol)
+
+
+NONFINITE_NAMES = {
+    "prior": "prior",
+    "tolerances": "tolerances",
+    "conditional": "model 'bsc' conditional",
+    "cost": "model 'bsc' cost",
+}
+
+SOLVERS = {
+    "run_afptas": lambda inst: run_afptas(inst, 0.5),
+    "exact_opt": lambda inst: exact_opt(inst, problem="surrogate"),
+    "is_surrogate_feasible": lambda inst: is_surrogate_feasible(inst, (6,)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", sorted(NONFINITE_NAMES))
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_name_the_nonfinite_field(bsc, solver, field, value):
+    with pytest.raises(ValueError, match=r"non-finite .* in " + NONFINITE_NAMES[field]):
+        SOLVERS[solver](poisoned(bsc, field, value))
+
+
+@pytest.mark.parametrize("field", sorted(NONFINITE_NAMES))
+def test_validate_flags_nonfinite_fields(bsc, field):
+    result = validate(poisoned(bsc, field, math.nan))
+    assert f"{NONFINITE_NAMES[field]} holds NaN or inf" in result.violations
 
 
 def test_json_round_trip_is_byte_identical(bsc, tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import symmetric_binary
+from queryplan.exact import EnumerationBudgetError
 from queryplan.instances import Instance, QueryPlan, plan_cost
 from queryplan.planner import (
     GRID_BUDGET,
@@ -283,6 +284,11 @@ def test_run_afptas_sweep_rejects_large_grids():
     # six ordered pairs against a fine tilt axis: the full grid is hopeless
     with pytest.raises(GridBudgetError):
         run_afptas(inst, 0.5, mode="sweep")
+
+
+def test_run_afptas_search_budget_raises_enumeration_error(duo):
+    with pytest.raises(EnumerationBudgetError, match="more than 2 plans"):
+        run_afptas(duo, 0.5, node_budget=2)
 
 
 def test_run_afptas_argument_validation(bsc):

@@ -1,0 +1,142 @@
+"""The batched cost-ordered search against a one-plan-at-a-time reference.
+
+search_lattice prescreens plans in batches but must behave exactly like
+the loop below, which both solvers ran before: the same plan, result and
+enumerated count, the same accept calls in the same order, and the same
+budget error at the same plan.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from queryplan.bounds import PairTables, ordered_pairs, uniform_feasible_count
+from queryplan.exact import (
+    EnumerationBudgetError,
+    _surrogate_feasible_fast,
+    lattice_ascending,
+    search_lattice,
+    search_prescreen,
+)
+from queryplan.experiments import random_instance
+
+
+def per_plan_search(
+    costs, cost_cap, accept, node_budget, prescreen=None, count_caps=None
+):
+    """The reference: walk, budget check and prescreen one plan at a time."""
+    enumerated = 0
+    for _, counts in lattice_ascending(costs, cost_cap, count_caps):
+        enumerated += 1
+        if enumerated > node_budget:
+            raise EnumerationBudgetError(
+                f"search enumerated more than {node_budget} plans"
+            )
+        if prescreen is not None:
+            r = np.asarray(counts, dtype=float)
+            lb = prescreen.min_amp * np.exp(-(prescreen.w_max @ r))
+            if (prescreen.label_mask @ lb > prescreen.alpha_cap).any():
+                continue
+        result = accept(counts)
+        if result is not None:
+            return counts, result, enumerated
+    return None
+
+
+def run_logged(search, accept, costs, cost_cap, node_budget, **kwargs):
+    """(outcome, accept calls): the search's return value, or the message
+    of its budget error, with every plan it handed to accept."""
+    calls = []
+
+    def logged(counts):
+        calls.append(counts)
+        return accept(counts)
+
+    try:
+        return search(costs, cost_cap, logged, node_budget, **kwargs), calls
+    except EnumerationBudgetError as exc:
+        return f"EnumerationBudgetError: {exc}", calls
+
+
+def assert_same_search(accept, *args, **kwargs):
+    """Runs the engine and the reference; returns their common outcome."""
+    got = run_logged(search_lattice, accept, *args, **kwargs)
+    assert got == run_logged(per_plan_search, accept, *args, **kwargs)
+    return got[0]
+
+
+@pytest.mark.parametrize("position", [1, 2, 63, 64, 65, 192, 193, 500, 4000])
+def test_accept_position_and_budget_across_batch_edges(position):
+    costs = (1.0, 1.5, 2.0)
+    walk = [counts for _, counts in lattice_ascending(costs, 60.0)]
+    target = walk[position - 1]
+
+    def accept(counts):
+        return sum(counts) if counts == target else None
+
+    found = assert_same_search(accept, costs, 60.0, position)
+    assert found == (target, sum(target), position)
+    assert assert_same_search(accept, costs, 60.0, 10**6) == found
+    blown = assert_same_search(accept, costs, 60.0, position - 1)
+    message = f"search enumerated more than {position - 1} plans"
+    assert blown == f"EnumerationBudgetError: {message}"
+
+
+def test_exhausted_lattice_returns_none_within_budget():
+    size = len(list(lattice_ascending((1.0, 2.0), 5.0)))
+    assert assert_same_search(lambda counts: None, (1.0, 2.0), 5.0, size) is None
+    blown = assert_same_search(lambda counts: None, (1.0, 2.0), 5.0, size - 1)
+    assert blown.startswith("EnumerationBudgetError")
+
+
+# Plans a property example may walk; a search that runs past it ends in
+# the budget error, which is compared like any other outcome.
+WALK_LIMIT = 2000
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(0.01, 0.3),
+    caps=st.none() | st.lists(st.integers(0, 12), min_size=3, max_size=3),
+    accept_kind=st.sampled_from(["surrogate", "residue", "residue-unscreened"]),
+    residue=st.integers(0, 400),
+)
+def test_batched_search_matches_per_plan_search(
+    seed, n_labels, alpha, caps, accept_kind, residue
+):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
+    costs = [m.cost for m in inst.models]
+    _, n_unif = uniform_feasible_count(inst, 1e-6)
+    cost_cap = n_unif * float(sum(costs))
+    count_caps = None if caps is None else caps[: inst.n_models]
+    screened = accept_kind != "residue-unscreened"
+    prescreen = search_prescreen(inst, 1e-6) if screened else None
+    if accept_kind == "surrogate":
+        # exact_opt's acceptance check, which it runs behind the prescreen
+        tables = {p: PairTables(inst, *p) for p in ordered_pairs(inst.n_labels)}
+
+        def accept(counts):
+            return _surrogate_feasible_fast(inst, tables, counts, 1e-6) or None
+
+    else:
+        # an arbitrary accepted set, spread over batch edges
+        def accept(counts):
+            key = sum(c * (7 + 3 * k) ** 2 for k, c in enumerate(counts))
+            return key if key % 401 == residue else None
+
+    kwargs = {"prescreen": prescreen, "count_caps": count_caps}
+    found = assert_same_search(accept, costs, cost_cap, WALK_LIMIT, **kwargs)
+    if isinstance(found, str):
+        budgets = [WALK_LIMIT // 3]
+    else:
+        walk = lattice_ascending(costs, cost_cap, count_caps)
+        stop = len(list(walk)) if found is None else found[2]
+        budgets = [stop - 1, stop + 100]  # just below and above the outcome
+    for budget in budgets:
+        assert_same_search(accept, costs, cost_cap, budget, **kwargs)
