@@ -15,8 +15,8 @@ and the surrogate error of label y sums this bound over competitors y' with
 s optimized per pair. The surrogate dominates the exact statewise error, so
 any plan feasible for the surrogate is feasible for the true problem.
 
-All proxy arithmetic is done in log space; golden-section search handles the
-one-dimensional convex tilt optimization.
+One routine, _surrogate_check, makes this check for every caller: golden
+section per pair, then the fsum of the minima's exps against the tolerance.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ GSS_TOL = 1e-6
 _PAD = -1e30
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _logsumexp(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) over the last axis. The window certifier must match
+    a full-axis table bit for bit; scipy's logsumexp rounds differently."""
+    top = v.max(axis=-1)
+    return np.log(np.exp(v - top[..., None]).sum(axis=-1)) + top
 
 
 def ordered_pairs(L: int) -> list[tuple[int, int]]:
@@ -95,9 +102,7 @@ class PairTables:
 
     def log_affinities(self, s: float) -> np.ndarray:
         """log M_m(s) for every model m, as a length-K vector."""
-        v = (1.0 - s) * self.log_p + s * self.log_q
-        top = v.max(axis=1)
-        return np.log(np.exp(v - top[:, None]).sum(axis=1)) + top
+        return _logsumexp((1.0 - s) * self.log_p + s * self.log_q)
 
 
 def log_affinity(
@@ -112,9 +117,7 @@ def log_affinity(
     if yi == yj:
         raise ValueError("affinity requires two distinct labels")
     lc = instance.models[mi].log_conditional
-    v = (1.0 - s) * lc[yi] + s * lc[yj]
-    top = v.max()
-    return float(np.log(np.exp(v - top).sum()) + top)
+    return float(_logsumexp((1.0 - s) * lc[yi] + s * lc[yj]))
 
 
 def affinity(
@@ -159,11 +162,17 @@ def pairwise_proxy_log(
     return s * float(instance.log_prior[yj] - instance.log_prior[yi]) + base
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def golden_section(
     f: Callable[[float], float], lo: float, hi: float, tol: float = GSS_TOL
 ) -> float:
     """Minimizes a unimodal f on [lo, hi]; returns a point within tol of the
-    minimizer."""
+    minimizer. tol must be finite and positive."""
+    _require_tol(tol)
     if not hi > lo:
         raise ValueError("need hi > lo")
     a, b = lo, hi
@@ -191,6 +200,7 @@ def _minimize_tilt(
     both endpoints, so boundary minimizers are returned exactly. A flat
     objective returns s = 0.5 by convention.
     """
+    _require_tol(tol)
     if flat:
         return 0.5, objective(0.5)
     s_in = golden_section(objective, 0.0, 1.0, tol)
@@ -200,6 +210,18 @@ def _minimize_tilt(
         if v < best_v or (v == best_v and s < best_s):
             best_s, best_v = s, v
     return best_s, best_v
+
+
+def _pair_tilt(
+    tables: PairTables, counts: np.ndarray, tol: float
+) -> tuple[float, float]:
+    """optimize_tilt on prebuilt tables and float plan counts."""
+    lpr = tables.log_prior_ratio
+
+    def objective(s: float) -> float:
+        return s * lpr + float(counts @ tables.log_affinities(s))
+
+    return _minimize_tilt(objective, tables.flat and lpr == 0.0, tol)
 
 
 def optimize_tilt(
@@ -214,21 +236,34 @@ def optimize_tilt(
     The objective s -> s*log(prior ratio) + sum_m r_m log M_m(s) is convex;
     the returned value is an upper bound on the true minimum (never an
     underestimate), so downstream feasibility claims stay conservative.
+    Raises ValueError on non-finite input (see require_finite).
     """
+    require_finite(instance)
     plan = as_plan(plan, instance)
     yi = instance.label_index(y)
     yj = instance.label_index(y_other)
     if yi == yj:
         raise ValueError("optimize_tilt requires two distinct labels")
-    tables = PairTables(instance, yi, yj)
-    counts = plan.as_array().astype(float)
-    lpr = tables.log_prior_ratio
+    return _pair_tilt(PairTables(instance, yi, yj), plan.as_array().astype(float), tol)
 
-    def objective(s: float) -> float:
-        return s * lpr + float(counts @ tables.log_affinities(s))
 
-    flat = tables.flat and lpr == 0.0
-    return _minimize_tilt(objective, flat, tol)
+def _surrogate_check(instance: Instance, tol: float) -> Callable[..., tuple]:
+    """The surrogate check of one label, with every pair's tables built once.
+
+    check(counts, yi), for float plan counts, returns (error <= tolerance,
+    error, (s*, log proxy) per competitor in label order); the error is the
+    fsum of the competitors' proxies at their optimal tilts.
+    """
+    L = instance.n_labels
+    rows = [[PairTables(instance, i, j) for j in range(L) if j != i] for i in range(L)]
+    alphas = [float(a) for a in instance.tolerances]
+
+    def check(counts: np.ndarray, yi: int) -> tuple[bool, float, list]:
+        tilts = [_pair_tilt(tb, counts, tol) for tb in rows[yi]]
+        value = math.fsum(math.exp(lv) for _, lv in tilts)
+        return value <= alphas[yi], value, tilts
+
+    return check
 
 
 def pair_contraction(
@@ -333,16 +368,11 @@ def surrogate_error(
     tol: float = GSS_TOL,
 ) -> float:
     """Surrogate statewise error for label y: the sum over competitors of
-    the per-pair proxy at its optimal tilt."""
-    plan = as_plan(plan, instance)
-    yi = instance.label_index(y)
-    terms = []
-    for yj in range(instance.n_labels):
-        if yj == yi:
-            continue
-        _, lv = optimize_tilt(instance, plan, yi, yj, tol)
-        terms.append(math.exp(lv))
-    return math.fsum(terms)
+    the per-pair proxy at its optimal tilt. Raises ValueError on non-finite
+    input (see require_finite)."""
+    require_finite(instance)
+    counts = as_plan(plan, instance).as_array().astype(float)
+    return _surrogate_check(instance, tol)(counts, instance.label_index(y))[1]
 
 
 @dataclass(frozen=True)
@@ -388,26 +418,19 @@ def is_surrogate_feasible(
     NaN or infinite.
     """
     require_finite(instance)
-    plan = as_plan(plan, instance)
-    values = []
-    flags = []
-    tilts = []
-    for yi in range(instance.n_labels):
-        terms = []
-        for yj in range(instance.n_labels):
-            if yj == yi:
-                continue
-            s, lv = optimize_tilt(instance, plan, yi, yj, tol)
-            tilts.append((instance.labels[yi], instance.labels[yj], s, lv))
-            terms.append(math.exp(lv))
-        v = math.fsum(terms)
-        values.append(v)
-        flags.append(v <= float(instance.tolerances[yi]))
+    counts = as_plan(plan, instance).as_array().astype(float)
+    check = _surrogate_check(instance, tol)
+    names = instance.labels
+    flags, values, tilts = zip(*(check(counts, yi) for yi in range(len(names))))
+    pair_tilts = [t for label_tilts in tilts for t in label_tilts]
     return SurrogateReport(
-        labels=instance.labels,
-        values=tuple(values),
+        labels=names,
+        values=values,
         tolerances=tuple(float(a) for a in instance.tolerances),
-        feasible_by_label=tuple(flags),
+        feasible_by_label=flags,
         feasible=all(flags),
-        tilts=tuple(tilts),
+        tilts=tuple(
+            (names[i], names[j], s, lv)
+            for (i, j), (s, lv) in zip(ordered_pairs(len(names)), pair_tilts)
+        ),
     )

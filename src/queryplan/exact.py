@@ -12,8 +12,9 @@ feasible plan, which is therefore a minimum-cost one. That walk,
 search_lattice, is shared with the planner's search: it takes plans from
 the lattice in batches of growing size, rules out most of a batch with one
 matrix product of optimistic pair bounds (Prescreen), and hands the
-survivors in walk order to a caller's acceptance check, which is exact
-tilt optimization here and the window certificate in the planner.
+survivors in walk order to a caller's acceptance check: here the surrogate
+check of is_surrogate_feasible or exact errors (one profile-mass loop serves
+exact_pairwise and exact_error), and the window certificate in the planner.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import (
-    PairTables,
-    _minimize_tilt,
+    _logsumexp,
+    _surrogate_check,
     label_caps,
     max_pair_weights,
-    ordered_pairs,
     uniform_feasible_count,
 )
 from .instances import Instance, QueryPlan, as_plan, plan_cost, require_finite
-from .likelihood import SCORE_TOL, TIE_POLICIES
+from .likelihood import _error_mask
 
 # A log-likelihood difference this close to zero is counted as favoring the
 # competitor; keeps the exact pairwise terms conservative under fp noise.
@@ -130,14 +130,22 @@ def _scan_profiles(
         yield instance.log_prior[None, :] + loglik, logcoef
 
 
-def _logsumexp_scalar(values: list[float]) -> float:
-    if not values:
-        return -math.inf
-    arr = np.array(values)
-    top = arr.max()
-    if top == -math.inf:
-        return -math.inf
-    return float(np.log(np.exp(arr - top).sum()) + top)
+def _profile_mass(
+    instance: Instance,
+    plan: QueryPlan,
+    yi: int,
+    mask_of: Callable[[np.ndarray, int], np.ndarray],
+    budget: int,
+) -> float:
+    """Probability under label yi of the profiles mask_of(scores, yi) keeps."""
+    chunk_lse = []
+    for scores, logcoef in _scan_profiles(instance, plan, budget):
+        mask = mask_of(scores, yi)
+        if mask.any():
+            # weight of a profile under y excludes the prior factor
+            logw = logcoef[mask] + (scores[mask, yi] - instance.log_prior[yi])
+            chunk_lse.append(float(_logsumexp(logw)))
+    return math.exp(_logsumexp(np.array(chunk_lse))) if chunk_lse else 0.0
 
 
 def exact_pairwise(
@@ -150,31 +158,18 @@ def exact_pairwise(
     """Exact probability, under label y, that the observations weigh at
     least as heavily toward y_other (log-posterior difference >= 0).
 
-    This is the quantity the per-pair tilted proxy upper-bounds.
+    This is the quantity the per-pair tilted proxy upper-bounds. Raises
+    ValueError on non-finite input (see require_finite).
     """
+    require_finite(instance)
     plan = as_plan(plan, instance)
     yi = instance.label_index(y)
     yj = instance.label_index(y_other)
     if yi == yj:
         raise ValueError("exact_pairwise requires two distinct labels")
-    chunk_lse = []
-    for scores, logcoef in _scan_profiles(instance, plan, budget):
-        mask = scores[:, yj] - scores[:, yi] >= -DELTA_TOL
-        if mask.any():
-            # weight of a profile under y excludes the prior factor
-            logw = logcoef[mask] + (scores[mask, yi] - instance.log_prior[yi])
-            top = logw.max()
-            chunk_lse.append(float(np.log(np.exp(logw - top).sum()) + top))
-    return math.exp(_logsumexp_scalar(chunk_lse))
-
-
-def _error_mask(scores: np.ndarray, yi: int, tie_policy: str) -> np.ndarray:
-    top = scores.max(axis=1)
-    tied = scores >= (top - SCORE_TOL)[:, None]
-    predicted = tied.argmax(axis=1)
-    if tie_policy == "lowest-index":
-        return predicted != yi
-    return (predicted != yi) | (tied.sum(axis=1) > 1)
+    return _profile_mass(
+        instance, plan, yi, lambda sc, i: sc[:, yj] - sc[:, i] >= -DELTA_TOL, budget
+    )
 
 
 def exact_error(
@@ -184,19 +179,12 @@ def exact_error(
     tie_policy: str = "lowest-index",
     budget: int = PROFILE_BUDGET,
 ) -> float:
-    """Exact statewise MAP error for label y under the chosen tie policy."""
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {tie_policy!r}")
+    """Exact statewise MAP error for label y under the chosen tie policy.
+    Raises ValueError on non-finite input (see require_finite)."""
+    wrong = _error_mask(tie_policy)
+    require_finite(instance)
     plan = as_plan(plan, instance)
-    yi = instance.label_index(y)
-    chunk_lse = []
-    for scores, logcoef in _scan_profiles(instance, plan, budget):
-        mask = _error_mask(scores, yi, tie_policy)
-        if mask.any():
-            logw = logcoef[mask] + (scores[mask, yi] - instance.log_prior[yi])
-            top = logw.max()
-            chunk_lse.append(float(np.log(np.exp(logw - top).sum()) + top))
-    return math.exp(_logsumexp_scalar(chunk_lse))
+    return _profile_mass(instance, plan, instance.label_index(y), wrong, budget)
 
 
 @dataclass(frozen=True)
@@ -222,9 +210,11 @@ def exact_error_table(
     tie_policy: str = "lowest-index",
     budget: int = PROFILE_BUDGET,
 ) -> ExactErrorResult:
+    wrong = _error_mask(tie_policy)
+    require_finite(instance)
     plan = as_plan(plan, instance)
     errors = tuple(
-        exact_error(instance, plan, yi, tie_policy, budget)
+        _profile_mass(instance, plan, yi, wrong, budget)
         for yi in range(instance.n_labels)
     )
     return ExactErrorResult(
@@ -395,32 +385,6 @@ class OptResult:
         }
 
 
-def _surrogate_feasible_fast(
-    instance: Instance,
-    tables: dict[tuple[int, int], PairTables],
-    counts: tuple[int, ...],
-    tol: float,
-) -> bool:
-    arr = np.array(counts, dtype=float)
-    for yi in range(instance.n_labels):
-        alpha = float(instance.tolerances[yi])
-        acc = 0.0
-        for yj in range(instance.n_labels):
-            if yj == yi:
-                continue
-            tb = tables[(yi, yj)]
-
-            def objective(s: float, tb=tb) -> float:
-                return s * tb.log_prior_ratio + float(arr @ tb.log_affinities(s))
-
-            flat = tb.flat and tb.log_prior_ratio == 0.0
-            _, lv = _minimize_tilt(objective, flat, tol)
-            acc += math.exp(lv)
-            if acc > alpha:
-                return False
-    return True
-
-
 def exact_opt(
     instance: Instance,
     problem: str = "surrogate",
@@ -450,31 +414,30 @@ def exact_opt(
     """
     if problem not in ("surrogate", "true"):
         raise ValueError(f"unknown problem {problem!r}")
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {tie_policy!r}")
+    wrong = _error_mask(tie_policy)
     require_finite(instance)
     costs = [m.cost for m in instance.models]
     if cost_cap is None:
         _, n_unif = uniform_feasible_count(instance, tol)
         cost_cap = n_unif * float(sum(costs))
+    labels = range(instance.n_labels)
     if problem == "surrogate":
-        tables = {
-            (yi, yj): PairTables(instance, yi, yj)
-            for yi, yj in ordered_pairs(instance.n_labels)
-        }
+        check = _surrogate_check(instance, tol)
         prescreen = search_prescreen(instance, tol)
 
         def accept(counts: tuple[int, ...]) -> bool | None:
-            return _surrogate_feasible_fast(instance, tables, counts, tol) or None
+            r = np.array(counts, dtype=float)
+            return all(check(r, yi)[0] for yi in labels) or None
 
     else:
         prescreen = None
 
         def accept(counts: tuple[int, ...]) -> bool | None:
+            plan = QueryPlan(counts)
             return all(
-                exact_error(instance, counts, yi, tie_policy, profile_budget)
-                <= float(instance.tolerances[yi])
-                for yi in range(instance.n_labels)
+                _profile_mass(instance, plan, yi, wrong, profile_budget)
+                <= instance.tolerances[yi]
+                for yi in labels
             ) or None
 
     found = search_lattice(costs, cost_cap, accept, node_budget, prescreen, count_caps)

@@ -8,7 +8,7 @@ count vectors; raw response sequences never need to be materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,6 +119,23 @@ def map_estimate(
     if tie_policy == "count-tie-as-error" and len(tied) > 1:
         return TIE
     return instance.labels[int(tied[0])]
+
+
+def _error_mask(tie_policy: str) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Checks tie_policy and returns map_estimate's error mask under it:
+    given scores (n, L) and the true label's index, true for each wrong row."""
+    if tie_policy not in TIE_POLICIES:
+        raise ValueError(f"unknown tie policy {tie_policy!r}")
+
+    def wrong(scores: np.ndarray, yi: int) -> np.ndarray:
+        top = scores.max(axis=1)
+        tied = scores >= (top - SCORE_TOL)[:, None]
+        predicted = tied.argmax(axis=1)
+        if tie_policy == "lowest-index":
+            return predicted != yi
+        return (predicted != yi) | (tied.sum(axis=1) > 1)
+
+    return wrong
 
 
 def delta(

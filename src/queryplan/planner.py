@@ -46,6 +46,7 @@ from .bounds import (
     GSS_TOL,
     PairTables,
     SurrogateReport,
+    _logsumexp,
     is_surrogate_feasible,
     label_caps,
     ordered_pairs,
@@ -587,8 +588,7 @@ class _WindowCertifier:
         v = (1.0 - s)[:, None, None] * self.log_p[pair_of] + s[
             :, None, None
         ] * self.log_q[pair_of]
-        top = v.max(axis=2)
-        log_m = np.log(np.exp(v - top[:, :, None]).sum(axis=2)) + top  # (N, K)
+        log_m = _logsumexp(v)  # (N, K)
         w = np.floor(np.maximum(-log_m, 0.0) / c.round_scale).astype(np.int64)
         covered = np.minimum(w @ r, c.t_max)
         return s * self.log_ratio[pair_of] - c.round_scale * covered

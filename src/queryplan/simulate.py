@@ -4,7 +4,7 @@ Trials are generated in fixed-size chunks, each from a Philox stream keyed
 by (seed, chunk index), so results are reproducible for a given seed and
 independent of how many chunks the trial count splits into. Within a chunk
 everything is vectorized: multinomial draws per model, posterior scores,
-and the tie-aware argmax.
+and the MAP rule's error mask, shared with exact enumeration.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import Instance, QueryPlan, as_plan
-from .likelihood import SCORE_TOL, TIE_POLICIES
+from .instances import Instance, QueryPlan, as_plan, require_finite
+from .likelihood import _error_mask
 
 # Two-sided 95% normal quantile used for the Wilson interval.
 WILSON_Z = 1.959963984540054
@@ -72,14 +72,15 @@ def simulate_error(
     tie_policy: str = "lowest-index",
     chunk: int = CHUNK_TRIALS,
 ) -> McEstimate:
-    """Estimates the statewise MAP error for label y over repeated trials."""
+    """Estimates the statewise MAP error for label y over repeated trials.
+    Raises ValueError on non-finite input (see require_finite)."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= seed < 2**64:
         # Philox keys are unsigned 64-bit words
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {tie_policy!r}")
+    wrong = _error_mask(tie_policy)
+    require_finite(instance)
     plan = as_plan(plan, instance)
     yi = instance.label_index(y)
     active = [(m, r) for m, r in zip(instance.models, plan.counts) if r > 0]
@@ -93,13 +94,7 @@ def simulate_error(
         for m, r in active:
             counts = rng.multinomial(r, m.conditional[yi], size=n)
             scores += counts.astype(float) @ m.log_conditional.T
-        top = scores.max(axis=1)
-        tied = scores >= (top - SCORE_TOL)[:, None]
-        predicted = tied.argmax(axis=1)
-        wrong = predicted != yi
-        if tie_policy == "count-tie-as-error":
-            wrong |= tied.sum(axis=1) > 1
-        errors += int(wrong.sum())
+        errors += int(wrong(scores, yi).sum())
         done += n
         index += 1
     p = errors / trials

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from queryplan.bounds import is_surrogate_feasible, surrogate_error
 from queryplan.exact import (
     EnumerationBudgetError,
     InfeasibleWithinCapError,
@@ -15,6 +20,8 @@ from queryplan.exact import (
     naive_sequence_pairwise,
     profile_count,
 )
+from queryplan.experiments import random_instance, random_plan
+from queryplan.likelihood import TIE_POLICIES
 
 # binomial tail oracles for the two-symbol reference model with p = 0.9:
 # P(Bin(6, 0.1) >= 3) and P(Bin(6, 0.1) >= 4)
@@ -140,3 +147,31 @@ def test_exact_opt_argument_validation(bsc):
         exact_opt(bsc, problem="true", tie_policy="random")
     with pytest.raises(ValueError, match="tie policy"):
         exact_error(bsc, (2,), "1", tie_policy="random")
+    with pytest.raises(ValueError, match="tie policy"):
+        exact_error_table(bsc, (2,), tie_policy="random")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(0.05, 0.3),
+    max_total=st.integers(0, 5),
+)
+def test_error_chain_and_surrogate_optimum_up_to_four_labels(
+    seed, n_labels, alpha, max_total
+):
+    # criterion 2's chain and slack, on label counts the suite does not draw
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
+    plan = random_plan(rng, inst, max_total)
+    for yi in range(n_labels):
+        pair_sum = math.fsum(
+            exact_pairwise(inst, plan, yi, yj) for yj in range(n_labels) if yj != yi
+        )
+        assert pair_sum <= surrogate_error(inst, plan, yi) + 1e-12
+        for policy in TIE_POLICIES:
+            assert exact_error(inst, plan, yi, policy) <= pair_sum + 1e-12
+    # exact_opt and is_surrogate_feasible run one surrogate check
+    opt = exact_opt(inst, problem="surrogate")
+    assert is_surrogate_feasible(inst, opt.plan).feasible

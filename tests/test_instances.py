@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryplan.bounds import is_surrogate_feasible
-from queryplan.exact import exact_opt
+from queryplan.bounds import is_surrogate_feasible, optimize_tilt, surrogate_error
+from queryplan.exact import exact_error, exact_error_table, exact_opt, exact_pairwise
 from queryplan.instances import (
     Instance,
     ModelSpec,
@@ -26,6 +26,7 @@ from queryplan.instances import (
     validate,
 )
 from queryplan.planner import run_afptas
+from queryplan.simulate import simulate_error
 
 
 def test_label_and_model_indexing(bsc):
@@ -163,6 +164,12 @@ SOLVERS = {
     "run_afptas": lambda inst: run_afptas(inst, 0.5),
     "exact_opt": lambda inst: exact_opt(inst, problem="surrogate"),
     "is_surrogate_feasible": lambda inst: is_surrogate_feasible(inst, (6,)),
+    "surrogate_error": lambda inst: surrogate_error(inst, (6,), 0),
+    "optimize_tilt": lambda inst: optimize_tilt(inst, (6,), 0, 1),
+    "exact_error": lambda inst: exact_error(inst, (6,), 0),
+    "exact_pairwise": lambda inst: exact_pairwise(inst, (6,), 0, 1),
+    "exact_error_table": lambda inst: exact_error_table(inst, (6,)),
+    "simulate_error": lambda inst: simulate_error(inst, (6,), 0, trials=10, seed=0),
 }
 
 

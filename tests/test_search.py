@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryplan.bounds import PairTables, ordered_pairs, uniform_feasible_count
+from queryplan.bounds import is_surrogate_feasible, uniform_feasible_count
 from queryplan.exact import (
     EnumerationBudgetError,
-    _surrogate_feasible_fast,
     lattice_ascending,
     search_lattice,
     search_prescreen,
@@ -118,11 +117,9 @@ def test_batched_search_matches_per_plan_search(
     screened = accept_kind != "residue-unscreened"
     prescreen = search_prescreen(inst, 1e-6) if screened else None
     if accept_kind == "surrogate":
-        # exact_opt's acceptance check, which it runs behind the prescreen
-        tables = {p: PairTables(inst, *p) for p in ordered_pairs(inst.n_labels)}
-
+        # the surrogate check exact_opt runs behind the prescreen
         def accept(counts):
-            return _surrogate_feasible_fast(inst, tables, counts, 1e-6) or None
+            return is_surrogate_feasible(inst, counts, 1e-6).feasible or None
 
     else:
         # an arbitrary accepted set, spread over batch edges
