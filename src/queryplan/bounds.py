@@ -35,7 +35,7 @@ from .instances import (
     require_finite,
 )
 
-# Default interval width at which golden-section search stops.
+# Interval width at which golden-section search stops.
 GSS_TOL = 1e-6
 
 # Finite stand-in for log(0) when padding ragged alphabets; avoids NaN from
@@ -162,24 +162,16 @@ def pairwise_proxy_log(
     return s * float(instance.log_prior[yj] - instance.log_prior[yi]) + base
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
-def golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = GSS_TOL
-) -> float:
-    """Minimizes a unimodal f on [lo, hi]; returns a point within tol of the
-    minimizer. tol must be finite and positive."""
-    _require_tol(tol)
+def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Minimizes a unimodal f on [lo, hi]; returns a point within GSS_TOL of
+    the minimizer."""
     if not hi > lo:
         raise ValueError("need hi > lo")
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > GSS_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -192,7 +184,7 @@ def golden_section(
 
 
 def _minimize_tilt(
-    objective: Callable[[float], float], flat: bool, tol: float
+    objective: Callable[[float], float], flat: bool
 ) -> tuple[float, float]:
     """Minimizes a convex tilt objective over [0, 1].
 
@@ -200,10 +192,9 @@ def _minimize_tilt(
     both endpoints, so boundary minimizers are returned exactly. A flat
     objective returns s = 0.5 by convention.
     """
-    _require_tol(tol)
     if flat:
         return 0.5, objective(0.5)
-    s_in = golden_section(objective, 0.0, 1.0, tol)
+    s_in = golden_section(objective, 0.0, 1.0)
     best_s, best_v = s_in, objective(s_in)
     for s in (0.0, 1.0):
         v = objective(s)
@@ -212,16 +203,14 @@ def _minimize_tilt(
     return best_s, best_v
 
 
-def _pair_tilt(
-    tables: PairTables, counts: np.ndarray, tol: float
-) -> tuple[float, float]:
+def _pair_tilt(tables: PairTables, counts: np.ndarray) -> tuple[float, float]:
     """optimize_tilt on prebuilt tables and float plan counts."""
     lpr = tables.log_prior_ratio
 
     def objective(s: float) -> float:
         return s * lpr + float(counts @ tables.log_affinities(s))
 
-    return _minimize_tilt(objective, tables.flat and lpr == 0.0, tol)
+    return _minimize_tilt(objective, tables.flat and lpr == 0.0)
 
 
 def optimize_tilt(
@@ -229,7 +218,6 @@ def optimize_tilt(
     plan: QueryPlan | Sequence[int],
     y: int | str,
     y_other: int | str,
-    tol: float = GSS_TOL,
 ) -> tuple[float, float]:
     """Optimal tilt for one pair: returns (s*, log proxy value at s*).
 
@@ -244,10 +232,10 @@ def optimize_tilt(
     yj = instance.label_index(y_other)
     if yi == yj:
         raise ValueError("optimize_tilt requires two distinct labels")
-    return _pair_tilt(PairTables(instance, yi, yj), plan.as_array().astype(float), tol)
+    return _pair_tilt(PairTables(instance, yi, yj), plan.as_array().astype(float))
 
 
-def _surrogate_check(instance: Instance, tol: float) -> Callable[..., tuple]:
+def _surrogate_check(instance: Instance) -> Callable[..., tuple]:
     """The surrogate check of one label, with every pair's tables built once.
 
     check(counts, yi), for float plan counts, returns (error <= tolerance,
@@ -259,7 +247,7 @@ def _surrogate_check(instance: Instance, tol: float) -> Callable[..., tuple]:
     alphas = [float(a) for a in instance.tolerances]
 
     def check(counts: np.ndarray, yi: int) -> tuple[bool, float, list]:
-        tilts = [_pair_tilt(tb, counts, tol) for tb in rows[yi]]
+        tilts = [_pair_tilt(tb, counts) for tb in rows[yi]]
         value = math.fsum(math.exp(lv) for _, lv in tilts)
         return value <= alphas[yi], value, tilts
 
@@ -267,7 +255,7 @@ def _surrogate_check(instance: Instance, tol: float) -> Callable[..., tuple]:
 
 
 def pair_contraction(
-    instance: Instance, y: int | str, y_other: int | str, tol: float = GSS_TOL
+    instance: Instance, y: int | str, y_other: int | str
 ) -> tuple[float, float]:
     """Best joint contraction for a pair when every model is queried once.
 
@@ -282,12 +270,10 @@ def pair_contraction(
     def objective(s: float) -> float:
         return float(tables.log_affinities(s).sum())
 
-    return _minimize_tilt(objective, tables.flat, tol)
+    return _minimize_tilt(objective, tables.flat)
 
 
-def max_pair_weights(
-    instance: Instance, tol: float = GSS_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def max_pair_weights(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Optimistic per-pair evidence bounds for plan prescreening.
 
     Returns (w_max, min_amp): w_max[p, m] upper-bounds the discrimination
@@ -298,9 +284,9 @@ def max_pair_weights(
     already sum past its tolerance can never be certified, so searches may
     skip the plan without running any per-plan tilt optimization.
 
-    The golden-section minimum of log M is deflated by B * tol (Lipschitz
-    constant times bracket width) so w_max never underestimates the true
-    maximum weight.
+    The golden-section minimum of log M is deflated by B * GSS_TOL
+    (Lipschitz constant times bracket width) so w_max never underestimates
+    the true maximum weight.
     """
     pairs = ordered_pairs(instance.n_labels)
     K = instance.n_models
@@ -320,12 +306,12 @@ def max_pair_weights(
             def objective(s: float, k: int = k) -> float:
                 return float(tables.log_affinities(s)[k])
 
-            _, lv = _minimize_tilt(objective, False, tol)
-            w_max[p, k] = max(-(lv - b * tol), 0.0)
+            _, lv = _minimize_tilt(objective, False)
+            w_max[p, k] = max(-(lv - b * GSS_TOL), 0.0)
     return w_max, min_amp
 
 
-def instance_contraction(instance: Instance, tol: float = GSS_TOL) -> float:
+def instance_contraction(instance: Instance) -> float:
     """Worst-case pair contraction rho = max over pairs of min_s prod_m M_m(s).
 
     Lies in (0, 1) for identifiable instances; rho close to 1 means some
@@ -336,19 +322,19 @@ def instance_contraction(instance: Instance, tol: float = GSS_TOL) -> float:
     for i in range(L):
         for j in range(i + 1, L):
             # min value is symmetric in the pair order since M swaps s -> 1-s
-            _, lv = pair_contraction(instance, i, j, tol)
+            _, lv = pair_contraction(instance, i, j)
             worst = max(worst, math.exp(lv))
     return worst
 
 
-def uniform_feasible_count(instance: Instance, tol: float = GSS_TOL) -> tuple[float, int]:
+def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
     """Rounds of one-query-per-model that certify every tolerance.
 
     Returns (rho, n) where querying every model n times yields surrogate
     error at most min_y alpha_y for every label. Raises if some pair is
     indistinguishable (rho would be 1 and no finite n exists).
     """
-    rho = instance_contraction(instance, tol)
+    rho = instance_contraction(instance)
     if rho >= 1.0:
         raise ValueError(
             "instance has an indistinguishable label pair; no uniform plan "
@@ -365,14 +351,13 @@ def surrogate_error(
     instance: Instance,
     plan: QueryPlan | Sequence[int],
     y: int | str,
-    tol: float = GSS_TOL,
 ) -> float:
     """Surrogate statewise error for label y: the sum over competitors of
     the per-pair proxy at its optimal tilt. Raises ValueError on non-finite
     input (see require_finite)."""
     require_finite(instance)
     counts = as_plan(plan, instance).as_array().astype(float)
-    return _surrogate_check(instance, tol)(counts, instance.label_index(y))[1]
+    return _surrogate_check(instance)(counts, instance.label_index(y))[1]
 
 
 @dataclass(frozen=True)
@@ -408,7 +393,7 @@ class SurrogateReport:
 
 
 def is_surrogate_feasible(
-    instance: Instance, plan: QueryPlan | Sequence[int], tol: float = GSS_TOL
+    instance: Instance, plan: QueryPlan | Sequence[int]
 ) -> SurrogateReport:
     """Checks every label's surrogate error against its tolerance.
 
@@ -419,7 +404,7 @@ def is_surrogate_feasible(
     """
     require_finite(instance)
     counts = as_plan(plan, instance).as_array().astype(float)
-    check = _surrogate_check(instance, tol)
+    check = _surrogate_check(instance)
     names = instance.labels
     flags, values, tilts = zip(*(check(counts, yi) for yi in range(len(names))))
     pair_tilts = [t for label_tilts in tilts for t in label_tilts]

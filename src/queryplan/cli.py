@@ -95,10 +95,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     cert = run_afptas(
-        _load_valid(args),
-        args.epsilon,
-        mode=args.mode,
-        check_optimal=args.check_optimal,
+        _load_valid(args), args.epsilon, check_optimal=args.check_optimal
     )
     _emit(cert.to_dict(), args.output)
     return 0
@@ -219,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the approximation scheme")
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--mode", choices=("auto", "search", "sweep"), default="auto")
     p.add_argument("--check-optimal", action="store_true")
     p.add_argument("--renormalize", action="store_true")
     _add_common(p)

@@ -66,17 +66,22 @@ def profile_count(instance: Instance, plan: QueryPlan | Sequence[int]) -> int:
     return n
 
 
-def _compositions(total: int, width: int) -> np.ndarray:
-    """All nonnegative integer vectors of the given width summing to total."""
+def _compositions(total: int, width: int, cap: int) -> np.ndarray:
+    """All integer vectors of the given width with entries in [0, cap]
+    summing to total, in lexicographic order."""
+    # first entries that fit the cap and leave the rest, at most
+    # (width - 1) * cap, able to reach total
+    first = np.arange(
+        max(0, total - (width - 1) * cap), min(cap, total) + 1, dtype=np.int64
+    )
     if width == 1:
-        return np.array([[total]], dtype=np.int64)
-    parts = []
-    for k in range(total + 1):
-        rest = _compositions(total - k, width - 1)
-        parts.append(
-            np.column_stack([np.full(len(rest), k, dtype=np.int64), rest])
-        )
-    return np.vstack(parts)
+        return first[:, None]
+    rests = [_compositions(total - k, width - 1, cap) for k in first.tolist()]
+    if not rests:
+        return np.empty((0, width), dtype=np.int64)
+    return np.column_stack(
+        [np.repeat(first, [len(r) for r in rests]), np.vstack(rests)]
+    )
 
 
 def _model_blocks(
@@ -88,7 +93,7 @@ def _model_blocks(
     """
     blocks = []
     for m, r in zip(instance.models, plan.counts):
-        profiles = _compositions(r, m.n_symbols)
+        profiles = _compositions(r, m.n_symbols, r)
         loglik = profiles.astype(float) @ m.log_conditional.T
         logcoef = gammaln(r + 1) - gammaln(profiles + 1).sum(axis=1)
         blocks.append((loglik, logcoef))
@@ -258,9 +263,7 @@ def naive_sequence_pairwise(
 
 
 def lattice_ascending(
-    costs: Sequence[float],
-    cost_cap: float,
-    count_caps: Sequence[int] | None = None,
+    costs: Sequence[float], cost_cap: float
 ) -> Iterator[tuple[float, tuple[int, ...]]]:
     """Yields (cost, counts) over all plans with cost <= cap, in
     nondecreasing cost with ties broken lexicographically.
@@ -275,8 +278,6 @@ def lattice_ascending(
         cost, counts, mstart = heapq.heappop(heap)
         yield cost, counts
         for m in range(mstart, K):
-            if count_caps is not None and counts[m] + 1 > count_caps[m]:
-                continue
             child_cost = cost + costs[m]
             if child_cost <= cost_cap + 1e-9:
                 child = counts[:m] + (counts[m] + 1,) + counts[m + 1 :]
@@ -304,9 +305,9 @@ class Prescreen:
         return ~(lb @ self.label_mask.T > self.alpha_cap).any(axis=1)
 
 
-def search_prescreen(instance: Instance, tol: float) -> Prescreen:
+def search_prescreen(instance: Instance) -> Prescreen:
     """The prescreen both searches run: exact_opt and the planner's."""
-    w_max, min_amp = max_pair_weights(instance, tol)
+    w_max, min_amp = max_pair_weights(instance)
     return Prescreen(w_max, min_amp, *label_caps(instance))
 
 
@@ -325,7 +326,6 @@ def search_lattice(
     accept: Callable[[tuple[int, ...]], _T | None],
     node_budget: int,
     prescreen: Prescreen | None = None,
-    count_caps: Sequence[int] | None = None,
 ) -> tuple[tuple[int, ...], _T, int] | None:
     """The first plan, in lattice_ascending order, that the prescreen keeps
     and that ``accept`` maps to a result other than None.
@@ -339,7 +339,7 @@ def search_lattice(
     behaviour and the sequence of accept calls are those of checking one
     plan at a time.
     """
-    walk = lattice_ascending(costs, cost_cap, count_caps)
+    walk = lattice_ascending(costs, cost_cap)
     enumerated = 0
     size = _BATCH_FIRST
     while True:
@@ -390,10 +390,8 @@ def exact_opt(
     problem: str = "surrogate",
     tie_policy: str = "lowest-index",
     cost_cap: float | None = None,
-    count_caps: Sequence[int] | None = None,
     node_budget: int = NODE_BUDGET,
     profile_budget: int = PROFILE_BUDGET,
-    tol: float = 1e-6,
 ) -> OptResult:
     """Minimum-cost plan meeting every tolerance, by best-first search.
 
@@ -418,12 +416,12 @@ def exact_opt(
     require_finite(instance)
     costs = [m.cost for m in instance.models]
     if cost_cap is None:
-        _, n_unif = uniform_feasible_count(instance, tol)
+        _, n_unif = uniform_feasible_count(instance)
         cost_cap = n_unif * float(sum(costs))
     labels = range(instance.n_labels)
     if problem == "surrogate":
-        check = _surrogate_check(instance, tol)
-        prescreen = search_prescreen(instance, tol)
+        check = _surrogate_check(instance)
+        prescreen = search_prescreen(instance)
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             r = np.array(counts, dtype=float)
@@ -440,7 +438,7 @@ def exact_opt(
                 for yi in labels
             ) or None
 
-    found = search_lattice(costs, cost_cap, accept, node_budget, prescreen, count_caps)
+    found = search_lattice(costs, cost_cap, accept, node_budget, prescreen)
     if found is None:
         raise InfeasibleWithinCapError(
             f"no {problem}-feasible plan with cost <= {cost_cap}"

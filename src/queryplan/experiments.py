@@ -116,7 +116,6 @@ def tightness_sweep(
     instance: Instance,
     alphas: Sequence[float],
     tie_policy: str = "lowest-index",
-    tol: float = 1e-6,
 ) -> list[dict]:
     """Exact optimum vs surrogate optimum as tolerances tighten.
 
@@ -127,8 +126,8 @@ def tightness_sweep(
     rows = []
     for alpha in alphas:
         inst = instance.with_tolerances(np.full(instance.n_labels, float(alpha)))
-        opt = exact_opt(inst, problem="true", tie_policy=tie_policy, tol=tol)
-        sur = exact_opt(inst, problem="surrogate", tol=tol)
+        opt = exact_opt(inst, problem="true", tie_policy=tie_policy)
+        sur = exact_opt(inst, problem="surrogate")
         if opt.cost > 0:
             ratio = sur.cost / opt.cost
         else:
@@ -149,17 +148,15 @@ def guarantee_sweep(
     n_instances: int = 50,
     epsilons: Sequence[float] = (0.1, 0.5, 1.0),
     alpha: float = 1e-3,
-    n_labels: int = 2,
-    max_models: int = 3,
     opt_node_budget: int = 200_000,
-    tol: float = 1e-6,
 ) -> list[dict]:
     """Approximation ratios of the scheme on random instances.
 
-    Draws instances until ``n_instances`` admit an exact surrogate optimum
-    within the node budget (others are skipped), then runs the scheme at
-    each epsilon and records cost, ratio, and whether the (1+eps) factor
-    held. Deterministic for a given seed.
+    Draws two-label instances of at most three models until
+    ``n_instances`` admit an exact surrogate optimum within the node budget
+    (others are skipped), then runs the scheme at each epsilon and records
+    cost, ratio, and whether the (1+eps) factor held. Deterministic for a
+    given seed.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -169,18 +166,14 @@ def guarantee_sweep(
         draws += 1
         if draws > 50 * n_instances:
             raise RuntimeError("too many rejected draws; loosen the budget")
-        inst = random_instance(
-            rng, n_labels=n_labels, max_models=max_models, alpha=alpha
-        )
+        inst = random_instance(rng, n_labels=2, max_models=3, alpha=alpha)
         try:
-            opt = exact_opt(
-                inst, problem="surrogate", node_budget=opt_node_budget, tol=tol
-            )
+            opt = exact_opt(inst, problem="surrogate", node_budget=opt_node_budget)
         except EnumerationBudgetError:
             continue
         accepted += 1
         for eps in epsilons:
-            cert = run_afptas(inst, eps, tol=tol)
+            cert = run_afptas(inst, eps)
             ratio = cert.cost / opt.cost if opt.cost > 0 else 1.0
             rows.append(
                 {
@@ -210,9 +203,7 @@ class GreedyResult:
         }
 
 
-def greedy_baseline(
-    instance: Instance, tol: float = 1e-6, max_steps: int | None = None
-) -> GreedyResult:
+def greedy_baseline(instance: Instance, max_steps: int | None = None) -> GreedyResult:
     """Myopic baseline: repeatedly add the single query with the best
     reduction in max_y surrogate_error(y)/alpha_y per unit cost.
 
@@ -222,11 +213,11 @@ def greedy_baseline(
     can dominate each myopic step yet lose to a pricier model overall.
     """
     if max_steps is None:
-        max_steps = derive_constants(instance, 1.0, tol).n_max
+        max_steps = derive_constants(instance, 1.0).n_max
 
     def worst_ratio(counts: list[int]) -> float:
         return max(
-            surrogate_error(instance, counts, yi, tol) / float(instance.tolerances[yi])
+            surrogate_error(instance, counts, yi) / float(instance.tolerances[yi])
             for yi in range(instance.n_labels)
         )
 

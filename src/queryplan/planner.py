@@ -10,16 +10,17 @@ states; scanning grid points and DP states yields a plan whose cost is
 within (1+eps) of the surrogate optimum once the tolerances are tight
 enough (the certificate reports whether that regime applies).
 
-Two solve modes are provided. "sweep" is the literal scheme: enumerate the
-full tilt grid, run the dense DP at every grid point, keep the cheapest
-feasible state. Its cost is grid^pairs x states and becomes impractical
-beyond toy fixtures. "search" walks plans in nondecreasing cost and accepts
-the first plan certifiable at some grid assignment; because certification
-decouples across pairs, this returns exactly the minimum cost the sweep
-would find, at a fraction of the work. The walk is exact.search_lattice,
-shared with the exact optimizer: it prescreens plans in batches with one
-matrix product of optimistic pair bounds and hands the survivors, in cost
-order, to the certifier below.
+run_afptas has one solve path, a search: it walks plans in nondecreasing
+cost and accepts the first plan certifiable at some grid assignment. Because
+certification decouples across pairs, this returns exactly the minimum cost
+of the literal scheme, which enumerates the full tilt grid, runs the dense
+DP at every grid point and keeps the cheapest feasible state. That sweep
+costs grid^pairs x states and suits only toy fixtures; it is kept
+(_solve_sweep with build_grid, dp_solve, find_feasible_state and
+backtrack) as the reference the tests compare the search against. The
+walk is exact.search_lattice, shared with the exact optimizer: it
+prescreens plans in batches with one matrix product of optimistic pair
+bounds and hands the survivors, in cost order, to the certifier below.
 
 The search certifies a plan by each pair's lowest floored-weight
 certificate over the tilt axis, whose length grows like 1/mesh (past a
@@ -43,7 +44,6 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
-    GSS_TOL,
     PairTables,
     SurrogateReport,
     _logsumexp,
@@ -52,7 +52,7 @@ from .bounds import (
     ordered_pairs,
     uniform_feasible_count,
 )
-from .exact import search_lattice, search_prescreen
+from .exact import _compositions, search_lattice, search_prescreen
 from .instances import (
     IDENTIFIABILITY_TOL,
     Instance,
@@ -123,9 +123,7 @@ class DerivedConstants:
         }
 
 
-def derive_constants(
-    instance: Instance, epsilon: float, tol: float = GSS_TOL
-) -> DerivedConstants:
+def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
     """Computes every discretization constant for the given accuracy target."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
@@ -141,7 +139,7 @@ def derive_constants(
     if B <= 0.0:
         raise ValueError("no model separates any label pair")
 
-    rho, n_unif = uniform_feasible_count(instance, tol)
+    rho, n_unif = uniform_feasible_count(instance)
 
     kappa_min = math.inf
     for m in instance.models:
@@ -298,27 +296,6 @@ class DpTable:
         return int(self.backptr[np.ravel_multi_index(state, self.shape)])
 
 
-def _shell_states(total: int, n_pairs: int, t_max: int) -> np.ndarray:
-    """States with coordinate sum ``total``, each coordinate <= t_max, in
-    lexicographic order."""
-    if n_pairs == 1:
-        if total > t_max:
-            return np.empty((0, 1), dtype=np.int64)
-        return np.array([[total]], dtype=np.int64)
-    parts = []
-    lo = max(0, total - (n_pairs - 1) * t_max)
-    hi = min(t_max, total)
-    for c in range(lo, hi + 1):
-        rest = _shell_states(total - c, n_pairs - 1, t_max)
-        if len(rest):
-            parts.append(
-                np.column_stack([np.full(len(rest), c, dtype=np.int64), rest])
-            )
-    if not parts:
-        return np.empty((0, n_pairs), dtype=np.int64)
-    return np.vstack(parts)
-
-
 def dp_solve(
     instance: Instance,
     constants: DerivedConstants,
@@ -351,9 +328,7 @@ def dp_solve(
     bp = np.full(n_states, -1, dtype=np.int8)
     table[0] = 0.0
     for total in range(1, P * T + 1):
-        states = _shell_states(total, P, T)
-        if not len(states):
-            continue
+        states = _compositions(total, P, T)
         idx = np.ravel_multi_index(states.T, shape)
         best = np.full(len(states), math.inf)
         bestm = np.full(len(states), -1, dtype=np.int8)
@@ -437,7 +412,7 @@ def backtrack(table: DpTable, state: tuple[int, ...]) -> QueryPlan:
 
 
 # ---------------------------------------------------------------------------
-# Solving: full sweep and cost-ordered search.
+# Solving: cost-ordered search, and the full sweep it is checked against.
 # ---------------------------------------------------------------------------
 
 
@@ -640,16 +615,13 @@ class _WindowCertifier:
 
 
 def _solve_search(
-    instance: Instance,
-    constants: DerivedConstants,
-    tol: float,
-    node_budget: int,
+    instance: Instance, constants: DerivedConstants, node_budget: int
 ) -> tuple[QueryPlan, list[float], str]:
     costs = [m.cost for m in instance.models]
     cost_cap = (constants.n_unif + constants.k_max) * sum(costs) + 1e-9
     certifier = _WindowCertifier(instance, constants)
     found = search_lattice(
-        costs, cost_cap, certifier.certify, node_budget, search_prescreen(instance, tol)
+        costs, cost_cap, certifier.certify, node_budget, search_prescreen(instance)
     )
     if found is None:
         raise RuntimeError(
@@ -690,26 +662,22 @@ def _solve_sweep(
 def run_afptas(
     instance: Instance,
     epsilon: float,
-    mode: str = "auto",
-    tol: float = GSS_TOL,
     check_optimal: bool = False,
-    grid_budget: int = GRID_BUDGET,
-    memory_budget: int = MEMORY_BUDGET,
     node_budget: int = SEARCH_NODE_BUDGET,
 ) -> SolveCertificate:
     """Runs the approximation scheme end to end and audits the result.
 
-    mode "search" (and "auto") walks plans in cost order with
-    exact.search_lattice, the walk exact_opt also uses, and certifies each
-    plan its prescreen keeps with the window certificate: per pair, the
-    first argmin of the floored certificate over the whole tilt axis, found
-    by scanning only the window where the exact proxy's grid tangents allow
-    a value at or below a known certificate. Every other axis point lies
-    above that certificate, so the result is the full-axis argmin, on every
-    axis length; there is no axis budget and no coarser fallback. The walk
-    raises exact.EnumerationBudgetError once it passes node_budget plans.
-    mode "sweep" runs the literal scheme under grid_budget and
-    memory_budget, raising GridBudgetError and MemoryBudgetError.
+    It walks plans in cost order with exact.search_lattice, the walk
+    exact_opt also uses, and certifies each plan its prescreen keeps with
+    the window certificate: per pair, the first argmin of the floored
+    certificate over the whole tilt axis, found by scanning only the window
+    where the exact proxy's grid tangents allow a value at or below a known
+    certificate. Every other axis point lies above that certificate, so the
+    result is the full-axis argmin, on every axis length; there is no axis
+    budget and no coarser fallback. The walk raises
+    exact.EnumerationBudgetError once it passes node_budget plans. This
+    returns the cost the literal sweep (_solve_sweep) would find; the sweep
+    is kept only as the tests' reference.
 
     Raises ValueError if the prior, a tolerance, a conditional or a cost is
     NaN or infinite.
@@ -721,17 +689,10 @@ def run_afptas(
     instance's guarantee threshold, or empirically when check_optimal is
     set and the exact surrogate optimum confirms the ratio.
     """
-    if mode not in ("auto", "search", "sweep"):
-        raise ValueError(f"unknown mode {mode!r}")
     require_finite(instance)
-    constants = derive_constants(instance, epsilon, tol)
-    if mode == "sweep":
-        plan, tilts, used = _solve_sweep(
-            instance, constants, grid_budget, memory_budget
-        )
-    else:
-        plan, tilts, used = _solve_search(instance, constants, tol, node_budget)
-    report = is_surrogate_feasible(instance, plan, tol)
+    constants = derive_constants(instance, epsilon)
+    plan, tilts, used = _solve_search(instance, constants, node_budget)
+    report = is_surrogate_feasible(instance, plan)
     if not report.feasible:
         raise RuntimeError(
             "certified plan fails the exact surrogate check; the grid "
@@ -764,7 +725,7 @@ def run_afptas(
     if check_optimal:
         from .exact import exact_opt
 
-        opt = exact_opt(instance, problem="surrogate", tol=tol)
+        opt = exact_opt(instance, problem="surrogate")
         guarantee["checked_against_oracle"] = True
         guarantee["oracle_opt_cost"] = opt.cost
         if cost <= (1.0 + epsilon) * opt.cost + 1e-9:

@@ -44,6 +44,10 @@ from .instances import Instance, ModelSpec, QueryPlan, plan_cost
 DEFAULT_ETA = 1e-9
 DEFAULT_DELTA_DPRIME = 1e-3
 
+# How far the family optimum may sit from delta_prime plus the cover weight;
+# also the slack on the unrestricted search's cost cap.
+OPT_TOL = 1e-9
+
 # delta_prime defaults to this fraction of the lightest set weight.
 DELTA_PRIME_FRACTION = 1e-3
 
@@ -221,7 +225,6 @@ def verify_equivalence(
     delta_dprime: float = DEFAULT_DELTA_DPRIME,
     eta: float = DEFAULT_ETA,
     tie_policy: str = "lowest-index",
-    opt_tol: float = 1e-9,
 ) -> dict:
     """Exhaustively checks the cover/feasibility correspondence.
 
@@ -263,13 +266,13 @@ def verify_equivalence(
     cover_weight, cover_idx = min_cover(sc)
     expected_cost = red.metadata["delta_prime"] + cover_weight
     family_cost = family_best[0] if family_best else math.inf
-    opt_match = abs(family_cost - expected_cost) <= opt_tol
+    opt_match = abs(family_cost - expected_cost) <= OPT_TOL
 
     unrestricted = exact_opt(
         inst,
         problem="true",
         tie_policy=tie_policy,
-        cost_cap=expected_cost + opt_tol,
+        cost_cap=expected_cost + OPT_TOL,
     )
     return {
         "equivalent": not mismatches and opt_match,

@@ -70,7 +70,6 @@ def simulate_error(
     trials: int,
     seed: int,
     tie_policy: str = "lowest-index",
-    chunk: int = CHUNK_TRIALS,
 ) -> McEstimate:
     """Estimates the statewise MAP error for label y over repeated trials.
     Raises ValueError on non-finite input (see require_finite)."""
@@ -88,7 +87,7 @@ def simulate_error(
     done = 0
     index = 0
     while done < trials:
-        n = min(chunk, trials - done)
+        n = min(CHUNK_TRIALS, trials - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, index]))
         scores = np.broadcast_to(instance.log_prior, (n, instance.n_labels)).copy()
         for m, r in active:

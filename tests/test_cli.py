@@ -146,6 +146,11 @@ def test_solve(bsc_path, capsys):
     assert payload["surrogate"]["feasible"] is True
     assert payload["guarantee"]["status"] == "heuristic-only"
     assert payload["constants"]["t_max"] == 1388
+    # the search is the only solve path; there is no mode to pick
+    argv = ["solve", "--instance", bsc_path, "--epsilon", "0.5", "--mode", "search"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_exact_plan_table(bsc_path, capsys):

@@ -12,6 +12,7 @@ from queryplan.bounds import is_surrogate_feasible, surrogate_error
 from queryplan.exact import (
     EnumerationBudgetError,
     InfeasibleWithinCapError,
+    _compositions,
     exact_error,
     exact_error_table,
     exact_opt,
@@ -102,10 +103,17 @@ def test_lattice_ascending_order_and_coverage():
     assert walked == brute
 
 
-def test_lattice_ascending_respects_count_caps():
-    walked = list(lattice_ascending((1.0, 1.0), 4.0, count_caps=(1, 2)))
-    assert all(a <= 1 and b <= 2 for _, (a, b) in walked)
-    assert (3.0, (1, 2)) in walked
+def test_compositions_match_filtered_product():
+    for width, total, cap in itertools.product(range(1, 5), range(13), range(8)):
+        expected = [
+            v
+            for v in itertools.product(range(cap + 1), repeat=width)
+            if sum(v) == total
+        ]
+        got = _compositions(total, width, cap)
+        assert got.dtype == np.int64
+        assert got.shape == (len(expected), width)
+        assert got.tolist() == [list(v) for v in expected]
 
 
 def test_exact_opt_true_vs_surrogate(bsc):

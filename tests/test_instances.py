@@ -25,6 +25,12 @@ from queryplan.instances import (
     save_instance,
     validate,
 )
+from queryplan.likelihood import (
+    ObservationSet,
+    delta,
+    log_posterior_scores,
+    map_estimate,
+)
 from queryplan.planner import run_afptas
 from queryplan.simulate import simulate_error
 
@@ -160,6 +166,9 @@ NONFINITE_NAMES = {
     "cost": "model 'bsc' cost",
 }
 
+# counts of the bsc model's two symbols
+OBS = ObservationSet((np.array([3, 1]),))
+
 SOLVERS = {
     "run_afptas": lambda inst: run_afptas(inst, 0.5),
     "exact_opt": lambda inst: exact_opt(inst, problem="surrogate"),
@@ -170,6 +179,9 @@ SOLVERS = {
     "exact_pairwise": lambda inst: exact_pairwise(inst, (6,), 0, 1),
     "exact_error_table": lambda inst: exact_error_table(inst, (6,)),
     "simulate_error": lambda inst: simulate_error(inst, (6,), 0, trials=10, seed=0),
+    "log_posterior_scores": lambda inst: log_posterior_scores(inst, OBS),
+    "map_estimate": lambda inst: map_estimate(inst, OBS),
+    "delta": lambda inst: delta(inst, OBS, 0, 1),
 }
 
 

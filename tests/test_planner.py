@@ -215,16 +215,19 @@ def test_find_feasible_state_coarse_grid(bsc, coarse_constants):
     assert find_feasible_state(tight, coarse_constants, point, table) is None
 
 
-def test_sweep_and_search_agree_on_coarse_grid(bsc, coarse_constants):
-    sweep_plan, sweep_tilts, used = _solve_sweep(
-        bsc, coarse_constants, GRID_BUDGET, MEMORY_BUDGET
-    )
-    assert used == "sweep"
-    search_plan, _, _ = _solve_search(
-        bsc, coarse_constants, 1e-6, SEARCH_NODE_BUDGET
-    )
-    assert plan_cost(bsc, sweep_plan) == plan_cost(bsc, search_plan) == 8.0
-    assert len(sweep_tilts) == 2
+def test_sweep_and_search_agree_on_coarse_grid(bsc, asym, duo):
+    # the literal sweep is the reference the search must match
+    for inst, cost in ((bsc, 8.0), (asym, 11.0), (duo, 8.5)):
+        constants = dataclasses.replace(
+            derive_constants(inst, 0.5), mesh=0.25, round_scale=0.2, t_max=40
+        )
+        sweep_plan, sweep_tilts, used = _solve_sweep(
+            inst, constants, GRID_BUDGET, MEMORY_BUDGET
+        )
+        assert used == "sweep"
+        search_plan, _, _ = _solve_search(inst, constants, SEARCH_NODE_BUDGET)
+        assert plan_cost(inst, sweep_plan) == plan_cost(inst, search_plan) == cost
+        assert len(sweep_tilts) == 2
 
 
 def test_run_afptas_reference_instance(bsc):
@@ -282,8 +285,8 @@ def test_run_afptas_sweep_rejects_large_grids():
         tolerances=np.array([0.05, 0.05, 0.05]),
     )
     # six ordered pairs against a fine tilt axis: the full grid is hopeless
-    with pytest.raises(GridBudgetError):
-        run_afptas(inst, 0.5, mode="sweep")
+    with pytest.raises(GridBudgetError, match=r"\(1264\^6\)"):
+        _solve_sweep(inst, derive_constants(inst, 0.5), GRID_BUDGET, MEMORY_BUDGET)
 
 
 def test_run_afptas_search_budget_raises_enumeration_error(duo):
@@ -292,7 +295,5 @@ def test_run_afptas_search_budget_raises_enumeration_error(duo):
 
 
 def test_run_afptas_argument_validation(bsc):
-    with pytest.raises(ValueError, match="mode"):
-        run_afptas(bsc, 0.5, mode="exhaustive")
     with pytest.raises(ValueError, match="epsilon"):
         run_afptas(bsc, 2.0)

@@ -23,12 +23,10 @@ from queryplan.exact import (
 from queryplan.experiments import random_instance
 
 
-def per_plan_search(
-    costs, cost_cap, accept, node_budget, prescreen=None, count_caps=None
-):
+def per_plan_search(costs, cost_cap, accept, node_budget, prescreen=None):
     """The reference: walk, budget check and prescreen one plan at a time."""
     enumerated = 0
-    for _, counts in lattice_ascending(costs, cost_cap, count_caps):
+    for _, counts in lattice_ascending(costs, cost_cap):
         enumerated += 1
         if enumerated > node_budget:
             raise EnumerationBudgetError(
@@ -101,25 +99,23 @@ WALK_LIMIT = 2000
     seed=st.integers(0, 2**32 - 1),
     n_labels=st.integers(2, 4),
     alpha=st.floats(0.01, 0.3),
-    caps=st.none() | st.lists(st.integers(0, 12), min_size=3, max_size=3),
     accept_kind=st.sampled_from(["surrogate", "residue", "residue-unscreened"]),
     residue=st.integers(0, 400),
 )
 def test_batched_search_matches_per_plan_search(
-    seed, n_labels, alpha, caps, accept_kind, residue
+    seed, n_labels, alpha, accept_kind, residue
 ):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
     costs = [m.cost for m in inst.models]
-    _, n_unif = uniform_feasible_count(inst, 1e-6)
+    _, n_unif = uniform_feasible_count(inst)
     cost_cap = n_unif * float(sum(costs))
-    count_caps = None if caps is None else caps[: inst.n_models]
     screened = accept_kind != "residue-unscreened"
-    prescreen = search_prescreen(inst, 1e-6) if screened else None
+    prescreen = search_prescreen(inst) if screened else None
     if accept_kind == "surrogate":
         # the surrogate check exact_opt runs behind the prescreen
         def accept(counts):
-            return is_surrogate_feasible(inst, counts, 1e-6).feasible or None
+            return is_surrogate_feasible(inst, counts).feasible or None
 
     else:
         # an arbitrary accepted set, spread over batch edges
@@ -127,12 +123,12 @@ def test_batched_search_matches_per_plan_search(
             key = sum(c * (7 + 3 * k) ** 2 for k, c in enumerate(counts))
             return key if key % 401 == residue else None
 
-    kwargs = {"prescreen": prescreen, "count_caps": count_caps}
+    kwargs = {"prescreen": prescreen}
     found = assert_same_search(accept, costs, cost_cap, WALK_LIMIT, **kwargs)
     if isinstance(found, str):
         budgets = [WALK_LIMIT // 3]
     else:
-        walk = lattice_ascending(costs, cost_cap, count_caps)
+        walk = lattice_ascending(costs, cost_cap)
         stop = len(list(walk)) if found is None else found[2]
         budgets = [stop - 1, stop + 100]  # just below and above the outcome
     for budget in budgets:
