@@ -17,6 +17,10 @@ any plan feasible for the surrogate is feasible for the true problem.
 
 One routine, _surrogate_check, makes this check for every caller: golden
 section per pair, then the fsum of the minima's exps against the tolerance.
+
+Before it, searches rule plans out with one table per instance,
+TangentTable, whose tangent lower bounds serve both the batched prescreen
+and the per-plan reject of every surrogate search.
 """
 
 from __future__ import annotations
@@ -154,7 +158,9 @@ def pairwise_proxy_log(
     y_other: int | str,
     s: float,
 ) -> float:
-    """log of the tilted pair bound: s*log(prior ratio) + sum_m r_m log M_m(s)."""
+    """log of the tilted pair bound: s*log(prior ratio) + sum_m r_m log M_m(s).
+    Raises ValueError on non-finite input (see require_finite)."""
+    require_finite(instance)
     plan = as_plan(plan, instance)
     yi = instance.label_index(y)
     yj = instance.label_index(y_other)
@@ -254,6 +260,88 @@ def _surrogate_check(instance: Instance) -> Callable[..., tuple]:
     return check
 
 
+# Tilts, evenly spaced over [0, 1], at which TangentTable tabulates log M and
+# its slope. It sets how many plans reach the exact checks, never an answer.
+_TANGENT_GRID = 129
+
+
+class TangentTable:
+    """Every ordered pair's log M_m and its slope at a grid of tilts, and
+    the lower bounds both searches rule plans out with.
+
+    Tangents at the grid bound a convex function's minimum from below
+    (lower_bounds). Applied to each convex log M_m, the bound gives
+    w_max[p, m] = max(-floor, 0), so with min_amp[p] = min(1, prior ratio)
+    every tilt has f_p >= log(min_amp[p]) - r . w_max[p], where f_p(s) =
+    s * log(prior ratio) + sum_m r_m log M_m(s) is a plan's tilted proxy:
+    passes screens a batch of plans with one matrix product. Applied to
+    f_p itself, it gives the per-plan rejects. A plan is ruled out when
+    some label's bounds, after exp, sum past its cap (label_caps); as a
+    golden-section value is never below the true minimum, no plan the
+    surrogate check accepts is ever ruled out.
+    """
+
+    def __init__(self, instance: Instance, grid: int = _TANGENT_GRID):
+        tabs = [PairTables(instance, i, j) for i, j in ordered_pairs(instance.n_labels)]
+        self.log_p = np.stack([t.log_p for t in tabs])  # (P, K, X)
+        self.log_q = np.stack([t.log_q for t in tabs])
+        self.log_ratio = np.array([t.log_prior_ratio for t in tabs])  # (P,)
+        self.label_mask, self.alpha_cap = label_caps(instance)
+
+        s = np.linspace(0.0, 1.0, grid)
+        self.grid = s
+        s4 = s[:, None, None]
+        v = (1.0 - s4) * self.log_p[:, None] + s4 * self.log_q[:, None]  # (P, G, K, X)
+        top = v.max(axis=3)
+        e = np.exp(v - top[..., None])
+        z = e.sum(axis=3)
+        self.grid_log_m = np.log(z) + top  # (P, G, K)
+        # d/ds log M_m(s): the tilted mean of log q - log p (0 on padding)
+        self.grid_slope = (e * (self.log_q - self.log_p)[:, None]).sum(axis=3) / z
+        self.grid_amp = s[None, :] * self.log_ratio[:, None]  # (P, G)
+
+        floor = self.lower_bounds(
+            self.grid_log_m.swapaxes(1, 2), self.grid_slope.swapaxes(1, 2)
+        )
+        self.w_max = np.maximum(-floor, 0.0)  # (P, K)
+        self.min_amp = np.minimum(1.0, np.exp(self.log_ratio))  # (P,)
+
+    def proxy_on_grid(self, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """f_p and its slope at every grid tilt, each shaped (P, G)."""
+        r = np.asarray(counts, dtype=float)
+        f = self.grid_amp + self.grid_log_m @ r
+        df = self.log_ratio[:, None] + self.grid_slope @ r
+        return f, df
+
+    def lower_bounds(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """A value no larger than min_s f(s) over [0, 1] for each convex f
+        given by its values and slopes at the grid, along the last axis.
+
+        A cell whose end slopes share a sign has its minimum at an end
+        point; otherwise the two end tangents cross inside it, and f lies
+        above their maximum, whose lowest point is that crossing.
+        """
+        d = float(self.grid[1] - self.grid[0])
+        fa, fb, da, db = f[..., :-1], f[..., 1:], df[..., :-1], df[..., 1:]
+        inner = (da < 0.0) & (db > 0.0)
+        u = np.clip((fa - fb + db * d) / np.where(inner, db - da, 1.0), 0.0, d)
+        cross = np.where(inner, fa + da * u, np.inf)
+        lb = np.minimum(f.min(axis=-1), cross.min(axis=-1))
+        return lb - 1e-9 * (1.0 + np.abs(lb))
+
+    def _over_caps(self, pair_bounds: np.ndarray) -> np.ndarray:
+        """Whether some label's pair bounds (..., P) sum past its cap."""
+        return (pair_bounds @ self.label_mask.T > self.alpha_cap).any(axis=-1)
+
+    def passes(self, plans: np.ndarray) -> np.ndarray:
+        """For plans stacked as a (B, K) array, which the w_max bounds keep."""
+        return ~self._over_caps(self.min_amp * np.exp(-(plans @ self.w_max.T)))
+
+    def rejects(self, f: np.ndarray, df: np.ndarray) -> bool:
+        """Whether the plan with proxy_on_grid (f, df) can never certify."""
+        return bool(self._over_caps(np.exp(self.lower_bounds(f, df))))
+
+
 def pair_contraction(
     instance: Instance, y: int | str, y_other: int | str
 ) -> tuple[float, float]:
@@ -274,41 +362,17 @@ def pair_contraction(
 
 
 def max_pair_weights(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Optimistic per-pair evidence bounds for plan prescreening.
+    """Optimistic per-pair evidence bounds, the instance's TangentTable's.
 
     Returns (w_max, min_amp): w_max[p, m] upper-bounds the discrimination
     weight -log M_m(s) over all tilts for ordered pair p, and min_amp[p] =
-    min(1, prior ratio) lower-bounds the tilted prior factor. For any plan
-    r and any tilt, pair p's proxy is at least
-    min_amp[p] * exp(-sum_m r[m] * w_max[p, m]); a label whose pair bounds
-    already sum past its tolerance can never be certified, so searches may
-    skip the plan without running any per-plan tilt optimization.
-
-    The golden-section minimum of log M is deflated by B * GSS_TOL
-    (Lipschitz constant times bracket width) so w_max never underestimates
-    the true maximum weight.
+    min(1, prior ratio) lower-bounds the tilted prior factor, so for any
+    plan r pair p's proxy is at least min_amp[p] * exp(-r . w_max[p]) at
+    every tilt. Raises ValueError on non-finite input (see require_finite).
     """
-    pairs = ordered_pairs(instance.n_labels)
-    K = instance.n_models
-    w_max = np.zeros((len(pairs), K))
-    min_amp = np.ones(len(pairs))
-    for p, (yi, yj) in enumerate(pairs):
-        tables = PairTables(instance, yi, yj)
-        min_amp[p] = min(1.0, math.exp(tables.log_prior_ratio))
-        for k, m in enumerate(instance.models):
-            diff = float(np.max(np.abs(m.conditional[yi] - m.conditional[yj])))
-            if diff <= IDENTIFIABILITY_TOL:
-                continue
-            b = float(
-                np.max(np.abs(m.log_conditional[yi] - m.log_conditional[yj]))
-            )
-
-            def objective(s: float, k: int = k) -> float:
-                return float(tables.log_affinities(s)[k])
-
-            _, lv = _minimize_tilt(objective, False)
-            w_max[p, k] = max(-(lv - b * GSS_TOL), 0.0)
-    return w_max, min_amp
+    require_finite(instance)
+    table = TangentTable(instance)
+    return table.w_max, table.min_amp
 
 
 def instance_contraction(instance: Instance) -> float:
@@ -332,8 +396,10 @@ def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
 
     Returns (rho, n) where querying every model n times yields surrogate
     error at most min_y alpha_y for every label. Raises if some pair is
-    indistinguishable (rho would be 1 and no finite n exists).
+    indistinguishable (rho would be 1 and no finite n exists), and on
+    non-finite input (see require_finite).
     """
+    require_finite(instance)
     rho = instance_contraction(instance)
     if rho >= 1.0:
         raise ValueError(

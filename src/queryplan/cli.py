@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import experiments, setcover
 from .exact import exact_error_table, exact_opt
@@ -66,10 +67,6 @@ def _load_valid(args: argparse.Namespace) -> Instance:
     if not result.ok:
         raise ValueError("invalid instance: " + "; ".join(result.violations))
     return inst
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", help="write JSON/CSV here instead of stdout")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -199,58 +196,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check an instance file")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--renormalize", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    # flags several commands share, declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write JSON/CSV here instead of stdout")
+    reads = argparse.ArgumentParser(add_help=False, parents=[output])
+    reads.add_argument("--instance", required=True)
+    reads.add_argument("--renormalize", action="store_true")
+    ties = argparse.ArgumentParser(add_help=False)
+    ties.add_argument("--tie-policy", choices=TIE_POLICIES, default="lowest-index")
 
-    p = sub.add_parser("calibrate", help="estimate conditionals from a CSV log")
+    def command(
+        name: str,
+        help: str,
+        func: Callable[[argparse.Namespace], int],
+        *parents: argparse.ArgumentParser,
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
+
+    command("validate", "check an instance file", _cmd_validate, reads)
+
+    p = command(
+        "calibrate", "estimate conditionals from a CSV log", _cmd_calibrate, output
+    )
     p.add_argument("--log", required=True, help="CSV with model,label,response")
     p.add_argument("--smoothing", type=float, default=1.0)
     p.add_argument("--labels", help="comma-separated label order")
     p.add_argument("--alphabets", help="JSON file {model: [symbols]}")
-    _add_common(p)
-    p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("solve", help="run the approximation scheme")
-    p.add_argument("--instance", required=True)
+    p = command("solve", "run the approximation scheme", _cmd_solve, reads)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--check-optimal", action="store_true")
-    p.add_argument("--renormalize", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("exact", help="exact errors for a plan, or exact optimum")
-    p.add_argument("--instance", required=True)
+    p = command(
+        "exact", "exact errors for a plan, or exact optimum", _cmd_exact, reads, ties
+    )
     p.add_argument("--plan", help="JSON array of counts, or @file")
     p.add_argument("--opt", choices=("surrogate", "true"))
-    p.add_argument("--tie-policy", choices=TIE_POLICIES, default="lowest-index")
     p.add_argument("--cost-cap", type=float)
-    p.add_argument("--renormalize", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("simulate", help="Monte Carlo error estimate")
-    p.add_argument("--instance", required=True)
+    p = command("simulate", "Monte Carlo error estimate", _cmd_simulate, reads, ties)
     p.add_argument("--plan", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tie-policy", choices=TIE_POLICIES, default="lowest-index")
-    p.add_argument("--renormalize", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="surrogate feasibility report for a plan")
-    p.add_argument("--instance", required=True)
+    p = command("verify", "surrogate feasibility report for a plan", _cmd_verify, reads)
     p.add_argument("--plan", required=True)
-    p.add_argument("--renormalize", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "reduce-setcover", help="embed a weighted set-cover instance"
+    p = command(
+        "reduce-setcover",
+        "embed a weighted set-cover instance",
+        _cmd_reduce_setcover,
+        output,
     )
     p.add_argument("--sets", required=True, help="JSON {n, sets, weights[, budget]}")
     p.add_argument("--epsilon", type=float, required=True)
@@ -259,26 +258,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-dprime", type=float, default=setcover.DEFAULT_DELTA_DPRIME)
     p.add_argument("--eta", type=float, default=setcover.DEFAULT_ETA)
     p.add_argument("--check", action="store_true", help="verify the correspondence")
-    _add_common(p)
-    p.set_defaults(func=_cmd_reduce_setcover)
 
-    p = sub.add_parser("sweep-tightness", help="opt vs surrogate-opt over alphas")
-    p.add_argument("--instance", required=True)
+    p = command(
+        "sweep-tightness",
+        "opt vs surrogate-opt over alphas",
+        _cmd_sweep_tightness,
+        reads,
+        ties,
+    )
     p.add_argument("--alphas", required=True, help="comma-separated values")
-    p.add_argument("--tie-policy", choices=TIE_POLICIES, default="lowest-index")
-    p.add_argument("--renormalize", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep_tightness)
 
-    p = sub.add_parser(
-        "sweep-guarantee", help="approximation ratios on random instances"
+    p = command(
+        "sweep-guarantee",
+        "approximation ratios on random instances",
+        _cmd_sweep_guarantee,
+        output,
     )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--instances", type=int, default=50)
     p.add_argument("--epsilons", default="0.1,0.5,1.0")
     p.add_argument("--alpha", type=float, default=1e-3)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep_guarantee)
 
     return parser
 

@@ -11,10 +11,11 @@ cost, ties broken lexicographically by count vector) and returns the first
 feasible plan, which is therefore a minimum-cost one. That walk,
 search_lattice, is shared with the planner's search: it takes plans from
 the lattice in batches of growing size, rules out most of a batch with one
-matrix product of optimistic pair bounds (Prescreen), and hands the
-survivors in walk order to a caller's acceptance check: here the surrogate
-check of is_surrogate_feasible or exact errors (one profile-mass loop serves
-exact_pairwise and exact_error), and the window certificate in the planner.
+matrix product of optimistic pair bounds (bounds.TangentTable), and hands
+the survivors in walk order to a caller's acceptance check: here the
+surrogate check of is_surrogate_feasible, behind the same table's per-plan
+reject, or exact errors (one profile-mass loop serves exact_pairwise and
+exact_error), and the window certificate in the planner.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import (
+    TangentTable,
     _logsumexp,
     _surrogate_check,
-    label_caps,
-    max_pair_weights,
     uniform_feasible_count,
 )
 from .instances import Instance, QueryPlan, as_plan, plan_cost, require_finite
@@ -284,33 +284,6 @@ def lattice_ascending(
                 heapq.heappush(heap, (child_cost, child, m))
 
 
-@dataclass(frozen=True)
-class Prescreen:
-    """Optimistic pair bounds that rule plans out before any per-plan work.
-
-    For a plan r, pair p's proxy is at least min_amp[p] * exp(-r . w_max[p])
-    at every tilt (see bounds.max_pair_weights). A plan whose bounds for
-    some label already sum past that label's cap can never be surrogate
-    feasible, so a search skips it without optimizing any tilt.
-    """
-
-    w_max: np.ndarray  # (P, K)
-    min_amp: np.ndarray  # (P,)
-    label_mask: np.ndarray  # (L, P), see bounds.label_caps
-    alpha_cap: np.ndarray  # (L,)
-
-    def passes(self, plans: np.ndarray) -> np.ndarray:
-        """For plans stacked as a (B, K) array, which the bounds keep."""
-        lb = self.min_amp * np.exp(-(plans @ self.w_max.T))
-        return ~(lb @ self.label_mask.T > self.alpha_cap).any(axis=1)
-
-
-def search_prescreen(instance: Instance) -> Prescreen:
-    """The prescreen both searches run: exact_opt and the planner's."""
-    w_max, min_amp = max_pair_weights(instance)
-    return Prescreen(w_max, min_amp, *label_caps(instance))
-
-
 # Plans taken from the lattice per prescreen batch. Many searches accept
 # within a few dozen plans, so the first batch is small; doubling it lets
 # long searches prescreen thousands of plans per numpy call.
@@ -325,7 +298,7 @@ def search_lattice(
     cost_cap: float,
     accept: Callable[[tuple[int, ...]], _T | None],
     node_budget: int,
-    prescreen: Prescreen | None = None,
+    prescreen: TangentTable | None = None,
 ) -> tuple[tuple[int, ...], _T, int] | None:
     """The first plan, in lattice_ascending order, that the prescreen keeps
     and that ``accept`` maps to a result other than None.
@@ -399,10 +372,11 @@ def exact_opt(
     closed-form bound, "true" uses exact statewise errors under the given
     tie policy. The first feasible plan in (cost, lexicographic) order is
     optimal for its problem; search_lattice walks that order, and for
-    "surrogate" its prescreen rules most plans out before any tilt is
-    optimized. The default cost cap is the cost of querying every model
-    for the uniform certifying round count, which is always
-    surrogate-feasible (and hence true-feasible).
+    "surrogate" the instance's TangentTable rules most plans out, in
+    batches and then one by one, before any tilt is optimized. The
+    default cost cap is the cost of querying every model for the uniform
+    certifying round count, which is always surrogate-feasible (and hence
+    true-feasible).
 
     Raises ValueError if the prior, a tolerance, a conditional or a cost is
     NaN or infinite, InfeasibleWithinCapError if the capped lattice holds no
@@ -421,10 +395,12 @@ def exact_opt(
     labels = range(instance.n_labels)
     if problem == "surrogate":
         check = _surrogate_check(instance)
-        prescreen = search_prescreen(instance)
+        prescreen = TangentTable(instance)
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             r = np.array(counts, dtype=float)
+            if prescreen.rejects(*prescreen.proxy_on_grid(r)):
+                return None
             return all(check(r, yi)[0] for yi in labels) or None
 
     else:

@@ -21,6 +21,8 @@ backtrack) as the reference the tests compare the search against. The
 walk is exact.search_lattice, shared with the exact optimizer: it
 prescreens plans in batches with one matrix product of optimistic pair
 bounds and hands the survivors, in cost order, to the certifier below.
+Both come from one per-instance bounds.TangentTable, which the certifier
+extends.
 
 The search certifies a plan by each pair's lowest floored-weight
 certificate over the tilt axis, whose length grows like 1/mesh (past a
@@ -44,15 +46,17 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
+    _TANGENT_GRID,
     PairTables,
     SurrogateReport,
+    TangentTable,
     _logsumexp,
     is_surrogate_feasible,
     label_caps,
     ordered_pairs,
     uniform_feasible_count,
 )
-from .exact import _compositions, search_lattice, search_prescreen
+from .exact import _compositions, search_lattice
 from .instances import (
     IDENTIFIABILITY_TOL,
     Instance,
@@ -124,7 +128,9 @@ class DerivedConstants:
 
 
 def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
-    """Computes every discretization constant for the given accuracy target."""
+    """Computes every discretization constant for the given accuracy target.
+    Raises ValueError on non-finite input (see require_finite)."""
+    require_finite(instance)
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     L = instance.n_labels
@@ -461,16 +467,11 @@ def guarantee_threshold(instance: Instance, constants: DerivedConstants) -> floa
     return (L - 1) * float(pr.min()) / float(pr.max()) * math.exp(-pad)
 
 
-# Tilts, evenly spaced over [0, 1], at which the certifier tabulates every
-# pair's log-affinities and their slopes. It sets the speed of the reject
-# step and the width of the scanned window, never the certifier's output.
-_TANGENT_GRID = 129
-
 # Window points evaluated per numpy batch; bounds memory on fine axes.
 _WINDOW_CHUNK = 1 << 15
 
 
-class _WindowCertifier:
+class _WindowCertifier(TangentTable):
     """The axis certificate of a plan, minimized per pair over the tilt axis
     without scanning the axis.
 
@@ -485,12 +486,11 @@ class _WindowCertifier:
     Flooring only shrinks weights and the t_max clip only raises cert, so
     cert_p(i) >= f_p(s_i), where f_p(s) = s * log(prior ratio) +
     sum_m r_m log M_m(s) is the exact tilted proxy, which is convex in s.
-    Two consequences make a full-axis scan unnecessary:
+    Two consequences make a full-axis scan unnecessary, both drawn from the
+    instance's TangentTable, which this certifier extends:
 
-    * reject: tangents of f_p at a fixed grid of tilts bound min_s f_p from
-      below (in each grid cell, by the height where the two end tangents
-      cross). If those bounds already exceed some tolerance, no assignment
-      certifies.
+    * reject: the table's tangent lower bounds on min_s f_p already exceed
+      some tolerance, so no assignment certifies.
     * window: with U_p the certificate at one axis index, every index whose
       certificate is <= U_p, the argmins among them, has f_p(s_i) <= U_p
       and so lies where every grid tangent is <= U_p: an interval. Scanning
@@ -502,50 +502,11 @@ class _WindowCertifier:
     """
 
     def __init__(self, instance: Instance, constants: DerivedConstants):
-        tabs = [PairTables(instance, i, j) for i, j in ordered_pairs(instance.n_labels)]
+        super().__init__(instance, _TANGENT_GRID)
         self.constants = constants
         self.n_axis = tilt_axis_size(constants)
-        self.log_p = np.stack([t.log_p for t in tabs])  # (P, K, X)
-        self.log_q = np.stack([t.log_q for t in tabs])
-        self.log_ratio = np.array([t.log_prior_ratio for t in tabs])  # (P,)
-        self.mask_mat, self.alpha_cap = label_caps(instance)
-        self.masks = self.mask_mat > 0
+        self.masks = self.label_mask > 0
         self.tolerances = [float(a) for a in instance.tolerances]
-
-        s = np.linspace(0.0, 1.0, _TANGENT_GRID)
-        self.grid = s
-        v = (1.0 - s)[None, :, None, None] * self.log_p[:, None] + s[
-            None, :, None, None
-        ] * self.log_q[:, None]  # (P, G, K, X)
-        top = v.max(axis=3)
-        e = np.exp(v - top[..., None])
-        z = e.sum(axis=3)
-        self.grid_log_m = np.log(z) + top  # (P, G, K)
-        # d/ds log M_m(s): the tilted mean of log q - log p (0 on padding)
-        self.grid_slope = (e * (self.log_q - self.log_p)[:, None]).sum(axis=3) / z
-        self.grid_amp = s[None, :] * self.log_ratio[:, None]  # (P, G)
-
-    def proxy_on_grid(self, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """f_p and its slope at every grid tilt, each shaped (P, G)."""
-        r = np.asarray(counts, dtype=float)
-        f = self.grid_amp + self.grid_log_m @ r
-        df = self.log_ratio[:, None] + self.grid_slope @ r
-        return f, df
-
-    def lower_bounds(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-        """Per pair, a value no larger than min_s f_p(s) over [0, 1].
-
-        A cell whose end slopes share a sign has its minimum at an end
-        point; otherwise the two end tangents cross inside it, and f lies
-        above their maximum, whose lowest point is that crossing.
-        """
-        d = float(self.grid[1] - self.grid[0])
-        fa, fb, da, db = f[:, :-1], f[:, 1:], df[:, :-1], df[:, 1:]
-        inner = (da < 0.0) & (db > 0.0)
-        u = np.clip((fa - fb + db * d) / np.where(inner, db - da, 1.0), 0.0, d)
-        cross = np.where(inner, fa + da * u, np.inf)
-        lb = np.minimum(f.min(axis=1), cross.min(axis=1))
-        return lb - 1e-9 * (1.0 + np.abs(lb))
 
     def axis_tilts(self, index: np.ndarray) -> np.ndarray:
         """The tilt_axis points at the given indices."""
@@ -572,7 +533,7 @@ class _WindowCertifier:
         """Per-pair first-argmin axis indices if the plan certifies every
         tolerance, else None; the same answer as scanning the whole axis."""
         f, df = self.proxy_on_grid(counts)
-        if (self.mask_mat @ np.exp(self.lower_bounds(f, df)) > self.alpha_cap).any():
+        if self.rejects(f, df):
             return None
         c = self.constants
         r = np.asarray(counts, dtype=np.int64)
@@ -620,9 +581,7 @@ def _solve_search(
     costs = [m.cost for m in instance.models]
     cost_cap = (constants.n_unif + constants.k_max) * sum(costs) + 1e-9
     certifier = _WindowCertifier(instance, constants)
-    found = search_lattice(
-        costs, cost_cap, certifier.certify, node_budget, search_prescreen(instance)
-    )
+    found = search_lattice(costs, cost_cap, certifier.certify, node_budget, certifier)
     if found is None:
         raise RuntimeError(
             "lattice exhausted without a certifiable plan; the uniform padded "
@@ -689,7 +648,6 @@ def run_afptas(
     instance's guarantee threshold, or empirically when check_optimal is
     set and the exact surrogate optimum confirms the ratio.
     """
-    require_finite(instance)
     constants = derive_constants(instance, epsilon)
     plan, tilts, used = _solve_search(instance, constants, node_budget)
     report = is_surrogate_feasible(instance, plan)

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from queryplan.bounds import (
     PairTables,
+    TangentTable,
+    _minimize_tilt,
+    _pair_tilt,
     affinity,
     golden_section,
     instance_contraction,
@@ -173,3 +176,33 @@ def test_max_pair_weights_lower_bound_is_sound(seed):
         lb = min_amp[p] * math.exp(-float(w_max[p] @ counts))
         _, lv = optimize_tilt(inst, plan, yi, yj)
         assert lb <= math.exp(lv) * (1.0 + 1e-9) + 1e-300
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(1e-4, 0.3),
+    counts=st.lists(st.integers(0, 30), min_size=3, max_size=3),
+)
+def test_tangent_table_bounds_golden_sections(seed, n_labels, alpha, counts):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(
+        rng, n_labels=n_labels, max_models=3, alphabet_sizes=(2, 4), alpha=alpha
+    )
+    r = np.asarray(counts[: inst.n_models], dtype=float)
+    table = TangentTable(inst)
+    f, df = table.proxy_on_grid(r)
+    lb = table.lower_bounds(f, df)
+    for p, (yi, yj) in enumerate(ordered_pairs(inst.n_labels)):
+        tables = PairTables(inst, yi, yj)
+        # the plan's bound never exceeds the golden-section pair proxy
+        assert lb[p] <= _pair_tilt(tables, r)[1]
+        for m in range(inst.n_models):
+            _, lv = _minimize_tilt(
+                lambda s, m=m: float(tables.log_affinities(s)[m]), False
+            )
+            # w_max never undercuts a model's golden-section weight
+            assert table.w_max[p, m] >= -lv
+    if is_surrogate_feasible(inst, tuple(int(c) for c in r)).feasible:
+        assert not table.rejects(f, df)

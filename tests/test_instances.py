@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryplan.bounds import is_surrogate_feasible, optimize_tilt, surrogate_error
+from queryplan.bounds import (
+    is_surrogate_feasible,
+    max_pair_weights,
+    optimize_tilt,
+    pairwise_proxy_log,
+    surrogate_error,
+    uniform_feasible_count,
+)
 from queryplan.exact import exact_error, exact_error_table, exact_opt, exact_pairwise
+from queryplan.experiments import greedy_baseline
 from queryplan.instances import (
     Instance,
     ModelSpec,
@@ -31,7 +39,7 @@ from queryplan.likelihood import (
     log_posterior_scores,
     map_estimate,
 )
-from queryplan.planner import run_afptas
+from queryplan.planner import derive_constants, run_afptas
 from queryplan.simulate import simulate_error
 
 
@@ -182,6 +190,11 @@ SOLVERS = {
     "log_posterior_scores": lambda inst: log_posterior_scores(inst, OBS),
     "map_estimate": lambda inst: map_estimate(inst, OBS),
     "delta": lambda inst: delta(inst, OBS, 0, 1),
+    "derive_constants": lambda inst: derive_constants(inst, 0.5),
+    "uniform_feasible_count": uniform_feasible_count,
+    "greedy_baseline": greedy_baseline,
+    "max_pair_weights": max_pair_weights,
+    "pairwise_proxy_log": lambda inst: pairwise_proxy_log(inst, (6,), 0, 1, 0.5),
 }
 
 

@@ -13,13 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryplan.bounds import is_surrogate_feasible, uniform_feasible_count
-from queryplan.exact import (
-    EnumerationBudgetError,
-    lattice_ascending,
-    search_lattice,
-    search_prescreen,
+from queryplan.bounds import (
+    TangentTable,
+    is_surrogate_feasible,
+    uniform_feasible_count,
 )
+from queryplan.exact import EnumerationBudgetError, lattice_ascending, search_lattice
 from queryplan.experiments import random_instance
 
 
@@ -111,7 +110,7 @@ def test_batched_search_matches_per_plan_search(
     _, n_unif = uniform_feasible_count(inst)
     cost_cap = n_unif * float(sum(costs))
     screened = accept_kind != "residue-unscreened"
-    prescreen = search_prescreen(inst) if screened else None
+    prescreen = TangentTable(inst) if screened else None
     if accept_kind == "surrogate":
         # the surrogate check exact_opt runs behind the prescreen
         def accept(counts):
