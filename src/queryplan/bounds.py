@@ -15,8 +15,10 @@ and the surrogate error of label y sums this bound over competitors y' with
 s optimized per pair. The surrogate dominates the exact statewise error, so
 any plan feasible for the surrogate is feasible for the true problem.
 
-One routine, _surrogate_check, makes this check for every caller: golden
-section per pair, then the fsum of the minima's exps against the tolerance.
+The tilted pair proxy s*log(prior ratio) + sum_m r_m log M_m(s) is written
+once, as PairTables.proxy. One routine, _surrogate_check, makes this check
+for every caller: golden section of that proxy per pair, then the fsum of
+the minima's exps against the tolerance.
 
 Before it, searches rule plans out with one table per instance,
 TangentTable, whose tangent lower bounds serve both the batched prescreen
@@ -32,9 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instances import (
-    IDENTIFIABILITY_TOL,
     Instance,
     QueryPlan,
+    _indistinguishable,
     as_plan,
     require_finite,
 )
@@ -98,15 +100,16 @@ class PairTables:
         self.log_prior_ratio = float(
             instance.log_prior[yj] - instance.log_prior[yi]
         )
-        self.flat = all(
-            np.max(np.abs(m.conditional[yi] - m.conditional[yj]))
-            <= IDENTIFIABILITY_TOL
-            for m in instance.models
-        )
+        self.flat = all(_indistinguishable(m, yi, yj) for m in instance.models)
 
     def log_affinities(self, s: float) -> np.ndarray:
         """log M_m(s) for every model m, as a length-K vector."""
         return _logsumexp((1.0 - s) * self.log_p + s * self.log_q)
+
+    def proxy(self, counts: np.ndarray, s: float) -> float:
+        """The pair's tilted proxy at s for float plan counts:
+        f(s) = s * log(prior ratio) + sum_m counts[m] * log M_m(s)."""
+        return s * self.log_prior_ratio + float(counts @ self.log_affinities(s))
 
 
 def log_affinity(
@@ -130,27 +133,6 @@ def affinity(
     return math.exp(log_affinity(instance, m, y, y_other, s))
 
 
-def log_affinity_product(
-    instance: Instance,
-    counts: Sequence[int],
-    y: int | str,
-    y_other: int | str,
-    s: float,
-) -> float:
-    """log of prod_m M_m(s)^counts[m] (no prior factor)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"tilt s must lie in [0, 1], got {s!r}")
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    if yi == yj:
-        raise ValueError("affinity requires two distinct labels")
-    tables = PairTables(instance, yi, yj)
-    c = np.asarray(counts, dtype=float)
-    if c.shape != (instance.n_models,):
-        raise ValueError("counts must have one entry per model")
-    return float(c @ tables.log_affinities(s))
-
-
 def pairwise_proxy_log(
     instance: Instance,
     plan: QueryPlan | Sequence[int],
@@ -161,11 +143,14 @@ def pairwise_proxy_log(
     """log of the tilted pair bound: s*log(prior ratio) + sum_m r_m log M_m(s).
     Raises ValueError on non-finite input (see require_finite)."""
     require_finite(instance)
-    plan = as_plan(plan, instance)
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"tilt s must lie in [0, 1], got {s!r}")
+    counts = as_plan(plan, instance).as_array().astype(float)
     yi = instance.label_index(y)
     yj = instance.label_index(y_other)
-    base = log_affinity_product(instance, plan.counts, yi, yj, s)
-    return s * float(instance.log_prior[yj] - instance.log_prior[yi]) + base
+    if yi == yj:
+        raise ValueError("affinity requires two distinct labels")
+    return PairTables(instance, yi, yj).proxy(counts, s)
 
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -211,12 +196,10 @@ def _minimize_tilt(
 
 def _pair_tilt(tables: PairTables, counts: np.ndarray) -> tuple[float, float]:
     """optimize_tilt on prebuilt tables and float plan counts."""
-    lpr = tables.log_prior_ratio
-
-    def objective(s: float) -> float:
-        return s * lpr + float(counts @ tables.log_affinities(s))
-
-    return _minimize_tilt(objective, tables.flat and lpr == 0.0)
+    return _minimize_tilt(
+        lambda s: tables.proxy(counts, s),
+        tables.flat and tables.log_prior_ratio == 0.0,
+    )
 
 
 def optimize_tilt(
@@ -396,10 +379,14 @@ def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
 
     Returns (rho, n) where querying every model n times yields surrogate
     error at most min_y alpha_y for every label. Raises if some pair is
-    indistinguishable (rho would be 1 and no finite n exists), and on
-    non-finite input (see require_finite).
+    indistinguishable (rho would be 1 and no finite n exists), if some
+    tolerance is not positive (no n exists), and on non-finite input (see
+    require_finite).
     """
     require_finite(instance)
+    alpha_min = float(instance.tolerances.min())
+    if not alpha_min > 0.0:
+        raise ValueError(f"tolerances must be positive, got {alpha_min!r}")
     rho = instance_contraction(instance)
     if rho >= 1.0:
         raise ValueError(
@@ -408,7 +395,6 @@ def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
         )
     L = instance.n_labels
     pr = instance.prior
-    alpha_min = float(instance.tolerances.min())
     need = math.log((L - 1) * float(pr.max()) / (float(pr.min()) * alpha_min))
     return rho, max(1, math.ceil(need / (-math.log(rho))))
 

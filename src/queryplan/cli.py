@@ -50,7 +50,9 @@ def _parse_plan(text: str) -> list[int]:
             data = data.get("plan")
     else:
         data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+    if not isinstance(data, list) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in data
+    ):
         raise ValueError("plan must be a JSON array of integers")
     return data
 

@@ -386,6 +386,8 @@ def exact_opt(
     """
     if problem not in ("surrogate", "true"):
         raise ValueError(f"unknown problem {problem!r}")
+    if cost_cap is not None and math.isnan(cost_cap):
+        raise ValueError("cost_cap is NaN")
     wrong = _error_mask(tie_policy)
     require_finite(instance)
     costs = [m.cost for m in instance.models]

@@ -17,12 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import surrogate_error
+from .bounds import _surrogate_check
 from .exact import (
     EnumerationBudgetError,
     exact_opt,
 )
-from .instances import Instance, ModelSpec, QueryPlan, plan_cost
+from .instances import Instance, ModelSpec, QueryPlan, plan_cost, require_finite
 from .planner import derive_constants, run_afptas
 
 TIGHTNESS_FIELDS = ("alpha_min", "opt", "surrogate_opt", "ratio")
@@ -212,12 +212,15 @@ def greedy_baseline(instance: Instance, max_steps: int | None = None) -> GreedyR
     lower model index. Useful as a foil: cheap queries with modest evidence
     can dominate each myopic step yet lose to a pricier model overall.
     """
+    require_finite(instance)
     if max_steps is None:
         max_steps = derive_constants(instance, 1.0).n_max
+    check = _surrogate_check(instance)
 
     def worst_ratio(counts: list[int]) -> float:
+        r = np.array(counts, dtype=float)
         return max(
-            surrogate_error(instance, counts, yi) / float(instance.tolerances[yi])
+            check(r, yi)[1] / float(instance.tolerances[yi])
             for yi in range(instance.n_labels)
         )
 

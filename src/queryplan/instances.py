@@ -73,6 +73,14 @@ class ModelSpec:
             ) from None
 
 
+def _indistinguishable(model: ModelSpec, i: int, j: int) -> bool:
+    """Whether the model's rows for labels i and j differ by no more than
+    IDENTIFIABILITY_TOL anywhere, so its answers carry no evidence between
+    the two labels."""
+    gap = float(np.max(np.abs(model.conditional[i] - model.conditional[j])))
+    return gap <= IDENTIFIABILITY_TOL
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable classification problem.
@@ -250,11 +258,7 @@ def validate(instance: Instance) -> Validation:
     if instance.n_models > 0 and L >= 2:
         for i in range(L):
             for j in range(i + 1, L):
-                sep = max(
-                    float(np.max(np.abs(m.conditional[i] - m.conditional[j])))
-                    for m in instance.models
-                )
-                if sep <= IDENTIFIABILITY_TOL:
+                if all(_indistinguishable(m, i, j) for m in instance.models):
                     v.append(
                         f"labels {instance.labels[i]!r} and {instance.labels[j]!r} "
                         "are indistinguishable under every model"
@@ -438,8 +442,10 @@ def calibrate(
     where each model entry carries ``name``, ``alphabet`` and ``conditional``
     (costs, priors and tolerances are not calibratable from a log).
     """
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be nonnegative, got {smoothing!r}")
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(
+            f"smoothing must be finite and nonnegative, got {smoothing!r}"
+        )
     records = list(records)
     alphabets = {k: [str(s) for s in v] for k, v in (alphabets or {}).items()}
     if not records and not alphabets:

@@ -3,6 +3,10 @@
 Observations from repeated queries are exchangeable given the label, so the
 per-model response counts are a sufficient statistic. All scoring works on
 count vectors; raw response sequences never need to be materialized.
+
+One MAP rule, _map_rule, decides for map_estimate and for the error mask
+that exact enumeration and Monte Carlo share: scores within SCORE_TOL of
+the maximum are tied, and the first tied label is the decision.
 """
 
 from __future__ import annotations
@@ -116,12 +120,19 @@ def map_estimate(
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie_policy!r}")
-    scores = log_posterior_scores(instance, obs)
-    top = scores.max()
-    tied = np.flatnonzero(scores >= top - SCORE_TOL)
-    if tie_policy == "count-tie-as-error" and len(tied) > 1:
+    predicted, tied = _map_rule(log_posterior_scores(instance, obs)[None, :])
+    if tie_policy == "count-tie-as-error" and tied.sum() > 1:
         return TIE
-    return instance.labels[int(tied[0])]
+    return instance.labels[int(predicted[0])]
+
+
+def _map_rule(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The MAP rule for every row of scores (n, L): (predicted, tied), the
+    first label within SCORE_TOL of the row's maximum and the mask of all
+    such labels."""
+    top = scores.max(axis=1)
+    tied = scores >= (top - SCORE_TOL)[:, None]
+    return tied.argmax(axis=1), tied
 
 
 def _error_mask(tie_policy: str) -> Callable[[np.ndarray, int], np.ndarray]:
@@ -131,9 +142,7 @@ def _error_mask(tie_policy: str) -> Callable[[np.ndarray, int], np.ndarray]:
         raise ValueError(f"unknown tie policy {tie_policy!r}")
 
     def wrong(scores: np.ndarray, yi: int) -> np.ndarray:
-        top = scores.max(axis=1)
-        tied = scores >= (top - SCORE_TOL)[:, None]
-        predicted = tied.argmax(axis=1)
+        predicted, tied = _map_rule(scores)
         if tie_policy == "lowest-index":
             return predicted != yi
         return (predicted != yi) | (tied.sum(axis=1) > 1)

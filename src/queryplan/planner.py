@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,9 +58,9 @@ from .bounds import (
 )
 from .exact import _compositions, search_lattice
 from .instances import (
-    IDENTIFIABILITY_TOL,
     Instance,
     QueryPlan,
+    _indistinguishable,
     plan_cost,
     require_finite,
 )
@@ -109,22 +109,7 @@ class DerivedConstants:
     t_max: int
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "B": self.B,
-            "rho": self.rho,
-            "n_unif": self.n_unif,
-            "kappa_min": self.kappa_min,
-            "delta_margin": self.delta_margin,
-            "theta": self.theta,
-            "k_eps": self.k_eps,
-            "k_max": self.k_max,
-            "n_max": self.n_max,
-            "lam": self.lam,
-            "mesh": self.mesh,
-            "round_scale": self.round_scale,
-            "t_max": self.t_max,
-        }
+        return asdict(self)
 
 
 def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
@@ -151,11 +136,9 @@ def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
     for m in instance.models:
         for i in range(L):
             for j in range(L):
-                if i == j:
+                if i == j or _indistinguishable(m, i, j):
                     continue
                 p, q = m.conditional[i], m.conditional[j]
-                if float(np.max(np.abs(p - q))) <= IDENTIFIABILITY_TOL:
-                    continue
                 kappa_min = min(kappa_min, float(np.sum(p * np.log(p / q))))
     if not math.isfinite(kappa_min):
         raise ValueError("no model separates any label pair")
@@ -211,23 +194,22 @@ def tilt_axis_size(constants: DerivedConstants) -> int:
     for the array.
     """
     h = constants.mesh
-    if h >= 1.0:
-        return 2
     n = math.floor(1.0 / h) + 1
     if min((n - 1) * h, 1.0) != 1.0:
         n += 1
     return n
 
 
+def _axis_tilts(index: np.ndarray, mesh: float, n_axis: int) -> np.ndarray:
+    """The tilt_axis points at the given indices, for an axis of n_axis
+    points: index * mesh clipped to 1, and exactly 1 at the last index."""
+    return np.where(index >= n_axis - 1, 1.0, np.minimum(index * mesh, 1.0))
+
+
 def tilt_axis(constants: DerivedConstants) -> np.ndarray:
     """Mesh points {0, h, 2h, ...} clipped to [0, 1], with 1 always included."""
-    h = constants.mesh
-    if h >= 1.0:
-        return np.array([0.0, 1.0])
-    pts = [min(i * h, 1.0) for i in range(math.floor(1.0 / h) + 1)]
-    if pts[-1] != 1.0:
-        pts.append(1.0)
-    return np.array(pts)
+    n = tilt_axis_size(constants)
+    return _axis_tilts(np.arange(n), constants.mesh, n)
 
 
 def build_grid(
@@ -508,11 +490,6 @@ class _WindowCertifier(TangentTable):
         self.masks = self.label_mask > 0
         self.tolerances = [float(a) for a in instance.tolerances]
 
-    def axis_tilts(self, index: np.ndarray) -> np.ndarray:
-        """The tilt_axis points at the given indices."""
-        mesh = self.constants.mesh
-        return np.where(index >= self.n_axis - 1, 1.0, np.minimum(index * mesh, 1.0))
-
     def axis_certificates(
         self, pair_of: np.ndarray, index: np.ndarray, r: np.ndarray
     ) -> np.ndarray:
@@ -520,7 +497,7 @@ class _WindowCertifier(TangentTable):
         operations in the same order as a full-axis table, so the values are
         bit-identical to it."""
         c = self.constants
-        s = self.axis_tilts(index)
+        s = _axis_tilts(index, c.mesh, self.n_axis)
         v = (1.0 - s)[:, None, None] * self.log_p[pair_of] + s[
             :, None, None
         ] * self.log_q[pair_of]
@@ -588,7 +565,8 @@ def _solve_search(
             "plan should always certify, so this indicates a constants bug"
         )
     counts, idx, _ = found
-    return QueryPlan(counts), certifier.axis_tilts(idx).tolist(), "search-axis"
+    tilts = _axis_tilts(idx, constants.mesh, certifier.n_axis).tolist()
+    return QueryPlan(counts), tilts, "search-axis"
 
 
 def _solve_sweep(

@@ -10,7 +10,7 @@ and the MAP rule's error mask, shared with exact enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,16 +51,7 @@ class McEstimate:
     tie_policy: str
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "trials": self.trials,
-            "errors": self.errors,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-            "tie_policy": self.tie_policy,
-        }
+        return asdict(self)
 
 
 def simulate_error(

@@ -17,7 +17,6 @@ from queryplan.bounds import (
     instance_contraction,
     is_surrogate_feasible,
     log_affinity,
-    log_affinity_product,
     max_pair_weights,
     optimize_tilt,
     ordered_pairs,
@@ -50,9 +49,9 @@ def test_affinity_domain_errors(bsc):
     with pytest.raises(ValueError, match="distinct"):
         log_affinity(bsc, 0, "1", "1", 0.5)
     with pytest.raises(ValueError, match="tilt"):
-        log_affinity_product(bsc, (1,), "1", "2", 2.0)
-    with pytest.raises(ValueError, match="one entry per model"):
-        log_affinity_product(bsc, (1, 1), "1", "2", 0.5)
+        pairwise_proxy_log(bsc, (1,), "1", "2", 2.0)
+    with pytest.raises(ValueError, match="plan has 2 counts"):
+        pairwise_proxy_log(bsc, (1, 1), "1", "2", 0.5)
 
 
 # the instance fixture is immutable, so sharing it across examples is fine

@@ -205,8 +205,52 @@ def test_exact_plan_from_file(bsc_path, tmp_path, capsys):
 
 
 def test_exact_rejects_malformed_plan(bsc_path, capsys):
-    assert main(["exact", "--instance", bsc_path, "--plan", "[1.5]"]) == 1
-    assert "array of integers" in capsys.readouterr().err
+    for plan in ("[1.5]", "[true]"):
+        assert main(["exact", "--instance", bsc_path, "--plan", plan]) == 1
+        assert "array of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        pytest.param(
+            ["sweep-tightness", "--instance", "{bsc}", "--alphas", "0"],
+            "tolerances",
+            id="tightness-alpha-0",
+        ),
+        pytest.param(
+            ["sweep-tightness", "--instance", "{bsc}", "--alphas", "-0.1"],
+            "tolerances",
+            id="tightness-alpha-negative",
+        ),
+        pytest.param(
+            ["sweep-guarantee", "--seed", "1", "--alpha", "0"],
+            "tolerances",
+            id="guarantee-alpha-0",
+        ),
+        pytest.param(
+            ["exact", "--instance", "{bsc}", "--opt", "true", "--cost-cap", "nan"],
+            "cost_cap",
+            id="cost-cap-nan",
+        ),
+        pytest.param(
+            ["calibrate", "--log", "{log}", "--smoothing", "nan"],
+            "smoothing",
+            id="smoothing-nan",
+        ),
+        pytest.param(
+            ["calibrate", "--log", "{log}", "--smoothing", "inf"],
+            "smoothing",
+            id="smoothing-inf",
+        ),
+    ],
+)
+def test_commands_reject_bad_values(bsc_path, tmp_path, capsys, argv, field):
+    log = tmp_path / "log.csv"
+    log.write_text("model,label,response\nm,1,a\nm,2,b\n")
+    code = main([a.format(bsc=bsc_path, log=log) for a in argv])
+    assert code == 1
+    assert field in one_error_line(capsys)
 
 
 def test_simulate_deterministic(bsc_path, capsys):

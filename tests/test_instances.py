@@ -206,6 +206,23 @@ def test_solvers_name_the_nonfinite_field(bsc, solver, field, value):
         SOLVERS[solver](poisoned(bsc, field, value))
 
 
+@pytest.mark.parametrize("value", [0.0, -0.1])
+@pytest.mark.parametrize(
+    "solver",
+    [
+        "derive_constants",
+        "exact_opt",
+        "greedy_baseline",
+        "run_afptas",
+        "uniform_feasible_count",
+    ],
+)
+def test_solvers_reject_nonpositive_tolerance(bsc, solver, value):
+    # no plan meets a zero tolerance, and the uniform count would take its log
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        SOLVERS[solver](poisoned(bsc, "tolerances", value))
+
+
 @pytest.mark.parametrize("field", sorted(NONFINITE_NAMES))
 def test_validate_flags_nonfinite_fields(bsc, field):
     result = validate(poisoned(bsc, field, math.nan))

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from queryplan.experiments import random_instance
 from queryplan.likelihood import (
     TIE,
+    TIE_POLICIES,
     ObservationSet,
+    _error_mask,
     check_observations,
     delta,
     log_posterior_scores,
@@ -70,6 +73,32 @@ def test_empty_observations_fall_back_to_prior(bsc, asym):
     assert delta(asym, ObservationSet.empty(asym), "1", "2") == pytest.approx(
         math.log(0.1) - math.log(0.9), abs=1e-12
     )
+
+
+def assert_one_map_rule(instance, obs):
+    """map_estimate and the error mask exact enumeration and Monte Carlo
+    use decide alike; a TIE is wrong for every label."""
+    scores = log_posterior_scores(instance, obs)[None, :]
+    for policy in TIE_POLICIES:
+        label = map_estimate(instance, obs, policy)
+        wrong = _error_mask(policy)
+        for yi, y in enumerate(instance.labels):
+            assert bool(wrong(scores, yi)[0]) == (label != y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(2, 4), data=st.data())
+def test_map_estimate_matches_error_mask(seed, n_labels, data):
+    inst = random_instance(np.random.default_rng(seed), n_labels=n_labels)
+    counts = tuple(
+        np.array(data.draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)))
+        for k in (m.n_symbols for m in inst.models)
+    )
+    assert_one_map_rule(inst, ObservationSet(counts))
+
+
+def test_map_estimate_matches_error_mask_on_tie(bsc):
+    assert_one_map_rule(bsc, obs_ab(bsc, 3, 3))
 
 
 def test_delta_hand_value_and_errors(bsc):
