@@ -37,6 +37,7 @@ from .instances import (
     Instance,
     QueryPlan,
     _indistinguishable,
+    _label_pair,
     as_plan,
     require_finite,
 )
@@ -115,16 +116,14 @@ class PairTables:
 def log_affinity(
     instance: Instance, m: int | str, y: int | str, y_other: int | str, s: float
 ) -> float:
-    """log of the affinity factor M(s) for one model and one label pair."""
+    """log of the affinity factor M(s) for one model and one label pair.
+    Raises ValueError on non-finite input (see require_finite)."""
+    require_finite(instance)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"tilt s must lie in [0, 1], got {s!r}")
     mi = instance.model_index(m)
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    if yi == yj:
-        raise ValueError("affinity requires two distinct labels")
-    lc = instance.models[mi].log_conditional
-    return float(_logsumexp((1.0 - s) * lc[yi] + s * lc[yj]))
+    yi, yj = _label_pair(instance, y, y_other)
+    return float(PairTables(instance, yi, yj).log_affinities(s)[mi])
 
 
 def affinity(
@@ -146,10 +145,7 @@ def pairwise_proxy_log(
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"tilt s must lie in [0, 1], got {s!r}")
     counts = as_plan(plan, instance).as_array().astype(float)
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    if yi == yj:
-        raise ValueError("affinity requires two distinct labels")
+    yi, yj = _label_pair(instance, y, y_other)
     return PairTables(instance, yi, yj).proxy(counts, s)
 
 
@@ -217,10 +213,7 @@ def optimize_tilt(
     """
     require_finite(instance)
     plan = as_plan(plan, instance)
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    if yi == yj:
-        raise ValueError("optimize_tilt requires two distinct labels")
+    yi, yj = _label_pair(instance, y, y_other)
     return _pair_tilt(PairTables(instance, yi, yj), plan.as_array().astype(float))
 
 
@@ -331,11 +324,10 @@ def pair_contraction(
     """Best joint contraction for a pair when every model is queried once.
 
     Returns (s*, min_s sum_m log M_m(s)); the prior plays no role here.
+    Raises ValueError on non-finite input (see require_finite).
     """
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    if yi == yj:
-        raise ValueError("pair_contraction requires two distinct labels")
+    require_finite(instance)
+    yi, yj = _label_pair(instance, y, y_other)
     tables = PairTables(instance, yi, yj)
 
     def objective(s: float) -> float:
@@ -374,6 +366,15 @@ def instance_contraction(instance: Instance) -> float:
     return worst
 
 
+def _positive_tolerance(instance: Instance) -> float:
+    """The least tolerance; raises ValueError unless it is positive, as no
+    plan meets a tolerance <= 0."""
+    alpha_min = float(instance.tolerances.min())
+    if not alpha_min > 0.0:
+        raise ValueError(f"tolerances must be positive, got {alpha_min!r}")
+    return alpha_min
+
+
 def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
     """Rounds of one-query-per-model that certify every tolerance.
 
@@ -384,9 +385,7 @@ def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
     require_finite).
     """
     require_finite(instance)
-    alpha_min = float(instance.tolerances.min())
-    if not alpha_min > 0.0:
-        raise ValueError(f"tolerances must be positive, got {alpha_min!r}")
+    alpha_min = _positive_tolerance(instance)
     rho = instance_contraction(instance)
     if rho >= 1.0:
         raise ValueError(

@@ -35,7 +35,14 @@ from .bounds import (
     _surrogate_check,
     uniform_feasible_count,
 )
-from .instances import Instance, QueryPlan, as_plan, plan_cost, require_finite
+from .instances import (
+    Instance,
+    QueryPlan,
+    _label_pair,
+    as_plan,
+    plan_cost,
+    require_finite,
+)
 from .likelihood import _error_mask
 
 # A log-likelihood difference this close to zero is counted as favoring the
@@ -168,10 +175,7 @@ def exact_pairwise(
     """
     require_finite(instance)
     plan = as_plan(plan, instance)
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    if yi == yj:
-        raise ValueError("exact_pairwise requires two distinct labels")
+    yi, yj = _label_pair(instance, y, y_other)
     return _profile_mass(
         instance, plan, yi, lambda sc, i: sc[:, yj] - sc[:, i] >= -DELTA_TOL, budget
     )
@@ -228,33 +232,6 @@ def exact_error_table(
         tie_policy=tie_policy,
         profiles=profile_count(instance, plan),
     )
-
-
-def naive_sequence_pairwise(
-    instance: Instance,
-    plan: QueryPlan | Sequence[int],
-    y: int | str,
-    y_other: int | str,
-) -> float:
-    """Reference pairwise probability by raw sequence enumeration.
-
-    Iterates every response sequence rather than count profiles; tractable
-    only for tiny plans, and used to cross-check the profile path.
-    """
-    plan = as_plan(plan, instance)
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    slots: list[np.ndarray] = []
-    for m, r in zip(instance.models, plan.counts):
-        slots.extend([m.log_conditional] * r)
-    total = 0.0
-    prior_gap = float(instance.log_prior[yj] - instance.log_prior[yi])
-    for combo in itertools.product(*(range(lc.shape[1]) for lc in slots)):
-        lp_i = sum(lc[yi, x] for lc, x in zip(slots, combo))
-        lp_j = sum(lc[yj, x] for lc, x in zip(slots, combo))
-        if prior_gap + lp_j - lp_i >= -DELTA_TOL:
-            total += math.exp(lp_i)
-    return total
 
 
 # ---------------------------------------------------------------------------

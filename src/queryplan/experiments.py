@@ -1,11 +1,12 @@
 """Experiment drivers: random instances, sweeps, and a greedy baseline.
 
 The random family keeps instances desk-scale: small alphabets, conditional
-rows drawn from a flat Dirichlet then floored and renormalized (bounding
-every log-likelihood ratio), a per-model row separation floor so no model
-is uninformative, and log-uniform costs. Sweeps that need the exact
-optimizer skip draws whose lattice search would blow its node budget, so
-runs stay deterministic and bounded for a given seed.
+rows drawn from a flat Dirichlet then floored at ROW_FLOOR and renormalized
+(bounding every log-likelihood ratio), a per-model row separation of at
+least MIN_SEPARATION so no model is uninformative, and costs log-uniform
+over COST_RANGE. Sweeps that need the exact optimizer skip draws whose
+lattice search would blow its node budget, so runs stay deterministic and
+bounded for a given seed.
 """
 
 from __future__ import annotations
@@ -17,13 +18,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _surrogate_check
+from .bounds import _positive_tolerance, _surrogate_check
 from .exact import (
     EnumerationBudgetError,
     exact_opt,
 )
 from .instances import Instance, ModelSpec, QueryPlan, plan_cost, require_finite
 from .planner import derive_constants, run_afptas
+
+# random_instance's family: the floor on every conditional entry before
+# renormalizing, the range of the log-uniform costs, and the gap that every
+# two rows of a model must reach in some entry.
+ROW_FLOOR = 0.01
+COST_RANGE = (0.5, 2.0)
+MIN_SEPARATION = 0.05
 
 TIGHTNESS_FIELDS = ("alpha_min", "opt", "surrogate_opt", "ratio")
 GUARANTEE_FIELDS = (
@@ -43,16 +51,13 @@ def random_instance(
     max_models: int = 3,
     alphabet_sizes: tuple[int, int] = (2, 3),
     alpha: float = 1e-3,
-    floor: float = 0.01,
-    cost_range: tuple[float, float] = (0.5, 2.0),
-    min_separation: float = 0.05,
 ) -> Instance:
     """Draws a small random instance.
 
-    Conditional rows are Dirichlet(1) draws floored at ``floor`` and
+    Conditional rows are Dirichlet(1) draws floored at ROW_FLOOR and
     renormalized; a model is redrawn until every label pair differs by at
-    least ``min_separation`` in some entry, so every model carries evidence
-    for every pair. Costs are log-uniform over ``cost_range``; tolerances
+    least MIN_SEPARATION in some entry, so every model carries evidence
+    for every pair. Costs are log-uniform over COST_RANGE; tolerances
     are ``alpha`` for every label.
     """
     K = int(rng.integers(1, max_models + 1))
@@ -61,19 +66,19 @@ def random_instance(
         size = int(rng.integers(alphabet_sizes[0], alphabet_sizes[1] + 1))
         for _ in range(200):
             rows = rng.dirichlet(np.ones(size), size=n_labels)
-            rows = np.maximum(rows, floor)
+            rows = np.maximum(rows, ROW_FLOOR)
             rows = rows / rows.sum(axis=1, keepdims=True)
             sep = min(
                 float(np.max(np.abs(rows[i] - rows[j])))
                 for i in range(n_labels)
                 for j in range(i + 1, n_labels)
             )
-            if sep >= min_separation:
+            if sep >= MIN_SEPARATION:
                 break
         else:
             raise RuntimeError("could not draw a separated model in 200 tries")
         cost = math.exp(
-            rng.uniform(math.log(cost_range[0]), math.log(cost_range[1]))
+            rng.uniform(math.log(COST_RANGE[0]), math.log(COST_RANGE[1]))
         )
         models.append(
             ModelSpec(
@@ -213,6 +218,7 @@ def greedy_baseline(instance: Instance, max_steps: int | None = None) -> GreedyR
     can dominate each myopic step yet lose to a pricier model overall.
     """
     require_finite(instance)
+    _positive_tolerance(instance)
     if max_steps is None:
         max_steps = derive_constants(instance, 1.0).n_max
     check = _surrogate_check(instance)

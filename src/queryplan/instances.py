@@ -279,15 +279,37 @@ def nonfinite_fields(instance: Instance) -> list[str]:
 
 
 def require_finite(instance: Instance) -> None:
-    """Raises ValueError naming every field that holds NaN or an infinity.
+    """Raises ValueError naming every field that holds NaN or an infinity,
+    and then every model conditional or cost that holds a value <= 0.
 
     The solvers compute with these values and their logs and do not run
-    validate, so a non-finite entry would otherwise surface as an unrelated
+    validate, so such an entry would otherwise surface as an unrelated
     error or a NaN-based answer.
     """
     bad = nonfinite_fields(instance)
     if bad:
         raise ValueError(f"non-finite value (NaN or inf) in {', '.join(bad)}")
+    for m in instance.models:
+        if np.any(m.conditional <= 0):
+            bad.append(f"model {m.name!r} conditional")
+        if not m.cost > 0:
+            bad.append(f"model {m.name!r} cost")
+    if bad:
+        raise ValueError(f"non-positive value in {', '.join(bad)}")
+
+
+def _label_pair(
+    instance: Instance, y: int | str, y_other: int | str
+) -> tuple[int, int]:
+    """The indices (yi, yj) of a label pair, which must name two distinct
+    labels; every entry that takes a pair (y, y') checks it here."""
+    yi = instance.label_index(y)
+    yj = instance.label_index(y_other)
+    if yi == yj:
+        raise ValueError(
+            f"a label pair needs two distinct labels, got {y!r} and {y_other!r}"
+        )
+    return yi, yj
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .instances import Instance, QueryPlan, as_plan, require_finite
+from .instances import Instance, QueryPlan, _label_pair, as_plan, require_finite
 
 # Posterior log-scores within this absolute tolerance of the maximum are
 # treated as tied; keeps decisions stable under floating-point noise.
@@ -159,10 +159,7 @@ def delta(
     y_other is at least as likely as y given the observations. Computed as a
     difference of scores so that delta(y, y') == -delta(y', y) exactly.
     """
-    yi = instance.label_index(y)
-    yj = instance.label_index(y_other)
-    if yi == yj:
-        raise ValueError("delta requires two distinct labels")
+    yi, yj = _label_pair(instance, y, y_other)
     scores = log_posterior_scores(instance, obs)
     return float(scores[yj] - scores[yi])
 

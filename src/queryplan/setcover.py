@@ -25,7 +25,11 @@ several "in"s and an element covered by three or more queried sets errs
 with probability about 1 - (1-epsilon)^k > 2*epsilon. Near epsilon = 1/4
 two "in"s outvote an "out" and the correspondence holds for every coverage
 multiplicity that small instances can produce; epsilon = 0.2 is a safe
-choice for universes up to four elements and four sets.
+choice for universes up to four elements and four sets, the sizes
+random_setcover draws up to (MAX_N and MAX_SETS).
+
+verify_equivalence decides ties by TIE_POLICY, "lowest-index": the
+argument above is that label 0 wins the tie.
 """
 
 from __future__ import annotations
@@ -50,6 +54,14 @@ OPT_TOL = 1e-9
 
 # delta_prime defaults to this fraction of the lightest set weight.
 DELTA_PRIME_FRACTION = 1e-3
+
+# The largest universe and number of sets random_setcover draws: the sizes
+# for which epsilon = 0.2 is safe (see the module docstring).
+MAX_N = 4
+MAX_SETS = 4
+
+# The tie policy of the correspondence: a tie goes to the null label 0.
+TIE_POLICY = "lowest-index"
 
 
 @dataclass(frozen=True)
@@ -224,7 +236,6 @@ def verify_equivalence(
     delta_prime: float | None = None,
     delta_dprime: float = DEFAULT_DELTA_DPRIME,
     eta: float = DEFAULT_ETA,
-    tie_policy: str = "lowest-index",
 ) -> dict:
     """Exhaustively checks the cover/feasibility correspondence.
 
@@ -250,7 +261,7 @@ def verify_equivalence(
         counts = (1,) + bits
         checked += 1
         feasible = all(
-            exact_error(inst, counts, yi, tie_policy) <= float(inst.tolerances[yi])
+            exact_error(inst, counts, yi, TIE_POLICY) <= float(inst.tolerances[yi])
             for yi in range(inst.n_labels)
         )
         chosen = [j for j in range(K) if bits[j]]
@@ -271,7 +282,7 @@ def verify_equivalence(
     unrestricted = exact_opt(
         inst,
         problem="true",
-        tie_policy=tie_policy,
+        tie_policy=TIE_POLICY,
         cost_cap=expected_cost + OPT_TOL,
     )
     return {
@@ -295,12 +306,11 @@ def verify_equivalence(
     }
 
 
-def random_setcover(
-    rng: np.random.Generator, max_n: int = 4, max_sets: int = 4
-) -> SetCoverInstance:
-    """Random small covering instance; the union always covers the universe."""
-    n = int(rng.integers(2, max_n + 1))
-    k = int(rng.integers(1, max_sets + 1))
+def random_setcover(rng: np.random.Generator) -> SetCoverInstance:
+    """Random covering instance of 2..MAX_N elements and 1..MAX_SETS sets;
+    the union always covers the universe."""
+    n = int(rng.integers(2, MAX_N + 1))
+    k = int(rng.integers(1, MAX_SETS + 1))
     universe = list(range(1, n + 1))
     sets = []
     for _ in range(k):

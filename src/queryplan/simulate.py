@@ -24,12 +24,13 @@ WILSON_Z = 1.959963984540054
 CHUNK_TRIALS = 100_000
 
 
-def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; always contains the
-    point estimate errors/trials."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval, at z = WILSON_Z, for a binomial proportion;
+    always contains the point estimate errors/trials."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = errors / trials
+    z = WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom

@@ -54,6 +54,25 @@ def test_affinity_domain_errors(bsc):
         pairwise_proxy_log(bsc, (1, 1), "1", "2", 0.5)
 
 
+def test_log_affinity_is_the_proxys_factor():
+    # with one query of model m the proxy is s * log(prior ratio) + log M_m(s)
+    # bit for bit, also for a model narrower than the widest alphabet
+    rng = np.random.default_rng(5)
+    models = tuple(
+        ModelSpec(f"m{x}", tuple(range(x)), rng.dirichlet(np.ones(x), 3), 1.0)
+        for x in (6, 12)
+    )
+    prior = np.array([0.2, 0.3, 0.5])
+    inst = Instance(("1", "2", "3"), prior, models, np.full(3, 0.1))
+    for m, plan in enumerate([(1, 0), (0, 1)]):
+        for yi, yj in ordered_pairs(3):
+            ratio = float(inst.log_prior[yj] - inst.log_prior[yi])
+            for s in np.linspace(0.0, 1.0, 9):
+                assert pairwise_proxy_log(inst, plan, yi, yj, s) == (
+                    s * ratio + log_affinity(inst, m, yi, yj, s)
+                )
+
+
 # the instance fixture is immutable, so sharing it across examples is fine
 @settings(
     max_examples=80,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from queryplan.bounds import is_surrogate_feasible, surrogate_error
 from queryplan.exact import (
+    DELTA_TOL,
     EnumerationBudgetError,
     InfeasibleWithinCapError,
     _compositions,
@@ -18,16 +20,43 @@ from queryplan.exact import (
     exact_opt,
     exact_pairwise,
     lattice_ascending,
-    naive_sequence_pairwise,
     profile_count,
 )
 from queryplan.experiments import random_instance, random_plan
+from queryplan.instances import Instance, QueryPlan, as_plan
 from queryplan.likelihood import TIE_POLICIES
 
 # binomial tail oracles for the two-symbol reference model with p = 0.9:
 # P(Bin(6, 0.1) >= 3) and P(Bin(6, 0.1) >= 4)
 TAIL_6_3 = 0.01585
 TAIL_6_4 = 0.00127
+
+
+def naive_sequence_pairwise(
+    instance: Instance,
+    plan: QueryPlan | Sequence[int],
+    y: int | str,
+    y_other: int | str,
+) -> float:
+    """Reference pairwise probability by raw sequence enumeration.
+
+    Iterates every response sequence rather than count profiles; tractable
+    only for tiny plans, and used to cross-check the profile path.
+    """
+    plan = as_plan(plan, instance)
+    yi = instance.label_index(y)
+    yj = instance.label_index(y_other)
+    slots: list[np.ndarray] = []
+    for m, r in zip(instance.models, plan.counts):
+        slots.extend([m.log_conditional] * r)
+    total = 0.0
+    prior_gap = float(instance.log_prior[yj] - instance.log_prior[yi])
+    for combo in itertools.product(*(range(lc.shape[1]) for lc in slots)):
+        lp_i = sum(lc[yi, x] for lc, x in zip(slots, combo))
+        lp_j = sum(lc[yj, x] for lc, x in zip(slots, combo))
+        if prior_gap + lp_j - lp_i >= -DELTA_TOL:
+            total += math.exp(lp_i)
+    return total
 
 
 def test_profile_count(bsc, duo):

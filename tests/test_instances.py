@@ -9,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryplan.bounds import (
+    affinity,
+    instance_contraction,
     is_surrogate_feasible,
+    log_affinity,
     max_pair_weights,
     optimize_tilt,
+    pair_contraction,
     pairwise_proxy_log,
     surrogate_error,
     uniform_feasible_count,
@@ -193,8 +197,13 @@ SOLVERS = {
     "derive_constants": lambda inst: derive_constants(inst, 0.5),
     "uniform_feasible_count": uniform_feasible_count,
     "greedy_baseline": greedy_baseline,
+    "greedy_baseline_capped": lambda inst: greedy_baseline(inst, max_steps=5),
     "max_pair_weights": max_pair_weights,
     "pairwise_proxy_log": lambda inst: pairwise_proxy_log(inst, (6,), 0, 1, 0.5),
+    "log_affinity": lambda inst: log_affinity(inst, 0, 0, 1, 0.5),
+    "affinity": lambda inst: affinity(inst, 0, 0, 1, 0.5),
+    "pair_contraction": lambda inst: pair_contraction(inst, 0, 1),
+    "instance_contraction": instance_contraction,
 }
 
 
@@ -213,6 +222,7 @@ def test_solvers_name_the_nonfinite_field(bsc, solver, field, value):
         "derive_constants",
         "exact_opt",
         "greedy_baseline",
+        "greedy_baseline_capped",
         "run_afptas",
         "uniform_feasible_count",
     ],
@@ -221,6 +231,37 @@ def test_solvers_reject_nonpositive_tolerance(bsc, solver, value):
     # no plan meets a zero tolerance, and the uniform count would take its log
     with pytest.raises(ValueError, match="tolerances must be positive"):
         SOLVERS[solver](poisoned(bsc, "tolerances", value))
+
+
+@pytest.mark.parametrize(
+    "field,value", [("conditional", 0.0), ("cost", 0.0), ("cost", -1.0)]
+)
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_solvers_name_the_nonpositive_field(bsc, solver, field, value):
+    # a zero entry's log is -inf, and a cost <= 0 never ends a search
+    name = NONFINITE_NAMES[field]
+    with pytest.raises(ValueError, match="non-positive value in " + name):
+        SOLVERS[solver](poisoned(bsc, field, value))
+
+
+PAIR_ENTRIES = {
+    "log_affinity": lambda inst, y, yo: log_affinity(inst, 0, y, yo, 0.5),
+    "affinity": lambda inst, y, yo: affinity(inst, 0, y, yo, 0.5),
+    "pairwise_proxy_log": lambda inst, y, yo: pairwise_proxy_log(
+        inst, (6,), y, yo, 0.5
+    ),
+    "optimize_tilt": lambda inst, y, yo: optimize_tilt(inst, (6,), y, yo),
+    "pair_contraction": pair_contraction,
+    "exact_pairwise": lambda inst, y, yo: exact_pairwise(inst, (6,), y, yo),
+    "delta": lambda inst, y, yo: delta(inst, OBS, y, yo),
+}
+
+
+@pytest.mark.parametrize("pair", [("1", "1"), ("1", 0)])
+@pytest.mark.parametrize("entry", sorted(PAIR_ENTRIES))
+def test_pair_entries_reject_one_label_twice(bsc, entry, pair):
+    with pytest.raises(ValueError, match="distinct"):
+        PAIR_ENTRIES[entry](bsc, *pair)
 
 
 @pytest.mark.parametrize("field", sorted(NONFINITE_NAMES))
