@@ -22,7 +22,9 @@ the minima's exps against the tolerance.
 
 Before it, searches rule plans out with one table per instance,
 TangentTable, whose tangent lower bounds serve both the batched prescreen
-and the per-plan reject of every surrogate search.
+and the per-plan reject of every surrogate search. The exact search for the
+true problem screens its batches with BhattacharyyaScreen instead, a lower
+bound on each pair's Bayes error that no decision rule beats.
 """
 
 from __future__ import annotations
@@ -316,6 +318,52 @@ class TangentTable:
     def rejects(self, f: np.ndarray, df: np.ndarray) -> bool:
         """Whether the plan with proxy_on_grid (f, df) can never certify."""
         return bool(self._over_caps(np.exp(self.lower_bounds(f, df))))
+
+
+class BhattacharyyaScreen:
+    """A necessary condition for true feasibility, tested on a batch of
+    plans with one matrix product.
+
+    For an unordered label pair (y, y') with normalized priors p and q, any
+    decision rule's statewise errors satisfy
+
+        p * err_y + q * err_y' >= 1/2 * (1 - sqrt(1 - 4pq * BC^2))
+
+    (the Bhattacharyya lower bound on the pair's Bayes error, Kailath
+    1967), where BC = prod_m M_m(1/2)^r_m. A plan is ruled out when, for
+    some pair, this bound lowered by 1e-9 relative exceeds
+    p * alpha_y + q * alpha_y' raised by 1e-9 relative (label_caps), so no
+    plan whose exact errors meet every tolerance is ruled out.
+    """
+
+    def __init__(self, instance: Instance):
+        L, K = instance.n_labels, instance.n_models
+        pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+        self.pairs = pairs
+        # log M_m(1/2) per unordered pair, shaped (U, K)
+        self.log_bc = np.array(
+            [PairTables(instance, i, j).log_affinities(0.5) for i, j in pairs]
+        ).reshape(len(pairs), K)
+        idx = np.array(pairs, dtype=int).reshape(-1, 2)
+        w = instance.prior[idx]
+        self.weights = w / w.sum(axis=1, keepdims=True)  # (U, 2): p, q
+        _, caps = label_caps(instance)
+        self.cap = (self.weights * caps[idx]).sum(axis=1)  # (U,)
+
+    def lower_bounds(self, plans: np.ndarray) -> np.ndarray:
+        """For plans stacked as a (B, K) array, each pair's bound on
+        p * err_y + q * err_y', lowered by 1e-9 relative, shaped (B, U)."""
+        p, q = self.weights[:, 0], self.weights[:, 1]
+        log_bc2 = 2.0 * (plans @ self.log_bc.T)
+        # 1/2 (1 - sqrt(1 - 4pq BC^2)) = 2pq BC^2 / (1 + sqrt(...)), with
+        # 1 - 4pq BC^2 = (p - q)^2 + 4pq (1 - BC^2) kept accurate near 0
+        gap = (p - q) ** 2 - 4.0 * p * q * np.expm1(log_bc2)
+        root = np.sqrt(np.maximum(gap, 0.0))
+        return 2.0 * p * q * np.exp(log_bc2) / (1.0 + root) * (1.0 - 1e-9)
+
+    def passes(self, plans: np.ndarray) -> np.ndarray:
+        """For plans stacked as a (B, K) array, which the bound keeps."""
+        return ~(self.lower_bounds(plans) > self.cap).any(axis=-1)
 
 
 def pair_contraction(

@@ -11,11 +11,15 @@ cost, ties broken lexicographically by count vector) and returns the first
 feasible plan, which is therefore a minimum-cost one. That walk,
 search_lattice, is shared with the planner's search: it takes plans from
 the lattice in batches of growing size, rules out most of a batch with one
-matrix product of optimistic pair bounds (bounds.TangentTable), and hands
-the survivors in walk order to a caller's acceptance check: here the
-surrogate check of is_surrogate_feasible, behind the same table's per-plan
-reject, or exact errors (one profile-mass loop serves exact_pairwise and
-exact_error), and the window certificate in the planner.
+matrix product of pair bounds, and hands the survivors in walk order to a
+caller's acceptance check. For the surrogate problem the bounds are the
+optimistic ones of bounds.TangentTable, and the check is the surrogate
+check of is_surrogate_feasible behind the same table's per-plan reject; the
+planner's window certificate uses the same table. For the true problem the
+bound is bounds.BhattacharyyaScreen, a lower bound on each label pair's
+Bayes error, and the check is exact errors. One profile-mass loop serves
+every exact error, and each public entry builds every (model, count)
+profile block once per call and reuses it across labels and plans.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
 import numpy as np
 from scipy.special import gammaln
 
 from .bounds import (
+    BhattacharyyaScreen,
     TangentTable,
     _logsumexp,
     _surrogate_check,
@@ -91,19 +96,28 @@ def _compositions(total: int, width: int, cap: int) -> np.ndarray:
     )
 
 
+# Profile blocks by (model index, query count), built once per call of a
+# public entry and shared by every plan and label it scores.
+_BlockCache = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+
+
 def _model_blocks(
-    instance: Instance, plan: QueryPlan
+    instance: Instance, plan: QueryPlan, cache: _BlockCache
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per model: (log-likelihood matrix (P, L), log multinomial coeffs (P,)).
 
-    Models with zero queries contribute a single empty profile.
+    Models with zero queries contribute a single empty profile. A block
+    missing from the cache is built and stored there.
     """
     blocks = []
-    for m, r in zip(instance.models, plan.counts):
-        profiles = _compositions(r, m.n_symbols, r)
-        loglik = profiles.astype(float) @ m.log_conditional.T
-        logcoef = gammaln(r + 1) - gammaln(profiles + 1).sum(axis=1)
-        blocks.append((loglik, logcoef))
+    for k, (m, r) in enumerate(zip(instance.models, plan.counts)):
+        block = cache.get((k, r))
+        if block is None:
+            profiles = _compositions(r, m.n_symbols, r)
+            loglik = profiles.astype(float) @ m.log_conditional.T
+            logcoef = gammaln(r + 1) - gammaln(profiles + 1).sum(axis=1)
+            block = cache[k, r] = (loglik, logcoef)
+        blocks.append(block)
     return blocks
 
 
@@ -130,7 +144,7 @@ def _iter_joint(
 
 
 def _scan_profiles(
-    instance: Instance, plan: QueryPlan, budget: int
+    instance: Instance, plan: QueryPlan, budget: int, cache: _BlockCache
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yields (posterior scores (n, L), log joint coefficient (n,)) chunks."""
     n = profile_count(instance, plan)
@@ -138,7 +152,7 @@ def _scan_profiles(
         raise EnumerationBudgetError(
             f"plan induces {n} profiles, over the budget of {budget}"
         )
-    for loglik, logcoef in _iter_joint(_model_blocks(instance, plan)):
+    for loglik, logcoef in _iter_joint(_model_blocks(instance, plan, cache)):
         yield instance.log_prior[None, :] + loglik, logcoef
 
 
@@ -148,10 +162,11 @@ def _profile_mass(
     yi: int,
     mask_of: Callable[[np.ndarray, int], np.ndarray],
     budget: int,
+    cache: _BlockCache,
 ) -> float:
     """Probability under label yi of the profiles mask_of(scores, yi) keeps."""
     chunk_lse = []
-    for scores, logcoef in _scan_profiles(instance, plan, budget):
+    for scores, logcoef in _scan_profiles(instance, plan, budget, cache):
         mask = mask_of(scores, yi)
         if mask.any():
             # weight of a profile under y excludes the prior factor
@@ -177,7 +192,12 @@ def exact_pairwise(
     plan = as_plan(plan, instance)
     yi, yj = _label_pair(instance, y, y_other)
     return _profile_mass(
-        instance, plan, yi, lambda sc, i: sc[:, yj] - sc[:, i] >= -DELTA_TOL, budget
+        instance,
+        plan,
+        yi,
+        lambda sc, i: sc[:, yj] - sc[:, i] >= -DELTA_TOL,
+        budget,
+        {},
     )
 
 
@@ -193,7 +213,7 @@ def exact_error(
     wrong = _error_mask(tie_policy)
     require_finite(instance)
     plan = as_plan(plan, instance)
-    return _profile_mass(instance, plan, instance.label_index(y), wrong, budget)
+    return _profile_mass(instance, plan, instance.label_index(y), wrong, budget, {})
 
 
 @dataclass(frozen=True)
@@ -222,8 +242,9 @@ def exact_error_table(
     wrong = _error_mask(tie_policy)
     require_finite(instance)
     plan = as_plan(plan, instance)
+    cache: _BlockCache = {}
     errors = tuple(
-        _profile_mass(instance, plan, yi, wrong, budget)
+        _profile_mass(instance, plan, yi, wrong, budget, cache)
         for yi in range(instance.n_labels)
     )
     return ExactErrorResult(
@@ -270,12 +291,21 @@ _BATCH_MAX = 8192
 _T = TypeVar("_T")
 
 
+class BatchScreen(Protocol):
+    """What search_lattice prescreens batches with: TangentTable, the
+    planner's certifier, or BhattacharyyaScreen."""
+
+    def passes(self, plans: np.ndarray) -> np.ndarray:
+        """For plans stacked as a (B, K) array, a mask of those kept."""
+        ...
+
+
 def search_lattice(
     costs: Sequence[float],
     cost_cap: float,
     accept: Callable[[tuple[int, ...]], _T | None],
     node_budget: int,
-    prescreen: TangentTable | None = None,
+    prescreen: BatchScreen | None = None,
 ) -> tuple[tuple[int, ...], _T, int] | None:
     """The first plan, in lattice_ascending order, that the prescreen keeps
     and that ``accept`` maps to a result other than None.
@@ -348,18 +378,23 @@ def exact_opt(
     ``problem`` selects the feasibility notion: "surrogate" uses the
     closed-form bound, "true" uses exact statewise errors under the given
     tie policy. The first feasible plan in (cost, lexicographic) order is
-    optimal for its problem; search_lattice walks that order, and for
+    optimal for its problem; search_lattice walks that order. For
     "surrogate" the instance's TangentTable rules most plans out, in
-    batches and then one by one, before any tilt is optimized. The
+    batches and then one by one, before any tilt is optimized. For "true"
+    the BhattacharyyaScreen rules out, in batches, plans whose errors no
+    decision rule can bring under the tolerances, and the profile blocks
+    the exact errors of the other plans need are built once per call. The
     default cost cap is the cost of querying every model for the uniform
     certifying round count, which is always surrogate-feasible (and hence
     true-feasible).
 
     Raises ValueError if the prior, a tolerance, a conditional or a cost is
-    NaN or infinite, InfeasibleWithinCapError if the capped lattice holds no
-    feasible plan, and EnumerationBudgetError if the search walks more
-    than node_budget plans or a single exact error evaluation would exceed
-    profile_budget.
+    NaN or infinite, or if the prior, a conditional or a cost is <= 0 (see
+    require_finite), InfeasibleWithinCapError if the capped lattice holds
+    no feasible plan, and EnumerationBudgetError if the search walks more
+    than node_budget plans or an exact error evaluation would exceed
+    profile_budget. A plan the screen rules out is never evaluated, so it
+    cannot exceed profile_budget.
     """
     if problem not in ("surrogate", "true"):
         raise ValueError(f"unknown problem {problem!r}")
@@ -383,12 +418,13 @@ def exact_opt(
             return all(check(r, yi)[0] for yi in labels) or None
 
     else:
-        prescreen = None
+        prescreen = BhattacharyyaScreen(instance)
+        cache: _BlockCache = {}
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             plan = QueryPlan(counts)
             return all(
-                _profile_mass(instance, plan, yi, wrong, profile_budget)
+                _profile_mass(instance, plan, yi, wrong, profile_budget, cache)
                 <= instance.tolerances[yi]
                 for yi in labels
             ) or None

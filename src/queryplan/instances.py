@@ -280,7 +280,8 @@ def nonfinite_fields(instance: Instance) -> list[str]:
 
 def require_finite(instance: Instance) -> None:
     """Raises ValueError naming every field that holds NaN or an infinity,
-    and then every model conditional or cost that holds a value <= 0.
+    and then the prior, every model conditional and every cost if it holds
+    a value <= 0.
 
     The solvers compute with these values and their logs and do not run
     validate, so such an entry would otherwise surface as an unrelated
@@ -289,6 +290,8 @@ def require_finite(instance: Instance) -> None:
     bad = nonfinite_fields(instance)
     if bad:
         raise ValueError(f"non-finite value (NaN or inf) in {', '.join(bad)}")
+    if np.any(instance.prior <= 0):
+        bad.append("prior")
     for m in instance.models:
         if np.any(m.conditional <= 0):
             bad.append(f"model {m.name!r} conditional")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Sequence
 
 import numpy as np
@@ -9,12 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queryplan.bounds import is_surrogate_feasible, surrogate_error
+from queryplan.bounds import (
+    BhattacharyyaScreen,
+    is_surrogate_feasible,
+    surrogate_error,
+    uniform_feasible_count,
+)
 from queryplan.exact import (
     DELTA_TOL,
+    PROFILE_BUDGET,
     EnumerationBudgetError,
     InfeasibleWithinCapError,
     _compositions,
+    _profile_mass,
     exact_error,
     exact_error_table,
     exact_opt,
@@ -23,8 +31,8 @@ from queryplan.exact import (
     profile_count,
 )
 from queryplan.experiments import random_instance, random_plan
-from queryplan.instances import Instance, QueryPlan, as_plan
-from queryplan.likelihood import TIE_POLICIES
+from queryplan.instances import Instance, ModelSpec, QueryPlan, as_plan, plan_cost
+from queryplan.likelihood import TIE_POLICIES, _error_mask
 
 # binomial tail oracles for the two-symbol reference model with p = 0.9:
 # P(Bin(6, 0.1) >= 3) and P(Bin(6, 0.1) >= 4)
@@ -212,3 +220,114 @@ def test_error_chain_and_surrogate_optimum_up_to_four_labels(
     # exact_opt and is_surrogate_feasible run one surrogate check
     opt = exact_opt(inst, problem="surrogate")
     assert is_surrogate_feasible(inst, opt.plan).feasible
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    max_total=st.integers(0, 10),
+)
+def test_bhattacharyya_bound_is_below_exact_pair_errors(seed, n_labels, max_total):
+    # the screen's bound holds for any decision rule, so for the MAP rule
+    # under either tie policy
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3)
+    screen = BhattacharyyaScreen(inst)
+    for _ in range(3):
+        plan = random_plan(rng, inst, max_total)
+        bounds = screen.lower_bounds(plan.as_array().astype(float)[None, :])[0]
+        for policy in TIE_POLICIES:
+            err = exact_error_table(inst, plan, policy).errors
+            for (i, j), (p, q), bound in zip(screen.pairs, screen.weights, bounds):
+                assert 0.0 <= bound <= p * err[i] + q * err[j]
+
+
+def reference_true_opt(
+    instance: Instance,
+    tie_policy: str,
+    cost_cap: float,
+    node_budget: int,
+    profile_budget: int,
+) -> tuple[tuple[int, ...], int] | None:
+    """exact_opt(problem="true") without its screen and block cache: every
+    plan in walk order, each label's error from fresh profile blocks.
+    Returns (counts, enumerated) or None, or raises as exact_opt's search
+    does at plan node_budget + 1."""
+    wrong = _error_mask(tie_policy)
+    costs = [m.cost for m in instance.models]
+    for enumerated, (_, counts) in enumerate(lattice_ascending(costs, cost_cap), 1):
+        if enumerated > node_budget:
+            raise EnumerationBudgetError(
+                f"search enumerated more than {node_budget} plans"
+            )
+        plan = QueryPlan(counts)
+        if all(
+            _profile_mass(instance, plan, yi, wrong, profile_budget, {})
+            <= instance.tolerances[yi]
+            for yi in range(instance.n_labels)
+        ):
+            return counts, enumerated
+    return None
+
+
+def assert_matches_reference(inst: Instance, tie_policy: str, node_budget: int):
+    """exact_opt(problem="true") and the reference walk agree on the plan,
+    its cost and its position, or raise the same budget error."""
+    _, n_unif = uniform_feasible_count(inst)
+    cost_cap = n_unif * float(sum(m.cost for m in inst.models))
+    kwargs = {"problem": "true", "tie_policy": tie_policy, "node_budget": node_budget}
+    try:
+        want = reference_true_opt(
+            inst, tie_policy, cost_cap, node_budget, PROFILE_BUDGET
+        )
+    except EnumerationBudgetError as exc:
+        with pytest.raises(EnumerationBudgetError, match=re.escape(str(exc))):
+            exact_opt(inst, **kwargs)
+        return
+    counts, enumerated = want
+    opt = exact_opt(inst, **kwargs)
+    assert opt.plan.counts == counts
+    assert opt.cost == plan_cost(inst, counts)
+    assert opt.enumerated == enumerated
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+@pytest.mark.parametrize("name", ["bsc", "asym", "duo"])
+def test_exact_opt_true_matches_unscreened_walk_on_fixtures(request, name, policy):
+    assert_matches_reference(request.getfixturevalue(name), policy, 10**6)
+
+
+# Plans the unscreened reference may walk per example; some draws walk ten
+# thousand at alpha 0.3, and a longer search ends in the budget error,
+# which both sides must raise alike.
+REFERENCE_WALK_LIMIT = 150
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 3),
+    alpha=st.floats(0.02, 0.3),
+    policy=st.sampled_from(TIE_POLICIES),
+)
+def test_exact_opt_true_matches_unscreened_walk(seed, n_labels, alpha, policy):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
+    assert_matches_reference(inst, policy, REFERENCE_WALK_LIMIT)
+
+
+def test_screened_plans_no_longer_hit_the_profile_budget():
+    # an uninformative 8-symbol model is cheap, and its plans have the most
+    # profiles; the Bhattacharyya screen rules out every plan without at
+    # least two sharp queries, so the search never scores the big plans
+    noise = ModelSpec("noise", tuple("abcdefgh"), np.full((2, 8), 1 / 8), 3.0)
+    sharp = ModelSpec("sharp", ("a", "b"), np.array([[0.9, 0.1], [0.1, 0.9]]), 10.0)
+    inst = Instance(("1", "2"), np.array([0.5, 0.5]), (noise, sharp), np.full(2, 0.05))
+    # unscreened, plan (6, 0) at cost 18 holds 1716 profiles
+    with pytest.raises(EnumerationBudgetError, match="1716 profiles"):
+        reference_true_opt(inst, "lowest-index", 78.0, 10**6, 1000)
+    opt = exact_opt(inst, problem="true", profile_budget=1000)
+    assert opt.plan.counts == (0, 3)
+    assert opt.enumerated == 22
+    assert exact_opt(inst, problem="true") == opt

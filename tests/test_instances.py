@@ -234,11 +234,13 @@ def test_solvers_reject_nonpositive_tolerance(bsc, solver, value):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("conditional", 0.0), ("cost", 0.0), ("cost", -1.0)]
+    "field,value",
+    [("prior", 0.0), ("conditional", 0.0), ("cost", 0.0), ("cost", -1.0)],
 )
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_solvers_name_the_nonpositive_field(bsc, solver, field, value):
-    # a zero entry's log is -inf, and a cost <= 0 never ends a search
+    # a zero prior or conditional entry's log is -inf, and a cost <= 0
+    # never ends a search
     name = NONFINITE_NAMES[field]
     with pytest.raises(ValueError, match="non-positive value in " + name):
         SOLVERS[solver](poisoned(bsc, field, value))

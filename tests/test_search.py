@@ -8,17 +8,26 @@ budget error at the same plan.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryplan.bounds import (
+    BhattacharyyaScreen,
     TangentTable,
     is_surrogate_feasible,
     uniform_feasible_count,
 )
-from queryplan.exact import EnumerationBudgetError, lattice_ascending, search_lattice
+from queryplan.exact import (
+    EnumerationBudgetError,
+    exact_error_table,
+    lattice_ascending,
+    search_lattice,
+)
 from queryplan.experiments import random_instance
 
 
@@ -31,15 +40,26 @@ def per_plan_search(costs, cost_cap, accept, node_budget, prescreen=None):
             raise EnumerationBudgetError(
                 f"search enumerated more than {node_budget} plans"
             )
-        if prescreen is not None:
-            r = np.asarray(counts, dtype=float)
-            lb = prescreen.min_amp * np.exp(-(prescreen.w_max @ r))
-            if (prescreen.label_mask @ lb > prescreen.alpha_cap).any():
-                continue
+        if prescreen is not None and not per_plan_keeps(prescreen, counts):
+            continue
         result = accept(counts)
         if result is not None:
             return counts, result, enumerated
     return None
+
+
+def per_plan_keeps(prescreen, counts):
+    """One plan through either screen, its bounds written out per pair."""
+    r = np.asarray(counts, dtype=float)
+    if isinstance(prescreen, TangentTable):
+        lb = prescreen.min_amp * np.exp(-(prescreen.w_max @ r))
+        return not (prescreen.label_mask @ lb > prescreen.alpha_cap).any()
+    for log_m, (p, q), cap in zip(prescreen.log_bc, prescreen.weights, prescreen.cap):
+        bc2 = math.exp(2.0 * float(log_m @ r))
+        bayes = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * p * q * bc2)))
+        if bayes * (1.0 - 1e-9) > cap:
+            return False
+    return True
 
 
 def run_logged(search, accept, costs, cost_cap, node_budget, **kwargs):
@@ -89,8 +109,10 @@ def test_exhausted_lattice_returns_none_within_budget():
 
 
 # Plans a property example may walk; a search that runs past it ends in
-# the budget error, which is compared like any other outcome.
+# the budget error, which is compared like any other outcome. Exact errors
+# cost the most per plan, so that accept walks fewer.
 WALK_LIMIT = 2000
+TRUE_WALK_LIMIT = 500
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,7 +120,9 @@ WALK_LIMIT = 2000
     seed=st.integers(0, 2**32 - 1),
     n_labels=st.integers(2, 4),
     alpha=st.floats(0.01, 0.3),
-    accept_kind=st.sampled_from(["surrogate", "residue", "residue-unscreened"]),
+    accept_kind=st.sampled_from(
+        ["surrogate", "true", "residue", "residue-unscreened"]
+    ),
     residue=st.integers(0, 400),
 )
 def test_batched_search_matches_per_plan_search(
@@ -109,12 +133,24 @@ def test_batched_search_matches_per_plan_search(
     costs = [m.cost for m in inst.models]
     _, n_unif = uniform_feasible_count(inst)
     cost_cap = n_unif * float(sum(costs))
-    screened = accept_kind != "residue-unscreened"
-    prescreen = TangentTable(inst) if screened else None
+    if accept_kind == "residue-unscreened":
+        prescreen = None
+    elif accept_kind == "true":
+        prescreen = BhattacharyyaScreen(inst)
+    else:
+        prescreen = TangentTable(inst)
     if accept_kind == "surrogate":
         # the surrogate check exact_opt runs behind the prescreen
         def accept(counts):
             return is_surrogate_feasible(inst, counts).feasible or None
+
+    elif accept_kind == "true":
+        # exact_opt(problem="true")'s check, behind the Bhattacharyya screen;
+        # every search below asks for the same plans, so each is scored once
+        @functools.cache
+        def accept(counts):
+            errors = exact_error_table(inst, counts).errors
+            return all(e <= a for e, a in zip(errors, inst.tolerances)) or None
 
     else:
         # an arbitrary accepted set, spread over batch edges
@@ -123,9 +159,10 @@ def test_batched_search_matches_per_plan_search(
             return key if key % 401 == residue else None
 
     kwargs = {"prescreen": prescreen}
-    found = assert_same_search(accept, costs, cost_cap, WALK_LIMIT, **kwargs)
+    limit = TRUE_WALK_LIMIT if accept_kind == "true" else WALK_LIMIT
+    found = assert_same_search(accept, costs, cost_cap, limit, **kwargs)
     if isinstance(found, str):
-        budgets = [WALK_LIMIT // 3]
+        budgets = [limit // 3]
     else:
         walk = lattice_ascending(costs, cost_cap)
         stop = len(list(walk)) if found is None else found[2]
