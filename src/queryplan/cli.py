@@ -85,6 +85,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.alphabets:
         with open(args.alphabets) as fh:
             alphabets = json.load(fh)
+        if not isinstance(alphabets, dict) or not all(
+            isinstance(v, list) for v in alphabets.values()
+        ):
+            raise ValueError("--alphabets must hold a JSON object {model: [symbols]}")
     fragment = calibrate(
         records, smoothing=args.smoothing, labels=labels, alphabets=alphabets
     )
@@ -151,6 +155,7 @@ def _cmd_reduce_setcover(args: argparse.Namespace) -> int:
         eta=args.eta,
     )
     payload = red.to_dict()
+    code = 0
     if args.check:
         payload["equivalence"] = setcover.verify_equivalence(
             sc,
@@ -159,11 +164,9 @@ def _cmd_reduce_setcover(args: argparse.Namespace) -> int:
             delta_dprime=args.delta_dprime,
             eta=args.eta,
         )
-        if not payload["equivalence"]["equivalent"]:
-            _emit(payload, args.output)
-            return 1
+        code = 0 if payload["equivalence"]["equivalent"] else 1
     _emit(payload, args.output)
-    return 0
+    return code
 
 
 def _cmd_sweep_tightness(args: argparse.Namespace) -> int:

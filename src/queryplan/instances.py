@@ -351,47 +351,68 @@ def save_instance(instance: Instance, path: str) -> None:
         fh.write(instance_to_json(instance))
 
 
+def _expect(value, kinds: type | tuple[type, ...], field: str, kind: str):
+    """value if it is one of kinds and not a bool, else a ValueError naming
+    the field, so a malformed file never reaches code that iterates it."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{field} must be {kind}, got {type(value).__name__}")
+    return value
+
+
+def _float_array(value, field: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must hold only numbers") from None
+
+
 def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
+    """Builds an instance from its JSON form; raises ValueError naming the
+    first missing, unknown or malformed field."""
+    _expect(data, Mapping, "instance", "an object")
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown instance keys: {sorted(unknown)}")
     for key in ("labels", "prior", "tolerances", "models"):
         if key not in data:
             raise ValueError(f"instance is missing required key {key!r}")
-    labels = [str(y) for y in data["labels"]]
-    prior = np.array(data["prior"], dtype=float)
+    array = (list, tuple)
+    labels = [str(y) for y in _expect(data["labels"], array, "labels", "an array")]
+    prior = _float_array(data["prior"], "prior")
     models = []
-    for md in data["models"]:
+    for i, md in enumerate(_expect(data["models"], array, "models", "an array")):
+        _expect(md, Mapping, f"models[{i}]", "an object")
         unknown = set(md) - _MODEL_KEYS
         if unknown:
             raise ValueError(f"unknown model keys: {sorted(unknown)}")
         for key in _MODEL_KEYS:
             if key not in md:
                 raise ValueError(f"model entry is missing required key {key!r}")
-        cond = np.array(md["conditional"], dtype=float)
+        where = f"model {md['name']!r}"
+        alphabet = _expect(md["alphabet"], array, f"{where}: alphabet", "an array")
+        cost = _expect(md["cost"], (int, float), f"{where}: cost", "a number")
+        cond = _float_array(md["conditional"], f"{where}: conditional")
         if cond.ndim != 2 or cond.shape[0] != len(labels):
-            raise ValueError(
-                f"model {md['name']!r}: conditional must have one row per label"
-            )
+            raise ValueError(f"{where}: conditional must have one row per label")
         if renormalize:
             rs = cond.sum(axis=1, keepdims=True)
             if np.any(rs <= 0):
-                raise ValueError(f"model {md['name']!r}: row sums must be positive")
+                raise ValueError(f"{where}: row sums must be positive")
             cond = cond / rs
         else:
             bad = np.abs(cond.sum(axis=1) - 1.0) > SUM_TOL
             if np.any(bad):
                 raise ValueError(
-                    f"model {md['name']!r}: conditional rows "
+                    f"{where}: conditional rows "
                     f"{np.flatnonzero(bad).tolist()} do not sum to 1 within "
                     f"{SUM_TOL}; pass renormalize to rescale"
                 )
         models.append(
             ModelSpec(
                 name=str(md["name"]),
-                alphabet=tuple(str(a) for a in md["alphabet"]),
+                alphabet=tuple(str(a) for a in alphabet),
                 conditional=cond,
-                cost=float(md["cost"]),
+                cost=float(cost),
             )
         )
     if renormalize:
@@ -407,7 +428,7 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
         labels=tuple(labels),
         prior=prior,
         models=tuple(models),
-        tolerances=np.array(data["tolerances"], dtype=float),
+        tolerances=_float_array(data["tolerances"], "tolerances"),
     )
 
 

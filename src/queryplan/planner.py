@@ -15,14 +15,14 @@ cost and accepts the first plan certifiable at some grid assignment. Because
 certification decouples across pairs, this returns exactly the minimum cost
 of the literal scheme, which enumerates the full tilt grid, runs the dense
 DP at every grid point and keeps the cheapest feasible state. That sweep
-costs grid^pairs x states and suits only toy fixtures; it is kept
-(_solve_sweep with build_grid, dp_solve, find_feasible_state and
-backtrack) as the reference the tests compare the search against. The
-walk is exact.search_lattice, shared with the exact optimizer: it
-prescreens plans in batches with one matrix product of optimistic pair
-bounds and hands the survivors, in cost order, to the certifier below.
-Both come from one per-instance bounds.TangentTable, which the certifier
-extends.
+costs grid^pairs x states and suits only toy fixtures, so it lives with
+the tests (tests/reference_sweep.py) as the reference they compare the
+search against; its building blocks round_weights, dp_solve and backtrack
+stay here. The walk is exact.search_lattice, shared with the exact
+optimizer: it prescreens plans in batches with one matrix product of
+optimistic pair bounds and hands the survivors, in cost order, to the
+certifier below. Both come from one per-instance bounds.TangentTable,
+which the certifier extends.
 
 The search certifies a plan by each pair's lowest floored-weight
 certificate over the tilt axis, whose length grows like 1/mesh (past a
@@ -38,7 +38,6 @@ tilts and answers equal those of a full-axis scan (see _WindowCertifier).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -52,7 +51,6 @@ from .bounds import (
     TangentTable,
     _logsumexp,
     is_surrogate_feasible,
-    label_caps,
     ordered_pairs,
     uniform_feasible_count,
 )
@@ -65,13 +63,8 @@ from .instances import (
     require_finite,
 )
 
-GRID_BUDGET = 250_000
 MEMORY_BUDGET = 1 << 28
 SEARCH_NODE_BUDGET = 2_000_000
-
-
-class GridBudgetError(RuntimeError):
-    """The tilt grid would exceed its size budget."""
 
 
 class MemoryBudgetError(RuntimeError):
@@ -212,20 +205,13 @@ def tilt_axis(constants: DerivedConstants) -> np.ndarray:
     return _axis_tilts(np.arange(n), constants.mesh, n)
 
 
-def build_grid(
-    constants: DerivedConstants, n_pairs: int, budget: int = GRID_BUDGET
-) -> list[tuple[float, ...]]:
-    """Full tilt grid: the axis to the power of the number of ordered pairs,
-    in lexicographic order."""
-    n_axis = tilt_axis_size(constants)
-    size = n_axis**n_pairs
-    if size > budget:
-        raise GridBudgetError(
-            f"grid would hold {size} points ({n_axis}^{n_pairs}), over the "
-            f"budget of {budget}"
-        )
-    axis = tilt_axis(constants)
-    return [tuple(p) for p in itertools.product(axis.tolist(), repeat=n_pairs)]
+def _floor_weights(log_m: np.ndarray, round_scale: float) -> np.ndarray:
+    """Integer weights floor(-log M / round_scale) of log-affinities log_m.
+
+    Affinities can exceed 1 by a few ulps at the tilt endpoints; the raw
+    weight is clipped at zero so rounding never goes negative.
+    """
+    return np.floor(np.maximum(-log_m, 0.0) / round_scale).astype(np.int64)
 
 
 def round_weights(
@@ -233,11 +219,7 @@ def round_weights(
     constants: DerivedConstants,
     grid_point: Sequence[float],
 ) -> np.ndarray:
-    """Integer DP weights: floor((-log M_m(s_p)) / round_scale), shape (K, P).
-
-    Affinities can exceed 1 by a few ulps at the tilt endpoints; the raw
-    weight is clipped at zero so rounding never goes negative.
-    """
+    """Integer DP weights: floor((-log M_m(s_p)) / round_scale), shape (K, P)."""
     pairs = ordered_pairs(instance.n_labels)
     if len(grid_point) != len(pairs):
         raise ValueError(
@@ -247,8 +229,9 @@ def round_weights(
     w = np.zeros((K, len(pairs)), dtype=np.int64)
     for p, ((yi, yj), s) in enumerate(zip(pairs, grid_point)):
         tables = PairTables(instance, yi, yj)
-        raw = np.maximum(-tables.log_affinities(float(s)), 0.0)
-        w[:, p] = np.floor(raw / constants.round_scale).astype(np.int64)
+        w[:, p] = _floor_weights(
+            tables.log_affinities(float(s)), constants.round_scale
+        )
     return w
 
 
@@ -332,57 +315,6 @@ def dp_solve(
     return DpTable(t_max=T, n_pairs=P, weights=weights, costs=table, backptr=bp)
 
 
-def find_feasible_state(
-    instance: Instance,
-    constants: DerivedConstants,
-    grid_point: Sequence[float],
-    table: DpTable,
-) -> tuple[int, ...] | None:
-    """Cheapest DP state whose conservative error certificate meets every
-    tolerance, ties broken lexicographically; None if no state qualifies.
-
-    The certificate for label y sums, over pairs (y, y'), the prior ratio
-    tilted by s_p times exp(-round_scale * t_p); it upper-bounds the
-    surrogate error of any plan covering t.
-    """
-    pairs = ordered_pairs(instance.n_labels)
-    log_ratios = np.array(
-        [
-            float(instance.log_prior[j] - instance.log_prior[i])
-            for (i, j) in pairs
-        ]
-    )
-    amps = np.exp(np.asarray(grid_point) * log_ratios)
-    masks = label_caps(instance)[0] > 0
-    alphas = instance.tolerances
-    scale = constants.round_scale
-
-    shape = table.shape
-    n_states = int(np.prod(shape))
-    best_cost = math.inf
-    best_idx = -1
-    chunk = 1 << 20
-    for start in range(0, n_states, chunk):
-        stop = min(start + chunk, n_states)
-        flat = np.arange(start, stop)
-        coords = np.column_stack(np.unravel_index(flat, shape)).astype(float)
-        terms = amps[None, :] * np.exp(-scale * coords)
-        ok = np.ones(len(flat), dtype=bool)
-        for yi, mask in enumerate(masks):
-            ok &= terms[:, mask].sum(axis=1) <= float(alphas[yi])
-        ok &= np.isfinite(table.costs[start:stop])
-        if not ok.any():
-            continue
-        cand = np.where(ok, table.costs[start:stop], math.inf)
-        i = int(np.argmin(cand))  # first minimum, so lowest flat index on ties
-        if cand[i] < best_cost:
-            best_cost = float(cand[i])
-            best_idx = start + i
-    if best_idx < 0:
-        return None
-    return tuple(int(v) for v in np.unravel_index(best_idx, shape))
-
-
 def backtrack(table: DpTable, state: tuple[int, ...]) -> QueryPlan:
     """Reconstructs an optimal covering plan from backpointers."""
     counts = [0] * table.weights.shape[0]
@@ -400,7 +332,7 @@ def backtrack(table: DpTable, state: tuple[int, ...]) -> QueryPlan:
 
 
 # ---------------------------------------------------------------------------
-# Solving: cost-ordered search, and the full sweep it is checked against.
+# Solving: the cost-ordered search with the window certifier.
 # ---------------------------------------------------------------------------
 
 
@@ -502,7 +434,7 @@ class _WindowCertifier(TangentTable):
             :, None, None
         ] * self.log_q[pair_of]
         log_m = _logsumexp(v)  # (N, K)
-        w = np.floor(np.maximum(-log_m, 0.0) / c.round_scale).astype(np.int64)
+        w = _floor_weights(log_m, c.round_scale)
         covered = np.minimum(w @ r, c.t_max)
         return s * self.log_ratio[pair_of] - c.round_scale * covered
 
@@ -554,7 +486,7 @@ class _WindowCertifier(TangentTable):
 
 def _solve_search(
     instance: Instance, constants: DerivedConstants, node_budget: int
-) -> tuple[QueryPlan, list[float], str]:
+) -> tuple[QueryPlan, list[float]]:
     costs = [m.cost for m in instance.models]
     cost_cap = (constants.n_unif + constants.k_max) * sum(costs) + 1e-9
     certifier = _WindowCertifier(instance, constants)
@@ -566,34 +498,7 @@ def _solve_search(
         )
     counts, idx, _ = found
     tilts = _axis_tilts(idx, constants.mesh, certifier.n_axis).tolist()
-    return QueryPlan(counts), tilts, "search-axis"
-
-
-def _solve_sweep(
-    instance: Instance,
-    constants: DerivedConstants,
-    grid_budget: int,
-    memory_budget: int,
-) -> tuple[QueryPlan, list[float], str]:
-    pairs = ordered_pairs(instance.n_labels)
-    grid = build_grid(constants, len(pairs), grid_budget)
-    best: tuple[float, int, QueryPlan, tuple[float, ...]] | None = None
-    for gi, point in enumerate(grid):
-        weights = round_weights(instance, constants, point)
-        table = dp_solve(instance, constants, weights, memory_budget)
-        state = find_feasible_state(instance, constants, point, table)
-        if state is None:
-            continue
-        plan = backtrack(table, state)
-        cost = plan_cost(instance, plan)
-        if best is None or cost < best[0]:
-            best = (cost, gi, plan, point)
-    if best is None:
-        raise RuntimeError(
-            "no grid point certified any state; the uniform padded plan "
-            "should always certify, so this indicates a constants bug"
-        )
-    return best[2], list(best[3]), "sweep"
+    return QueryPlan(counts), tilts
 
 
 def run_afptas(
@@ -613,8 +518,8 @@ def run_afptas(
     result is the full-axis argmin, on every axis length; there is no axis
     budget and no coarser fallback. The walk raises
     exact.EnumerationBudgetError once it passes node_budget plans. This
-    returns the cost the literal sweep (_solve_sweep) would find; the sweep
-    is kept only as the tests' reference.
+    returns the cost the literal sweep of the scheme would find; that sweep
+    is the tests' reference (tests/reference_sweep.py), not a solve path.
 
     Raises ValueError if the prior, a tolerance, a conditional or a cost is
     NaN or infinite.
@@ -627,7 +532,7 @@ def run_afptas(
     set and the exact surrogate optimum confirms the ratio.
     """
     constants = derive_constants(instance, epsilon)
-    plan, tilts, used = _solve_search(instance, constants, node_budget)
+    plan, tilts = _solve_search(instance, constants, node_budget)
     report = is_surrogate_feasible(instance, plan)
     if not report.feasible:
         raise RuntimeError(
@@ -684,7 +589,7 @@ def run_afptas(
         plan=plan,
         cost=cost,
         epsilon=float(epsilon),
-        mode=used,
+        mode="search-axis",
         tilts=named_tilts,
         surrogate=report,
         guarantee=guarantee,

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import exact_error, exact_opt
-from .instances import Instance, ModelSpec, QueryPlan, plan_cost
+from .instances import Instance, ModelSpec, QueryPlan, _expect, plan_cost
 
 DEFAULT_ETA = 1e-9
 DEFAULT_DELTA_DPRIME = 1e-3
@@ -115,13 +115,28 @@ class SetCoverInstance:
 
 
 def load_setcover(path: str) -> SetCoverInstance:
+    """Reads a JSON object {n, sets, weights[, budget]}; raises ValueError
+    naming the first missing or malformed field."""
     with open(path) as fh:
-        data = json.load(fh)
+        data = _expect(json.load(fh), dict, "set-cover file", "an object")
+    missing = [key for key in ("n", "sets", "weights") if key not in data]
+    if missing:
+        raise ValueError(f"set-cover file is missing required keys {missing}")
+    sets = _expect(data["sets"], list, "sets", "an array")
+    for i, s in enumerate(sets):
+        for e in _expect(s, list, f"sets[{i}]", "an array"):
+            _expect(e, int, f"sets[{i}] elements", "integers")
+    weights = _expect(data["weights"], list, "weights", "an array")
+    for i, w in enumerate(weights):
+        _expect(w, (int, float), f"weights[{i}]", "a number")
+    budget = data.get("budget")
+    if budget is not None:
+        _expect(budget, (int, float), "budget", "a number")
     return SetCoverInstance(
-        n=int(data["n"]),
-        sets=tuple(frozenset(s) for s in data["sets"]),
-        weights=tuple(data["weights"]),
-        budget=data.get("budget"),
+        n=_expect(data["n"], int, "n", "an integer"),
+        sets=tuple(frozenset(s) for s in sets),
+        weights=tuple(weights),
+        budget=budget,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from queryplan.cli import main
-from queryplan.instances import Instance, ModelSpec, save_instance
+from queryplan.instances import Instance, ModelSpec, instance_to_dict, save_instance
 
 
 @pytest.fixture
@@ -250,6 +250,119 @@ def test_commands_reject_bad_values(bsc_path, tmp_path, capsys, argv, field):
     log.write_text("model,label,response\nm,1,a\nm,2,b\n")
     code = main([a.format(bsc=bsc_path, log=log) for a in argv])
     assert code == 1
+    assert field in one_error_line(capsys)
+
+
+def replaced(key: str, value, model: bool = False):
+    """Edits an instance dict: key set to value, at top level or in model 0."""
+
+    def edit(data: dict) -> dict:
+        (data["models"][0] if model else data)[key] = value
+        return data
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "argv, content, field",
+    [
+        pytest.param(
+            ["validate"], lambda d: 5, "instance must be an object", id="number"
+        ),
+        pytest.param(
+            ["validate"],
+            replaced("labels", 5),
+            "labels must be an array",
+            id="labels-number",
+        ),
+        pytest.param(
+            ["validate"],
+            replaced("models", 7),
+            "models must be an array",
+            id="models-number",
+        ),
+        pytest.param(
+            ["exact", "--opt", "true"],
+            replaced("models", [3]),
+            "models[0] must be an object",
+            id="model-number",
+        ),
+        pytest.param(
+            ["exact", "--plan", "[6]"],
+            replaced("cost", [1], model=True),
+            "cost must be a number",
+            id="cost-array",
+        ),
+        pytest.param(
+            ["validate"],
+            replaced("alphabet", 5, model=True),
+            "alphabet must be an array",
+            id="alphabet-number",
+        ),
+        pytest.param(
+            ["validate"],
+            replaced("prior", {"1": 0.5}),
+            "prior must hold only numbers",
+            id="prior-object",
+        ),
+    ],
+)
+def test_commands_reject_malformed_instance_files(
+    bsc, tmp_path, capsys, argv, content, field
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content(instance_to_dict(bsc))))
+    assert main([argv[0], "--instance", str(path), *argv[1:]]) == 1
+    assert field in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, content, field",
+    [
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--sets"],
+            {"n": 3, "sets": [[1, 2], [3]]},
+            "missing required keys ['weights']",
+            id="sets-no-weights",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--sets"],
+            [[1, 2], [3]],
+            "set-cover file must be an object",
+            id="sets-array",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--sets"],
+            {"n": 3, "sets": [[1, [2]], [3]], "weights": [1, 1]},
+            "sets[0] elements must be integers",
+            id="sets-nested-element",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--sets"],
+            {"n": 3, "sets": [[1, 2], [3]], "weights": [[1], 1]},
+            "weights[0] must be a number",
+            id="sets-weight-array",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--sets"],
+            {"n": 3, "sets": [[1, 2], [3]], "weights": [1, 1], "budget": "x"},
+            "budget must be a number",
+            id="sets-budget-string",
+        ),
+        pytest.param(
+            ["calibrate", "--log", "{log}", "--alphabets"],
+            [["a", "b"]],
+            "--alphabets must hold a JSON object",
+            id="alphabets-array",
+        ),
+    ],
+)
+def test_commands_reject_malformed_json_files(tmp_path, capsys, argv, content, field):
+    log = tmp_path / "log.csv"
+    log.write_text("model,label,response\nm,1,a\nm,2,b\n")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    assert main([*(a.format(log=log) for a in argv), str(path)]) == 1
     assert field in one_error_line(capsys)
 
 

@@ -9,25 +9,26 @@ import pytest
 
 from conftest import symmetric_binary
 from queryplan.exact import EnumerationBudgetError
+from queryplan.experiments import random_instance
 from queryplan.instances import Instance, QueryPlan, plan_cost
 from queryplan.planner import (
-    GRID_BUDGET,
-    MEMORY_BUDGET,
     SEARCH_NODE_BUDGET,
-    GridBudgetError,
     MemoryBudgetError,
     _solve_search,
-    _solve_sweep,
     backtrack,
-    build_grid,
     derive_constants,
     dp_solve,
-    find_feasible_state,
     guarantee_threshold,
     round_weights,
     run_afptas,
     tilt_axis,
     tilt_axis_size,
+)
+from reference_sweep import (
+    GridBudgetError,
+    build_grid,
+    find_feasible_state,
+    solve_sweep,
 )
 
 LOG9 = math.log(9.0)
@@ -221,13 +222,29 @@ def test_sweep_and_search_agree_on_coarse_grid(bsc, asym, duo):
         constants = dataclasses.replace(
             derive_constants(inst, 0.5), mesh=0.25, round_scale=0.2, t_max=40
         )
-        sweep_plan, sweep_tilts, used = _solve_sweep(
-            inst, constants, GRID_BUDGET, MEMORY_BUDGET
-        )
-        assert used == "sweep"
-        search_plan, _, _ = _solve_search(inst, constants, SEARCH_NODE_BUDGET)
+        sweep_plan, sweep_tilts = solve_sweep(inst, constants)
+        search_plan, _ = _solve_search(inst, constants, SEARCH_NODE_BUDGET)
         assert plan_cost(inst, sweep_plan) == plan_cost(inst, search_plan) == cost
         assert len(sweep_tilts) == 2
+
+
+def test_sweep_and_search_agree_on_random_draws():
+    rng = np.random.default_rng(0)
+    certified = 0
+    for _ in range(10):
+        inst = random_instance(rng, n_labels=2, max_models=3, alpha=0.05)
+        constants = dataclasses.replace(
+            derive_constants(inst, 0.5), mesh=0.25, round_scale=0.1, t_max=60
+        )
+        found = solve_sweep(inst, constants)
+        if found is None:
+            # nothing certifies under the t_max clip: the search would walk
+            # the lattice to its budget
+            continue
+        certified += 1
+        search_plan, _ = _solve_search(inst, constants, SEARCH_NODE_BUDGET)
+        assert plan_cost(inst, search_plan) == plan_cost(inst, found[0])
+    assert certified == 8
 
 
 def test_run_afptas_reference_instance(bsc):
@@ -286,7 +303,7 @@ def test_run_afptas_sweep_rejects_large_grids():
     )
     # six ordered pairs against a fine tilt axis: the full grid is hopeless
     with pytest.raises(GridBudgetError, match=r"\(1264\^6\)"):
-        _solve_sweep(inst, derive_constants(inst, 0.5), GRID_BUDGET, MEMORY_BUDGET)
+        solve_sweep(inst, derive_constants(inst, 0.5))
 
 
 def test_run_afptas_search_budget_raises_enumeration_error(duo):
