@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bounds import (
     BhattacharyyaScreen,
@@ -96,6 +95,40 @@ def _compositions(total: int, width: int, cap: int) -> np.ndarray:
     )
 
 
+# Coefficients of cephes lgam's Stirling correction polynomial in 1/x^2.
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(k: int) -> float:
+    """log(k!) by the algorithm of cephes lgam (scipy's gammaln) at x = k + 1.
+
+    It equals scipy.special.gammaln(k + 1) bit for bit, so exact errors do
+    not depend on scipy; math.lgamma differs from it by a few ulps.
+    """
+    x = k + 1.0
+    if x < 13.0:
+        return math.log(float(math.factorial(k)))
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    poly = 0.0
+    for c in _STIRLING:
+        poly = poly * p + c
+    return q + poly / x
+
+
 # Profile blocks by (model index, query count), built once per call of a
 # public entry and shared by every plan and label it scores.
 _BlockCache = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
@@ -115,7 +148,8 @@ def _model_blocks(
         if block is None:
             profiles = _compositions(r, m.n_symbols, r)
             loglik = profiles.astype(float) @ m.log_conditional.T
-            logcoef = gammaln(r + 1) - gammaln(profiles + 1).sum(axis=1)
+            log_fact = np.array([_log_factorial(j) for j in range(r + 1)])
+            logcoef = log_fact[r] - log_fact[profiles].sum(axis=1)
             block = cache[k, r] = (loglik, logcoef)
         blocks.append(block)
     return blocks

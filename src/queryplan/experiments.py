@@ -33,6 +33,10 @@ ROW_FLOOR = 0.01
 COST_RANGE = (0.5, 2.0)
 MIN_SEPARATION = 0.05
 
+# guarantee_sweep skips a draw whose exact surrogate optimum needs more
+# lattice nodes than this.
+GUARANTEE_NODE_BUDGET = 200_000
+
 TIGHTNESS_FIELDS = ("alpha_min", "opt", "surrogate_opt", "ratio")
 GUARANTEE_FIELDS = (
     "instance",
@@ -153,15 +157,14 @@ def guarantee_sweep(
     n_instances: int = 50,
     epsilons: Sequence[float] = (0.1, 0.5, 1.0),
     alpha: float = 1e-3,
-    opt_node_budget: int = 200_000,
 ) -> list[dict]:
     """Approximation ratios of the scheme on random instances.
 
     Draws two-label instances of at most three models until
-    ``n_instances`` admit an exact surrogate optimum within the node budget
-    (others are skipped), then runs the scheme at each epsilon and records
-    cost, ratio, and whether the (1+eps) factor held. Deterministic for a
-    given seed.
+    ``n_instances`` admit an exact surrogate optimum within
+    GUARANTEE_NODE_BUDGET lattice nodes (others are skipped), then runs
+    the scheme at each epsilon and records cost, ratio, and whether the
+    (1+eps) factor held. Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -173,7 +176,9 @@ def guarantee_sweep(
             raise RuntimeError("too many rejected draws; loosen the budget")
         inst = random_instance(rng, n_labels=2, max_models=3, alpha=alpha)
         try:
-            opt = exact_opt(inst, problem="surrogate", node_budget=opt_node_budget)
+            opt = exact_opt(
+                inst, problem="surrogate", node_budget=GUARANTEE_NODE_BUDGET
+            )
         except EnumerationBudgetError:
             continue
         accepted += 1

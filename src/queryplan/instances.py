@@ -377,7 +377,10 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
         if key not in data:
             raise ValueError(f"instance is missing required key {key!r}")
     array = (list, tuple)
-    labels = [str(y) for y in _expect(data["labels"], array, "labels", "an array")]
+    labels = [
+        _expect(y, str, f"labels[{i}]", "a string")
+        for i, y in enumerate(_expect(data["labels"], array, "labels", "an array"))
+    ]
     prior = _float_array(data["prior"], "prior")
     models = []
     for i, md in enumerate(_expect(data["models"], array, "models", "an array")):
@@ -388,8 +391,11 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
         for key in _MODEL_KEYS:
             if key not in md:
                 raise ValueError(f"model entry is missing required key {key!r}")
-        where = f"model {md['name']!r}"
+        name = _expect(md["name"], str, f"models[{i}].name", "a string")
+        where = f"model {name!r}"
         alphabet = _expect(md["alphabet"], array, f"{where}: alphabet", "an array")
+        for j, a in enumerate(alphabet):
+            _expect(a, str, f"{where}: alphabet[{j}]", "a string")
         cost = _expect(md["cost"], (int, float), f"{where}: cost", "a number")
         cond = _float_array(md["conditional"], f"{where}: conditional")
         if cond.ndim != 2 or cond.shape[0] != len(labels):
@@ -409,8 +415,8 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
                 )
         models.append(
             ModelSpec(
-                name=str(md["name"]),
-                alphabet=tuple(str(a) for a in alphabet),
+                name=name,
+                alphabet=tuple(alphabet),
                 conditional=cond,
                 cost=float(cost),
             )

@@ -54,7 +54,7 @@ from .bounds import (
     ordered_pairs,
     uniform_feasible_count,
 )
-from .exact import _compositions, search_lattice
+from .exact import _compositions, exact_opt, search_lattice
 from .instances import (
     Instance,
     QueryPlan,
@@ -564,8 +564,6 @@ def run_afptas(
             "factor is not certified"
         )
     if check_optimal:
-        from .exact import exact_opt
-
         opt = exact_opt(instance, problem="surrogate")
         guarantee["checked_against_oracle"] = True
         guarantee["oracle_opt_cost"] = opt.cost

@@ -43,7 +43,14 @@ from typing import Sequence
 import numpy as np
 
 from .exact import exact_error, exact_opt
-from .instances import Instance, ModelSpec, QueryPlan, _expect, plan_cost
+from .instances import (
+    Instance,
+    ModelSpec,
+    QueryPlan,
+    _expect,
+    instance_to_dict,
+    plan_cost,
+)
 
 DEFAULT_ETA = 1e-9
 DEFAULT_DELTA_DPRIME = 1e-3
@@ -116,9 +123,12 @@ class SetCoverInstance:
 
 def load_setcover(path: str) -> SetCoverInstance:
     """Reads a JSON object {n, sets, weights[, budget]}; raises ValueError
-    naming the first missing or malformed field."""
+    naming the first missing, unknown or malformed field."""
     with open(path) as fh:
         data = _expect(json.load(fh), dict, "set-cover file", "an object")
+    unknown = set(data) - {"n", "sets", "weights", "budget"}
+    if unknown:
+        raise ValueError(f"unknown set-cover keys: {sorted(unknown)}")
     missing = [key for key in ("n", "sets", "weights") if key not in data]
     if missing:
         raise ValueError(f"set-cover file is missing required keys {missing}")
@@ -165,8 +175,6 @@ class Reduction:
     metadata: dict
 
     def to_dict(self) -> dict:
-        from .instances import instance_to_dict
-
         return {"instance": instance_to_dict(self.instance), "metadata": self.metadata}
 
 

@@ -305,6 +305,30 @@ def replaced(key: str, value, model: bool = False):
             "prior must hold only numbers",
             id="prior-object",
         ),
+        pytest.param(
+            ["validate"],
+            replaced("labels", [{"a": 1}, "2"]),
+            "labels[0] must be a string",
+            id="label-object",
+        ),
+        pytest.param(
+            ["solve", "--epsilon", "0.5"],
+            replaced("labels", [1, 2]),
+            "labels[0] must be a string",
+            id="label-number",
+        ),
+        pytest.param(
+            ["validate"],
+            replaced("name", [1], model=True),
+            "models[0].name must be a string",
+            id="model-name-array",
+        ),
+        pytest.param(
+            ["validate"],
+            replaced("alphabet", [None, "b"], model=True),
+            "alphabet[0] must be a string",
+            id="alphabet-null",
+        ),
     ],
 )
 def test_commands_reject_malformed_instance_files(
@@ -348,6 +372,12 @@ def test_commands_reject_malformed_instance_files(
             {"n": 3, "sets": [[1, 2], [3]], "weights": [1, 1], "budget": "x"},
             "budget must be a number",
             id="sets-budget-string",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--check", "--sets"],
+            {"n": 3, "sets": [[1, 2], [3]], "weights": [1, 1], "budgt": 4},
+            "unknown set-cover keys: ['budgt']",
+            id="sets-unknown-key",
         ),
         pytest.param(
             ["calibrate", "--log", "{log}", "--alphabets"],

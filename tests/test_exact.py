@@ -22,6 +22,7 @@ from queryplan.exact import (
     EnumerationBudgetError,
     InfeasibleWithinCapError,
     _compositions,
+    _log_factorial,
     _profile_mass,
     exact_error,
     exact_error_table,
@@ -151,6 +152,17 @@ def test_compositions_match_filtered_product():
         assert got.dtype == np.int64
         assert got.shape == (len(expected), width)
         assert got.tolist() == [list(v) for v in expected]
+
+
+def test_log_factorial_matches_scipy_gammaln_bit_for_bit():
+    # exact errors must not move when scipy's gammaln is replaced; the range
+    # crosses the helper's branch edges at x = 13 and x = 1000, and the
+    # large values its cut-off at x = 1e8
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    ks = list(range(100_001)) + [10**8 - 1, 10**8, 10**8 + 5, 10**9]
+    got = np.array([_log_factorial(k) for k in ks])
+    want = gammaln(np.array(ks, dtype=float) + 1.0)
+    assert np.flatnonzero(got != want).tolist() == []
 
 
 def test_exact_opt_true_vs_surrogate(bsc):
