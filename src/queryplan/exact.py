@@ -6,13 +6,16 @@ prod_m C(r_m + |X_m| - 1, |X_m| - 1) joint profiles; each is scored once
 with its multinomial weight. This is exponentially smaller than raw
 sequence space but still explodes on large plans, hence explicit budgets.
 
-The optimizer walks the plan lattice in best-first order (nondecreasing
-cost, ties broken lexicographically by count vector) and returns the first
-feasible plan, which is therefore a minimum-cost one. That walk,
-search_lattice, is shared with the planner's search: it takes plans from
-the lattice in batches of growing size, rules out most of a batch with one
-matrix product of pair bounds, and hands the survivors in walk order to a
-caller's acceptance check. For the surrogate problem the bounds are the
+The optimizer walks the plan lattice in nondecreasing cost, ties broken
+lexicographically by count vector, and returns the first feasible plan,
+which is therefore a minimum-cost one. The walk, lattice_bands, yields
+that order as sorted integer arrays, one per cost band [lo, hi): for each
+prefix of counts it keeps the next count of the last model and its cost,
+so a band costs a few numpy calls however many plans it holds. The
+search, search_lattice, is shared with the planner: it cuts the bands into
+batches of growing size, rules out most of a batch with one matrix product
+of pair bounds, and hands the survivors in walk order to a caller's
+acceptance check. For the surrogate problem the bounds are the
 optimistic ones of bounds.TangentTable, and the check is the surrogate
 check of is_surrogate_feasible behind the same table's per-plan reject; the
 planner's window certificate uses the same table. For the true problem the
@@ -24,8 +27,6 @@ profile block once per call and reuses it across labels and plans.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol, Sequence, TypeVar
@@ -290,30 +291,129 @@ def exact_error_table(
 
 
 # ---------------------------------------------------------------------------
-# Best-first exact optimization over the plan lattice.
+# Cost-ordered exact optimization over the plan lattice.
 # ---------------------------------------------------------------------------
 
 
-def lattice_ascending(
-    costs: Sequence[float], cost_cap: float
-) -> Iterator[tuple[float, tuple[int, ...]]]:
-    """Yields (cost, counts) over all plans with cost <= cap, in
-    nondecreasing cost with ties broken lexicographically.
+# Plans per band of the walk. A band costs a few dozen numpy calls almost
+# whatever its size, so the first band covers the first three prescreen
+# batches (448 plans), within which two thirds of the benchmark pools'
+# searches accept. Later bands double up to _BAND_MAX, which bounds the
+# walk's working set. Every band scans all live prefixes, so a band also
+# holds at least 1/_BAND_SHARE of them.
+_BAND_FIRST = 448
+_BAND_MAX = 2048
+_BAND_SHARE = 4
 
-    Each lattice point is generated once: children only increment a model
-    index at or after the last one incremented.
+
+class _Level:
+    """The plans over the first k models, produced band by band.
+
+    One row per live prefix, a plan of the first k - 1 models: the plan
+    its next count of model k - 1 makes, and that plan's left fold.
+    Prefixes join from the level below as the bands reach their folds, and
+    leave once their next fold is at or past ``top``, so no plan is ever
+    folded twice.
     """
+
+    def __init__(self, costs: Sequence[float], top: float):
+        self.cost = costs[-1]
+        self.top = top
+        self.sub = _Level(costs[:-1], top) if len(costs) > 1 else None
+        rows = 1 if self.sub is None else 0  # the first model's empty prefix
+        self.plans = np.zeros((rows, len(costs)), dtype=np.int64)
+        self.fold = np.zeros(rows)
+
+    def band(self, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """(counts (n, k), folds (n,)) of the plans whose fold lies in
+        [lo, hi), unsorted, where lo is the previous call's hi."""
+        if self.sub is not None:
+            counts, folds = self.sub.band(hi)
+            if len(folds):
+                joined = np.zeros((len(folds), self.plans.shape[1]), dtype=np.int64)
+                joined[:, :-1] = counts
+                self.plans = np.concatenate([self.plans, joined])
+                self.fold = np.concatenate([self.fold, folds])
+        rows = np.nonzero(self.fold < hi)[0]
+        runs = self._runs(self.fold[rows], hi)
+        live = runs < hi
+        # per plan, in row-major order: its prefix's row and its step past
+        # the prefix's next plan
+        src, step = np.nonzero(live)
+        folds = runs[src, step]
+        n = live.sum(axis=1)
+        self.fold[rows] = runs[np.arange(len(rows)), n]
+        counts = self.plans[rows[src]]
+        counts[:, -1] += step
+        self.plans[rows, -1] += n
+        alive = self.fold < self.top
+        if not alive.all():
+            self.plans = self.plans[alive]
+            self.fold = self.fold[alive]
+        return counts, folds
+
+    def _runs(self, start: np.ndarray, hi: float) -> np.ndarray:
+        """Per row, the folds start, start + c, (start + c) + c, ... in
+        columns, up to and including the first that reaches hi."""
+        if not len(start):
+            return np.empty((0, 1))
+        blocks = []
+        while True:
+            width = int((hi - start.min()) / self.cost) + 2
+            block = np.full((len(start), width), self.cost)
+            block[:, 0] = start
+            np.cumsum(block, axis=1, out=block)  # the fold, one add at a time
+            blocks.append(block)
+            if (block[:, -1] >= hi).all():
+                return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+            start = block[:, -1] + self.cost
+
+
+def _by_cost(counts: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """The plans sorted by (fold, counts)."""
+    order = np.argsort(folds, kind="stable")
+    if (np.diff(folds[order]) == 0).any():  # ties: order them by counts
+        order = np.lexsort((*counts.T[::-1], folds))
+    return counts[order]
+
+
+def lattice_bands(costs: Sequence[float], cost_cap: float) -> Iterator[np.ndarray]:
+    """Yields every plan with cost <= cost_cap + 1e-9, and always the empty
+    plan, as (B, K) int64 arrays in nondecreasing cost with ties broken
+    lexicographically by counts.
+
+    A plan's cost is its left fold: costs[m] added r_m times, model by
+    model, so equal plans cost equal floats. Each array is one cost band
+    [lo, hi), sorted by (cost, counts), so ties never split across arrays.
+    The first band's edge comes from the simplex volume: at least
+    x^K / (K! prod(costs)) plans cost less than x, and the box bound
+    prod(x / c_m + 1) keeps skewed costs from overfilling it. Later edges
+    extrapolate the count walked so far as x^K, for about twice the last
+    band's plans, up to _BAND_MAX or a share of the live prefixes.
+    """
+    costs = [float(c) for c in costs]
     K = len(costs)
-    root = (0.0, (0,) * K, 0)
-    heap = [root]
-    while heap:
-        cost, counts, mstart = heapq.heappop(heap)
-        yield cost, counts
-        for m in range(mstart, K):
-            child_cost = cost + costs[m]
-            if child_cost <= cost_cap + 1e-9:
-                child = counts[:m] + (counts[m] + 1,) + counts[m + 1 :]
-                heapq.heappush(heap, (child_cost, child, m))
+    cap = cost_cap + 1e-9
+    # band edges are half-open: a fold below top is at most the cap, and a
+    # cap below zero (or NaN) leaves the empty plan alone
+    top = math.nextafter(cap, math.inf) if cap >= 0 else math.ulp(0.0)
+    level = _Level(costs, top)
+    target = _BAND_FIRST
+    hi = min(
+        (target * math.factorial(K) * math.prod(costs)) ** (1 / K),
+        min(costs) * (_BAND_MAX ** (1 / K) - 1),
+    )
+    walked = 0
+    while True:
+        hi = min(hi, top)
+        band = _by_cost(*level.band(hi))
+        if len(band):
+            yield band
+        if hi == top:
+            return
+        walked += len(band)
+        target = min(2 * target, max(_BAND_MAX, len(level.fold) // _BAND_SHARE))
+        hi *= (1 + target / walked) ** (1 / K)
 
 
 # Plans taken from the lattice per prescreen batch. Many searches accept
@@ -321,6 +421,26 @@ def lattice_ascending(
 # long searches prescreen thousands of plans per numpy call.
 _BATCH_FIRST = 64
 _BATCH_MAX = 8192
+
+
+def _batches(bands: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The walk's plans re-cut into batches of _BATCH_FIRST plans, doubling
+    up to _BATCH_MAX, whatever the bands' sizes."""
+    size = _BATCH_FIRST
+    held: list[np.ndarray] = []
+    n_held = 0
+    for band in bands:
+        held.append(band)
+        n_held += len(band)
+        while n_held >= size:
+            plans = held[0] if len(held) == 1 else np.concatenate(held)
+            yield plans[:size]
+            held = [plans[size:]]
+            n_held -= size
+            size = min(2 * size, _BATCH_MAX)
+    if n_held:
+        yield np.concatenate(held)
+
 
 _T = TypeVar("_T")
 
@@ -341,42 +461,39 @@ def search_lattice(
     node_budget: int,
     prescreen: BatchScreen | None = None,
 ) -> tuple[tuple[int, ...], _T, int] | None:
-    """The first plan, in lattice_ascending order, that the prescreen keeps
-    and that ``accept`` maps to a result other than None.
+    """The first plan, in lattice_bands order, that the prescreen keeps and
+    that ``accept`` maps to a result other than None.
 
     Returns (counts, result, enumerated), with enumerated the plan's
     1-based position in the walk, or None if the capped lattice runs out.
     Raises EnumerationBudgetError on reaching position node_budget + 1
-    without an accepted plan. Plans are taken from the walk and prescreened
-    in batches, but ``accept`` sees the survivors one at a time in walk
-    order and never a plan past the budget, so the result, the budget
+    without an accepted plan. The walk's cost bands are re-cut into
+    prescreen batches of 64 plans, doubling up to 8192, and only the
+    batch's survivors become tuples; ``accept`` sees them one at a time in
+    walk order and never a plan past the budget, so the result, the budget
     behaviour and the sequence of accept calls are those of checking one
     plan at a time.
     """
-    walk = lattice_ascending(costs, cost_cap)
     enumerated = 0
-    size = _BATCH_FIRST
-    while True:
-        batch = [counts for _, counts in itertools.islice(walk, size)]
-        if not batch:
-            return None
+    for batch in _batches(lattice_bands(costs, cost_cap)):
         if prescreen is None:
             survivors = range(len(batch))
         else:
-            kept = prescreen.passes(np.array(batch, dtype=float))
+            kept = prescreen.passes(batch.astype(float))
             survivors = np.flatnonzero(kept).tolist()
         for i in survivors:
             if enumerated + i + 1 > node_budget:
                 break
-            result = accept(batch[i])
+            counts = tuple(batch[i].tolist())
+            result = accept(counts)
             if result is not None:
-                return batch[i], result, enumerated + i + 1
+                return counts, result, enumerated + i + 1
         enumerated += len(batch)
         if enumerated > node_budget:
             raise EnumerationBudgetError(
                 f"search enumerated more than {node_budget} plans"
             )
-        size = min(2 * size, _BATCH_MAX)
+    return None
 
 
 @dataclass(frozen=True)
@@ -407,7 +524,7 @@ def exact_opt(
     node_budget: int = NODE_BUDGET,
     profile_budget: int = PROFILE_BUDGET,
 ) -> OptResult:
-    """Minimum-cost plan meeting every tolerance, by best-first search.
+    """Minimum-cost plan meeting every tolerance, by cost-ordered search.
 
     ``problem`` selects the feasibility notion: "surrogate" uses the
     closed-form bound, "true" uses exact statewise errors under the given

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queryplan.bounds import (
@@ -18,6 +18,7 @@ from queryplan.bounds import (
 )
 from queryplan.exact import (
     DELTA_TOL,
+    NODE_BUDGET,
     PROFILE_BUDGET,
     EnumerationBudgetError,
     InfeasibleWithinCapError,
@@ -28,12 +29,13 @@ from queryplan.exact import (
     exact_error_table,
     exact_opt,
     exact_pairwise,
-    lattice_ascending,
+    lattice_bands,
     profile_count,
 )
 from queryplan.experiments import random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec, QueryPlan, as_plan, plan_cost
 from queryplan.likelihood import TIE_POLICIES, _error_mask
+from reference_lattice import lattice_ascending
 
 # binomial tail oracles for the two-symbol reference model with p = 0.9:
 # P(Bin(6, 0.1) >= 3) and P(Bin(6, 0.1) >= 4)
@@ -139,6 +141,8 @@ def test_lattice_ascending_order_and_coverage():
         ),
     )
     assert walked == brute
+    banded = [tuple(row) for band in lattice_bands(costs, cap) for row in band.tolist()]
+    assert banded == [counts for _, counts in brute]
 
 
 def test_compositions_match_filtered_product():
@@ -215,6 +219,8 @@ def test_exact_opt_argument_validation(bsc):
     alpha=st.floats(0.05, 0.3),
     max_total=st.integers(0, 5),
 )
+# an optimum past NODE_BUDGET: plan (377, 1, 0) at position 1,438,956
+@example(seed=83032, n_labels=4, alpha=0.25, max_total=0)
 def test_error_chain_and_surrogate_optimum_up_to_four_labels(
     seed, n_labels, alpha, max_total
 ):
@@ -229,8 +235,13 @@ def test_error_chain_and_surrogate_optimum_up_to_four_labels(
         assert pair_sum <= surrogate_error(inst, plan, yi) + 1e-12
         for policy in TIE_POLICIES:
             assert exact_error(inst, plan, yi, policy) <= pair_sum + 1e-12
-    # exact_opt and is_surrogate_feasible run one surrogate check
-    opt = exact_opt(inst, problem="surrogate")
+    # exact_opt and is_surrogate_feasible run one surrogate check; a budget
+    # error must mean the optimum lies past the budget
+    try:
+        opt = exact_opt(inst, problem="surrogate")
+    except EnumerationBudgetError:
+        opt = exact_opt(inst, problem="surrogate", node_budget=20 * NODE_BUDGET)
+        assert opt.enumerated > NODE_BUDGET
     assert is_surrogate_feasible(inst, opt.plan).feasible
 
 

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from queryplan.experiments import random_instance
 from queryplan.likelihood import (
+    SCORE_TOL,
     TIE,
     TIE_POLICIES,
     ObservationSet,
     _error_mask,
+    _map_rule,
     check_observations,
     delta,
     log_posterior_scores,
@@ -99,6 +102,37 @@ def test_map_estimate_matches_error_mask(seed, n_labels, data):
 
 def test_map_estimate_matches_error_mask_on_tie(bsc):
     assert_one_map_rule(bsc, obs_ab(bsc, 3, 3))
+
+
+def row_max_map_rule(scores):
+    """The MAP rule with numpy's row maximum, max(axis=1)."""
+    top = scores.max(axis=1)
+    tied = scores >= (top - SCORE_TOL)[:, None]
+    return tied.argmax(axis=1), tied
+
+
+# scores on either side of the tie tolerance: a few bases, each nudged by
+# a multiple of SCORE_TOL / 2, mixed with arbitrary finite scores
+NEAR_TIES = st.builds(
+    lambda base, k: base + k * SCORE_TOL / 2,
+    st.sampled_from([-7.25, -1.0, 0.0, 3.5]),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_labels=st.integers(2, 5),
+    n_rows=st.integers(1, 40),
+    data=st.data(),
+)
+def test_map_rule_matches_row_max(n_labels, n_rows, data):
+    elements = st.one_of(NEAR_TIES, st.floats(-60.0, 10.0))
+    scores = data.draw(hnp.arrays(float, (n_rows, n_labels), elements=elements))
+    predicted, tied = _map_rule(scores)
+    want_predicted, want_tied = row_max_map_rule(scores)
+    assert np.array_equal(predicted, want_predicted)
+    assert np.array_equal(tied, want_tied)
 
 
 def test_delta_hand_value_and_errors(bsc):

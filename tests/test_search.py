@@ -3,13 +3,16 @@
 search_lattice prescreens plans in batches but must behave exactly like
 the loop below, which both solvers ran before: the same plan, result and
 enumerated count, the same accept calls in the same order, and the same
-budget error at the same plan.
+budget error at the same plan. Its banded numpy walk, lattice_bands, must
+yield the reference heap walk's plans in the same order, in bounded memory.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +28,11 @@ from queryplan.bounds import (
 from queryplan.exact import (
     EnumerationBudgetError,
     exact_error_table,
-    lattice_ascending,
+    lattice_bands,
     search_lattice,
 )
 from queryplan.experiments import random_instance
+from reference_lattice import lattice_ascending
 
 
 def per_plan_search(costs, cost_cap, accept, node_budget, prescreen=None):
@@ -169,3 +173,94 @@ def test_batched_search_matches_per_plan_search(
         budgets = [stop - 1, stop + 100]  # just below and above the outcome
     for budget in budgets:
         assert_same_search(accept, costs, cost_cap, budget, **kwargs)
+
+
+def left_fold(costs, counts):
+    """A plan's cost as both walks add it: costs[m] r_m times, in order."""
+    cost = 0.0
+    for c, r in zip(costs, counts):
+        for _ in range(r):
+            cost += c
+    return cost
+
+
+# Plans a walk-order example compares; longer walks compare their prefix.
+ORDER_LIMIT = 3000
+
+WALK_COSTS = st.one_of(
+    st.integers(1, 30).map(lambda k: k / 10),  # multiples of 0.1: ties
+    st.just(1.0),  # equal costs: large tie classes
+    st.floats(1e-3, 1e3),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    costs=st.lists(WALK_COSTS, min_size=1, max_size=5),
+    cheap_last=st.booleans(),
+    cap_kind=st.sampled_from(["below 0", "0", "below cheapest", "inf", "finite"]),
+    scale=st.floats(0.0, 1.0),
+)
+def test_banded_walk_yields_the_heap_sequence(costs, cheap_last, cap_kind, scale):
+    if cheap_last:
+        costs = costs + [min(costs) / 50]
+    cheapest = min(costs)
+    cost_cap = {
+        "below 0": -1.0 - scale,
+        "0": 0.0,
+        "below cheapest": scale * cheapest * 0.99,
+        "inf": math.inf,
+        "finite": scale * 12 * max(costs),
+    }[cap_kind]
+    walk = lattice_ascending(costs, cost_cap)
+    heap = [counts for _, counts in itertools.islice(walk, ORDER_LIMIT)]
+    walked = []
+    edges = []
+    for band in lattice_bands(costs, cost_cap):
+        assert band.dtype == np.int64 and band.shape[1] == len(costs) and len(band)
+        edges.append((tuple(band[0].tolist()), tuple(band[-1].tolist())))
+        walked.extend(tuple(row) for row in band.tolist())
+        if len(walked) >= ORDER_LIMIT:
+            break
+    assert walked[:ORDER_LIMIT] == heap
+    if cap_kind in ("below 0", "0", "below cheapest"):
+        assert walked == [(0,) * len(costs)]
+    # ties never split across bands: each band costs more than the last
+    for (_, last), (first, _) in zip(edges, edges[1:]):
+        assert left_fold(costs, last) < left_fold(costs, first)
+
+
+def test_banded_walk_continues_runs_past_float_drift():
+    # thousands of adds of one cheap cost fold to less than start + j * c,
+    # so the columns sized from the band's width can end short of its edge
+    costs, cost_cap = (0.0005987520159159514,), 8.723571011758693
+    bands = lattice_bands(costs, cost_cap)
+    banded = [tuple(row) for band in bands for row in band.tolist()]
+    assert banded == [counts for _, counts in lattice_ascending(costs, cost_cap)]
+
+
+# The guarantee pool's largest search: its costs, its cap and its length.
+GUARANTEE_COSTS = (0.9405343761003392, 0.7228358286865199, 0.889838117171245)
+GUARANTEE_CAP = 150.63929099552814
+GUARANTEE_PLANS = 47_932
+
+# tracemalloc peak of lattice_bands over that search: 317-324 KB on numpy
+# 2.4 when this bound was set, which leaves about a fifth for headroom. The
+# heap walk's peak read 372 KB in a fresh process (less once tuple free
+# lists are warm, so it is no fixed yardstick); bands of up to 16,384
+# plans read 1.6 MB.
+WALK_PEAK_BYTES = 400_000
+
+
+def test_walk_footprint_is_bounded():
+    tracemalloc.start()
+    try:
+        walked = 0
+        for band in lattice_bands(GUARANTEE_COSTS, GUARANTEE_CAP):
+            walked += len(band)
+            if walked >= GUARANTEE_PLANS:
+                break
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WALK_PEAK_BYTES
