@@ -12,17 +12,17 @@ which is therefore a minimum-cost one. The walk, lattice_bands, yields
 that order as sorted integer arrays, one per cost band [lo, hi): for each
 prefix of counts it keeps the next count of the last model and its cost,
 so a band costs a few numpy calls however many plans it holds. The
-search, search_lattice, is shared with the planner: it cuts the bands into
-batches of growing size, rules out most of a batch with one matrix product
-of pair bounds, and hands the survivors in walk order to a caller's
-acceptance check. For the surrogate problem the bounds are the
-optimistic ones of bounds.TangentTable, and the check is the surrogate
-check of is_surrogate_feasible behind the same table's per-plan reject; the
-planner's window certificate uses the same table. For the true problem the
-bound is bounds.BhattacharyyaScreen, a lower bound on each label pair's
-Bayes error, and the check is exact errors. One profile-mass loop serves
-every exact error, and each public entry builds every (model, count)
-profile block once per call and reuses it across labels and plans.
+search, search_lattice, is shared with the planner: it rules out most of
+each band with one matrix product of pair bounds and hands the survivors
+in walk order to a caller's acceptance check. For the surrogate problem
+the bounds are the optimistic ones of bounds.TangentTable, and the check
+is the surrogate check of is_surrogate_feasible behind the same table's
+per-plan reject; the planner's window certificate uses the same table.
+For the true problem the bound is bounds.BhattacharyyaScreen, a lower
+bound on each label pair's Bayes error, and the check is exact errors.
+One profile-mass loop serves every exact error, and each public entry
+builds every (model, count) profile block once per call and reuses it
+across labels and plans.
 """
 
 from __future__ import annotations
@@ -296,11 +296,10 @@ def exact_error_table(
 
 
 # Plans per band of the walk. A band costs a few dozen numpy calls almost
-# whatever its size, so the first band covers the first three prescreen
-# batches (448 plans), within which two thirds of the benchmark pools'
-# searches accept. Later bands double up to _BAND_MAX, which bounds the
-# walk's working set. Every band scans all live prefixes, so a band also
-# holds at least 1/_BAND_SHARE of them.
+# whatever its size, so the first band holds 448 plans, within which two
+# thirds of the benchmark pools' searches accept. Later bands double up to
+# _BAND_MAX, which bounds the walk's working set. Every band scans all live
+# prefixes, so a band also holds at least 1/_BAND_SHARE of them.
 _BAND_FIRST = 448
 _BAND_MAX = 2048
 _BAND_SHARE = 4
@@ -416,37 +415,11 @@ def lattice_bands(costs: Sequence[float], cost_cap: float) -> Iterator[np.ndarra
         hi *= (1 + target / walked) ** (1 / K)
 
 
-# Plans taken from the lattice per prescreen batch. Many searches accept
-# within a few dozen plans, so the first batch is small; doubling it lets
-# long searches prescreen thousands of plans per numpy call.
-_BATCH_FIRST = 64
-_BATCH_MAX = 8192
-
-
-def _batches(bands: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The walk's plans re-cut into batches of _BATCH_FIRST plans, doubling
-    up to _BATCH_MAX, whatever the bands' sizes."""
-    size = _BATCH_FIRST
-    held: list[np.ndarray] = []
-    n_held = 0
-    for band in bands:
-        held.append(band)
-        n_held += len(band)
-        while n_held >= size:
-            plans = held[0] if len(held) == 1 else np.concatenate(held)
-            yield plans[:size]
-            held = [plans[size:]]
-            n_held -= size
-            size = min(2 * size, _BATCH_MAX)
-    if n_held:
-        yield np.concatenate(held)
-
-
 _T = TypeVar("_T")
 
 
 class BatchScreen(Protocol):
-    """What search_lattice prescreens batches with: TangentTable, the
+    """What search_lattice prescreens each band with: TangentTable, the
     planner's certifier, or BhattacharyyaScreen."""
 
     def passes(self, plans: np.ndarray) -> np.ndarray:
@@ -459,7 +432,7 @@ def search_lattice(
     cost_cap: float,
     accept: Callable[[tuple[int, ...]], _T | None],
     node_budget: int,
-    prescreen: BatchScreen | None = None,
+    prescreen: BatchScreen,
 ) -> tuple[tuple[int, ...], _T, int] | None:
     """The first plan, in lattice_bands order, that the prescreen keeps and
     that ``accept`` maps to a result other than None.
@@ -467,28 +440,23 @@ def search_lattice(
     Returns (counts, result, enumerated), with enumerated the plan's
     1-based position in the walk, or None if the capped lattice runs out.
     Raises EnumerationBudgetError on reaching position node_budget + 1
-    without an accepted plan. The walk's cost bands are re-cut into
-    prescreen batches of 64 plans, doubling up to 8192, and only the
-    batch's survivors become tuples; ``accept`` sees them one at a time in
-    walk order and never a plan past the budget, so the result, the budget
+    without an accepted plan. Each cost band the walk yields is one
+    prescreen batch, and only its survivors become tuples; ``accept`` sees
+    them one at a time in walk order and never a plan past the budget. The
+    prescreen's mask is computed row by row, so the result, the budget
     behaviour and the sequence of accept calls are those of checking one
-    plan at a time.
+    plan at a time, wherever the bands are cut.
     """
     enumerated = 0
-    for batch in _batches(lattice_bands(costs, cost_cap)):
-        if prescreen is None:
-            survivors = range(len(batch))
-        else:
-            kept = prescreen.passes(batch.astype(float))
-            survivors = np.flatnonzero(kept).tolist()
-        for i in survivors:
+    for band in lattice_bands(costs, cost_cap):
+        for i in np.flatnonzero(prescreen.passes(band.astype(float))).tolist():
             if enumerated + i + 1 > node_budget:
                 break
-            counts = tuple(batch[i].tolist())
+            counts = tuple(band[i].tolist())
             result = accept(counts)
             if result is not None:
                 return counts, result, enumerated + i + 1
-        enumerated += len(batch)
+        enumerated += len(band)
         if enumerated > node_budget:
             raise EnumerationBudgetError(
                 f"search enumerated more than {node_budget} plans"

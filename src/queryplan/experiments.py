@@ -164,8 +164,14 @@ def guarantee_sweep(
     ``n_instances`` admit an exact surrogate optimum within
     GUARANTEE_NODE_BUDGET lattice nodes (others are skipped), then runs
     the scheme at each epsilon and records cost, ratio, and whether the
-    (1+eps) factor held. Deterministic for a given seed.
+    (1+eps) factor held. Deterministic for a given seed. Raises ValueError
+    unless 0 < alpha < 1, alpha being every label's tolerance.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(
+            f"alpha sets every label's tolerance, and tolerances must lie in "
+            f"(0, 1), got {alpha!r}"
+        )
     rng = np.random.default_rng(seed)
     rows = []
     accepted = 0

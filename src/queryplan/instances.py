@@ -474,6 +474,13 @@ def read_calibration_log(path: str) -> list[tuple[str, str, str]]:
     return records
 
 
+def _require_distinct(values: list[str], field: str) -> None:
+    """A ValueError naming the field and its repeated values, if any."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{field} must be distinct, repeated: {repeated}")
+
+
 def calibrate(
     records: Iterable[tuple[str, str, str]],
     smoothing: float = 1.0,
@@ -487,8 +494,8 @@ def calibrate(
     positive rows even for unseen symbols. Labels and per-model alphabets may
     be declared explicitly; otherwise they are inferred (sorted) from the
     log. A record mentioning an undeclared label or symbol is an error, as is
-    a declared model with no records and no declared alphabet to size its
-    rows by.
+    a label or a model's symbol declared twice, and a declared model with no
+    records and no declared alphabet to size its rows by.
 
     Returns an instance fragment: ``{"labels": [...], "models": [...]}``
     where each model entry carries ``name``, ``alphabet`` and ``conditional``
@@ -502,11 +509,14 @@ def calibrate(
     alphabets = {k: [str(s) for s in v] for k, v in (alphabets or {}).items()}
     if not records and not alphabets:
         raise ValueError("no records and no declared alphabets")
+    for name, alphabet in alphabets.items():
+        _require_distinct(alphabet, f"model {name!r}: declared symbols")
 
     if labels is None:
         label_list = sorted({r[1] for r in records})
     else:
         label_list = [str(y) for y in labels]
+        _require_distinct(label_list, "declared labels")
         unknown = {r[1] for r in records} - set(label_list)
         if unknown:
             raise ValueError(f"log mentions undeclared labels: {sorted(unknown)}")

@@ -95,8 +95,13 @@ class SetCoverInstance:
                 raise ValueError(f"set {i} is empty")
             if not s <= universe:
                 raise ValueError(f"set {i} has elements outside the universe")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+        for i, w in enumerate(weights):
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(
+                    f"weights[{i}] must be finite and positive, got {w!r}"
+                )
+        if self.budget is not None and not math.isfinite(self.budget):
+            raise ValueError(f"budget must be finite, got {self.budget!r}")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", weights)
 
@@ -203,8 +208,10 @@ def reduce(
         raise ValueError("eta must be a small positive softener")
     if delta_prime is None:
         delta_prime = DELTA_PRIME_FRACTION * min(sc.weights)
-    if delta_prime <= 0:
-        raise ValueError("delta_prime must be positive")
+    if not (math.isfinite(delta_prime) and delta_prime > 0):
+        raise ValueError(
+            f"delta_prime must be finite and positive, got {delta_prime!r}"
+        )
     n = sc.n
     labels = tuple(str(i) for i in range(n + 1))
     prior = np.array([0.5] + [0.5 / n] * n)

@@ -243,12 +243,37 @@ def test_exact_rejects_malformed_plan(bsc_path, capsys):
             "smoothing",
             id="smoothing-inf",
         ),
+        pytest.param(
+            ["calibrate", "--log", "{log}", "--labels", "1,1,2"],
+            "declared labels must be distinct",
+            id="labels-repeated",
+        ),
+        pytest.param(
+            ["sweep-guarantee", "--seed", "1", "--alpha", "1.5"],
+            "alpha",
+            id="guarantee-alpha-above-1",
+        ),
+        pytest.param(
+            [
+                "reduce-setcover",
+                "--sets",
+                "{sets}",
+                "--epsilon",
+                "0.2",
+                "--delta-prime",
+                "nan",
+            ],
+            "delta_prime",
+            id="delta-prime-nan",
+        ),
     ],
 )
-def test_commands_reject_bad_values(bsc_path, tmp_path, capsys, argv, field):
+def test_commands_reject_bad_values(
+    bsc_path, sc3_path, tmp_path, capsys, argv, field
+):
     log = tmp_path / "log.csv"
     log.write_text("model,label,response\nm,1,a\nm,2,b\n")
-    code = main([a.format(bsc=bsc_path, log=log) for a in argv])
+    code = main([a.format(bsc=bsc_path, log=log, sets=sc3_path) for a in argv])
     assert code == 1
     assert field in one_error_line(capsys)
 
@@ -380,10 +405,34 @@ def test_commands_reject_malformed_instance_files(
             id="sets-unknown-key",
         ),
         pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--sets"],
+            {"n": 2, "sets": [[1, 2]], "weights": [float("nan")]},
+            "weights[0] must be finite and positive",
+            id="sets-weight-nan",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2", "--sets"],
+            {"n": 2, "sets": [[1, 2]], "weights": [1], "budget": float("inf")},
+            "budget must be finite",
+            id="sets-budget-inf",
+        ),
+        pytest.param(
             ["calibrate", "--log", "{log}", "--alphabets"],
             [["a", "b"]],
             "--alphabets must hold a JSON object",
             id="alphabets-array",
+        ),
+        pytest.param(
+            ["calibrate", "--log", "{log}", "--alphabets"],
+            {"m": ["a", "a", "b"]},
+            "model 'm': declared symbols must be distinct",
+            id="alphabets-repeated-symbol",
+        ),
+        pytest.param(
+            ["calibrate", "--log", "{log}", "--alphabets"],
+            {"m": ["a", "b", None, {"k": 1}]},
+            "--alphabets symbols of model 'm' must be strings",
+            id="alphabets-non-string-symbol",
         ),
     ],
 )

@@ -69,6 +69,12 @@ def test_guarantee_sweep_tiny_run():
     assert again == rows
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+def test_guarantee_sweep_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        guarantee_sweep(seed=11, n_instances=1, epsilons=(0.5,), alpha=alpha)
+
+
 def test_greedy_baseline_meets_tolerances_on_reference(bsc):
     result = greedy_baseline(bsc)
     assert result.plan.counts == (6,)

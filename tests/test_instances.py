@@ -367,6 +367,18 @@ def test_calibrate_rejects_undeclared_names():
         calibrate([("m", "1", "a")], smoothing=-1.0)
 
 
+def test_calibrate_rejects_repeated_labels():
+    # a repeated label would leave one of its rows with smoothing only
+    with pytest.raises(ValueError, match=r"declared labels .* \['1'\]"):
+        calibrate([("m", "1", "a"), ("m", "2", "b")], labels=["1", "1", "2"])
+
+
+def test_calibrate_rejects_repeated_symbols():
+    # a repeated symbol would leave its first column without counts
+    with pytest.raises(ValueError, match=r"model 'm': declared symbols .* \['a'\]"):
+        calibrate([("m", "1", "a")], alphabets={"m": ["a", "a", "b"]})
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n_labels=st.integers(2, 3),

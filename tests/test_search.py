@@ -1,10 +1,11 @@
 """The batched cost-ordered search against a one-plan-at-a-time reference.
 
-search_lattice prescreens plans in batches but must behave exactly like
-the loop below, which both solvers ran before: the same plan, result and
-enumerated count, the same accept calls in the same order, and the same
-budget error at the same plan. Its banded numpy walk, lattice_bands, must
-yield the reference heap walk's plans in the same order, in bounded memory.
+search_lattice prescreens plans a cost band at a time but must behave
+exactly like the loop below, which both solvers ran before: the same plan,
+result and enumerated count, the same accept calls in the same order, and
+the same budget error at the same plan. Its banded numpy walk,
+lattice_bands, must yield the reference heap walk's plans in the same
+order, in bounded memory.
 """
 
 from __future__ import annotations
@@ -35,7 +36,17 @@ from queryplan.experiments import random_instance
 from reference_lattice import lattice_ascending
 
 
-def per_plan_search(costs, cost_cap, accept, node_budget, prescreen=None):
+class KeepAll:
+    """A screen that keeps every plan, for an unscreened search."""
+
+    def passes(self, plans):
+        return np.ones(len(plans), dtype=bool)
+
+
+KEEP_ALL = KeepAll()
+
+
+def per_plan_search(costs, cost_cap, accept, node_budget, prescreen):
     """The reference: walk, budget check and prescreen one plan at a time."""
     enumerated = 0
     for _, counts in lattice_ascending(costs, cost_cap):
@@ -44,7 +55,7 @@ def per_plan_search(costs, cost_cap, accept, node_budget, prescreen=None):
             raise EnumerationBudgetError(
                 f"search enumerated more than {node_budget} plans"
             )
-        if prescreen is not None and not per_plan_keeps(prescreen, counts):
+        if not per_plan_keeps(prescreen, counts):
             continue
         result = accept(counts)
         if result is not None:
@@ -53,8 +64,10 @@ def per_plan_search(costs, cost_cap, accept, node_budget, prescreen=None):
 
 
 def per_plan_keeps(prescreen, counts):
-    """One plan through either screen, its bounds written out per pair."""
+    """One plan through any of the screens, its bounds written out per pair."""
     r = np.asarray(counts, dtype=float)
+    if prescreen is KEEP_ALL:
+        return True
     if isinstance(prescreen, TangentTable):
         lb = prescreen.min_amp * np.exp(-(prescreen.w_max @ r))
         return not (prescreen.label_mask @ lb > prescreen.alpha_cap).any()
@@ -66,7 +79,7 @@ def per_plan_keeps(prescreen, counts):
     return True
 
 
-def run_logged(search, accept, costs, cost_cap, node_budget, **kwargs):
+def run_logged(search, accept, costs, cost_cap, node_budget, prescreen):
     """(outcome, accept calls): the search's return value, or the message
     of its budget error, with every plan it handed to accept."""
     calls = []
@@ -76,31 +89,42 @@ def run_logged(search, accept, costs, cost_cap, node_budget, **kwargs):
         return accept(counts)
 
     try:
-        return search(costs, cost_cap, logged, node_budget, **kwargs), calls
+        return search(costs, cost_cap, logged, node_budget, prescreen), calls
     except EnumerationBudgetError as exc:
         return f"EnumerationBudgetError: {exc}", calls
 
 
-def assert_same_search(accept, *args, **kwargs):
+def assert_same_search(accept, costs, cost_cap, node_budget, prescreen=KEEP_ALL):
     """Runs the engine and the reference; returns their common outcome."""
-    got = run_logged(search_lattice, accept, *args, **kwargs)
-    assert got == run_logged(per_plan_search, accept, *args, **kwargs)
+    args = (costs, cost_cap, node_budget, prescreen)
+    got = run_logged(search_lattice, accept, *args)
+    assert got == run_logged(per_plan_search, accept, *args)
     return got[0]
 
 
-@pytest.mark.parametrize("position", [1, 2, 63, 64, 65, 192, 193, 500, 4000])
+# The walk the position test searches, and its first three band edges:
+# the last position of each band and the positions on either side of it.
+EDGE_COSTS, EDGE_CAP = (1.0, 1.5, 2.0), 60.0
+BAND_ENDS = list(
+    itertools.accumulate(
+        len(band) for band in itertools.islice(lattice_bands(EDGE_COSTS, EDGE_CAP), 3)
+    )
+)
+EDGE_POSITIONS = [end + side for end in BAND_ENDS for side in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("position", [1, 2, *EDGE_POSITIONS, 500, 4000])
 def test_accept_position_and_budget_across_batch_edges(position):
-    costs = (1.0, 1.5, 2.0)
-    walk = [counts for _, counts in lattice_ascending(costs, 60.0)]
+    walk = [counts for _, counts in lattice_ascending(EDGE_COSTS, EDGE_CAP)]
     target = walk[position - 1]
 
     def accept(counts):
         return sum(counts) if counts == target else None
 
-    found = assert_same_search(accept, costs, 60.0, position)
+    found = assert_same_search(accept, EDGE_COSTS, EDGE_CAP, position)
     assert found == (target, sum(target), position)
-    assert assert_same_search(accept, costs, 60.0, 10**6) == found
-    blown = assert_same_search(accept, costs, 60.0, position - 1)
+    assert assert_same_search(accept, EDGE_COSTS, EDGE_CAP, 10**6) == found
+    blown = assert_same_search(accept, EDGE_COSTS, EDGE_CAP, position - 1)
     message = f"search enumerated more than {position - 1} plans"
     assert blown == f"EnumerationBudgetError: {message}"
 
@@ -138,7 +162,7 @@ def test_batched_search_matches_per_plan_search(
     _, n_unif = uniform_feasible_count(inst)
     cost_cap = n_unif * float(sum(costs))
     if accept_kind == "residue-unscreened":
-        prescreen = None
+        prescreen = KEEP_ALL
     elif accept_kind == "true":
         prescreen = BhattacharyyaScreen(inst)
     else:
@@ -157,14 +181,13 @@ def test_batched_search_matches_per_plan_search(
             return all(e <= a for e, a in zip(errors, inst.tolerances)) or None
 
     else:
-        # an arbitrary accepted set, spread over batch edges
+        # an arbitrary accepted set, spread over band edges
         def accept(counts):
             key = sum(c * (7 + 3 * k) ** 2 for k, c in enumerate(counts))
             return key if key % 401 == residue else None
 
-    kwargs = {"prescreen": prescreen}
     limit = TRUE_WALK_LIMIT if accept_kind == "true" else WALK_LIMIT
-    found = assert_same_search(accept, costs, cost_cap, limit, **kwargs)
+    found = assert_same_search(accept, costs, cost_cap, limit, prescreen)
     if isinstance(found, str):
         budgets = [limit // 3]
     else:
@@ -172,7 +195,7 @@ def test_batched_search_matches_per_plan_search(
         stop = len(list(walk)) if found is None else found[2]
         budgets = [stop - 1, stop + 100]  # just below and above the outcome
     for budget in budgets:
-        assert_same_search(accept, costs, cost_cap, budget, **kwargs)
+        assert_same_search(accept, costs, cost_cap, budget, prescreen)
 
 
 def left_fold(costs, counts):
@@ -248,19 +271,34 @@ GUARANTEE_PLANS = 47_932
 # 2.4 when this bound was set, which leaves about a fifth for headroom. The
 # heap walk's peak read 372 KB in a fresh process (less once tuple free
 # lists are warm, so it is no fixed yardstick); bands of up to 16,384
-# plans read 1.6 MB.
+# plans read 1.6 MB. search_lattice over the same walk, screening every
+# band whole and accepting nothing, read 316-318 KB: the survivors of one
+# band at a time add nothing to the walk's own peak.
 WALK_PEAK_BYTES = 400_000
 
 
-def test_walk_footprint_is_bounded():
+def traced_peak(run):
+    """tracemalloc's peak, in bytes, over one call of run()."""
     tracemalloc.start()
     try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_footprint_is_bounded():
+    def walk():
         walked = 0
         for band in lattice_bands(GUARANTEE_COSTS, GUARANTEE_CAP):
             walked += len(band)
             if walked >= GUARANTEE_PLANS:
                 break
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= WALK_PEAK_BYTES
+
+    def search():
+        costs, cap = GUARANTEE_COSTS, GUARANTEE_CAP
+        with pytest.raises(EnumerationBudgetError):
+            search_lattice(costs, cap, lambda counts: None, GUARANTEE_PLANS, KEEP_ALL)
+
+    assert traced_peak(walk) <= WALK_PEAK_BYTES
+    assert traced_peak(search) <= WALK_PEAK_BYTES

@@ -34,6 +34,17 @@ def test_setcover_validation():
         SetCoverInstance(n=2, sets=(frozenset({1, 2}),), weights=(0.0,))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_setcover_rejects_non_finite_numbers(sc3, value):
+    weights = (value,) + sc3.weights[1:]
+    with pytest.raises(ValueError, match=r"weights\[0\] must be finite"):
+        SetCoverInstance(n=sc3.n, sets=sc3.sets, weights=weights)
+    with pytest.raises(ValueError, match="budget must be finite"):
+        SetCoverInstance(n=sc3.n, sets=sc3.sets, weights=sc3.weights, budget=value)
+    with pytest.raises(ValueError, match="delta_prime must be finite"):
+        reduce(sc3, EPS, delta_prime=value)
+
+
 def test_covers(sc3):
     assert sc3.covers((2,))
     assert sc3.covers((0, 1))
