@@ -35,14 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .instances import (
-    Instance,
-    QueryPlan,
-    _indistinguishable,
-    _label_pair,
-    as_plan,
-    require_finite,
-)
+from .instances import Instance, QueryPlan, _indistinguishable, _label_pair, as_plan
 
 # Interval width at which golden-section search stops.
 GSS_TOL = 1e-6
@@ -118,9 +111,7 @@ class PairTables:
 def log_affinity(
     instance: Instance, m: int | str, y: int | str, y_other: int | str, s: float
 ) -> float:
-    """log of the affinity factor M(s) for one model and one label pair.
-    Raises ValueError on non-finite input (see require_finite)."""
-    require_finite(instance)
+    """log of the affinity factor M(s) for one model and one label pair."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"tilt s must lie in [0, 1], got {s!r}")
     mi = instance.model_index(m)
@@ -141,9 +132,7 @@ def pairwise_proxy_log(
     y_other: int | str,
     s: float,
 ) -> float:
-    """log of the tilted pair bound: s*log(prior ratio) + sum_m r_m log M_m(s).
-    Raises ValueError on non-finite input (see require_finite)."""
-    require_finite(instance)
+    """log of the tilted pair bound: s*log(prior ratio) + sum_m r_m log M_m(s)."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"tilt s must lie in [0, 1], got {s!r}")
     counts = as_plan(plan, instance).as_array().astype(float)
@@ -211,9 +200,7 @@ def optimize_tilt(
     The objective s -> s*log(prior ratio) + sum_m r_m log M_m(s) is convex;
     the returned value is an upper bound on the true minimum (never an
     underestimate), so downstream feasibility claims stay conservative.
-    Raises ValueError on non-finite input (see require_finite).
     """
-    require_finite(instance)
     plan = as_plan(plan, instance)
     yi, yj = _label_pair(instance, y, y_other)
     return _pair_tilt(PairTables(instance, yi, yj), plan.as_array().astype(float))
@@ -372,9 +359,7 @@ def pair_contraction(
     """Best joint contraction for a pair when every model is queried once.
 
     Returns (s*, min_s sum_m log M_m(s)); the prior plays no role here.
-    Raises ValueError on non-finite input (see require_finite).
     """
-    require_finite(instance)
     yi, yj = _label_pair(instance, y, y_other)
     tables = PairTables(instance, yi, yj)
 
@@ -391,9 +376,8 @@ def max_pair_weights(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     weight -log M_m(s) over all tilts for ordered pair p, and min_amp[p] =
     min(1, prior ratio) lower-bounds the tilted prior factor, so for any
     plan r pair p's proxy is at least min_amp[p] * exp(-r . w_max[p]) at
-    every tilt. Raises ValueError on non-finite input (see require_finite).
+    every tilt.
     """
-    require_finite(instance)
     table = TangentTable(instance)
     return table.w_max, table.min_amp
 
@@ -414,26 +398,14 @@ def instance_contraction(instance: Instance) -> float:
     return worst
 
 
-def _positive_tolerance(instance: Instance) -> float:
-    """The least tolerance; raises ValueError unless it is positive, as no
-    plan meets a tolerance <= 0."""
-    alpha_min = float(instance.tolerances.min())
-    if not alpha_min > 0.0:
-        raise ValueError(f"tolerances must be positive, got {alpha_min!r}")
-    return alpha_min
-
-
 def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
     """Rounds of one-query-per-model that certify every tolerance.
 
     Returns (rho, n) where querying every model n times yields surrogate
     error at most min_y alpha_y for every label. Raises if some pair is
-    indistinguishable (rho would be 1 and no finite n exists), if some
-    tolerance is not positive (no n exists), and on non-finite input (see
-    require_finite).
+    indistinguishable (rho would be 1 and no finite n exists).
     """
-    require_finite(instance)
-    alpha_min = _positive_tolerance(instance)
+    alpha_min = float(instance.tolerances.min())
     rho = instance_contraction(instance)
     if rho >= 1.0:
         raise ValueError(
@@ -452,9 +424,7 @@ def surrogate_error(
     y: int | str,
 ) -> float:
     """Surrogate statewise error for label y: the sum over competitors of
-    the per-pair proxy at its optimal tilt. Raises ValueError on non-finite
-    input (see require_finite)."""
-    require_finite(instance)
+    the per-pair proxy at its optimal tilt."""
     counts = as_plan(plan, instance).as_array().astype(float)
     return _surrogate_check(instance)(counts, instance.label_index(y))[1]
 
@@ -498,10 +468,7 @@ def is_surrogate_feasible(
 
     Because the surrogate dominates the exact error, a feasible report is a
     proof of true feasibility; an infeasible report is only inconclusive.
-    Raises ValueError if the prior, a tolerance, a conditional or a cost is
-    NaN or infinite.
     """
-    require_finite(instance)
     counts = as_plan(plan, instance).as_array().astype(float)
     check = _surrogate_check(instance)
     names = instance.labels

@@ -20,7 +20,6 @@ from .exact import exact_error_table, exact_opt
 from .instances import (
     SCHEMA_VERSION,
     Instance,
-    _expect,
     calibrate,
     instance_to_dict,
     load_instance,
@@ -90,9 +89,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             isinstance(v, list) for v in alphabets.values()
         ):
             raise ValueError("--alphabets must hold a JSON object {model: [symbols]}")
-        for name, symbols in alphabets.items():
-            for x in symbols:
-                _expect(x, str, f"--alphabets symbols of model {name!r}", "strings")
     fragment = calibrate(
         records, smoothing=args.smoothing, labels=labels, alphabets=alphabets
     )

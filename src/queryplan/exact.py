@@ -40,14 +40,7 @@ from .bounds import (
     _surrogate_check,
     uniform_feasible_count,
 )
-from .instances import (
-    Instance,
-    QueryPlan,
-    _label_pair,
-    as_plan,
-    plan_cost,
-    require_finite,
-)
+from .instances import Instance, QueryPlan, _label_pair, as_plan, plan_cost
 from .likelihood import _error_mask
 
 # A log-likelihood difference this close to zero is counted as favoring the
@@ -220,10 +213,8 @@ def exact_pairwise(
     """Exact probability, under label y, that the observations weigh at
     least as heavily toward y_other (log-posterior difference >= 0).
 
-    This is the quantity the per-pair tilted proxy upper-bounds. Raises
-    ValueError on non-finite input (see require_finite).
+    This is the quantity the per-pair tilted proxy upper-bounds.
     """
-    require_finite(instance)
     plan = as_plan(plan, instance)
     yi, yj = _label_pair(instance, y, y_other)
     return _profile_mass(
@@ -243,10 +234,8 @@ def exact_error(
     tie_policy: str = "lowest-index",
     budget: int = PROFILE_BUDGET,
 ) -> float:
-    """Exact statewise MAP error for label y under the chosen tie policy.
-    Raises ValueError on non-finite input (see require_finite)."""
+    """Exact statewise MAP error for label y under the chosen tie policy."""
     wrong = _error_mask(tie_policy)
-    require_finite(instance)
     plan = as_plan(plan, instance)
     return _profile_mass(instance, plan, instance.label_index(y), wrong, budget, {})
 
@@ -275,7 +264,6 @@ def exact_error_table(
     budget: int = PROFILE_BUDGET,
 ) -> ExactErrorResult:
     wrong = _error_mask(tie_policy)
-    require_finite(instance)
     plan = as_plan(plan, instance)
     cache: _BlockCache = {}
     errors = tuple(
@@ -507,10 +495,8 @@ def exact_opt(
     certifying round count, which is always surrogate-feasible (and hence
     true-feasible).
 
-    Raises ValueError if the prior, a tolerance, a conditional or a cost is
-    NaN or infinite, or if the prior, a conditional or a cost is <= 0 (see
-    require_finite), InfeasibleWithinCapError if the capped lattice holds
-    no feasible plan, and EnumerationBudgetError if the search walks more
+    Raises InfeasibleWithinCapError if the capped lattice holds no feasible
+    plan, and EnumerationBudgetError if the search walks more
     than node_budget plans or an exact error evaluation would exceed
     profile_budget. A plan the screen rules out is never evaluated, so it
     cannot exceed profile_budget.
@@ -520,7 +506,6 @@ def exact_opt(
     if cost_cap is not None and math.isnan(cost_cap):
         raise ValueError("cost_cap is NaN")
     wrong = _error_mask(tie_policy)
-    require_finite(instance)
     costs = [m.cost for m in instance.models]
     if cost_cap is None:
         _, n_unif = uniform_feasible_count(instance)

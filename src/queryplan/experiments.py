@@ -18,12 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _positive_tolerance, _surrogate_check
+from .bounds import _surrogate_check
 from .exact import (
     EnumerationBudgetError,
     exact_opt,
 )
-from .instances import Instance, ModelSpec, QueryPlan, plan_cost, require_finite
+from .instances import Instance, ModelSpec, QueryPlan, plan_cost
 from .planner import derive_constants, run_afptas
 
 # random_instance's family: the floor on every conditional entry before
@@ -121,6 +121,17 @@ def write_rows(path: str, rows: Sequence[dict], fields: Sequence[str]) -> None:
             writer.writerow({k: row[k] for k in fields})
 
 
+def _sweep_alpha(alpha: float) -> float:
+    """alpha as a float; raises ValueError unless 0 < alpha < 1, as a sweep
+    sets every label's tolerance to it."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(
+            f"alpha sets every label's tolerance, and tolerances must lie in "
+            f"(0, 1), got {alpha!r}"
+        )
+    return float(alpha)
+
+
 def tightness_sweep(
     instance: Instance,
     alphas: Sequence[float],
@@ -130,11 +141,13 @@ def tightness_sweep(
 
     Every label's tolerance is set to the same alpha at each sweep point.
     The ratio surrogate_opt / opt is at least 1 and should drift toward 1
-    as alpha shrinks, reflecting the bound's asymptotic tightness.
+    as alpha shrinks, reflecting the bound's asymptotic tightness. Raises
+    ValueError unless every alpha lies in (0, 1).
     """
+    alphas = [_sweep_alpha(alpha) for alpha in alphas]
     rows = []
     for alpha in alphas:
-        inst = instance.with_tolerances(np.full(instance.n_labels, float(alpha)))
+        inst = instance.with_tolerances(np.full(instance.n_labels, alpha))
         opt = exact_opt(inst, problem="true", tie_policy=tie_policy)
         sur = exact_opt(inst, problem="surrogate")
         if opt.cost > 0:
@@ -143,7 +156,7 @@ def tightness_sweep(
             ratio = 1.0 if sur.cost == 0 else math.inf
         rows.append(
             {
-                "alpha_min": float(alpha),
+                "alpha_min": alpha,
                 "opt": opt.cost,
                 "surrogate_opt": sur.cost,
                 "ratio": ratio,
@@ -167,11 +180,7 @@ def guarantee_sweep(
     (1+eps) factor held. Deterministic for a given seed. Raises ValueError
     unless 0 < alpha < 1, alpha being every label's tolerance.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(
-            f"alpha sets every label's tolerance, and tolerances must lie in "
-            f"(0, 1), got {alpha!r}"
-        )
+    alpha = _sweep_alpha(alpha)
     rng = np.random.default_rng(seed)
     rows = []
     accepted = 0
@@ -228,8 +237,6 @@ def greedy_baseline(instance: Instance, max_steps: int | None = None) -> GreedyR
     lower model index. Useful as a foil: cheap queries with modest evidence
     can dominate each myopic step yet lose to a pricier model overall.
     """
-    require_finite(instance)
-    _positive_tolerance(instance)
     if max_steps is None:
         max_steps = derive_constants(instance, 1.0).n_max
     check = _surrogate_check(instance)

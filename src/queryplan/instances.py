@@ -33,6 +33,8 @@ class ModelSpec:
 
     ``conditional[i, j]`` is the probability of emitting ``alphabet[j]``
     when the true label has index ``i`` (rows follow instance label order).
+    Every conditional entry and the cost must be finite and positive; the
+    constructor raises ValueError naming the field otherwise.
     """
 
     name: str
@@ -51,13 +53,19 @@ class ModelSpec:
                 f"model {self.name!r}: conditional has {cond.shape[1]} columns "
                 f"but alphabet has {len(alphabet)} symbols"
             )
+        cost = float(self.cost)
+        if not (0.0 < cost < math.inf and _finite_positive(cond)):
+            named = {
+                f"model {self.name!r} conditional": cond,
+                f"model {self.name!r} cost": cost,
+            }
+            _name_bad_values(named, named)
         cond.setflags(write=False)
-        with np.errstate(divide="ignore"):
-            logc = np.log(cond)
+        logc = np.log(cond)
         logc.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "conditional", cond)
-        object.__setattr__(self, "cost", float(self.cost))
+        object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "log_conditional", logc)
 
     @property
@@ -73,6 +81,24 @@ class ModelSpec:
             ) from None
 
 
+def _finite_positive(values: np.ndarray) -> bool:
+    """Whether every entry is finite and > 0 (NaN is neither). A Python
+    loop: these arrays are small, and numpy's per-call cost would dominate
+    building an instance."""
+    return all(0.0 < x < math.inf for x in values.ravel().tolist())
+
+
+def _name_bad_values(finite: Mapping, positive: Mapping) -> None:
+    """Raises ValueError naming every field of finite that holds NaN or an
+    infinity, or failing that every field of positive that holds a value <= 0."""
+    bad = [name for name, v in finite.items() if not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"non-finite value (NaN or inf) in {', '.join(bad)}")
+    bad = [name for name, v in positive.items() if np.any(v <= 0)]
+    if bad:
+        raise ValueError(f"non-positive value in {', '.join(bad)}")
+
+
 def _indistinguishable(model: ModelSpec, i: int, j: int) -> bool:
     """Whether the model's rows for labels i and j differ by no more than
     IDENTIFIABILITY_TOL anywhere, so its answers carry no evidence between
@@ -86,7 +112,10 @@ class Instance:
     """An immutable classification problem.
 
     ``prior[i]`` and ``tolerances[i]`` refer to ``labels[i]``. Every model's
-    conditional matrix must have one row per label, in label order.
+    conditional matrix must have one row per label, in label order. Every
+    prior entry and tolerance must be finite and positive; the constructor
+    raises ValueError naming the field otherwise. The solvers take logs of
+    these values and rely on this instead of checking each call.
     """
 
     labels: tuple[str, ...]
@@ -114,6 +143,9 @@ class Instance:
                 )
         if len({m.name for m in models}) != len(models):
             raise ValueError("model names must be distinct")
+        if not (_finite_positive(prior) and _finite_positive(tol)):
+            _name_bad_values({"prior": prior, "tolerances": tol}, {"prior": prior})
+            raise ValueError(f"tolerances must be positive, got {float(tol.min())!r}")
         prior.setflags(write=False)
         tol.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -124,8 +156,7 @@ class Instance:
         object.__setattr__(
             self, "_model_pos", {m.name: i for i, m in enumerate(models)}
         )
-        with np.errstate(divide="ignore"):
-            logp = np.log(prior)
+        logp = np.log(prior)
         logp.setflags(write=False)
         object.__setattr__(self, "log_prior", logp)
 
@@ -214,30 +245,26 @@ class Validation:
 
 
 def validate(instance: Instance) -> Validation:
-    """Checks every domain requirement and reports all violations found.
+    """Checks the modelling rules the constructors leave open and reports
+    all violations found.
 
-    Requirements: a finite prior, tolerances, conditionals and costs, at
-    least two labels, strictly positive prior summing to one (within
-    1e-12), error tolerances strictly inside (0, 1), at least one model,
-    and for each model an alphabet of size >= 2, strictly positive
-    conditional entries, rows summing to one within 1e-12, and positive
-    cost.
+    The constructors already hold every prior entry, tolerance,
+    conditional entry and cost finite and positive. Rules checked here: at
+    least two labels, a prior summing to one (within 1e-12), tolerances
+    below 1, at least one model, and for each model an alphabet of at
+    least 2 distinct symbols and rows summing to one within 1e-12.
     Additionally every label pair must be distinguishable by some model.
     """
     v: list[str] = []
     L = instance.n_labels
     if L < 2:
         v.append(f"need at least 2 labels, got {L}")
-    if np.any(instance.prior <= 0):
-        v.append("prior entries must be strictly positive")
     s = float(instance.prior.sum())
     if abs(s - 1.0) > SUM_TOL:
         v.append(f"prior sums to {s!r}, off by more than {SUM_TOL}")
-    for y, a in zip(instance.labels, instance.tolerances):
-        if not 0.0 < a < 1.0:
+    for y, a in zip(instance.labels, instance.tolerances.tolist()):
+        if a >= 1.0:
             v.append(f"tolerance for label {y!r} is {a!r}, must lie in (0, 1)")
-    for name in nonfinite_fields(instance):
-        v.append(f"{name} holds NaN or inf")
     if instance.n_models == 0:
         v.append("instance has no models")
     for m in instance.models:
@@ -245,16 +272,12 @@ def validate(instance: Instance) -> Validation:
             v.append(f"model {m.name!r}: alphabet needs at least 2 symbols")
         if len(set(m.alphabet)) != m.n_symbols:
             v.append(f"model {m.name!r}: alphabet symbols must be distinct")
-        if np.any(m.conditional <= 0):
-            v.append(f"model {m.name!r}: conditional entries must be positive")
         bad = np.abs(m.conditional.sum(axis=1) - 1.0) > SUM_TOL
         for i in np.flatnonzero(bad):
             v.append(
                 f"model {m.name!r}: row for label {instance.labels[i]!r} sums to "
-                f"{m.conditional[i].sum()!r}"
+                f"{float(m.conditional[i].sum())!r}"
             )
-        if not m.cost > 0:
-            v.append(f"model {m.name!r}: cost must be positive, got {m.cost!r}")
     if instance.n_models > 0 and L >= 2:
         for i in range(L):
             for j in range(i + 1, L):
@@ -264,41 +287,6 @@ def validate(instance: Instance) -> Validation:
                         "are indistinguishable under every model"
                     )
     return Validation(ok=not v, violations=tuple(v))
-
-
-def nonfinite_fields(instance: Instance) -> list[str]:
-    """The fields of the instance that hold NaN or an infinity."""
-    named = (("prior", instance.prior), ("tolerances", instance.tolerances))
-    bad = [name for name, values in named if not np.isfinite(values).all()]
-    for m in instance.models:
-        if not np.isfinite(m.conditional).all():
-            bad.append(f"model {m.name!r} conditional")
-        if not math.isfinite(m.cost):
-            bad.append(f"model {m.name!r} cost")
-    return bad
-
-
-def require_finite(instance: Instance) -> None:
-    """Raises ValueError naming every field that holds NaN or an infinity,
-    and then the prior, every model conditional and every cost if it holds
-    a value <= 0.
-
-    The solvers compute with these values and their logs and do not run
-    validate, so such an entry would otherwise surface as an unrelated
-    error or a NaN-based answer.
-    """
-    bad = nonfinite_fields(instance)
-    if bad:
-        raise ValueError(f"non-finite value (NaN or inf) in {', '.join(bad)}")
-    if np.any(instance.prior <= 0):
-        bad.append("prior")
-    for m in instance.models:
-        if np.any(m.conditional <= 0):
-            bad.append(f"model {m.name!r} conditional")
-        if not m.cost > 0:
-            bad.append(f"model {m.name!r} cost")
-    if bad:
-        raise ValueError(f"non-positive value in {', '.join(bad)}")
 
 
 def _label_pair(
@@ -359,6 +347,12 @@ def _expect(value, kinds: type | tuple[type, ...], field: str, kind: str):
     return value
 
 
+def _strings(values, field: str) -> list[str]:
+    """values as a list if every entry is a string, else a ValueError naming
+    the first entry that is not."""
+    return [_expect(v, str, f"{field}[{i}]", "a string") for i, v in enumerate(values)]
+
+
 def _float_array(value, field: str) -> np.ndarray:
     try:
         return np.array(value, dtype=float)
@@ -377,10 +371,7 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
         if key not in data:
             raise ValueError(f"instance is missing required key {key!r}")
     array = (list, tuple)
-    labels = [
-        _expect(y, str, f"labels[{i}]", "a string")
-        for i, y in enumerate(_expect(data["labels"], array, "labels", "an array"))
-    ]
+    labels = _strings(_expect(data["labels"], array, "labels", "an array"), "labels")
     prior = _float_array(data["prior"], "prior")
     models = []
     for i, md in enumerate(_expect(data["models"], array, "models", "an array")):
@@ -394,8 +385,7 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
         name = _expect(md["name"], str, f"models[{i}].name", "a string")
         where = f"model {name!r}"
         alphabet = _expect(md["alphabet"], array, f"{where}: alphabet", "an array")
-        for j, a in enumerate(alphabet):
-            _expect(a, str, f"{where}: alphabet[{j}]", "a string")
+        alphabet = _strings(alphabet, f"{where}: alphabet")
         cost = _expect(md["cost"], (int, float), f"{where}: cost", "a number")
         cond = _float_array(md["conditional"], f"{where}: conditional")
         if cond.ndim != 2 or cond.shape[0] != len(labels):
@@ -494,8 +484,9 @@ def calibrate(
     positive rows even for unseen symbols. Labels and per-model alphabets may
     be declared explicitly; otherwise they are inferred (sorted) from the
     log. A record mentioning an undeclared label or symbol is an error, as is
-    a label or a model's symbol declared twice, and a declared model with no
-    records and no declared alphabet to size its rows by.
+    a declared label or symbol that is not a string, a label or a model's
+    symbol declared twice, and a declared model with no records and no
+    declared alphabet to size its rows by.
 
     Returns an instance fragment: ``{"labels": [...], "models": [...]}``
     where each model entry carries ``name``, ``alphabet`` and ``conditional``
@@ -506,7 +497,10 @@ def calibrate(
             f"smoothing must be finite and nonnegative, got {smoothing!r}"
         )
     records = list(records)
-    alphabets = {k: [str(s) for s in v] for k, v in (alphabets or {}).items()}
+    alphabets = {
+        name: _strings(symbols, f"model {name!r}: declared symbols")
+        for name, symbols in (alphabets or {}).items()
+    }
     if not records and not alphabets:
         raise ValueError("no records and no declared alphabets")
     for name, alphabet in alphabets.items():
@@ -515,7 +509,7 @@ def calibrate(
     if labels is None:
         label_list = sorted({r[1] for r in records})
     else:
-        label_list = [str(y) for y in labels]
+        label_list = _strings(labels, "declared labels")
         _require_distinct(label_list, "declared labels")
         unknown = {r[1] for r in records} - set(label_list)
         if unknown:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .instances import Instance, QueryPlan, _label_pair, as_plan, require_finite
+from .instances import Instance, QueryPlan, _label_pair, as_plan
 
 # Posterior log-scores within this absolute tolerance of the maximum are
 # treated as tied; keeps decisions stable under floating-point noise.
@@ -98,10 +98,7 @@ def log_posterior_scores(instance: Instance, obs: ObservationSet) -> np.ndarray:
     score(y) = log prior(y) + sum over models and symbols of
     count * log p(symbol | y). Differences of scores are exact
     log-posterior-odds; the common normalizer is irrelevant for MAP.
-    map_estimate and delta score through here, so all three raise
-    ValueError on non-finite input (see require_finite).
     """
-    require_finite(instance)
     check_observations(instance, obs)
     scores = instance.log_prior.copy()
     for m, c in zip(instance.models, obs.counts):

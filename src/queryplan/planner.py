@@ -55,13 +55,7 @@ from .bounds import (
     uniform_feasible_count,
 )
 from .exact import _compositions, exact_opt, search_lattice
-from .instances import (
-    Instance,
-    QueryPlan,
-    _indistinguishable,
-    plan_cost,
-    require_finite,
-)
+from .instances import Instance, QueryPlan, _indistinguishable, plan_cost
 
 MEMORY_BUDGET = 1 << 28
 SEARCH_NODE_BUDGET = 2_000_000
@@ -106,9 +100,7 @@ class DerivedConstants:
 
 
 def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
-    """Computes every discretization constant for the given accuracy target.
-    Raises ValueError on non-finite input (see require_finite)."""
-    require_finite(instance)
+    """Computes every discretization constant for the given accuracy target."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     L = instance.n_labels

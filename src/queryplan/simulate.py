@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import Instance, QueryPlan, as_plan, require_finite
+from .instances import Instance, QueryPlan, as_plan
 from .likelihood import _error_mask
 
 # Two-sided 95% normal quantile used for the Wilson interval.
@@ -63,15 +63,13 @@ def simulate_error(
     seed: int,
     tie_policy: str = "lowest-index",
 ) -> McEstimate:
-    """Estimates the statewise MAP error for label y over repeated trials.
-    Raises ValueError on non-finite input (see require_finite)."""
+    """Estimates the statewise MAP error for label y over repeated trials."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= seed < 2**64:
         # Philox keys are unsigned 64-bit words
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     wrong = _error_mask(tie_policy)
-    require_finite(instance)
     plan = as_plan(plan, instance)
     yi = instance.label_index(y)
     active = [(m, r) for m, r in zip(instance.models, plan.counts) if r > 0]

@@ -79,9 +79,8 @@ def test_validate_rejects_unnormalized_without_flag(tmp_path, capsys):
     assert payload["ok"] is True
 
 
-@pytest.fixture
-def zero_entry_path(tmp_path):
-    """Loads fine, but a zero conditional entry fails validation."""
+def instance_file(tmp_path, conditional, tolerances) -> str:
+    """Writes a one-model two-label instance file and returns its path."""
     data = {
         "schema_version": "1",
         "labels": ["1", "2"],
@@ -90,15 +89,27 @@ def zero_entry_path(tmp_path):
             {
                 "name": "m",
                 "alphabet": ["a", "b"],
-                "conditional": [[1.0, 0.0], [0.1, 0.9]],
+                "conditional": conditional,
                 "cost": 1.0,
             }
         ],
-        "tolerances": [0.05, 0.05],
+        "tolerances": tolerances,
     }
-    path = tmp_path / "zero.json"
+    path = tmp_path / "inst.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.fixture
+def tolerance_one_path(tmp_path):
+    """Loads fine, but a tolerance of 1 fails validation."""
+    return instance_file(tmp_path, [[0.9, 0.1], [0.1, 0.9]], [0.05, 1.0])
+
+
+@pytest.fixture
+def zero_entry_path(tmp_path):
+    """A zero conditional entry: the file fails to load."""
+    return instance_file(tmp_path, [[1.0, 0.0], [0.1, 0.9]], [0.05, 0.05])
 
 
 def one_error_line(capsys) -> str:
@@ -109,23 +120,31 @@ def one_error_line(capsys) -> str:
     return lines[0]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve", "--epsilon", "0.5"],
-        ["exact", "--plan", "[6]"],
-        ["simulate", "--plan", "[6]", "--label", "1", "--trials", "10", "--seed", "1"],
-        ["verify", "--plan", "[6]"],
-        ["sweep-tightness", "--alphas", "0.05"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_commands_reject_invalid_instance(zero_entry_path, capsys, argv):
-    code = main([argv[0], "--instance", zero_entry_path, *argv[1:]])
+INSTANCE_COMMANDS = [
+    ["solve", "--epsilon", "0.5"],
+    ["exact", "--plan", "[6]"],
+    ["simulate", "--plan", "[6]", "--label", "1", "--trials", "10", "--seed", "1"],
+    ["verify", "--plan", "[6]"],
+    ["sweep-tightness", "--alphas", "0.05"],
+]
+
+
+@pytest.mark.parametrize("argv", INSTANCE_COMMANDS, ids=lambda argv: argv[0])
+def test_commands_reject_invalid_instance(tolerance_one_path, capsys, argv):
+    code = main([argv[0], "--instance", tolerance_one_path, *argv[1:]])
     assert code == 1
     line = one_error_line(capsys)
     assert "invalid instance" in line
-    assert "conditional entries must be positive" in line
+    assert "tolerance for label '2' is 1.0, must lie in (0, 1)" in line
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], *INSTANCE_COMMANDS], ids=lambda argv: argv[0]
+)
+def test_commands_reject_zero_entry_at_load(zero_entry_path, capsys, argv):
+    code = main([argv[0], "--instance", zero_entry_path, *argv[1:]])
+    assert code == 1
+    assert "non-positive value in model 'm' conditional" in one_error_line(capsys)
 
 
 def test_simulate_rejects_out_of_range_seed(bsc_path, capsys):
@@ -222,6 +241,11 @@ def test_exact_rejects_malformed_plan(bsc_path, capsys):
             ["sweep-tightness", "--instance", "{bsc}", "--alphas", "-0.1"],
             "tolerances",
             id="tightness-alpha-negative",
+        ),
+        pytest.param(
+            ["sweep-tightness", "--instance", "{bsc}", "--alphas", "1.5"],
+            "alpha sets every label's tolerance",
+            id="tightness-alpha-above-1",
         ),
         pytest.param(
             ["sweep-guarantee", "--seed", "1", "--alpha", "0"],
@@ -431,7 +455,7 @@ def test_commands_reject_malformed_instance_files(
         pytest.param(
             ["calibrate", "--log", "{log}", "--alphabets"],
             {"m": ["a", "b", None, {"k": 1}]},
-            "--alphabets symbols of model 'm' must be strings",
+            "model 'm': declared symbols[2] must be a string, got NoneType",
             id="alphabets-non-string-symbol",
         ),
     ],

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,18 +115,18 @@ def test_validate_reports_every_violation():
         labels=("1", "2"),
         prior=np.array([0.7, 0.5]),  # sums to 1.2
         models=(
-            ModelSpec("m", ("a", "a"), np.array([[0.9, 0.2], [0.1, 0.9]]), -1.0),
+            ModelSpec("m", ("a", "a"), np.array([[0.9, 0.2], [0.1, 0.9]]), 1.0),
         ),
-        tolerances=np.array([0.0, 1.5]),
+        tolerances=np.array([0.05, 1.5]),
     )
     result = validate(inst)
     assert not result.ok
-    text = " ".join(result.violations)
-    assert "prior sums to" in text
-    assert "tolerance" in text
-    assert "distinct" in text
-    assert "sums to" in text
-    assert "cost" in text
+    assert result.violations == (
+        "prior sums to 1.2, off by more than 1e-12",
+        "tolerance for label '2' is 1.5, must lie in (0, 1)",
+        "model 'm': alphabet symbols must be distinct",
+        "model 'm': row for label '1' sums to 1.1",
+    )
 
 
 def test_validate_flags_indistinguishable_labels():
@@ -138,18 +140,6 @@ def test_validate_flags_indistinguishable_labels():
     result = validate(inst)
     assert not result.ok
     assert any("indistinguishable" in v for v in result.violations)
-
-
-def test_validate_flags_nonpositive_entries():
-    rows = np.array([[1.0, 0.0], [0.1, 0.9]])
-    inst = Instance(
-        ("1", "2"),
-        np.array([0.5, 0.5]),
-        (ModelSpec("m", ("a", "b"), rows, 1.0),),
-        np.array([0.1, 0.1]),
-    )
-    result = validate(inst)
-    assert any("positive" in v for v in result.violations)
 
 
 def poisoned(inst: Instance, field: str, value: float) -> Instance:
@@ -266,10 +256,70 @@ def test_pair_entries_reject_one_label_twice(bsc, entry, pair):
         PAIR_ENTRIES[entry](bsc, *pair)
 
 
+def builds_holding(inst: Instance, field: str, value: float) -> dict:
+    """Every way to build a model or an instance whose field holds value,
+    by name. A prior or conditional row holds (value, 1 - value) for a
+    finite value, so it still sums to 1, and (value, value) otherwise. A
+    file whose prior or row holds inf fails its sum-to-1 check before any
+    constructor runs, so that case has no instance_from_dict entry."""
+    model = inst.models[0]
+    pair = np.array([value, 1.0 - value] if math.isfinite(value) else [value] * 2)
+    rows = np.vstack([model.conditional[0], pair])
+    data = instance_to_dict(inst)
+    from_file = {"instance_from_dict": lambda: instance_from_dict(data)}
+    row_file = {} if math.isinf(value) else from_file
+    if field == "conditional":
+        data["models"][0]["conditional"] = rows.tolist()
+        return {
+            "ModelSpec": lambda: ModelSpec(
+                model.name, model.alphabet, rows, model.cost
+            ),
+            "replace": lambda: dataclasses.replace(model, conditional=rows),
+            **row_file,
+        }
+    if field == "prior":
+        data["prior"] = pair.tolist()
+        return {
+            "Instance": lambda: Instance(
+                inst.labels, pair, inst.models, inst.tolerances
+            ),
+            "replace": lambda: dataclasses.replace(inst, prior=pair),
+            **row_file,
+        }
+    if field == "cost":
+        data["models"][0]["cost"] = value
+        return {
+            "ModelSpec": lambda: ModelSpec(
+                model.name, model.alphabet, model.conditional, value
+            ),
+            "replace": lambda: dataclasses.replace(model, cost=value),
+            **from_file,
+        }
+    tol = np.array([0.05, value])
+    data["tolerances"] = tol.tolist()
+    return {
+        "Instance": lambda: Instance(inst.labels, inst.prior, inst.models, tol),
+        "replace": lambda: dataclasses.replace(inst, tolerances=tol),
+        "with_tolerances": lambda: inst.with_tolerances(tol),
+        **from_file,
+    }
+
+
 @pytest.mark.parametrize("field", sorted(NONFINITE_NAMES))
-def test_validate_flags_nonfinite_fields(bsc, field):
-    result = validate(poisoned(bsc, field, math.nan))
-    assert f"{NONFINITE_NAMES[field]} holds NaN or inf" in result.violations
+def test_constructors_name_the_bad_field(bsc, field):
+    # no model or instance can hold a value whose log a solver would take
+    # as -inf or NaN, or a cost that never ends a search
+    name = NONFINITE_NAMES[field]
+    for value in (math.nan, math.inf, 0.0, -0.1):
+        if not math.isfinite(value):
+            expected = f"non-finite value (NaN or inf) in {name}"
+        elif field == "tolerances":
+            expected = f"tolerances must be positive, got {value!r}"
+        else:
+            expected = f"non-positive value in {name}"
+        for build in builds_holding(bsc, field, value).values():
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                build()
 
 
 def test_json_round_trip_is_byte_identical(bsc, tmp_path):
@@ -401,6 +451,22 @@ def test_calibrate_rows_are_distributions(n_labels, n_symbols, smoothing, data):
     assert rows.shape == (n_labels, n_symbols)
     assert np.all(rows > 0)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_calibrate_rejects_non_string_names():
+    # str() would turn these into the labels "1" and "None" and the symbol "None"
+    records = [("m", "1", "a")]
+    cases = [
+        ({"labels": ["1", None]}, "declared labels[1] must be a string, got NoneType"),
+        ({"labels": [1, "2"]}, "declared labels[0] must be a string, got int"),
+        (
+            {"alphabets": {"m": [None, "a"]}},
+            "model 'm': declared symbols[0] must be a string, got NoneType",
+        ),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calibrate(records, **kwargs)
 
 
 def test_read_calibration_log(tmp_path):
