@@ -22,9 +22,13 @@ the minima's exps against the tolerance.
 
 Before it, searches rule plans out with one table per instance,
 TangentTable, whose tangent lower bounds serve both the batched prescreen
-and the per-plan reject of every surrogate search. The exact search for the
-true problem screens its batches with BhattacharyyaScreen instead, a lower
-bound on each pair's Bayes error that no decision rule beats.
+and the per-plan reject of every surrogate search. The per-plan reject is
+scored a chunk ahead: the table keeps the survivors of its last prescreen
+batch, and as the walk reaches them, scores the next 8, 16, 32, ... of them
+in one pass, so at most one chunk per band is scored past the plan the
+search accepts. The exact search for the true problem screens its batches
+with BhattacharyyaScreen instead, a lower bound on each pair's Bayes error
+that no decision rule beats.
 """
 
 from __future__ import annotations
@@ -229,6 +233,18 @@ def _surrogate_check(instance: Instance) -> Callable[..., tuple]:
 # its slope. It sets how many plans reach the exact checks, never an answer.
 _TANGENT_GRID = 129
 
+# Work per numpy batch, which bounds its temporaries: window points in the
+# planner's window scan, and elements of all the arrays the tangent reject's
+# lookahead holds at once.
+_WINDOW_CHUNK = 1 << 15
+
+# Plans in a band's first lookahead chunk; each later chunk doubles.
+_AHEAD_FIRST = 8
+
+# lower_bounds holds about five arrays of a chunk's (plans x pairs x grid
+# tilts) size at once, so a chunk's arrays get this share of _WINDOW_CHUNK.
+_AHEAD_SHARE = 8
+
 
 class TangentTable:
     """Every ordered pair's log M_m and its slope at a grid of tilts, and
@@ -244,6 +260,13 @@ class TangentTable:
     some label's bounds, after exp, sum past its cap (label_caps); as a
     golden-section value is never below the true minimum, no plan the
     surrogate check accepts is ever ruled out.
+
+    passes keeps its batch's survivors as a queue. rejects_plan answers for
+    the queue's head from a chunk of survivors scored ahead in one pass:
+    8 plans, then twice as many each time the walk reaches the end of the
+    last chunk, while its temporaries stay within _WINDOW_CHUNK elements.
+    So a search that accepts early in a band scores at most one chunk past
+    the plan it accepts.
     """
 
     def __init__(self, instance: Instance, grid: int = _TANGENT_GRID):
@@ -270,12 +293,29 @@ class TangentTable:
         )
         self.w_max = np.maximum(-floor, 0.0)  # (P, K)
         self.min_amp = np.minimum(1.0, np.exp(self.log_ratio))  # (P,)
+        # (K, P * G) views, for a batch's proxies with one product each
+        K = instance.n_models
+        self._log_m_rows = self.grid_log_m.reshape(-1, K).T
+        self._slope_rows = self.grid_slope.reshape(-1, K).T
+
+        # the lookahead: the last passes batch's survivors, the walk's
+        # position among them, and the rejects of the first _scored
+        self._queue = np.empty((0, K))
+        self._head = 0
+        self._scored = 0
+        self._rejected = np.empty(0, dtype=bool)
 
     def proxy_on_grid(self, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """f_p and its slope at every grid tilt, each shaped (P, G)."""
+        """f_p and its slope at every grid tilt, each shaped (P, G), or
+        (B, P, G) for plans stacked as a (B, K) array."""
         r = np.asarray(counts, dtype=float)
-        f = self.grid_amp + self.grid_log_m @ r
-        df = self.log_ratio[:, None] + self.grid_slope @ r
+        if r.ndim == 1:
+            f = self.grid_amp + self.grid_log_m @ r
+            df = self.log_ratio[:, None] + self.grid_slope @ r
+            return f, df
+        shape = (len(r), *self.grid_amp.shape)
+        f = self.grid_amp + (r @ self._log_m_rows).reshape(shape)
+        df = self.log_ratio[:, None] + (r @ self._slope_rows).reshape(shape)
         return f, df
 
     def lower_bounds(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -299,12 +339,32 @@ class TangentTable:
         return (pair_bounds @ self.label_mask.T > self.alpha_cap).any(axis=-1)
 
     def passes(self, plans: np.ndarray) -> np.ndarray:
-        """For plans stacked as a (B, K) array, which the w_max bounds keep."""
-        return ~self._over_caps(self.min_amp * np.exp(-(plans @ self.w_max.T)))
+        """For plans stacked as a (B, K) array, which the w_max bounds keep.
+        The kept plans become the queue rejects_plan reads ahead in."""
+        keep = ~self._over_caps(self.min_amp * np.exp(-(plans @ self.w_max.T)))
+        self._queue = plans[keep]
+        self._head = self._scored = 0
+        self._rejected = np.zeros(len(self._queue), dtype=bool)
+        return keep
 
     def rejects(self, f: np.ndarray, df: np.ndarray) -> bool:
         """Whether the plan with proxy_on_grid (f, df) can never certify."""
         return bool(self._over_caps(np.exp(self.lower_bounds(f, df))))
+
+    def rejects_plan(self, counts: Sequence[int]) -> bool:
+        """rejects(*proxy_on_grid(counts)): read from the chunk scored ahead
+        if the plan is the head of the queue, else scored alone."""
+        i = self._head
+        if i == len(self._queue) or self._queue[i].tolist() != list(counts):
+            return self.rejects(*self.proxy_on_grid(counts))
+        if i == self._scored:
+            rows = max(1, _WINDOW_CHUNK // (_AHEAD_SHARE * self.grid_amp.size))
+            end = i + min(i + _AHEAD_FIRST, rows)
+            f, df = self.proxy_on_grid(self._queue[i:end])
+            self._rejected[i:end] = self._over_caps(np.exp(self.lower_bounds(f, df)))
+            self._scored = min(end, len(self._queue))
+        self._head = i + 1
+        return bool(self._rejected[i])
 
 
 class BhattacharyyaScreen:

@@ -74,19 +74,23 @@ def profile_count(instance: Instance, plan: QueryPlan | Sequence[int]) -> int:
 def _compositions(total: int, width: int, cap: int) -> np.ndarray:
     """All integer vectors of the given width with entries in [0, cap]
     summing to total, in lexicographic order."""
-    # first entries that fit the cap and leave the rest, at most
-    # (width - 1) * cap, able to reach total
-    first = np.arange(
+    # built a column at a time: every prefix takes, in order, each next
+    # entry that fits the cap and leaves the rest, at most cap each, able to
+    # reach total; the last entry is then what the prefix leaves
+    rows = np.arange(
         max(0, total - (width - 1) * cap), min(cap, total) + 1, dtype=np.int64
-    )
+    )[:, None]
     if width == 1:
-        return first[:, None]
-    rests = [_compositions(total - k, width - 1, cap) for k in first.tolist()]
-    if not rests:
-        return np.empty((0, width), dtype=np.int64)
-    return np.column_stack(
-        [np.repeat(first, [len(r) for r in rests]), np.vstack(rests)]
-    )
+        return rows
+    left = total - rows[:, 0]
+    for rest in range(width - 2, 0, -1):
+        lo = np.maximum(left - rest * cap, 0)
+        n = np.minimum(left, cap) - lo + 1
+        step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+        src = np.repeat(np.arange(len(rows)), n)
+        rows = np.column_stack([rows[src], step])
+        left = left[src] - step
+    return np.column_stack([rows, left])
 
 
 # Coefficients of cephes lgam's Stirling correction polynomial in 1/x^2.
@@ -516,9 +520,9 @@ def exact_opt(
         prescreen = TangentTable(instance)
 
         def accept(counts: tuple[int, ...]) -> bool | None:
-            r = np.array(counts, dtype=float)
-            if prescreen.rejects(*prescreen.proxy_on_grid(r)):
+            if prescreen.rejects_plan(counts):
                 return None
+            r = np.array(counts, dtype=float)
             return all(check(r, yi)[0] for yi in labels) or None
 
     else:

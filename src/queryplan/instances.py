@@ -33,8 +33,9 @@ class ModelSpec:
 
     ``conditional[i, j]`` is the probability of emitting ``alphabet[j]``
     when the true label has index ``i`` (rows follow instance label order).
-    Every conditional entry and the cost must be finite and positive; the
-    constructor raises ValueError naming the field otherwise.
+    The name and every symbol must be strings, and every conditional entry
+    and the cost finite and positive; the constructor raises ValueError
+    naming the field otherwise.
     """
 
     name: str
@@ -44,7 +45,8 @@ class ModelSpec:
     log_conditional: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alphabet = tuple(str(a) for a in self.alphabet)
+        _expect(self.name, str, "model name", "a string")
+        alphabet = tuple(_strings(self.alphabet, f"model {self.name!r}: alphabet"))
         cond = np.array(self.conditional, dtype=float)
         if cond.ndim != 2:
             raise ValueError(f"model {self.name!r}: conditional must be a 2-d matrix")
@@ -113,9 +115,10 @@ class Instance:
 
     ``prior[i]`` and ``tolerances[i]`` refer to ``labels[i]``. Every model's
     conditional matrix must have one row per label, in label order. Every
-    prior entry and tolerance must be finite and positive; the constructor
-    raises ValueError naming the field otherwise. The solvers take logs of
-    these values and rely on this instead of checking each call.
+    label must be a string, and every prior entry and tolerance finite and
+    positive; the constructor raises ValueError naming the field otherwise.
+    The solvers take logs of these values and rely on this instead of
+    checking each call.
     """
 
     labels: tuple[str, ...]
@@ -124,7 +127,7 @@ class Instance:
     tolerances: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = tuple(str(y) for y in self.labels)
+        labels = tuple(_strings(self.labels, "labels"))
         prior = np.array(self.prior, dtype=float)
         tol = np.array(self.tolerances, dtype=float)
         models = tuple(self.models)
@@ -349,15 +352,25 @@ def _expect(value, kinds: type | tuple[type, ...], field: str, kind: str):
 
 def _strings(values, field: str) -> list[str]:
     """values as a list if every entry is a string, else a ValueError naming
-    the first entry that is not."""
-    return [_expect(v, str, f"{field}[{i}]", "a string") for i, v in enumerate(values)]
+    the first entry that is not. The constructors call this, so the entries'
+    names are only formatted for the error."""
+    values = list(values)
+    for i, v in enumerate(values):
+        if not isinstance(v, str):
+            _expect(v, str, f"{field}[{i}]", "a string")
+    return values
 
 
 def _float_array(value, field: str) -> np.ndarray:
+    """value as a float array, else a ValueError naming the field, also if
+    it holds NaN or an infinity: a sum or a divide would warn about that."""
     try:
-        return np.array(value, dtype=float)
+        array = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{field} must hold only numbers") from None
+    if not all(map(math.isfinite, array.ravel().tolist())):
+        _name_bad_values({field: array}, {})
+    return array
 
 
 def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
@@ -371,7 +384,7 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
         if key not in data:
             raise ValueError(f"instance is missing required key {key!r}")
     array = (list, tuple)
-    labels = _strings(_expect(data["labels"], array, "labels", "an array"), "labels")
+    labels = _expect(data["labels"], array, "labels", "an array")
     prior = _float_array(data["prior"], "prior")
     models = []
     for i, md in enumerate(_expect(data["models"], array, "models", "an array")):
@@ -385,9 +398,8 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
         name = _expect(md["name"], str, f"models[{i}].name", "a string")
         where = f"model {name!r}"
         alphabet = _expect(md["alphabet"], array, f"{where}: alphabet", "an array")
-        alphabet = _strings(alphabet, f"{where}: alphabet")
         cost = _expect(md["cost"], (int, float), f"{where}: cost", "a number")
-        cond = _float_array(md["conditional"], f"{where}: conditional")
+        cond = _float_array(md["conditional"], f"{where} conditional")
         if cond.ndim != 2 or cond.shape[0] != len(labels):
             raise ValueError(f"{where}: conditional must have one row per label")
         if renormalize:

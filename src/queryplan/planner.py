@@ -46,6 +46,7 @@ import numpy as np
 
 from .bounds import (
     _TANGENT_GRID,
+    _WINDOW_CHUNK,
     PairTables,
     SurrogateReport,
     TangentTable,
@@ -373,10 +374,6 @@ def guarantee_threshold(instance: Instance, constants: DerivedConstants) -> floa
     return (L - 1) * float(pr.min()) / float(pr.max()) * math.exp(-pad)
 
 
-# Window points evaluated per numpy batch; bounds memory on fine axes.
-_WINDOW_CHUNK = 1 << 15
-
-
 class _WindowCertifier(TangentTable):
     """The axis certificate of a plan, minimized per pair over the tilt axis
     without scanning the axis.
@@ -396,7 +393,9 @@ class _WindowCertifier(TangentTable):
     instance's TangentTable, which this certifier extends:
 
     * reject: the table's tangent lower bounds on min_s f_p already exceed
-      some tolerance, so no assignment certifies.
+      some tolerance, so no assignment certifies. The walk hands certify
+      the survivors of the table's passes in order, so the reject is read
+      from a chunk the table scored ahead (rejects_plan).
     * window: with U_p the certificate at one axis index, every index whose
       certificate is <= U_p, the argmins among them, has f_p(s_i) <= U_p
       and so lies where every grid tangent is <= U_p: an interval. Scanning
@@ -433,9 +432,9 @@ class _WindowCertifier(TangentTable):
     def certify(self, counts: tuple[int, ...]) -> np.ndarray | None:
         """Per-pair first-argmin axis indices if the plan certifies every
         tolerance, else None; the same answer as scanning the whole axis."""
-        f, df = self.proxy_on_grid(counts)
-        if self.rejects(f, df):
+        if self.rejects_plan(counts):
             return None
+        f, df = self.proxy_on_grid(counts)
         c = self.constants
         r = np.asarray(counts, dtype=np.int64)
         P = f.shape[0]

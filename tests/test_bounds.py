@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from queryplan.bounds import (
+    _AHEAD_SHARE,
+    _WINDOW_CHUNK,
     PairTables,
     TangentTable,
     _minimize_tilt,
@@ -59,7 +61,9 @@ def test_log_affinity_is_the_proxys_factor():
     # bit for bit, also for a model narrower than the widest alphabet
     rng = np.random.default_rng(5)
     models = tuple(
-        ModelSpec(f"m{x}", tuple(range(x)), rng.dirichlet(np.ones(x), 3), 1.0)
+        ModelSpec(
+            f"m{x}", tuple(map(str, range(x))), rng.dirichlet(np.ones(x), 3), 1.0
+        )
         for x in (6, 12)
     )
     prior = np.array([0.2, 0.3, 0.5])
@@ -224,3 +228,45 @@ def test_tangent_table_bounds_golden_sections(seed, n_labels, alpha, counts):
             assert table.w_max[p, m] >= -lv
     if is_surrogate_feasible(inst, tuple(int(c) for c in r)).feasible:
         assert not table.rejects(f, df)
+
+
+class LoggedTable(TangentTable):
+    """A TangentTable that logs the plan batches it scores and every plan
+    it scores alone."""
+
+    def __init__(self, instance):
+        self.batches, self.alone = [], []
+        super().__init__(instance)
+
+    def proxy_on_grid(self, counts):
+        r = np.asarray(counts, dtype=float)
+        (self.batches if r.ndim == 2 else self.alone).append(len(r))
+        return super().proxy_on_grid(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(1e-4, 0.3),
+    n_plans=st.integers(1, 400),
+)
+def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(
+        rng, n_labels=n_labels, max_models=3, alphabet_sizes=(2, 4), alpha=alpha
+    )
+    plans = rng.integers(0, 31, size=(n_plans, inst.n_models)).astype(float)
+    table = LoggedTable(inst)
+    kept = plans[table.passes(plans)]
+    for r in kept:
+        counts = tuple(int(c) for c in r)
+        want = TangentTable.rejects(table, *TangentTable.proxy_on_grid(table, r))
+        assert table.rejects_plan(counts) == want
+    # every survivor was read from a chunk: 8 plans, then twice as many
+    # each time, up to a share of _WINDOW_CHUNK elements
+    assert table.alone == [] and sum(table.batches) == len(kept)
+    rows = max(1, _WINDOW_CHUNK // (_AHEAD_SHARE * table.grid_amp.size))
+    sizes = [min(8 << k, rows) for k in range(len(table.batches))]
+    assert table.batches[:-1] == sizes[:-1]
+    assert all(b <= s for b, s in zip(table.batches[-1:], sizes[-1:]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,16 @@ def test_commands_reject_zero_entry_at_load(zero_entry_path, capsys, argv):
     code = main([argv[0], "--instance", zero_entry_path, *argv[1:]])
     assert code == 1
     assert "non-positive value in model 'm' conditional" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flags", [[], ["--renormalize"]], ids=["plain", "renormalize"])
+def test_validate_names_an_infinite_row_before_summing_it(tmp_path, capsys, flags):
+    # inf + -inf is NaN: summing or dividing the row first makes numpy warn
+    # on stderr, and the test configuration turns that warning into an error
+    path = instance_file(tmp_path, [[0.9, 0.1], [math.inf, -math.inf]], [0.05, 0.05])
+    assert main(["validate", "--instance", path, *flags]) == 1
+    line = one_error_line(capsys)
+    assert "non-finite value (NaN or inf) in model 'm' conditional" in line
 
 
 def test_simulate_rejects_out_of_range_seed(bsc_path, capsys):

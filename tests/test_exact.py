@@ -146,7 +146,8 @@ def test_lattice_ascending_order_and_coverage():
 
 
 def test_compositions_match_filtered_product():
-    for width, total, cap in itertools.product(range(1, 5), range(13), range(8)):
+    # caps below the total are dp_solve's case; totals reach past width * cap
+    for width, total, cap in itertools.product(range(1, 5), range(30), range(8)):
         expected = [
             v
             for v in itertools.product(range(cap + 1), repeat=width)
@@ -156,6 +157,19 @@ def test_compositions_match_filtered_product():
         assert got.dtype == np.int64
         assert got.shape == (len(expected), width)
         assert got.tolist() == [list(v) for v in expected]
+
+
+def test_compositions_of_uncapped_totals():
+    # the profile blocks' case, cap == total, at sizes the searches build: as
+    # many rows as compositions, each a composition, in strictly increasing
+    # lexicographic order, so each composition exactly once
+    for width, total in itertools.product(range(1, 5), [0, 1, 2, 29, 60]):
+        got = _compositions(total, width, total)
+        assert len(got) == math.comb(total + width - 1, width - 1)
+        assert got.shape[1] == width and (got >= 0).all()
+        assert (got.sum(axis=1) == total).all()
+        rows = got.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_log_factorial_matches_scipy_gammaln_bit_for_bit():

@@ -259,15 +259,14 @@ def test_pair_entries_reject_one_label_twice(bsc, entry, pair):
 def builds_holding(inst: Instance, field: str, value: float) -> dict:
     """Every way to build a model or an instance whose field holds value,
     by name. A prior or conditional row holds (value, 1 - value) for a
-    finite value, so it still sums to 1, and (value, value) otherwise. A
-    file whose prior or row holds inf fails its sum-to-1 check before any
-    constructor runs, so that case has no instance_from_dict entry."""
+    finite value, so it still sums to 1, and (value, value) otherwise; a
+    file's prior and rows are checked for NaN and inf before they are
+    summed."""
     model = inst.models[0]
     pair = np.array([value, 1.0 - value] if math.isfinite(value) else [value] * 2)
     rows = np.vstack([model.conditional[0], pair])
     data = instance_to_dict(inst)
     from_file = {"instance_from_dict": lambda: instance_from_dict(data)}
-    row_file = {} if math.isinf(value) else from_file
     if field == "conditional":
         data["models"][0]["conditional"] = rows.tolist()
         return {
@@ -275,7 +274,7 @@ def builds_holding(inst: Instance, field: str, value: float) -> dict:
                 model.name, model.alphabet, rows, model.cost
             ),
             "replace": lambda: dataclasses.replace(model, conditional=rows),
-            **row_file,
+            **from_file,
         }
     if field == "prior":
         data["prior"] = pair.tolist()
@@ -284,7 +283,7 @@ def builds_holding(inst: Instance, field: str, value: float) -> dict:
                 inst.labels, pair, inst.models, inst.tolerances
             ),
             "replace": lambda: dataclasses.replace(inst, prior=pair),
-            **row_file,
+            **from_file,
         }
     if field == "cost":
         data["models"][0]["cost"] = value
@@ -319,6 +318,56 @@ def test_constructors_name_the_bad_field(bsc, field):
             expected = f"non-positive value in {name}"
         for build in builds_holding(bsc, field, value).values():
             with pytest.raises(ValueError, match=re.escape(expected)):
+                build()
+
+
+def string_name_builds(inst: Instance, field: str) -> dict:
+    """Every way to build a model or an instance whose field's first entry
+    is the integer 0, with the message each gives."""
+    model = inst.models[0]
+    data = instance_to_dict(inst)
+
+    def from_file():
+        return instance_from_dict(data)
+
+    if field == "labels":
+        data["labels"] = [0, *inst.labels[1:]]
+        labels = tuple(data["labels"])
+        message = "labels[0] must be a string, got int"
+        return {
+            message: [
+                lambda: Instance(labels, inst.prior, inst.models, inst.tolerances),
+                lambda: dataclasses.replace(inst, labels=labels),
+                from_file,
+            ]
+        }
+    if field == "name":
+        data["models"][0]["name"] = 0
+        return {
+            "model name must be a string, got int": [
+                lambda: ModelSpec(0, model.alphabet, model.conditional, model.cost),
+                lambda: dataclasses.replace(model, name=0),
+            ],
+            "models[0].name must be a string, got int": [from_file],
+        }
+    data["models"][0]["alphabet"] = [0, *model.alphabet[1:]]
+    alphabet = tuple(data["models"][0]["alphabet"])
+    return {
+        f"model {model.name!r}: alphabet[0] must be a string, got int": [
+            lambda: ModelSpec(model.name, alphabet, model.conditional, model.cost),
+            lambda: dataclasses.replace(model, alphabet=alphabet),
+            from_file,
+        ]
+    }
+
+
+@pytest.mark.parametrize("field", ["labels", "name", "alphabet"])
+def test_constructors_require_string_names(bsc, field):
+    # str() would make the label 0 the name "0", which label_index(0) reads
+    # as an index and label_index("0") as a name
+    for message, builds in string_name_builds(bsc, field).items():
+        for build in builds:
+            with pytest.raises(ValueError, match=re.escape(message)):
                 build()
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import symmetric_binary
-from queryplan.exact import EnumerationBudgetError
+from queryplan import planner
+from queryplan.bounds import TangentTable
+from queryplan.exact import EnumerationBudgetError, exact_opt
 from queryplan.experiments import random_instance
 from queryplan.instances import Instance, QueryPlan, plan_cost
 from queryplan.planner import (
@@ -24,6 +26,7 @@ from queryplan.planner import (
     tilt_axis,
     tilt_axis_size,
 )
+from reference_lattice import lattice_ascending
 from reference_sweep import (
     GridBudgetError,
     build_grid,
@@ -314,3 +317,124 @@ def test_run_afptas_search_budget_raises_enumeration_error(duo):
 def test_run_afptas_argument_validation(bsc):
     with pytest.raises(ValueError, match="epsilon"):
         run_afptas(bsc, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The tangent reject scored ahead: TangentTable.rejects_plan
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def scored_alone(monkeypatch):
+    """Logs the table of every plan TangentTable.rejects scores alone."""
+    alone: list[TangentTable] = []
+    rejects = TangentTable.rejects
+
+    def counted(self, f, df):
+        alone.append(self)
+        return rejects(self, f, df)
+
+    monkeypatch.setattr(TangentTable, "rejects", counted)
+    return alone
+
+
+@pytest.fixture
+def scored_rejects(monkeypatch, scored_alone):
+    """Checks every rejects_plan answer against the plan's rejects scored
+    alone. Yields a log of (counts, answered from the chunk scored ahead)."""
+    log: list[tuple[tuple[int, ...], bool]] = []
+    rejects_plan = TangentTable.rejects_plan
+
+    def checked(self, counts):
+        before = len(scored_alone)
+        got = rejects_plan(self, counts)
+        log.append((counts, len(scored_alone) == before))
+        assert got == self.rejects(*self.proxy_on_grid(counts)), counts
+        return got
+
+    monkeypatch.setattr(TangentTable, "rejects_plan", checked)
+    return log
+
+
+def sweep_draws(n: int) -> list[Instance]:
+    """The first n draws of the seed-42 guarantee sweep."""
+    rng = np.random.default_rng(42)
+    return [
+        random_instance(rng, n_labels=2, max_models=3, alpha=1e-3) for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("name", ["bsc", "asym", "duo"])
+def test_lookahead_matches_rejects_on_fixture_walks(request, scored_rejects, name):
+    inst = request.getfixturevalue(name)
+    for epsilon in (0.1, 0.5, 1.0):
+        run_afptas(inst, epsilon)
+    exact_opt(inst, problem="surrogate")
+    # both searches hand the reject every survivor in walk order
+    assert scored_rejects and all(ahead for _, ahead in scored_rejects)
+
+
+def test_lookahead_matches_rejects_on_sweep_walks(scored_rejects):
+    for inst in sweep_draws(12):
+        run_afptas(inst, 0.5)
+        exact_opt(inst, problem="surrogate")
+    assert len(scored_rejects) > 1_000
+    assert all(ahead for _, ahead in scored_rejects)
+
+
+def walk_survivors(inst: Instance, last: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The plans the tangent prescreen keeps, one at a time, in walk order
+    up to and including last."""
+    table = TangentTable(inst)
+    costs = [m.cost for m in inst.models]
+    kept = []
+    for _, counts in lattice_ascending(costs, math.inf):
+        if table.passes(np.array([counts], dtype=float))[0]:
+            kept.append(counts)
+        if counts == last:
+            return kept
+
+
+@pytest.mark.parametrize("draw", ["bsc", "asym", "duo", 0, 1, 2])
+def test_certify_sees_every_survivor_of_the_walk(request, monkeypatch, draw):
+    if isinstance(draw, str):
+        inst = request.getfixturevalue(draw)
+    else:
+        inst = sweep_draws(draw + 1)[draw]
+    calls = []
+    certify = planner._WindowCertifier.certify
+
+    def logged(self, counts):
+        calls.append(counts)
+        return certify(self, counts)
+
+    monkeypatch.setattr(planner._WindowCertifier, "certify", logged)
+    cert = run_afptas(inst, 0.5)
+    assert calls == walk_survivors(inst, cert.plan.counts)
+
+
+@pytest.mark.parametrize("name", ["bsc", "asym", "duo"])
+def test_certify_out_of_walk_order_scores_the_plan_alone(request, scored_alone, name):
+    inst = request.getfixturevalue(name)
+    constants = derive_constants(inst, 0.5)
+    plans = np.array(
+        list(itertools.product(range(13), repeat=inst.n_models)), dtype=float
+    )
+    walked = planner._WindowCertifier(inst, constants)
+    kept = [tuple(int(c) for c in r) for r in plans[walked.passes(plans)]]
+    want = [walked.certify(counts) for counts in kept]
+    assert any(w is not None for w in want)
+
+    def same(got, want):
+        return got is None if want is None else np.array_equal(got, want)
+
+    # before any passes, and against the walk order after one
+    fresh = planner._WindowCertifier(inst, constants)
+    backward = planner._WindowCertifier(inst, constants)
+    backward.passes(plans)
+    for counts, w in reversed(list(zip(kept, want))):
+        assert same(fresh.certify(counts), w)
+        assert same(backward.certify(counts), w)
+    assert scored_alone.count(fresh) == len(kept)
+    # only the queue's head, asked last, is read from a chunk
+    assert scored_alone.count(backward) == len(kept) - 1
