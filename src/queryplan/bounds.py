@@ -16,25 +16,34 @@ s optimized per pair. The surrogate dominates the exact statewise error, so
 any plan feasible for the surrogate is feasible for the true problem.
 
 The tilted pair proxy s*log(prior ratio) + sum_m r_m log M_m(s) is written
-once, as PairTables.proxy. One routine, _surrogate_check, makes this check
-for every caller: golden section of that proxy per pair, then the fsum of
+once, as PairStack.proxy. The pairs' tilts are independent, so a PairStack
+holds several pairs as lanes, and golden_lanes minimizes them in lockstep:
+each lane keeps its own interval as Python floats and takes the steps a
+one-lane golden section would, while each step evaluates every lane in one
+numpy call over a (lanes, K, X) stack. golden_section is its one-lane case.
+is_surrogate_feasible runs all L(L-1) ordered pairs at once,
+instance_contraction all unordered pairs, and _surrogate_check, which makes
+the check for the searches, a label's L-1 pairs; the check is the fsum of
 the minima's exps against the tolerance.
 
 Before it, searches rule plans out with one table per instance,
 TangentTable, whose tangent lower bounds serve both the batched prescreen
-and the per-plan reject of every surrogate search. The per-plan reject is
-scored a chunk ahead: the table keeps the survivors of its last prescreen
-batch, and as the walk reaches them, scores the next 8, 16, 32, ... of them
-in one pass, so at most one chunk per band is scored past the plan the
-search accepts. The exact search for the true problem screens its batches
-with BhattacharyyaScreen instead, a lower bound on each pair's Bayes error
-that no decision rule beats.
+and the per-plan reject of every surrogate search. A bound needs a tangent
+crossing only in a grid cell where the slope changes sign, so only those
+cells are computed. The per-plan reject is scored a chunk ahead: the table
+keeps the survivors of its last prescreen batch, and as the walk reaches
+them, scores the next 8, 16, 32, ... of them in one pass, so at most one
+chunk per band is scored past the plan the search accepts. The exact
+search for the true problem screens its batches with BhattacharyyaScreen
+instead, a lower bound on each pair's Bayes error that no decision rule
+beats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,9 +62,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _logsumexp(v: np.ndarray) -> np.ndarray:
     """log(sum(exp(v))) over the last axis. The window certifier must match
-    a full-axis table bit for bit; scipy's logsumexp rounds differently."""
-    top = v.max(axis=-1)
-    return np.log(np.exp(v - top[..., None]).sum(axis=-1)) + top
+    a full-axis table bit for bit; scipy's logsumexp rounds differently.
+    The reductions are v.max and v.sum without their Python wrappers, and
+    with the axis passed by position, which numpy parses faster."""
+    top = np.maximum.reduce(v, -1)
+    return np.log(np.add.reduce(np.exp(v - top[..., None]), -1)) + top
 
 
 def ordered_pairs(L: int) -> list[tuple[int, int]]:
@@ -79,37 +90,25 @@ def label_caps(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PairTables:
-    """Per-pair log-conditional tables padded to a common alphabet width.
+    """One pair's log-conditional tables padded to a common alphabet width:
+    PairStack's one lane.
 
     Precomputing these once per (instance, pair) keeps repeated affinity
-    evaluations (golden-section iterations, lattice searches) cheap.
+    evaluations cheap.
     """
 
     __slots__ = ("log_p", "log_q", "log_prior_ratio", "flat")
 
     def __init__(self, instance: Instance, yi: int, yj: int):
-        K = instance.n_models
-        width = max(m.n_symbols for m in instance.models)
-        log_p = np.full((K, width), _PAD)
-        log_q = np.full((K, width), _PAD)
-        for k, m in enumerate(instance.models):
-            log_p[k, : m.n_symbols] = m.log_conditional[yi]
-            log_q[k, : m.n_symbols] = m.log_conditional[yj]
-        self.log_p = log_p
-        self.log_q = log_q
-        self.log_prior_ratio = float(
-            instance.log_prior[yj] - instance.log_prior[yi]
-        )
-        self.flat = all(_indistinguishable(m, yi, yj) for m in instance.models)
+        stack = PairStack(instance, [(yi, yj)])
+        self.log_p = stack.log_p[0]
+        self.log_q = stack.log_q[0]
+        self.log_prior_ratio = float(stack.log_ratio[0])
+        self.flat = stack.flat[0]
 
     def log_affinities(self, s: float) -> np.ndarray:
         """log M_m(s) for every model m, as a length-K vector."""
         return _logsumexp((1.0 - s) * self.log_p + s * self.log_q)
-
-    def proxy(self, counts: np.ndarray, s: float) -> float:
-        """The pair's tilted proxy at s for float plan counts:
-        f(s) = s * log(prior ratio) + sum_m counts[m] * log M_m(s)."""
-        return s * self.log_prior_ratio + float(counts @ self.log_affinities(s))
 
 
 def log_affinity(
@@ -141,56 +140,185 @@ def pairwise_proxy_log(
         raise ValueError(f"tilt s must lie in [0, 1], got {s!r}")
     counts = as_plan(plan, instance).as_array().astype(float)
     yi, yj = _label_pair(instance, y, y_other)
-    return PairTables(instance, yi, yj).proxy(counts, s)
+    return PairStack(instance, [(yi, yj)]).proxy(counts)([s], None)[0]
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Minimizes a unimodal f on [lo, hi]; returns a point within GSS_TOL of
-    the minimizer."""
-    if not hi > lo:
-        raise ValueError("need hi > lo")
+# An objective over lanes: f(s, live) returns, as a list of floats, the
+# value of lane live[k] (of lane k when live is None) at tilt s[k].
+LaneObjective = Callable[[list[float], "list[int] | None"], list[float]]
+
+
+def _golden_steps(
+    lo: float, hi: float, c: float, d: float, fc: float, fd: float, out: list, k: int
+):
+    """One lane's golden-section search on [lo, hi] from its values fc, fd
+    at the first two points c < d, as a generator: yields each further
+    point, is sent its value, and finally stores a point within GSS_TOL of
+    the minimizer in out[k] and yields None."""
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
     while (b - a) > GSS_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            fd = yield d
+    out[k] = 0.5 * (a + b)
+    yield None
 
 
-def _minimize_tilt(
-    objective: Callable[[float], float], flat: bool
-) -> tuple[float, float]:
-    """Minimizes a convex tilt objective over [0, 1].
+_send = GeneratorType.send
 
-    The golden-section point is re-evaluated exactly and compared against
+
+def golden_lanes(
+    f: LaneObjective, n: int, lo: float, hi: float, also: Sequence[float] = ()
+) -> tuple[list[float], list[list[float]]]:
+    """Minimizes n unimodal functions on [lo, hi] in lockstep.
+
+    Returns each lane's point within GSS_TOL of its minimizer, and for each
+    tilt in also, every lane's value there. Every lane runs _golden_steps,
+    so it takes the steps it would take alone; the first call of f
+    evaluates every lane at both first points and at also, and each later
+    one the next point of every lane still running.
+    """
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    first = f(
+        [x for x in (c, d, *also) for _ in range(n)], list(range(n)) * (2 + len(also))
+    )
+    out = [0.0] * n
+    steps = [
+        _golden_steps(lo, hi, c, d, fc, fd, out, k)
+        for k, (fc, fd) in enumerate(zip(first[:n], first[n : 2 * n]))
+    ]
+    ends = [first[m : m + n] for m in range(2 * n, len(first), n)]
+    if n == 1:
+        # the same rounds without the bookkeeping of several lanes
+        step = steps[0]
+        x = next(step)
+        while x is not None:
+            x = step.send(f([x], None)[0])
+        return out, ends
+    points = list(map(next, steps))
+    lanes = list(range(n))
+    live = None  # every lane, until one stops
+    while True:
+        if None in points:
+            keep = [k for k, x in enumerate(points) if x is not None]
+            if not keep:
+                return out, ends
+            live = lanes = [lanes[k] for k in keep]
+            steps = [steps[k] for k in keep]
+            points = [points[k] for k in keep]
+        points = list(map(_send, steps, f(points, live)))
+
+
+def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Minimizes a unimodal f on [lo, hi]; returns a point within GSS_TOL of
+    the minimizer. The one-lane case of golden_lanes."""
+    return golden_lanes(lambda s, live: [f(x) for x in s], 1, lo, hi)[0][0]
+
+
+def _minimize_tilts(
+    f: LaneObjective, flat: Sequence[bool]
+) -> list[tuple[float, float]]:
+    """Minimizes convex tilt objectives over [0, 1] in lockstep lanes;
+    returns (s*, value) per lane.
+
+    Each golden-section point is re-evaluated exactly and compared against
     both endpoints, so boundary minimizers are returned exactly. A flat
     objective returns s = 0.5 by convention.
     """
-    if flat:
-        return 0.5, objective(0.5)
-    s_in = golden_section(objective, 0.0, 1.0)
-    best_s, best_v = s_in, objective(s_in)
-    for s in (0.0, 1.0):
-        v = objective(s)
-        if v < best_v or (v == best_v and s < best_s):
-            best_s, best_v = s, v
-    return best_s, best_v
+    n = len(flat)
+    if all(flat):
+        return [(0.5, v) for v in f([0.5] * n, None)]
+    inner, (at_0, at_1) = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0))
+    s_in = [0.5 if fl else s for fl, s in zip(flat, inner)]
+    best = []
+    for fl, s, v, v0, v1 in zip(flat, s_in, f(s_in, None), at_0, at_1):
+        if not fl:
+            if v0 < v or (v0 == v and 0.0 < s):
+                s, v = 0.0, v0
+            if v1 < v or (v1 == v and 1.0 < s):
+                s, v = 1.0, v1
+        best.append((s, v))
+    return best
 
 
-def _pair_tilt(tables: PairTables, counts: np.ndarray) -> tuple[float, float]:
-    """optimize_tilt on prebuilt tables and float plan counts."""
-    return _minimize_tilt(
-        lambda s: tables.proxy(counts, s),
-        tables.flat and tables.log_prior_ratio == 0.0,
-    )
+class PairStack:
+    """Label pairs' log-conditional tables, padded to a common alphabet
+    width and stacked along a first axis: one lane per pair, whose tilts
+    are optimized in lockstep."""
+
+    def __init__(self, instance: Instance, pairs: Sequence[tuple[int, int]]):
+        models = instance.models
+        shape = (len(pairs), len(models), max(m.n_symbols for m in models))
+        self.log_p = np.full(shape, _PAD)  # (n, K, X)
+        self.log_q = np.full(shape, _PAD)
+        for lane, (yi, yj) in enumerate(pairs):
+            for k, m in enumerate(models):
+                self.log_p[lane, k, : m.n_symbols] = m.log_conditional[yi]
+                self.log_q[lane, k, : m.n_symbols] = m.log_conditional[yj]
+        lp = instance.log_prior
+        self.log_ratio = np.array([lp[yj] - lp[yi] for yi, yj in pairs])  # (n,)
+        self.flat = [
+            all(_indistinguishable(m, yi, yj) for m in models) for yi, yj in pairs
+        ]
+        # per lane: its (K, X) tables, and its prior ratio as a Python float
+        self._rows = list(zip(self.log_p, self.log_q))
+        self._ratios = self.log_ratio.tolist()
+
+    def lane_objective(
+        self,
+        reduce: Callable[[np.ndarray], np.ndarray],
+        ratios: list[float] | None = None,
+    ) -> LaneObjective:
+        """The lanes' objective s -> s * ratios[lane] + reduce(log M(s)),
+        where reduce maps the (..., K) log affinities to (...) values; with
+        ratios None, just reduce(log M(s))."""
+        log_p, log_q, rows = self.log_p, self.log_q, self._rows
+
+        def f(s: list[float], live: list[int] | None) -> list[float]:
+            if len(s) == 1:
+                # one lane on its 2-d tables with the tilt a Python float,
+                # which numpy broadcasts and reduces faster
+                k = 0 if live is None else live[0]
+                t = s[0]
+                p, q = rows[k]
+                v = float(reduce(_logsumexp((1.0 - t) * p + t * q)))
+                return [v if ratios is None else t * ratios[k] + v]
+            t = np.array(s)[:, None, None]
+            if live is None:
+                v = reduce(_logsumexp((1.0 - t) * log_p + t * log_q)).tolist()
+            else:
+                v = reduce(_logsumexp((1.0 - t) * log_p[live] + t * log_q[live]))
+                v = v.tolist()
+            if ratios is None:
+                return v
+            r = ratios if live is None else [ratios[k] for k in live]
+            return [x * ratio + y for x, ratio, y in zip(s, r, v)]
+
+        return f
+
+    def proxy(self, counts: np.ndarray) -> LaneObjective:
+        """Each pair's tilted proxy for float plan counts, as a lane
+        objective: f(s) = s * log(prior ratio) + sum_m counts[m] * log M_m(s).
+        np.vecdot is the same BLAS dot as counts @ log_m, bit for bit."""
+        return self.lane_objective(lambda log_m: np.vecdot(log_m, counts), self._ratios)
+
+    def tilts(self, counts: np.ndarray) -> list[tuple[float, float]]:
+        """Each pair's optimal tilt and log proxy for float plan counts."""
+        flat = [fl and q == 0.0 for fl, q in zip(self.flat, self._ratios)]
+        return _minimize_tilts(self.proxy(counts), flat)
+
+    def contractions(self) -> list[tuple[float, float]]:
+        """Each pair's (s*, min_s sum_m log M_m(s)): pair_contraction."""
+        total = self.lane_objective(lambda log_m: np.add.reduce(log_m, -1))
+        return _minimize_tilts(total, self.flat)
 
 
 def optimize_tilt(
@@ -205,24 +333,25 @@ def optimize_tilt(
     the returned value is an upper bound on the true minimum (never an
     underestimate), so downstream feasibility claims stay conservative.
     """
-    plan = as_plan(plan, instance)
+    counts = as_plan(plan, instance).as_array().astype(float)
     yi, yj = _label_pair(instance, y, y_other)
-    return _pair_tilt(PairTables(instance, yi, yj), plan.as_array().astype(float))
+    return PairStack(instance, [(yi, yj)]).tilts(counts)[0]
 
 
 def _surrogate_check(instance: Instance) -> Callable[..., tuple]:
-    """The surrogate check of one label, with every pair's tables built once.
+    """The surrogate check of one label, with each label's competitor pairs
+    stacked once, as the lanes of one lockstep golden section.
 
     check(counts, yi), for float plan counts, returns (error <= tolerance,
     error, (s*, log proxy) per competitor in label order); the error is the
     fsum of the competitors' proxies at their optimal tilts.
     """
     L = instance.n_labels
-    rows = [[PairTables(instance, i, j) for j in range(L) if j != i] for i in range(L)]
+    rows = [PairStack(instance, [(i, j) for j in range(L) if j != i]) for i in range(L)]
     alphas = [float(a) for a in instance.tolerances]
 
     def check(counts: np.ndarray, yi: int) -> tuple[bool, float, list]:
-        tilts = [_pair_tilt(tb, counts) for tb in rows[yi]]
+        tilts = rows[yi].tilts(counts)
         value = math.fsum(math.exp(lv) for _, lv in tilts)
         return value <= alphas[yi], value, tilts
 
@@ -241,9 +370,11 @@ _WINDOW_CHUNK = 1 << 15
 # Plans in a band's first lookahead chunk; each later chunk doubles.
 _AHEAD_FIRST = 8
 
-# lower_bounds holds about five arrays of a chunk's (plans x pairs x grid
-# tilts) size at once, so a chunk's arrays get this share of _WINDOW_CHUNK.
-_AHEAD_SHARE = 8
+# A chunk's scoring holds about two float arrays of its (plans x pairs x
+# grid tilts) size at once, f and its slope, since lower_bounds computes
+# crossings only at the cells where the slope changes sign; so a chunk's
+# arrays get this share of _WINDOW_CHUNK.
+_AHEAD_SHARE = 4
 
 
 class TangentTable:
@@ -251,7 +382,9 @@ class TangentTable:
     the lower bounds both searches rule plans out with.
 
     Tangents at the grid bound a convex function's minimum from below
-    (lower_bounds). Applied to each convex log M_m, the bound gives
+    (lower_bounds): by the grid minimum, or inside a cell where the slope
+    changes sign, by the crossing of its end tangents; only those cells
+    are computed. Applied to each convex log M_m, the bound gives
     w_max[p, m] = max(-floor, 0), so with min_amp[p] = min(1, prior ratio)
     every tilt has f_p >= log(min_amp[p]) - r . w_max[p], where f_p(s) =
     s * log(prior ratio) + sum_m r_m log M_m(s) is a plan's tilted proxy:
@@ -264,16 +397,17 @@ class TangentTable:
     passes keeps its batch's survivors as a queue. rejects_plan answers for
     the queue's head from a chunk of survivors scored ahead in one pass:
     8 plans, then twice as many each time the walk reaches the end of the
-    last chunk, while its temporaries stay within _WINDOW_CHUNK elements.
+    last chunk, while its temporaries stay within _WINDOW_CHUNK elements:
+    they are about two float arrays of the chunk's (plans x pairs x grid)
+    size, so a chunk's arrays get a quarter of it (_AHEAD_SHARE).
     So a search that accepts early in a band scores at most one chunk past
     the plan it accepts.
     """
 
     def __init__(self, instance: Instance, grid: int = _TANGENT_GRID):
-        tabs = [PairTables(instance, i, j) for i, j in ordered_pairs(instance.n_labels)]
-        self.log_p = np.stack([t.log_p for t in tabs])  # (P, K, X)
-        self.log_q = np.stack([t.log_q for t in tabs])
-        self.log_ratio = np.array([t.log_prior_ratio for t in tabs])  # (P,)
+        stack = PairStack(instance, ordered_pairs(instance.n_labels))
+        self.log_p, self.log_q = stack.log_p, stack.log_q  # (P, K, X)
+        self.log_ratio = stack.log_ratio  # (P,)
         self.label_mask, self.alpha_cap = label_caps(instance)
 
         s = np.linspace(0.0, 1.0, grid)
@@ -320,18 +454,24 @@ class TangentTable:
 
     def lower_bounds(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
         """A value no larger than min_s f(s) over [0, 1] for each convex f
-        given by its values and slopes at the grid, along the last axis.
+        given by its values and slopes at the grid, along the last axis of
+        arrays of two or more dimensions.
 
         A cell whose end slopes share a sign has its minimum at an end
         point; otherwise the two end tangents cross inside it, and f lies
-        above their maximum, whose lowest point is that crossing.
+        above their maximum, whose lowest point is that crossing. So only
+        the cells where the slope turns from negative to positive are
+        gathered, and their crossings folded into the grid minimum: the
+        pass holds f, df and boolean masks, not a float array per cell.
         """
         d = float(self.grid[1] - self.grid[0])
-        fa, fb, da, db = f[..., :-1], f[..., 1:], df[..., :-1], df[..., 1:]
-        inner = (da < 0.0) & (db > 0.0)
-        u = np.clip((fa - fb + db * d) / np.where(inner, db - da, 1.0), 0.0, d)
-        cross = np.where(inner, fa + da * u, np.inf)
-        lb = np.minimum(f.min(axis=-1), cross.min(axis=-1))
+        lb = np.minimum.reduce(f, -1)
+        cell = np.nonzero((df[..., :-1] < 0.0) & (df[..., 1:] > 0.0))
+        if cell[0].size:
+            end = (*cell[:-1], cell[-1] + 1)
+            fa, da, db = f[cell], df[cell], df[end]
+            u = np.clip((fa - f[end] + db * d) / (db - da), 0.0, d)
+            np.minimum.at(lb, cell[:-1], fa + da * u)
         return lb - 1e-9 * (1.0 + np.abs(lb))
 
     def _over_caps(self, pair_bounds: np.ndarray) -> np.ndarray:
@@ -420,13 +560,7 @@ def pair_contraction(
 
     Returns (s*, min_s sum_m log M_m(s)); the prior plays no role here.
     """
-    yi, yj = _label_pair(instance, y, y_other)
-    tables = PairTables(instance, yi, yj)
-
-    def objective(s: float) -> float:
-        return float(tables.log_affinities(s).sum())
-
-    return _minimize_tilt(objective, tables.flat)
+    return PairStack(instance, [_label_pair(instance, y, y_other)]).contractions()[0]
 
 
 def max_pair_weights(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -448,13 +582,12 @@ def instance_contraction(instance: Instance) -> float:
     Lies in (0, 1) for identifiable instances; rho close to 1 means some
     label pair is barely distinguishable even using every model.
     """
-    worst = 0.0
     L = instance.n_labels
-    for i in range(L):
-        for j in range(i + 1, L):
-            # min value is symmetric in the pair order since M swaps s -> 1-s
-            _, lv = pair_contraction(instance, i, j)
-            worst = max(worst, math.exp(lv))
+    # min value is symmetric in the pair order since M swaps s -> 1-s
+    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    worst = 0.0
+    for _, lv in PairStack(instance, pairs).contractions():
+        worst = max(worst, math.exp(lv))
     return worst
 
 
@@ -489,7 +622,7 @@ def surrogate_error(
     return _surrogate_check(instance)(counts, instance.label_index(y))[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurrogateReport:
     """Per-label surrogate errors with the optimizing tilts that achieve them."""
 
@@ -530,18 +663,25 @@ def is_surrogate_feasible(
     proof of true feasibility; an infeasible report is only inconclusive.
     """
     counts = as_plan(plan, instance).as_array().astype(float)
-    check = _surrogate_check(instance)
     names = instance.labels
-    flags, values, tilts = zip(*(check(counts, yi) for yi in range(len(names))))
-    pair_tilts = [t for label_tilts in tilts for t in label_tilts]
+    pairs = ordered_pairs(len(names))
+    # every label's pairs in one lockstep run; label y's are the (y, .) block
+    pair_tilts = PairStack(instance, pairs).tilts(counts)
+    per = len(names) - 1
+    values = tuple(
+        math.fsum(math.exp(lv) for _, lv in pair_tilts[k : k + per])
+        for k in range(0, len(pairs), per)
+    )
+    tolerances = tuple(float(a) for a in instance.tolerances)
+    flags = tuple(v <= a for v, a in zip(values, tolerances))
     return SurrogateReport(
         labels=names,
         values=values,
-        tolerances=tuple(float(a) for a in instance.tolerances),
+        tolerances=tolerances,
         feasible_by_label=flags,
         feasible=all(flags),
         tilts=tuple(
             (names[i], names[j], s, lv)
-            for (i, j), (s, lv) in zip(ordered_pairs(len(names)), pair_tilts)
+            for (i, j), (s, lv) in zip(pairs, pair_tilts)
         ),
     )

@@ -47,7 +47,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         _expect(self.name, str, "model name", "a string")
         alphabet = tuple(_strings(self.alphabet, f"model {self.name!r}: alphabet"))
-        cond = np.array(self.conditional, dtype=float)
+        cond = _to_float(self.conditional, f"model {self.name!r} conditional", True)
         if cond.ndim != 2:
             raise ValueError(f"model {self.name!r}: conditional must be a 2-d matrix")
         if cond.shape[1] != len(alphabet):
@@ -55,7 +55,7 @@ class ModelSpec:
                 f"model {self.name!r}: conditional has {cond.shape[1]} columns "
                 f"but alphabet has {len(alphabet)} symbols"
             )
-        cost = float(self.cost)
+        cost = _to_float(self.cost, f"model {self.name!r} cost")
         if not (0.0 < cost < math.inf and _finite_positive(cond)):
             named = {
                 f"model {self.name!r} conditional": cond,
@@ -81,6 +81,21 @@ class ModelSpec:
             raise ValueError(
                 f"model {self.name!r} has no symbol {symbol!r}"
             ) from None
+
+
+def _too_large(field: str) -> ValueError:
+    """The error for an integer too large for a float in field, for which
+    Python and numpy raise OverflowError."""
+    return ValueError(f"number too large for a float in {field}")
+
+
+def _to_float(value, field: str, array: bool = False):
+    """float(value), or value as a float array; _too_large(field) for an
+    integer too large for a float."""
+    try:
+        return np.array(value, dtype=float) if array else float(value)
+    except OverflowError:
+        raise _too_large(field) from None
 
 
 def _finite_positive(values: np.ndarray) -> bool:
@@ -128,8 +143,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         labels = tuple(_strings(self.labels, "labels"))
-        prior = np.array(self.prior, dtype=float)
-        tol = np.array(self.tolerances, dtype=float)
+        prior = _to_float(self.prior, "prior", True)
+        tol = _to_float(self.tolerances, "tolerances", True)
         models = tuple(self.models)
         L = len(labels)
         if prior.shape != (L,):
@@ -200,7 +215,7 @@ class Instance:
         return Instance(self.labels, self.prior, self.models, np.asarray(tolerances))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryPlan:
     """Nonnegative integer repetition counts, one per model."""
 
@@ -366,6 +381,8 @@ def _float_array(value, field: str) -> np.ndarray:
     it holds NaN or an infinity: a sum or a divide would warn about that."""
     try:
         array = np.array(value, dtype=float)
+    except OverflowError:
+        raise _too_large(field) from None
     except (TypeError, ValueError):
         raise ValueError(f"{field} must hold only numbers") from None
     if not all(map(math.isfinite, array.ravel().tolist())):
@@ -420,7 +437,7 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
                 name=name,
                 alphabet=tuple(alphabet),
                 conditional=cond,
-                cost=float(cost),
+                cost=cost,
             )
         )
     if renormalize:

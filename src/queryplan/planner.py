@@ -66,7 +66,7 @@ class MemoryBudgetError(RuntimeError):
     """The dense DP table would exceed its entry budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedConstants:
     """Instance-level quantities that size the mesh, rounding and DP.
 
@@ -329,7 +329,7 @@ def backtrack(table: DpTable, state: tuple[int, ...]) -> QueryPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveCertificate:
     """A plan plus everything needed to audit it: the certifying tilts, the
     exact surrogate errors, the discretization constants, and whether the

@@ -48,6 +48,7 @@ from .instances import (
     ModelSpec,
     QueryPlan,
     _expect,
+    _to_float,
     instance_to_dict,
     plan_cost,
 )
@@ -84,7 +85,9 @@ class SetCoverInstance:
         if self.n < 1:
             raise ValueError("universe must be nonempty")
         sets = tuple(frozenset(int(e) for e in s) for s in self.sets)
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(
+            _to_float(w, f"weights[{i}]") for i, w in enumerate(self.weights)
+        )
         if len(sets) != len(weights):
             raise ValueError("need one weight per set")
         if not sets:
@@ -100,7 +103,9 @@ class SetCoverInstance:
                 raise ValueError(
                     f"weights[{i}] must be finite and positive, got {w!r}"
                 )
-        if self.budget is not None and not math.isfinite(self.budget):
+        if self.budget is not None and not math.isfinite(
+            _to_float(self.budget, "budget")
+        ):
             raise ValueError(f"budget must be finite, got {self.budget!r}")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", weights)

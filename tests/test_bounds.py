@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import reference_tilt
+from conftest import symmetric_binary
 from queryplan.bounds import (
     _AHEAD_SHARE,
     _WINDOW_CHUNK,
+    PairStack,
     PairTables,
     TangentTable,
-    _minimize_tilt,
-    _pair_tilt,
+    _logsumexp,
+    _minimize_tilts,
     affinity,
+    golden_lanes,
     golden_section,
     instance_contraction,
     is_surrogate_feasible,
@@ -216,16 +220,14 @@ def test_tangent_table_bounds_golden_sections(seed, n_labels, alpha, counts):
     table = TangentTable(inst)
     f, df = table.proxy_on_grid(r)
     lb = table.lower_bounds(f, df)
-    for p, (yi, yj) in enumerate(ordered_pairs(inst.n_labels)):
-        tables = PairTables(inst, yi, yj)
-        # the plan's bound never exceeds the golden-section pair proxy
-        assert lb[p] <= _pair_tilt(tables, r)[1]
-        for m in range(inst.n_models):
-            _, lv = _minimize_tilt(
-                lambda s, m=m: float(tables.log_affinities(s)[m]), False
-            )
-            # w_max never undercuts a model's golden-section weight
-            assert table.w_max[p, m] >= -lv
+    stack = PairStack(inst, ordered_pairs(inst.n_labels))
+    # the plan's bound never exceeds the golden-section pair proxy
+    assert all(b <= lv for b, (_, lv) in zip(lb, stack.tilts(r)))
+    for m in range(inst.n_models):
+        one_model = stack.lane_objective(lambda log_m, m=m: log_m[..., m])
+        minima = _minimize_tilts(one_model, [False] * len(stack.flat))
+        # w_max never undercuts a model's golden-section weight
+        assert all(table.w_max[p, m] >= -lv for p, (_, lv) in enumerate(minima))
     if is_surrogate_feasible(inst, tuple(int(c) for c in r)).feasible:
         assert not table.rejects(f, df)
 
@@ -270,3 +272,191 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
     sizes = [min(8 << k, rows) for k in range(len(table.batches))]
     assert table.batches[:-1] == sizes[:-1]
     assert all(b <= s for b, s in zip(table.batches[-1:], sizes[-1:]))
+
+
+def _lane_instance(seed: int, n_labels: int, kind: str) -> Instance:
+    """A random instance; with kind "flat" labels 1 and 2 share every row
+    and the prior (a flat pair), with "flat-ratio" they share every row
+    but not the prior, and "bsc" is the binary symmetric channel."""
+    if kind == "bsc":
+        models = (symmetric_binary(0.9, 1.0, "bsc"),)
+        return Instance(("1", "2"), np.array([0.5, 0.5]), models, np.full(2, 0.05))
+    rng = np.random.default_rng(seed)
+    prior = rng.dirichlet(np.ones(n_labels))
+    if kind != "random":
+        prior[1] = prior[0] if kind == "flat" else prior[0] * 0.5
+    models = []
+    for k in range(int(rng.integers(1, 4))):
+        x = int(rng.integers(2, 5))
+        rows = rng.dirichlet(np.ones(x), n_labels) * 0.98 + 0.02 / x
+        if kind != "random":
+            rows[1] = rows[0]
+        models.append(ModelSpec(f"m{k}", tuple(map(str, range(x))), rows, 1.0))
+    labels = tuple(str(y) for y in range(n_labels))
+    return Instance(labels, prior / prior.sum(), tuple(models), np.full(n_labels, 0.1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    kind=st.sampled_from(["random", "flat", "flat-ratio", "bsc"]),
+    counts=st.lists(st.integers(0, 30) | st.just(0), min_size=3, max_size=3),
+)
+def test_lanes_match_scalar_reference(seed, n_labels, kind, counts):
+    # every lane's tilt and value is the one-pair-at-a-time search's, bit
+    # for bit, also for flat pairs, all-zero plans and boundary minimizers
+    inst = _lane_instance(seed, n_labels, kind)
+    L = inst.n_labels
+    r = np.asarray(counts[: inst.n_models], dtype=float)
+    plan = tuple(int(c) for c in r)
+    pairs = ordered_pairs(L)
+    want = [reference_tilt.pair_tilt(PairTables(inst, i, j), r) for i, j in pairs]
+    report = is_surrogate_feasible(inst, plan)
+    assert [(s, lv) for _, _, s, lv in report.tilts] == want
+    for yi in range(L):
+        value = reference_tilt.surrogate_error(inst, r, yi)
+        assert report.values[yi] == value == surrogate_error(inst, plan, yi)
+        assert report.feasible_by_label[yi] == (value <= inst.tolerances[yi])
+    for (i, j), tilt in zip(pairs, want):
+        assert optimize_tilt(inst, plan, i, j) == tilt
+    worst = 0.0
+    for i in range(L):
+        for j in range(i + 1, L):
+            pc = reference_tilt.pair_contraction(PairTables(inst, i, j))
+            assert pair_contraction(inst, i, j) == pc
+            worst = max(worst, math.exp(pc[1]))
+    assert instance_contraction(inst) == worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(-50.0, 50.0),
+    width=st.floats(1e-7, 100.0),
+    target=st.floats(-60.0, 160.0),
+    power=st.sampled_from([1, 2, 4]),
+)
+def test_golden_section_matches_reference(lo, width, target, power):
+    hi = lo + width
+    assume(hi > lo)
+
+    def f(t):
+        return abs(t - target) ** power
+
+    assert golden_section(f, lo, hi) == reference_tilt.golden_section(f, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 2.6180339887498946e-06), (0.3, 0.30000261803398875)]
+)
+def test_golden_lanes_that_stop_at_different_rounds(lo, hi):
+    # widths of about GSS_TOL * phi^2, where rounding makes a lane that
+    # always keeps the left part stop a round apart from one that keeps
+    # the right; each lane still ends at its one-lane point
+    targets = [lo - 1.0, hi + 1.0, 0.5 * (lo + hi)]
+    calls = []
+
+    def f(s, live):
+        calls.append(live)
+        lanes = range(len(s)) if live is None else live
+        return [abs(x - targets[k]) for k, x in zip(lanes, s)]
+
+    points, ends = golden_lanes(f, 3, lo, hi, (lo, hi))
+    assert any(live is not None and 0 < len(set(live)) < 3 for live in calls[1:])
+    assert points == [
+        reference_tilt.golden_section(lambda t, y=y: abs(t - y), lo, hi)
+        for y in targets
+    ]
+    assert ends == [[abs(lo - y) for y in targets], [abs(hi - y) for y in targets]]
+
+
+@pytest.mark.parametrize("n_labels", [3, 4])
+def test_lane_objectives_evaluate_the_lanes_they_are_given(n_labels):
+    # f(s, live) is lane live[k]'s value at s[k]: one lane alone, a subset
+    # out of order, a lane repeated, and every lane
+    rng = np.random.default_rng(n_labels)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alphabet_sizes=(2, 4))
+    pairs = ordered_pairs(n_labels)
+    stack = PairStack(inst, pairs)
+    r = rng.integers(0, 20, size=inst.n_models).astype(float)
+    proxy = stack.proxy(r)
+    total = stack.lane_objective(lambda log_m: np.add.reduce(log_m, -1))
+    for live in [[0], [len(pairs) - 1], [2, 0], [1, 1, 3], None]:
+        lanes = range(len(pairs)) if live is None else live
+        s = rng.uniform(0.0, 1.0, size=len(lanes)).tolist()
+        tables = [PairTables(inst, *pairs[k]) for k in lanes]
+        assert proxy(s, live) == [
+            reference_tilt.proxy(tb, r, x) for tb, x in zip(tables, s)
+        ]
+        assert total(s, live) == [
+            float(reference_tilt.log_affinities(tb, x).sum())
+            for tb, x in zip(tables, s)
+        ]
+
+
+def test_logsumexp_matches_reference():
+    rng = np.random.default_rng(11)
+    for shape in [(4,), (3, 4), (5, 3, 4), (2, 6, 3, 7)]:
+        v = rng.normal(scale=30.0, size=shape)
+        v[..., 0] = -1e30  # the padding of a narrow alphabet
+        assert np.array_equal(_logsumexp(v), reference_tilt._logsumexp(v))
+
+
+def _dense_lower_bounds(table: TangentTable, f: np.ndarray, df: np.ndarray):
+    """lower_bounds with a crossing computed in every grid cell."""
+    d = float(table.grid[1] - table.grid[0])
+    fa, fb, da, db = f[..., :-1], f[..., 1:], df[..., :-1], df[..., 1:]
+    inner = (da < 0.0) & (db > 0.0)
+    u = np.clip((fa - fb + db * d) / np.where(inner, db - da, 1.0), 0.0, d)
+    cross = np.where(inner, fa + da * u, np.inf)
+    lb = np.minimum(f.min(axis=-1), cross.min(axis=-1))
+    return lb - 1e-9 * (1.0 + np.abs(lb))
+
+
+@pytest.mark.parametrize("n_labels", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sign_change_crossings_match_dense_cells(seed, n_labels):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3)
+    table = TangentTable(inst)
+    plans = rng.integers(0, 40, size=(50, inst.n_models)).astype(float)
+    plans[0] = 0.0
+    f, df = table.proxy_on_grid(plans)  # (B, P, G)
+    assert np.array_equal(table.lower_bounds(f, df), _dense_lower_bounds(table, f, df))
+    for r in plans[:10]:  # single plans, (P, G)
+        f, df = table.proxy_on_grid(r)
+        want = _dense_lower_bounds(table, f, df)
+        assert np.array_equal(table.lower_bounds(f, df), want)
+    # the (P, K, G) log M tables that w_max comes from
+    f, df = table.grid_log_m.swapaxes(1, 2), table.grid_slope.swapaxes(1, 2)
+    assert np.array_equal(table.lower_bounds(f, df), _dense_lower_bounds(table, f, df))
+
+
+def test_sign_change_crossings_with_several_per_row():
+    # wavy rows change slope sign several times, so np.minimum.at meets the
+    # same row more than once; flat and monotone rows have no crossing
+    table = TangentTable(
+        Instance(
+            ("1", "2"),
+            np.array([0.5, 0.5]),
+            (symmetric_binary(0.9, 1.0, "bsc"),),
+            np.full(2, 0.05),
+        )
+    )
+    rng = np.random.default_rng(3)
+    g = table.grid
+    f = np.stack(
+        [
+            np.sin(2 * np.pi * w * g + phase) + 0.1 * rng.normal(size=g.size)
+            for w, phase in rng.uniform(0.5, 6.0, size=(40, 2))
+        ]
+        + [np.zeros_like(g), g, -g, (g - 0.5) ** 2]
+    )
+    df = np.gradient(f, g, axis=-1) + 0.3 * rng.normal(size=f.shape)
+    df[-4] = 0.0
+    changes = ((df[:, :-1] < 0.0) & (df[:, 1:] > 0.0)).sum(axis=1)
+    assert changes.max() >= 3
+    for shape in [(44,), (4, 11), (2, 2, 11)]:
+        fs, dfs = f.reshape(*shape, -1), df.reshape(*shape, -1)
+        want = _dense_lower_bounds(table, fs, dfs)
+        assert np.array_equal(table.lower_bounds(fs, dfs), want)

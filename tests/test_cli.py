@@ -158,6 +158,70 @@ def test_validate_names_an_infinite_row_before_summing_it(tmp_path, capsys, flag
     assert "non-finite value (NaN or inf) in model 'm' conditional" in line
 
 
+BIG = 10**400  # an integer JSON holds but a float cannot
+
+
+def _with(path: list, value):
+    """A content function that sets the entry at path of a dict to value."""
+
+    def content(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return data
+
+    return content
+
+
+@pytest.mark.parametrize(
+    "argv, content, field",
+    [
+        pytest.param(
+            ["validate"], _with(["models", 0, "cost"], BIG), "'bsc' cost", id="cost"
+        ),
+        pytest.param(["validate"], _with(["prior", 0], BIG), "in prior", id="prior"),
+        pytest.param(
+            ["validate", "--renormalize"],
+            _with(["prior", 1], BIG),
+            "in prior",
+            id="prior-renormalize",
+        ),
+        pytest.param(
+            ["validate"], _with(["tolerances", 0], BIG), "in tolerances", id="tolerance"
+        ),
+        pytest.param(
+            ["validate"],
+            _with(["models", 0, "conditional", 0, 0], BIG),
+            "model 'bsc' conditional",
+            id="conditional",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2"],
+            lambda _: {"n": 2, "sets": [[1, 2]], "weights": [BIG]},
+            "in weights[0]",
+            id="setcover-weight",
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2"],
+            lambda _: {"n": 2, "sets": [[1, 2]], "weights": [1], "budget": BIG},
+            "in budget",
+            id="setcover-budget",
+        ),
+    ],
+)
+def test_files_with_an_integer_too_large_for_a_float(
+    bsc, tmp_path, capsys, argv, content, field
+):
+    # float() of such an integer raises OverflowError, not ValueError
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(content(instance_to_dict(bsc))))
+    flag = "--sets" if argv[0] == "reduce-setcover" else "--instance"
+    assert main([argv[0], flag, str(path), *argv[1:]]) == 1
+    line = one_error_line(capsys)
+    assert "number too large for a float" in line and field in line
+
+
 def test_simulate_rejects_out_of_range_seed(bsc_path, capsys):
     argv = ["simulate", "--instance", bsc_path, "--plan", "[2]", "--label", "1"]
     code = main([*argv, "--trials", "10", "--seed", "99999999999999999999999"])

@@ -371,6 +371,23 @@ def test_constructors_require_string_names(bsc, field):
                 build()
 
 
+def test_constructors_name_an_integer_too_large_for_a_float(bsc):
+    big = 10**400
+    model = bsc.models[0]
+    builds = {
+        "model 'bsc' cost": lambda: dataclasses.replace(model, cost=big),
+        "model 'bsc' conditional": lambda: dataclasses.replace(
+            model, conditional=[[big, 0.1], [0.1, 0.9]]
+        ),
+        "prior": lambda: dataclasses.replace(bsc, prior=[big, 0.5]),
+        "tolerances": lambda: dataclasses.replace(bsc, tolerances=[0.05, big]),
+    }
+    for field, build in builds.items():
+        message = f"number too large for a float in {field}"
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_json_round_trip_is_byte_identical(bsc, tmp_path):
     text = instance_to_json(bsc)
     again = instance_to_json(instance_from_dict(json.loads(text)))

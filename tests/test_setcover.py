@@ -34,6 +34,14 @@ def test_setcover_validation():
         SetCoverInstance(n=2, sets=(frozenset({1, 2}),), weights=(0.0,))
 
 
+def test_setcover_names_an_integer_too_large_for_a_float(sc3):
+    weights = (10**400,) + sc3.weights[1:]
+    with pytest.raises(ValueError, match=r"too large for a float in weights\[0\]"):
+        SetCoverInstance(n=sc3.n, sets=sc3.sets, weights=weights)
+    with pytest.raises(ValueError, match="too large for a float in budget"):
+        SetCoverInstance(n=sc3.n, sets=sc3.sets, weights=sc3.weights, budget=10**400)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_setcover_rejects_non_finite_numbers(sc3, value):
     weights = (value,) + sc3.weights[1:]
