@@ -30,13 +30,12 @@ Before it, searches rule plans out with one table per instance,
 TangentTable, whose tangent lower bounds serve both the batched prescreen
 and the per-plan reject of every surrogate search. A bound needs a tangent
 crossing only in a grid cell where the slope changes sign, so only those
-cells are computed. The per-plan reject is scored a chunk ahead: the table
-keeps the survivors of its last prescreen batch, and as the walk reaches
-them, scores the next 8, 16, 32, ... of them in one pass, so at most one
-chunk per band is scored past the plan the search accepts. The exact
-search for the true problem screens its batches with BhattacharyyaScreen
-instead, a lower bound on each pair's Bayes error that no decision rule
-beats.
+cells are computed. tangent_table builds an instance's table once per
+Instance object, and uniform_feasible_count its answer, so every search on
+the instance shares them; exact.SurrogateWalk scores the per-plan rejects
+ahead of the searches in batches. The exact search for the true problem
+screens its batches with BhattacharyyaScreen instead, a lower bound on
+each pair's Bayes error that no decision rule beats.
 """
 
 from __future__ import annotations
@@ -363,16 +362,13 @@ def _surrogate_check(instance: Instance) -> Callable[..., tuple]:
 _TANGENT_GRID = 129
 
 # Work per numpy batch, which bounds its temporaries: window points in the
-# planner's window scan, and elements of all the arrays the tangent reject's
-# lookahead holds at once.
+# planner's window scan, and elements of all the arrays a batch of
+# TangentTable.rejects_each holds at once.
 _WINDOW_CHUNK = 1 << 15
 
-# Plans in a band's first lookahead chunk; each later chunk doubles.
-_AHEAD_FIRST = 8
-
-# A chunk's scoring holds about two float arrays of its (plans x pairs x
+# A rejects_each batch holds about two float arrays of its (plans x pairs x
 # grid tilts) size at once, f and its slope, since lower_bounds computes
-# crossings only at the cells where the slope changes sign; so a chunk's
+# crossings only at the cells where the slope changes sign; so a batch's
 # arrays get this share of _WINDOW_CHUNK.
 _AHEAD_SHARE = 4
 
@@ -394,14 +390,8 @@ class TangentTable:
     golden-section value is never below the true minimum, no plan the
     surrogate check accepts is ever ruled out.
 
-    passes keeps its batch's survivors as a queue. rejects_plan answers for
-    the queue's head from a chunk of survivors scored ahead in one pass:
-    8 plans, then twice as many each time the walk reaches the end of the
-    last chunk, while its temporaries stay within _WINDOW_CHUNK elements:
-    they are about two float arrays of the chunk's (plans x pairs x grid)
-    size, so a chunk's arrays get a quarter of it (_AHEAD_SHARE).
-    So a search that accepts early in a band scores at most one chunk past
-    the plan it accepts.
+    A table holds no state past its construction, so one serves every
+    search on an instance (tangent_table).
     """
 
     def __init__(self, instance: Instance, grid: int = _TANGENT_GRID):
@@ -431,13 +421,10 @@ class TangentTable:
         K = instance.n_models
         self._log_m_rows = self.grid_log_m.reshape(-1, K).T
         self._slope_rows = self.grid_slope.reshape(-1, K).T
-
-        # the lookahead: the last passes batch's survivors, the walk's
-        # position among them, and the rejects of the first _scored
-        self._queue = np.empty((0, K))
-        self._head = 0
-        self._scored = 0
-        self._rejected = np.empty(0, dtype=bool)
+        # plans per rejects_each batch, whose arrays get a share of
+        # _WINDOW_CHUNK elements (_AHEAD_SHARE)
+        share = _WINDOW_CHUNK // _AHEAD_SHARE
+        self.batch_rows = max(1, share // self.grid_amp.size)
 
     def proxy_on_grid(self, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """f_p and its slope at every grid tilt, each shaped (P, G), or
@@ -479,32 +466,26 @@ class TangentTable:
         return (pair_bounds @ self.label_mask.T > self.alpha_cap).any(axis=-1)
 
     def passes(self, plans: np.ndarray) -> np.ndarray:
-        """For plans stacked as a (B, K) array, which the w_max bounds keep.
-        The kept plans become the queue rejects_plan reads ahead in."""
-        keep = ~self._over_caps(self.min_amp * np.exp(-(plans @ self.w_max.T)))
-        self._queue = plans[keep]
-        self._head = self._scored = 0
-        self._rejected = np.zeros(len(self._queue), dtype=bool)
-        return keep
+        """For plans stacked as a (B, K) array, which the w_max bounds keep."""
+        return ~self._over_caps(self.min_amp * np.exp(-(plans @ self.w_max.T)))
 
     def rejects(self, f: np.ndarray, df: np.ndarray) -> bool:
         """Whether the plan with proxy_on_grid (f, df) can never certify."""
         return bool(self._over_caps(np.exp(self.lower_bounds(f, df))))
 
-    def rejects_plan(self, counts: Sequence[int]) -> bool:
-        """rejects(*proxy_on_grid(counts)): read from the chunk scored ahead
-        if the plan is the head of the queue, else scored alone."""
-        i = self._head
-        if i == len(self._queue) or self._queue[i].tolist() != list(counts):
-            return self.rejects(*self.proxy_on_grid(counts))
-        if i == self._scored:
-            rows = max(1, _WINDOW_CHUNK // (_AHEAD_SHARE * self.grid_amp.size))
-            end = i + min(i + _AHEAD_FIRST, rows)
-            f, df = self.proxy_on_grid(self._queue[i:end])
-            self._rejected[i:end] = self._over_caps(np.exp(self.lower_bounds(f, df)))
-            self._scored = min(end, len(self._queue))
-        self._head = i + 1
-        return bool(self._rejected[i])
+    def rejects_each(self, plans: np.ndarray) -> np.ndarray:
+        """rejects for every plan of a (B, K) array, in one pass; callers
+        keep B within batch_rows."""
+        f, df = self.proxy_on_grid(plans)
+        return self._over_caps(np.exp(self.lower_bounds(f, df)))
+
+
+def tangent_table(instance: Instance, grid: int = _TANGENT_GRID) -> TangentTable:
+    """The instance's TangentTable of the given grid size, built once per
+    Instance object and shared by every search on it."""
+    return instance._shared(
+        ("tangent_table", grid), lambda: TangentTable(instance, grid)
+    )
 
 
 class BhattacharyyaScreen:
@@ -596,8 +577,15 @@ def uniform_feasible_count(instance: Instance) -> tuple[float, int]:
 
     Returns (rho, n) where querying every model n times yields surrogate
     error at most min_y alpha_y for every label. Raises if some pair is
-    indistinguishable (rho would be 1 and no finite n exists).
+    indistinguishable (rho would be 1 and no finite n exists). Computed
+    once per Instance object: every later call reads the first answer.
     """
+    return instance._shared(
+        "uniform_feasible_count", lambda: _uniform_feasible_count(instance)
+    )
+
+
+def _uniform_feasible_count(instance: Instance) -> tuple[float, int]:
     alpha_min = float(instance.tolerances.min())
     rho = instance_contraction(instance)
     if rho >= 1.0:

@@ -20,6 +20,7 @@ from .exact import exact_error_table, exact_opt
 from .instances import (
     SCHEMA_VERSION,
     Instance,
+    _parse_int,
     calibrate,
     instance_to_dict,
     load_instance,
@@ -45,11 +46,11 @@ def _emit(payload: dict, output: str | None) -> None:
 def _parse_plan(text: str) -> list[int]:
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_parse_int)
         if isinstance(data, dict):
             data = data.get("plan")
     else:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_parse_int)
     if not isinstance(data, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in data
     ):
@@ -84,7 +85,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     alphabets = None
     if args.alphabets:
         with open(args.alphabets) as fh:
-            alphabets = json.load(fh)
+            alphabets = json.load(fh, parse_int=_parse_int)
         if not isinstance(alphabets, dict) or not all(
             isinstance(v, list) for v in alphabets.values()
         ):

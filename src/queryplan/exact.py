@@ -18,8 +18,12 @@ in walk order to a caller's acceptance check. For the surrogate problem
 the bounds are the optimistic ones of bounds.TangentTable, and the check
 is the surrogate check of is_surrogate_feasible behind the same table's
 per-plan reject; the planner's window certificate uses the same table.
-For the true problem the bound is bounds.BhattacharyyaScreen, a lower
-bound on each label pair's Bayes error, and the check is exact errors.
+The surrogate searches of one Instance object share one SurrogateWalk per
+cost cap: the screened bands and the per-plan rejects one search computes
+serve every later one, which extends the walk only past its end. For the
+true problem the bound is bounds.BhattacharyyaScreen, a lower bound on
+each label pair's Bayes error, and the check is exact errors; each such
+search walks on its own.
 One profile-mass loop serves every exact error, and each public entry
 builds every (model, count) profile block once per call and reuses it
 across labels and plans.
@@ -28,16 +32,19 @@ across labels and plans.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from .bounds import (
+    _TANGENT_GRID,
     BhattacharyyaScreen,
     TangentTable,
     _logsumexp,
     _surrogate_check,
+    tangent_table,
     uniform_feasible_count,
 )
 from .instances import Instance, QueryPlan, _label_pair, as_plan, plan_cost
@@ -244,7 +251,7 @@ def exact_error(
     return _profile_mass(instance, plan, instance.label_index(y), wrong, budget, {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactErrorResult:
     labels: tuple[str, ...]
     errors: tuple[float, ...]
@@ -382,29 +389,48 @@ def lattice_bands(costs: Sequence[float], cost_cap: float) -> Iterator[np.ndarra
     extrapolate the count walked so far as x^K, for about twice the last
     band's plans, up to _BAND_MAX or a share of the live prefixes.
     """
-    costs = [float(c) for c in costs]
-    K = len(costs)
-    cap = cost_cap + 1e-9
-    # band edges are half-open: a fold below top is at most the cap, and a
-    # cap below zero (or NaN) leaves the empty plan alone
-    top = math.nextafter(cap, math.inf) if cap >= 0 else math.ulp(0.0)
-    level = _Level(costs, top)
-    target = _BAND_FIRST
-    hi = min(
-        (target * math.factorial(K) * math.prod(costs)) ** (1 / K),
-        min(costs) * (_BAND_MAX ** (1 / K) - 1),
-    )
-    walked = 0
-    while True:
-        hi = min(hi, top)
-        band = _by_cost(*level.band(hi))
-        if len(band):
-            yield band
-        if hi == top:
-            return
-        walked += len(band)
-        target = min(2 * target, max(_BAND_MAX, len(level.fold) // _BAND_SHARE))
-        hi *= (1 + target / walked) ** (1 / K)
+    return _Bands(costs, cost_cap)
+
+
+class _Bands:
+    """lattice_bands' iterator. An object rather than a generator, so a
+    walk paused between bands (a SurrogateWalk) holds its live prefixes
+    but not the band it handed out last."""
+
+    def __init__(self, costs: Sequence[float], cost_cap: float):
+        costs = [float(c) for c in costs]
+        self.K = K = len(costs)
+        cap = cost_cap + 1e-9
+        # band edges are half-open: a fold below top is at most the cap, and
+        # a cap below zero (or NaN) leaves the empty plan alone
+        self.top = math.nextafter(cap, math.inf) if cap >= 0 else math.ulp(0.0)
+        self.level: _Level | None = _Level(costs, self.top)
+        self.target = _BAND_FIRST
+        self.hi = min(
+            (self.target * math.factorial(K) * math.prod(costs)) ** (1 / K),
+            min(costs) * (_BAND_MAX ** (1 / K) - 1),
+        )
+        self.walked = 0
+
+    def __iter__(self) -> _Bands:
+        return self
+
+    def __next__(self) -> np.ndarray:
+        while self.level is not None:
+            level = self.level
+            hi = self.hi = min(self.hi, self.top)
+            band = _by_cost(*level.band(hi))
+            if hi == self.top:
+                self.level = None  # the walk is done; free its prefixes
+            else:
+                self.walked += len(band)
+                self.target = min(
+                    2 * self.target, max(_BAND_MAX, len(level.fold) // _BAND_SHARE)
+                )
+                self.hi *= (1 + self.target / self.walked) ** (1 / self.K)
+            if len(band):
+                return band
+        raise StopIteration
 
 
 _T = TypeVar("_T")
@@ -417,6 +443,64 @@ class BatchScreen(Protocol):
     def passes(self, plans: np.ndarray) -> np.ndarray:
         """For plans stacked as a (B, K) array, a mask of those kept."""
         ...
+
+
+class _Band:
+    """One band of a screened walk: the plans the prescreen kept, as a
+    (n, K) int64 array, their 1-based walk positions, and the position of
+    the band's last plan. A SurrogateWalk sets each survivor's tangent
+    reject, for the first ``scored``."""
+
+    __slots__ = ("plans", "positions", "end", "rejected", "scored")
+
+    def __init__(self, plans: np.ndarray, positions: np.ndarray, end: int):
+        self.plans = plans
+        self.positions = positions
+        self.end = end
+        self.rejected = np.zeros(len(plans), dtype=bool)
+        self.scored = 0
+
+
+def _screen(band: np.ndarray, walked: int, prescreen: BatchScreen) -> _Band:
+    """A band of the walk, past its first ``walked`` plans, screened as one
+    prescreen batch."""
+    kept = np.flatnonzero(prescreen.passes(band.astype(float)))
+    return _Band(band[kept], kept + (walked + 1), walked + len(band))
+
+
+def _screened(
+    costs: Sequence[float], cost_cap: float, prescreen: BatchScreen
+) -> Iterator[_Band]:
+    """lattice_bands' bands, each screened as one prescreen batch."""
+    walked = 0
+    for band in lattice_bands(costs, cost_cap):
+        yield _screen(band, walked, prescreen)
+        walked += len(band)
+
+
+def _search(
+    bands: Iterable[_Band],
+    accept: Callable[[tuple[int, ...]], _T | None],
+    node_budget: int,
+    walk: SurrogateWalk | None = None,
+) -> tuple[tuple[int, ...], _T, int] | None:
+    """search_lattice over screened bands; before each accept call, the
+    walk, if any, learns which survivor the plan is (SurrogateWalk.at)."""
+    for band in bands:
+        for i, position in enumerate(band.positions.tolist()):
+            if position > node_budget:
+                break
+            counts = tuple(band.plans[i].tolist())
+            if walk is not None:
+                walk.at = (band, i)
+            result = accept(counts)
+            if result is not None:
+                return counts, result, position
+        if band.end > node_budget:
+            raise EnumerationBudgetError(
+                f"search enumerated more than {node_budget} plans"
+            )
+    return None
 
 
 def search_lattice(
@@ -439,24 +523,94 @@ def search_lattice(
     behaviour and the sequence of accept calls are those of checking one
     plan at a time, wherever the bands are cut.
     """
-    enumerated = 0
-    for band in lattice_bands(costs, cost_cap):
-        for i in np.flatnonzero(prescreen.passes(band.astype(float))).tolist():
-            if enumerated + i + 1 > node_budget:
-                break
-            counts = tuple(band[i].tolist())
-            result = accept(counts)
-            if result is not None:
-                return counts, result, enumerated + i + 1
-        enumerated += len(band)
-        if enumerated > node_budget:
-            raise EnumerationBudgetError(
-                f"search enumerated more than {node_budget} plans"
-            )
-    return None
+    return _search(_screened(costs, cost_cap, prescreen), accept, node_budget)
 
 
-@dataclass(frozen=True)
+# Survivors in a band's first batch of tangent rejects; each later batch
+# of the band doubles, up to the table's batch_rows.
+_AHEAD_FIRST = 8
+
+
+class SurrogateWalk:
+    """The surrogate searches' walk of one instance under one cost cap:
+    lattice_bands screened by the instance's TangentTable, kept as it
+    grows, so every search on the instance with this cap reads the same
+    bands, w_max survivors, positions and tangent rejects.
+
+    A search reads the bands in order and extends the walk by one band
+    only when it reaches the end; search behaves as search_lattice with
+    the table as prescreen. rejects_plan answers for the survivor a search
+    is handing its accept from rejects scored ahead in one batch: 8
+    survivors, then twice as many each time a search reaches the end of
+    the scored ones, up to the table's batch_rows. So a band is scored at
+    most one batch past the furthest plan any search has reached, and a
+    later search reads every reject an earlier one scored.
+    """
+
+    def __init__(self, table: TangentTable, costs: Sequence[float], cost_cap: float):
+        self.table = table
+        self.bands: list[_Band] = []
+        self._lattice = lattice_bands(costs, cost_cap)
+        self._lock = threading.Lock()  # one thread at a time extends
+        # the band and index of the survivor last handed to an accept
+        self.at: tuple[_Band | None, int] = (None, 0)
+
+    def _walk(self) -> Iterator[_Band]:
+        """The bands in order, extending the walk past its end."""
+        b = 0
+        while True:
+            if b == len(self.bands):
+                with self._lock:
+                    if b == len(self.bands) and not self._extend():
+                        return
+            yield self.bands[b]
+            b += 1
+
+    def _extend(self) -> bool:
+        """Screens the walk's next band into bands; False past its end."""
+        band = next(self._lattice, None)
+        if band is None:
+            return False
+        walked = self.bands[-1].end if self.bands else 0
+        self.bands.append(_screen(band, walked, self.table))
+        return True
+
+    def search(
+        self, accept: Callable[[tuple[int, ...]], _T | None], node_budget: int
+    ) -> tuple[tuple[int, ...], _T, int] | None:
+        """search_lattice on this walk."""
+        return _search(self._walk(), accept, node_budget, self)
+
+    def rejects_plan(self, counts: Sequence[int]) -> bool:
+        """The table's tangent reject of the plan: read from the rejects
+        scored ahead if it is the survivor being handed to an accept, else
+        scored alone."""
+        band, i = self.at
+        if band is None or band.plans[i].tolist() != list(counts):
+            return self.table.rejects(*self.table.proxy_on_grid(counts))
+        while band.scored <= i:
+            j = band.scored
+            end = j + min(j + _AHEAD_FIRST, self.table.batch_rows)
+            band.rejected[j:end] = self.table.rejects_each(band.plans[j:end])
+            band.scored = min(end, len(band.plans))
+        return bool(band.rejected[i])
+
+
+def surrogate_walk(
+    instance: Instance, cost_cap: float, grid: int = _TANGENT_GRID
+) -> SurrogateWalk:
+    """The instance's SurrogateWalk under cost_cap, screened by its
+    TangentTable of the given grid size: made once per Instance object,
+    cap and grid, and shared by every search on it."""
+    return instance._shared(
+        ("surrogate_walk", float(cost_cap), grid),
+        lambda: SurrogateWalk(
+            tangent_table(instance, grid), [m.cost for m in instance.models], cost_cap
+        ),
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class OptResult:
     problem: str
     tie_policy: str | None
@@ -491,7 +645,10 @@ def exact_opt(
     tie policy. The first feasible plan in (cost, lexicographic) order is
     optimal for its problem; search_lattice walks that order. For
     "surrogate" the instance's TangentTable rules most plans out, in
-    batches and then one by one, before any tilt is optimized. For "true"
+    batches and then one by one, before any tilt is optimized; the walk,
+    its survivors and their rejects are the instance's SurrogateWalk for
+    the cap, shared with every other surrogate search on the instance
+    (run_afptas included). For "true"
     the BhattacharyyaScreen rules out, in batches, plans whose errors no
     decision rule can bring under the tolerances, and the profile blocks
     the exact errors of the other plans need are built once per call. The
@@ -517,16 +674,16 @@ def exact_opt(
     labels = range(instance.n_labels)
     if problem == "surrogate":
         check = _surrogate_check(instance)
-        prescreen = TangentTable(instance)
+        walk = surrogate_walk(instance, cost_cap)
 
         def accept(counts: tuple[int, ...]) -> bool | None:
-            if prescreen.rejects_plan(counts):
+            if walk.rejects_plan(counts):
                 return None
             r = np.array(counts, dtype=float)
             return all(check(r, yi)[0] for yi in labels) or None
 
+        found = walk.search(accept, node_budget)
     else:
-        prescreen = BhattacharyyaScreen(instance)
         cache: _BlockCache = {}
 
         def accept(counts: tuple[int, ...]) -> bool | None:
@@ -537,7 +694,8 @@ def exact_opt(
                 for yi in labels
             ) or None
 
-    found = search_lattice(costs, cost_cap, accept, node_budget, prescreen)
+        prescreen = BhattacharyyaScreen(instance)
+        found = search_lattice(costs, cost_cap, accept, node_budget, prescreen)
     if found is None:
         raise InfeasibleWithinCapError(
             f"no {problem}-feasible plan with cost <= {cost_cap}"

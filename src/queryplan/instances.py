@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +25,8 @@ SUM_TOL = 1e-12
 # Two conditional rows are treated as identical when they differ by no more
 # than this in any entry; such a pair carries no usable evidence.
 IDENTIFIABILITY_TOL = 1e-12
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,30 @@ class Instance:
     def with_tolerances(self, tolerances: Sequence[float]) -> "Instance":
         return Instance(self.labels, self.prior, self.models, np.asarray(tolerances))
 
+    def _shared(self, key, build: Callable[[], _T]) -> _T:
+        """build(), made once per key for this Instance object and shared
+        by every search on it: uniform_feasible_count's answer, the
+        TangentTable of each grid size, the surrogate searches' walk of
+        each cost cap, the constants of derive_constants that do not
+        depend on epsilon, and each plan run_afptas returns with its
+        surrogate report. The memo is no field, so repr, ==, JSON,
+        dataclasses.replace and with_tolerances do not see it, and pickles
+        and copies leave it out (__getstate__): a copy builds its own. An
+        instance is immutable, so what is built from it never goes stale."""
+        memo = self.__dict__.get("_search")
+        if memo is None:
+            memo = self.__dict__.setdefault("_search", {})
+        value = memo.get(key)
+        if value is None:
+            value = memo.setdefault(key, build())
+        return value
+
+    def __getstate__(self) -> dict:
+        """What pickles and copies keep: every attribute but the memo."""
+        state = dict(self.__dict__)
+        state.pop("_search", None)
+        return state
+
 
 @dataclass(frozen=True, slots=True)
 class QueryPlan:
@@ -225,6 +251,9 @@ class QueryPlan:
         counts = tuple(int(c) for c in self.counts)
         if any(c < 0 for c in counts):
             raise ValueError("plan counts must be nonnegative")
+        # the solvers hold counts as int64
+        if any(c >= 2**63 for c in counts):
+            raise ValueError("plan counts must be below 2**63")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -357,6 +386,19 @@ def save_instance(instance: Instance, path: str) -> None:
         fh.write(instance_to_json(instance))
 
 
+def _parse_int(literal: str) -> int:
+    """json's parse_int hook, the one way the package reads JSON integers.
+    int() refuses literals past the interpreter's digit limit (4,300 by
+    default); decimal.Decimal reads them, so a long integer reaches the
+    field's own check, which names the field."""
+    try:
+        return int(literal)
+    except ValueError:
+        import decimal  # only for such literals: the module costs 0.4 MB
+
+        return int(decimal.Decimal(literal))
+
+
 def _expect(value, kinds: type | tuple[type, ...], field: str, kind: str):
     """value if it is one of kinds and not a bool, else a ValueError naming
     the field, so a malformed file never reaches code that iterates it."""
@@ -459,7 +501,7 @@ def instance_from_dict(data: Mapping, renormalize: bool = False) -> Instance:
 
 def load_instance(path: str, renormalize: bool = False) -> Instance:
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_parse_int)
     return instance_from_dict(data, renormalize=renormalize)
 
 

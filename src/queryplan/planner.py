@@ -18,11 +18,15 @@ DP at every grid point and keeps the cheapest feasible state. That sweep
 costs grid^pairs x states and suits only toy fixtures, so it lives with
 the tests (tests/reference_sweep.py) as the reference they compare the
 search against; its building blocks round_weights, dp_solve and backtrack
-stay here. The walk is exact.search_lattice, shared with the exact
-optimizer: it prescreens plans in batches with one matrix product of
-optimistic pair bounds and hands the survivors, in cost order, to the
-certifier below. Both come from one per-instance bounds.TangentTable,
-which the certifier extends.
+stay here. The walk is the instance's exact.SurrogateWalk for the
+search's cost cap, which every solve of the Instance object and the exact
+optimizer's searches share: it prescreens plans in batches with one matrix
+product of optimistic pair bounds, keeps the survivors and their per-plan
+rejects, and hands the survivors, in cost order, to the certifier below.
+Both come from one per-instance bounds.TangentTable, which the certifier
+holds. Only the window scan depends on epsilon; the cap, the constants
+that do not depend on it and the audit of each plan are computed once per
+instance too.
 
 The search certifies a plan by each pair's lowest floored-weight
 certificate over the tilt axis, whose length grows like 1/mesh (past a
@@ -49,13 +53,12 @@ from .bounds import (
     _WINDOW_CHUNK,
     PairTables,
     SurrogateReport,
-    TangentTable,
     _logsumexp,
     is_surrogate_feasible,
     ordered_pairs,
     uniform_feasible_count,
 )
-from .exact import _compositions, exact_opt, search_lattice
+from .exact import _compositions, exact_opt, surrogate_walk
 from .instances import Instance, QueryPlan, _indistinguishable, plan_cost
 
 MEMORY_BUDGET = 1 << 28
@@ -101,9 +104,40 @@ class DerivedConstants:
 
 
 def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
-    """Computes every discretization constant for the given accuracy target."""
+    """Computes every discretization constant for the given accuracy target.
+    The constants that do not depend on it are computed once per Instance
+    object and shared by every call."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    B, rho, n_unif, kappa_min, delta_margin, theta, k_max, n_max, lam = (
+        instance._shared("instance_constants", lambda: _instance_constants(instance))
+    )
+    k_eps = math.ceil(2.0 * math.log1p(epsilon) / (-math.log(theta)))
+    mesh = math.log1p(epsilon) / lam
+    round_scale = math.log1p(epsilon) / n_max
+    t_max = math.ceil(B * n_max / round_scale)
+
+    return DerivedConstants(
+        epsilon=float(epsilon),
+        B=B,
+        rho=rho,
+        n_unif=n_unif,
+        kappa_min=kappa_min,
+        delta_margin=delta_margin,
+        theta=theta,
+        k_eps=k_eps,
+        k_max=k_max,
+        n_max=n_max,
+        lam=lam,
+        mesh=mesh,
+        round_scale=round_scale,
+        t_max=t_max,
+    )
+
+
+def _instance_constants(instance: Instance) -> tuple:
+    """derive_constants' values that do not depend on epsilon: (B, rho,
+    n_unif, kappa_min, delta_margin, theta, k_max, n_max, lam)."""
     L = instance.n_labels
     K = instance.n_models
 
@@ -142,7 +176,6 @@ def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
             "pair contraction is not bounded away from 1 inside the tilt window"
         )
 
-    k_eps = math.ceil(2.0 * math.log1p(epsilon) / (-math.log(theta)))
     k_max = math.ceil(2.0 * math.log(2.0) / (-math.log(theta)))
 
     costs = [m.cost for m in instance.models]
@@ -150,26 +183,7 @@ def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
 
     pr = instance.prior
     lam = math.log(float(pr.max()) / float(pr.min())) + B * n_max
-    mesh = math.log1p(epsilon) / lam
-    round_scale = math.log1p(epsilon) / n_max
-    t_max = math.ceil(B * n_max / round_scale)
-
-    return DerivedConstants(
-        epsilon=float(epsilon),
-        B=B,
-        rho=rho,
-        n_unif=n_unif,
-        kappa_min=kappa_min,
-        delta_margin=delta_margin,
-        theta=theta,
-        k_eps=k_eps,
-        k_max=k_max,
-        n_max=n_max,
-        lam=lam,
-        mesh=mesh,
-        round_scale=round_scale,
-        t_max=t_max,
-    )
+    return B, rho, n_unif, kappa_min, delta_margin, theta, k_max, n_max, lam
 
 
 def tilt_axis_size(constants: DerivedConstants) -> int:
@@ -374,7 +388,7 @@ def guarantee_threshold(instance: Instance, constants: DerivedConstants) -> floa
     return (L - 1) * float(pr.min()) / float(pr.max()) * math.exp(-pad)
 
 
-class _WindowCertifier(TangentTable):
+class _WindowCertifier:
     """The axis certificate of a plan, minimized per pair over the tilt axis
     without scanning the axis.
 
@@ -390,12 +404,12 @@ class _WindowCertifier(TangentTable):
     cert_p(i) >= f_p(s_i), where f_p(s) = s * log(prior ratio) +
     sum_m r_m log M_m(s) is the exact tilted proxy, which is convex in s.
     Two consequences make a full-axis scan unnecessary, both drawn from the
-    instance's TangentTable, which this certifier extends:
+    instance's TangentTable, which this certifier holds:
 
     * reject: the table's tangent lower bounds on min_s f_p already exceed
-      some tolerance, so no assignment certifies. The walk hands certify
-      the survivors of the table's passes in order, so the reject is read
-      from a chunk the table scored ahead (rejects_plan).
+      some tolerance, so no assignment certifies. The search hands certify
+      the survivors of its walk in order, so the reject is read from a
+      batch the walk scored ahead (SurrogateWalk.rejects_plan).
     * window: with U_p the certificate at one axis index, every index whose
       certificate is <= U_p, the argmins among them, has f_p(s_i) <= U_p
       and so lies where every grid tangent is <= U_p: an interval. Scanning
@@ -403,14 +417,22 @@ class _WindowCertifier(TangentTable):
       the same first argmins and values.
 
     Both inequalities carry a margin of 1e-9 relative, far above the
-    rounding they absorb.
+    rounding they absorb. The walk is the instance's for the search's cost
+    cap and the table's grid, so every solve of an instance reads it.
     """
 
     def __init__(self, instance: Instance, constants: DerivedConstants):
-        super().__init__(instance, _TANGENT_GRID)
+        self.walk = surrogate_walk(
+            instance, _search_cap(instance, constants), _TANGENT_GRID
+        )
+        table = self.walk.table
+        self.table = table
+        # the table's grid proxies and their lower bounds, as the certifier's
+        self.proxy_on_grid = table.proxy_on_grid
+        self.lower_bounds = table.lower_bounds
         self.constants = constants
         self.n_axis = tilt_axis_size(constants)
-        self.masks = self.label_mask > 0
+        self.masks = table.label_mask > 0
         self.tolerances = [float(a) for a in instance.tolerances]
 
     def axis_certificates(
@@ -420,19 +442,20 @@ class _WindowCertifier(TangentTable):
         operations in the same order as a full-axis table, so the values are
         bit-identical to it."""
         c = self.constants
+        t = self.table
         s = _axis_tilts(index, c.mesh, self.n_axis)
-        v = (1.0 - s)[:, None, None] * self.log_p[pair_of] + s[
+        v = (1.0 - s)[:, None, None] * t.log_p[pair_of] + s[
             :, None, None
-        ] * self.log_q[pair_of]
+        ] * t.log_q[pair_of]
         log_m = _logsumexp(v)  # (N, K)
         w = _floor_weights(log_m, c.round_scale)
         covered = np.minimum(w @ r, c.t_max)
-        return s * self.log_ratio[pair_of] - c.round_scale * covered
+        return s * t.log_ratio[pair_of] - c.round_scale * covered
 
     def certify(self, counts: tuple[int, ...]) -> np.ndarray | None:
         """Per-pair first-argmin axis indices if the plan certifies every
         tolerance, else None; the same answer as scanning the whole axis."""
-        if self.rejects_plan(counts):
+        if self.walk.rejects_plan(counts):
             return None
         f, df = self.proxy_on_grid(counts)
         c = self.constants
@@ -440,12 +463,13 @@ class _WindowCertifier(TangentTable):
         P = f.shape[0]
         last = self.n_axis - 1
         # U_p: the certificate at the axis index nearest the best grid tilt
-        near = np.clip(np.rint(self.grid[f.argmin(axis=1)] / c.mesh), 0, last)
+        grid = self.table.grid
+        near = np.clip(np.rint(grid[f.argmin(axis=1)] / c.mesh), 0, last)
         near = near.astype(np.int64)
         cap = self.axis_certificates(np.arange(P), near, r)
         cap = cap + 1e-9 * (1.0 + np.abs(cap))
         # where every tangent f_g + f'_g (s - s_g) stays <= cap
-        reach = self.grid + (cap[:, None] - f) / np.where(df != 0.0, df, 1.0)
+        reach = grid + (cap[:, None] - f) / np.where(df != 0.0, df, 1.0)
         s_lo = np.where(df < 0.0, reach, 0.0).max(axis=1)
         s_hi = np.where(df > 0.0, reach, 1.0).min(axis=1)
         lo = np.minimum(np.maximum(np.floor(s_lo / c.mesh) - 1, 0), near)
@@ -475,13 +499,18 @@ class _WindowCertifier(TangentTable):
         return best_idx
 
 
+def _search_cap(instance: Instance, constants: DerivedConstants) -> float:
+    """The search's cost cap: the padded uniform plan, which always
+    certifies, costs (n_unif + k_max) times the sum of the costs."""
+    costs = [m.cost for m in instance.models]
+    return (constants.n_unif + constants.k_max) * sum(costs) + 1e-9
+
+
 def _solve_search(
     instance: Instance, constants: DerivedConstants, node_budget: int
 ) -> tuple[QueryPlan, list[float]]:
-    costs = [m.cost for m in instance.models]
-    cost_cap = (constants.n_unif + constants.k_max) * sum(costs) + 1e-9
     certifier = _WindowCertifier(instance, constants)
-    found = search_lattice(costs, cost_cap, certifier.certify, node_budget, certifier)
+    found = certifier.walk.search(certifier.certify, node_budget)
     if found is None:
         raise RuntimeError(
             "lattice exhausted without a certifiable plan; the uniform padded "
@@ -500,9 +529,10 @@ def run_afptas(
 ) -> SolveCertificate:
     """Runs the approximation scheme end to end and audits the result.
 
-    It walks plans in cost order with exact.search_lattice, the walk
-    exact_opt also uses, and certifies each plan its prescreen keeps with
-    the window certificate: per pair, the first argmin of the floored
+    It walks plans in cost order on the instance's exact.SurrogateWalk
+    for its cost cap, which every solve of the instance shares, and
+    certifies each plan its prescreen keeps with the window certificate:
+    per pair, the first argmin of the floored
     certificate over the whole tilt axis, found by scanning only the window
     where the exact proxy's grid tangents allow a value at or below a known
     certificate. Every other axis point lies above that certificate, so the
@@ -524,7 +554,12 @@ def run_afptas(
     """
     constants = derive_constants(instance, epsilon)
     plan, tilts = _solve_search(instance, constants, node_budget)
-    report = is_surrogate_feasible(instance, plan)
+    # the audit of a plan is the instance's too: solves at several epsilon
+    # often find the same plan, and their certificates share it and its report
+    plan, report = instance._shared(
+        ("audited_plan", plan.counts),
+        lambda: (plan, is_surrogate_feasible(instance, plan)),
+    )
     if not report.feasible:
         raise RuntimeError(
             "certified plan fails the exact surrogate check; the grid "

@@ -48,6 +48,7 @@ from .instances import (
     ModelSpec,
     QueryPlan,
     _expect,
+    _parse_int,
     _to_float,
     instance_to_dict,
     plan_cost,
@@ -135,7 +136,8 @@ def load_setcover(path: str) -> SetCoverInstance:
     """Reads a JSON object {n, sets, weights[, budget]}; raises ValueError
     naming the first missing, unknown or malformed field."""
     with open(path) as fh:
-        data = _expect(json.load(fh), dict, "set-cover file", "an object")
+        data = json.load(fh, parse_int=_parse_int)
+    _expect(data, dict, "set-cover file", "an object")
     unknown = set(data) - {"n", "sets", "weights", "budget"}
     if unknown:
         raise ValueError(f"unknown set-cover keys: {sorted(unknown)}")

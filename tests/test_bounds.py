@@ -31,6 +31,7 @@ from queryplan.bounds import (
     surrogate_error,
     uniform_feasible_count,
 )
+from queryplan.exact import EnumerationBudgetError, SurrogateWalk
 from queryplan.experiments import random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec
 
@@ -258,20 +259,43 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
     inst = random_instance(
         rng, n_labels=n_labels, max_models=3, alphabet_sizes=(2, 4), alpha=alpha
     )
-    plans = rng.integers(0, 31, size=(n_plans, inst.n_models)).astype(float)
+    costs = [m.cost for m in inst.models]
     table = LoggedTable(inst)
-    kept = plans[table.passes(plans)]
-    for r in kept:
-        counts = tuple(int(c) for c in r)
+    walk = SurrogateWalk(table, costs, 40.0 * max(costs))
+    asked = []
+
+    def accept(counts):
+        r = np.asarray(counts, dtype=float)
         want = TangentTable.rejects(table, *TangentTable.proxy_on_grid(table, r))
-        assert table.rejects_plan(counts) == want
-    # every survivor was read from a chunk: 8 plans, then twice as many
-    # each time, up to a share of _WINDOW_CHUNK elements
-    assert table.alone == [] and sum(table.batches) == len(kept)
+        assert walk.rejects_plan(counts) == want
+        asked.append(counts)
+        return None
+
+    try:
+        walk.search(accept, n_plans)
+    except EnumerationBudgetError:
+        pass
+    # every survivor was read from a batch: per band 8 plans, then twice as
+    # many each time, up to a share of _WINDOW_CHUNK elements
+    assert table.alone == [] and sum(table.batches) >= len(asked)
     rows = max(1, _WINDOW_CHUNK // (_AHEAD_SHARE * table.grid_amp.size))
-    sizes = [min(8 << k, rows) for k in range(len(table.batches))]
-    assert table.batches[:-1] == sizes[:-1]
-    assert all(b <= s for b, s in zip(table.batches[-1:], sizes[-1:]))
+    assert table.batch_rows == rows
+    sizes = []
+    for band in walk.bands:
+        j = 0
+        while j < band.scored:
+            sizes.append(min(j + 8, rows, len(band.plans) - j))
+            j += min(j + 8, rows)
+    assert table.batches == sizes
+    # a second search on the walk reads every reject the first scored
+    batches, first = len(table.batches), asked[:]
+    asked.clear()
+    try:
+        walk.search(accept, n_plans)
+    except EnumerationBudgetError:
+        pass
+    assert asked == first
+    assert len(table.batches) == batches and table.alone == []
 
 
 def _lane_instance(seed: int, n_labels: int, kind: str) -> Instance:

@@ -222,6 +222,50 @@ def test_files_with_an_integer_too_large_for_a_float(
     assert "number too large for a float" in line and field in line
 
 
+# A JSON integer literal past the 4,300 digits Python's int() reads.
+HUGE = "9" * 5001
+
+
+@pytest.mark.parametrize(
+    "argv, content, field",
+    [
+        pytest.param(
+            ["validate"], _with(["models", 0, "cost"], "HUGE"), "'bsc' cost", id="cost"
+        ),
+        pytest.param(
+            ["reduce-setcover", "--epsilon", "0.2"],
+            lambda _: {"n": 2, "sets": [[1, 2]], "weights": ["HUGE"]},
+            "in weights[0]",
+            id="setcover-weight",
+        ),
+    ],
+)
+def test_files_with_an_integer_past_the_digit_limit(
+    bsc, tmp_path, capsys, argv, content, field
+):
+    # json.dumps cannot write such an integer either, so it is spliced in
+    path = tmp_path / "huge.json"
+    text = json.dumps(content(instance_to_dict(bsc))).replace('"HUGE"', HUGE)
+    path.write_text(text)
+    flag = "--sets" if argv[0] == "reduce-setcover" else "--instance"
+    assert main([argv[0], flag, str(path), *argv[1:]]) == 1
+    line = one_error_line(capsys)
+    assert "number too large for a float" in line and field in line
+
+
+@pytest.mark.parametrize("count", ["1" + "0" * 30, HUGE], ids=["31-digit", "huge"])
+@pytest.mark.parametrize("argv", INSTANCE_COMMANDS[1:4], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("source", ["literal", "file"])
+def test_plans_with_a_count_too_large(bsc_path, tmp_path, capsys, argv, count, source):
+    plan = f"[{count}]"
+    if source == "file":
+        (tmp_path / "plan.json").write_text(plan)
+        plan = f"@{tmp_path / 'plan.json'}"
+    argv = [argv[0], "--instance", bsc_path, "--plan", plan, *argv[3:]]
+    assert main(argv) == 1
+    assert "plan counts must be below 2**63" in one_error_line(capsys)
+
+
 def test_simulate_rejects_out_of_range_seed(bsc_path, capsys):
     argv = ["simulate", "--instance", bsc_path, "--plan", "[2]", "--label", "1"]
     code = main([*argv, "--trials", "10", "--seed", "99999999999999999999999"])

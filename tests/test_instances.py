@@ -86,6 +86,15 @@ def test_plan_cost_and_as_plan(duo):
         as_plan([1, -2], duo)
 
 
+def test_plan_counts_fit_in_int64(duo):
+    # the solvers hold counts as int64; a larger count used to raise
+    # OverflowError from QueryPlan.as_array
+    assert as_plan([2**63 - 1, 0], duo).as_array()[0] == 2**63 - 1
+    for count in (2**63, 10**5000):
+        with pytest.raises(ValueError, match=r"plan counts must be below 2\*\*63"):
+            as_plan([count, 0], duo)
+
+
 @given(counts=st.lists(st.integers(0, 50), min_size=2, max_size=2))
 def test_plan_cost_is_linear(counts):
     p = (2.0 + math.sqrt(3.0)) / 4.0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from conftest import symmetric_binary
 from queryplan import planner
 from queryplan.bounds import TangentTable
-from queryplan.exact import EnumerationBudgetError, exact_opt
+from queryplan.exact import EnumerationBudgetError, SurrogateWalk, exact_opt
 from queryplan.experiments import random_instance
 from queryplan.instances import Instance, QueryPlan, plan_cost
 from queryplan.planner import (
@@ -320,7 +321,7 @@ def test_run_afptas_argument_validation(bsc):
 
 
 # ---------------------------------------------------------------------------
-# The tangent reject scored ahead: TangentTable.rejects_plan
+# The tangent reject scored ahead: SurrogateWalk.rejects_plan
 # ---------------------------------------------------------------------------
 
 
@@ -341,18 +342,18 @@ def scored_alone(monkeypatch):
 @pytest.fixture
 def scored_rejects(monkeypatch, scored_alone):
     """Checks every rejects_plan answer against the plan's rejects scored
-    alone. Yields a log of (counts, answered from the chunk scored ahead)."""
+    alone. Yields a log of (counts, answered from the batch scored ahead)."""
     log: list[tuple[tuple[int, ...], bool]] = []
-    rejects_plan = TangentTable.rejects_plan
+    rejects_plan = SurrogateWalk.rejects_plan
 
     def checked(self, counts):
         before = len(scored_alone)
         got = rejects_plan(self, counts)
         log.append((counts, len(scored_alone) == before))
-        assert got == self.rejects(*self.proxy_on_grid(counts)), counts
+        assert got == self.table.rejects(*self.table.proxy_on_grid(counts)), counts
         return got
 
-    monkeypatch.setattr(TangentTable, "rejects_plan", checked)
+    monkeypatch.setattr(SurrogateWalk, "rejects_plan", checked)
     return log
 
 
@@ -420,21 +421,42 @@ def test_certify_out_of_walk_order_scores_the_plan_alone(request, scored_alone, 
     plans = np.array(
         list(itertools.product(range(13), repeat=inst.n_models)), dtype=float
     )
-    walked = planner._WindowCertifier(inst, constants)
-    kept = [tuple(int(c) for c in r) for r in plans[walked.passes(plans)]]
-    want = [walked.certify(counts) for counts in kept]
-    assert any(w is not None for w in want)
+    certifier = planner._WindowCertifier(inst, constants)
+    table = certifier.table
+    kept = [tuple(int(c) for c in r) for r in plans[table.passes(plans)]]
 
     def same(got, want):
         return got is None if want is None else np.array_equal(got, want)
 
-    # before any passes, and against the walk order after one
-    fresh = planner._WindowCertifier(inst, constants)
-    backward = planner._WindowCertifier(inst, constants)
-    backward.passes(plans)
+    # before any search, every plan is scored alone
+    want = [certifier.certify(counts) for counts in kept]
+    assert any(w is not None for w in want)
+    assert scored_alone.count(table) == len(kept)
+    # after a search, against the walk order: only the plan the search
+    # accepted, the survivor its walk handed out last, is read from a batch
+    accepted = run_afptas(inst, 0.5).plan.counts
+    assert accepted in kept
+    del scored_alone[:]
+    again = planner._WindowCertifier(inst, constants)
+    assert again.walk is certifier.walk
     for counts, w in reversed(list(zip(kept, want))):
-        assert same(fresh.certify(counts), w)
-        assert same(backward.certify(counts), w)
-    assert scored_alone.count(fresh) == len(kept)
-    # only the queue's head, asked last, is read from a chunk
-    assert scored_alone.count(backward) == len(kept) - 1
+        assert same(again.certify(counts), w)
+    assert scored_alone.count(table) == len(kept) - 1
+
+
+def test_window_certifier_takes_the_patched_grid(bsc):
+    # the certifier reads planner._TANGENT_GRID when it is built, so a test
+    # that patches it certifies with a table of that grid, not the shared
+    # default one
+    constants = derive_constants(bsc, 0.5)
+    default = planner._WindowCertifier(bsc, constants)
+    with mock.patch.object(planner, "_TANGENT_GRID", 17):
+        patched = planner._WindowCertifier(bsc, constants)
+    assert default.table.grid.size == planner._TANGENT_GRID
+    assert patched.table.grid.size == 17
+    assert patched.walk.table is patched.table
+    assert patched.walk is not default.walk
+    for counts in [(k,) for k in range(12)]:
+        want = default.certify(counts)
+        got = patched.certify(counts)
+        assert got is None if want is None else np.array_equal(got, want)

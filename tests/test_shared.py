@@ -1,0 +1,145 @@
+"""Searches on one Instance object share what they derive from it.
+
+uniform_feasible_count, the TangentTables, the surrogate searches' walks,
+the epsilon-free constants and run_afptas's audits are built once per
+Instance object. Every search must answer as it would on a fresh copy, in
+any order and under any budget, and the shared state must stay out of
+everything an Instance shows: repr, ==, JSON, pickles and copies.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from queryplan.bounds import uniform_feasible_count
+from queryplan.exact import exact_opt
+from queryplan.experiments import random_instance
+from queryplan.instances import (
+    Instance,
+    instance_from_dict,
+    instance_to_dict,
+    instance_to_json,
+)
+from queryplan.planner import run_afptas
+
+EPSILONS = (0.1, 0.5, 1.0)
+
+
+def fresh(inst: Instance) -> Instance:
+    """An equal instance that shares nothing with inst."""
+    return instance_from_dict(instance_to_dict(inst))
+
+
+def outcome(job, inst: Instance) -> str:
+    """The repr of what the job returns on inst, or of the error it raises:
+    a blown budget or, under a cap, no feasible plan."""
+    try:
+        return repr(job(inst))
+    except RuntimeError as exc:
+        return repr(exc)
+
+
+def exact_job(node_budget: int = 1_000_000, cost_cap: float | None = None):
+    return lambda inst: exact_opt(
+        inst, problem="surrogate", node_budget=node_budget, cost_cap=cost_cap
+    )
+
+
+def solve_job(epsilon: float, node_budget: int = 2_000_000):
+    return lambda inst: run_afptas(inst, epsilon, node_budget=node_budget)
+
+
+def cheap_cap(inst: Instance) -> float:
+    """A cost cap below the surrogate optimum on the draws below."""
+    return 2.0 * float(inst.costs.min())
+
+
+JOBS = [
+    ("exact", exact_job()),
+    ("exact-capped", lambda inst: exact_job(cost_cap=cheap_cap(inst))(inst)),
+    *[(eps, solve_job(eps)) for eps in EPSILONS],
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(0.01, 0.2),
+    budget=st.integers(1, 300),
+)
+def test_shared_searches_answer_as_fresh_copies(seed, n_labels, alpha, budget):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
+    want = {name: outcome(job, fresh(inst)) for name, job in JOBS}
+    assert "InfeasibleWithinCapError" in want["exact-capped"]
+    # both epsilon orders, with the exact searches first and last
+    for order in (JOBS, JOBS[::-1]):
+        shared = fresh(inst)
+        assert {name: outcome(job, shared) for name, job in order} == want
+
+    # a search that runs out of budget, then one that accepts on the same
+    # walk, and the reverse order
+    enumerated = exact_opt(fresh(inst), problem="surrogate").enumerated
+    budgets = [(exact_job(enumerated - 1), exact_job(enumerated))]
+    small, large = solve_job(0.5, budget), solve_job(0.5, 4 * budget)
+    budgets.append((small, large))
+    for pair in budgets:
+        for jobs in (pair, pair[::-1]):
+            shared = fresh(inst)
+            for job in jobs:
+                assert outcome(job, shared) == outcome(job, fresh(inst))
+    blown = outcome(exact_job(enumerated - 1), fresh(inst))
+    assert "EnumerationBudgetError" in blown
+
+
+def shown(inst: Instance) -> tuple:
+    """Everything an instance shows but its identity."""
+    twin = fresh(inst)
+    return (
+        repr(inst),
+        instance_to_json(inst),
+        inst == inst,
+        pickle.dumps(inst),
+        repr(pickle.loads(pickle.dumps(inst))),
+        repr(copy.deepcopy(inst)),
+        repr(dataclasses.replace(inst)),
+        twin.labels == inst.labels,
+    )
+
+
+def test_shared_state_stays_invisible(duo):
+    before = shown(duo)
+    run_afptas(duo, 0.5)
+    exact_opt(duo, problem="surrogate")
+    assert "_search" in vars(duo)
+    assert shown(duo) == before
+    # equality still compares the fields, arrays and all
+    with pytest.raises(ValueError, match="ambiguous"):
+        assert duo == fresh(duo)
+    for other in (pickle.loads(pickle.dumps(duo)), copy.deepcopy(duo), copy.copy(duo)):
+        assert "_search" not in vars(other)
+        assert repr(run_afptas(other, 0.5)) == repr(run_afptas(fresh(duo), 0.5))
+
+
+def test_copies_with_other_tolerances_get_their_own_state(duo):
+    exact_opt(duo, problem="surrogate")
+    memo = vars(duo)["_search"]
+    tighter = np.array([1e-4, 1e-4])
+    for other in (
+        duo.with_tolerances(tighter),
+        dataclasses.replace(duo, tolerances=tighter),
+    ):
+        assert "_search" not in vars(other)
+        got = exact_opt(other, problem="surrogate")
+        assert vars(other)["_search"] is not memo
+        assert repr(got) == repr(exact_opt(fresh(other), problem="surrogate"))
+        assert got.cost > exact_opt(duo, problem="surrogate").cost
+    assert uniform_feasible_count(duo) == uniform_feasible_count(fresh(duo))

@@ -10,7 +10,10 @@ every case once and prints one line per job:
 
     <workload> <seed> <case> <job> <repr of the output>
 
-A job that raises prints the exception's repr instead. The record covers
+A job that raises prints the exception's repr instead. A case's jobs run
+on one Instance object, as in the benchmark, so later jobs read the
+search state earlier ones left on it (the walks, tables and constants an
+instance shares), and the record covers that sharing. The record covers
 plans, costs, tilts, surrogate values, ``enumerated``, exact errors and
 Monte Carlo estimates, so a refactor that should not change any answer can
 be checked by diffing the record of two checkouts, for instance the parent
