@@ -18,9 +18,10 @@ in walk order to a caller's acceptance check. For the surrogate problem
 the bounds are the optimistic ones of bounds.TangentTable, and the check
 is the surrogate check of is_surrogate_feasible behind the same table's
 per-plan reject; the planner's window certificate uses the same table.
-The surrogate searches of one Instance object share one SurrogateWalk per
-cost cap: the screened bands and the per-plan rejects one search computes
-serve every later one, which extends the walk only past its end. For the
+The surrogate searches of one Instance object share one SurrogateWalk, a
+walk with no cost cap: each search stops at its own cap, and the screened
+bands and the per-plan rejects one search computes serve every later one,
+whatever its cap, which extends the walk only past its end. For the
 true problem the bound is bounds.BhattacharyyaScreen, a lower bound on
 each label pair's Bayes error, and the check is exact errors; each such
 search walks on its own.
@@ -367,12 +368,22 @@ class _Level:
             start = block[:, -1] + self.cost
 
 
-def _by_cost(counts: np.ndarray, folds: np.ndarray) -> np.ndarray:
-    """The plans sorted by (fold, counts)."""
+def _by_cost(
+    counts: np.ndarray, folds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The plans and their folds, sorted by (fold, counts)."""
     order = np.argsort(folds, kind="stable")
     if (np.diff(folds[order]) == 0).any():  # ties: order them by counts
         order = np.lexsort((*counts.T[::-1], folds))
-    return counts[order]
+    return counts[order], folds[order]
+
+
+def _top(cost_cap: float) -> float:
+    """The fold every plan of a walk capped at cost_cap lies below: the
+    plans with cost <= cost_cap + 1e-9 (band edges are half-open), and only
+    the empty plan for a cap below zero or NaN."""
+    cap = cost_cap + 1e-9
+    return math.nextafter(cap, math.inf) if cap >= 0 else math.ulp(0.0)
 
 
 def lattice_bands(costs: Sequence[float], cost_cap: float) -> Iterator[np.ndarray]:
@@ -400,10 +411,7 @@ class _Bands:
     def __init__(self, costs: Sequence[float], cost_cap: float):
         costs = [float(c) for c in costs]
         self.K = K = len(costs)
-        cap = cost_cap + 1e-9
-        # band edges are half-open: a fold below top is at most the cap, and
-        # a cap below zero (or NaN) leaves the empty plan alone
-        self.top = math.nextafter(cap, math.inf) if cap >= 0 else math.ulp(0.0)
+        self.top = _top(cost_cap)
         self.level: _Level | None = _Level(costs, self.top)
         self.target = _BAND_FIRST
         self.hi = min(
@@ -416,10 +424,19 @@ class _Bands:
         return self
 
     def __next__(self) -> np.ndarray:
+        band = self.next_band()
+        if band is None:
+            raise StopIteration
+        return band[0]
+
+    def next_band(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """The next band's plans and folds, sorted by (fold, counts), and
+        its upper edge hi, which every later plan's fold is at or past;
+        None past the walk's end."""
         while self.level is not None:
             level = self.level
             hi = self.hi = min(self.hi, self.top)
-            band = _by_cost(*level.band(hi))
+            band, folds = _by_cost(*level.band(hi))
             if hi == self.top:
                 self.level = None  # the walk is done; free its prefixes
             else:
@@ -429,8 +446,8 @@ class _Bands:
                 )
                 self.hi *= (1 + self.target / self.walked) ** (1 / self.K)
             if len(band):
-                return band
-        raise StopIteration
+                return band, folds, hi
+        return None
 
 
 _T = TypeVar("_T")
@@ -447,35 +464,65 @@ class BatchScreen(Protocol):
 
 class _Band:
     """One band of a screened walk: the plans the prescreen kept, as a
-    (n, K) int64 array, their 1-based walk positions, and the position of
-    the band's last plan. A SurrogateWalk sets each survivor's tangent
-    reject, for the first ``scored``."""
+    (n, K) int64 array, their folds and 1-based walk positions, the
+    position of the band's last plan and the band's upper edge hi, which
+    every later plan's fold is at or past. A SurrogateWalk sets each
+    survivor's tangent reject, for the first ``scored``."""
 
-    __slots__ = ("plans", "positions", "end", "rejected", "scored")
+    __slots__ = ("plans", "folds", "positions", "end", "hi", "rejected", "scored")
 
-    def __init__(self, plans: np.ndarray, positions: np.ndarray, end: int):
+    def __init__(
+        self,
+        plans: np.ndarray,
+        folds: np.ndarray,
+        positions: np.ndarray,
+        end: int,
+        hi: float,
+    ):
         self.plans = plans
+        self.folds = folds
         self.positions = positions
         self.end = end
+        self.hi = hi
         self.rejected = np.zeros(len(plans), dtype=bool)
         self.scored = 0
 
 
-def _screen(band: np.ndarray, walked: int, prescreen: BatchScreen) -> _Band:
-    """A band of the walk, past its first ``walked`` plans, screened as one
-    prescreen batch."""
-    kept = np.flatnonzero(prescreen.passes(band.astype(float)))
-    return _Band(band[kept], kept + (walked + 1), walked + len(band))
+def _screen(
+    band: tuple[np.ndarray, np.ndarray, float], walked: int, prescreen: BatchScreen
+) -> _Band:
+    """A band of the walk (_Bands.next_band), past its first ``walked``
+    plans, screened as one prescreen batch."""
+    plans, folds, hi = band
+    kept = np.flatnonzero(prescreen.passes(plans.astype(float)))
+    return _Band(plans[kept], folds[kept], kept + (walked + 1), walked + len(plans), hi)
 
 
 def _screened(
     costs: Sequence[float], cost_cap: float, prescreen: BatchScreen
 ) -> Iterator[_Band]:
     """lattice_bands' bands, each screened as one prescreen batch."""
+    bands = _Bands(costs, cost_cap)
+    walked = 0
+    while (band := bands.next_band()) is not None:
+        band = _screen(band, walked, prescreen)  # paused, it holds no raw band
+        walked = band.end
+        yield band
+
+
+def _budget_error(node_budget: int) -> EnumerationBudgetError:
+    return EnumerationBudgetError(f"search enumerated more than {node_budget} plans")
+
+
+def _holds_more(costs: Sequence[float], cost_cap: float, node_budget: int) -> bool:
+    """Whether lattice_bands(costs, cost_cap) yields more than node_budget
+    plans; it walks no further than the band that tells."""
     walked = 0
     for band in lattice_bands(costs, cost_cap):
-        yield _screen(band, walked, prescreen)
         walked += len(band)
+        if walked > node_budget:
+            return True
+    return False
 
 
 def _search(
@@ -483,23 +530,36 @@ def _search(
     accept: Callable[[tuple[int, ...]], _T | None],
     node_budget: int,
     walk: SurrogateWalk | None = None,
+    cost_cap: float = math.inf,
 ) -> tuple[tuple[int, ...], _T, int] | None:
-    """search_lattice over screened bands; before each accept call, the
-    walk, if any, learns which survivor the plan is (SurrogateWalk.at)."""
+    """search_lattice over screened bands, which may run past cost_cap
+    (a SurrogateWalk's do): the search stops at its first plan over the
+    cap, with the capped walk's outcome. Before each accept call, the walk,
+    if any, learns which survivor the plan is (SurrogateWalk.at)."""
+    top = _top(cost_cap)
     for band in bands:
-        for i, position in enumerate(band.positions.tolist()):
+        past = band.hi > top  # the cap falls in this band
+        n = int(np.searchsorted(band.folds, top)) if past else len(band.plans)
+        for i, position in enumerate(band.positions[:n].tolist()):
             if position > node_budget:
-                break
+                raise _budget_error(node_budget)
             counts = tuple(band.plans[i].tolist())
             if walk is not None:
                 walk.at = (band, i)
             result = accept(counts)
             if result is not None:
                 return counts, result, position
+        if past:
+            # the capped walk ends in this band, at its end or before: it
+            # holds at most band.end plans, and past the budget only a count
+            # tells how many
+            if band.end > node_budget and _holds_more(
+                walk.costs, cost_cap, node_budget
+            ):
+                raise _budget_error(node_budget)
+            return None
         if band.end > node_budget:
-            raise EnumerationBudgetError(
-                f"search enumerated more than {node_budget} plans"
-            )
+            raise _budget_error(node_budget)
     return None
 
 
@@ -532,25 +592,30 @@ _AHEAD_FIRST = 8
 
 
 class SurrogateWalk:
-    """The surrogate searches' walk of one instance under one cost cap:
-    lattice_bands screened by the instance's TangentTable, kept as it
-    grows, so every search on the instance with this cap reads the same
-    bands, w_max survivors, positions and tangent rejects.
+    """The surrogate searches' walk of one instance: lattice_bands with no
+    cost cap, screened by the instance's TangentTable, kept as it grows,
+    so every search on the instance reads the same bands, w_max survivors,
+    positions and tangent rejects, whatever its cap.
 
-    A search reads the bands in order and extends the walk by one band
-    only when it reaches the end; search behaves as search_lattice with
-    the table as prescreen. rejects_plan answers for the survivor a search
-    is handing its accept from rejects scored ahead in one batch: 8
-    survivors, then twice as many each time a search reaches the end of
-    the scored ones, up to the table's batch_rows. So a band is scored at
-    most one batch past the furthest plan any search has reached, and a
-    later search reads every reject an earlier one scored.
+    A search reads the bands in order, stops at its first plan over its
+    cap and extends the walk by one band only when it reaches the end;
+    search behaves as search_lattice with the table as prescreen and the
+    same cap. The capped walk's plans are a prefix of this one's, cut by
+    the plans' folds, so only the budget check of the band where the cap
+    falls may need to count the capped walk's plans (see _search).
+    rejects_plan answers for the survivor a search is handing its accept
+    from rejects scored ahead in one batch: 8 survivors, then twice as
+    many each time a search reaches the end of the scored ones, up to the
+    table's batch_rows. So a band is scored at most one batch past the
+    furthest plan any search has reached, and a later search reads every
+    reject an earlier one scored.
     """
 
-    def __init__(self, table: TangentTable, costs: Sequence[float], cost_cap: float):
+    def __init__(self, table: TangentTable, costs: Sequence[float]):
         self.table = table
+        self.costs = [float(c) for c in costs]
         self.bands: list[_Band] = []
-        self._lattice = lattice_bands(costs, cost_cap)
+        self._lattice = _Bands(self.costs, math.inf)
         self._lock = threading.Lock()  # one thread at a time extends
         # the band and index of the survivor last handed to an accept
         self.at: tuple[_Band | None, int] = (None, 0)
@@ -561,25 +626,25 @@ class SurrogateWalk:
         while True:
             if b == len(self.bands):
                 with self._lock:
-                    if b == len(self.bands) and not self._extend():
-                        return
+                    if b == len(self.bands):
+                        self._extend()
             yield self.bands[b]
             b += 1
 
-    def _extend(self) -> bool:
-        """Screens the walk's next band into bands; False past its end."""
-        band = next(self._lattice, None)
-        if band is None:
-            return False
+    def _extend(self) -> None:
+        """Screens the walk's next band into bands; an uncapped walk has
+        no end."""
         walked = self.bands[-1].end if self.bands else 0
-        self.bands.append(_screen(band, walked, self.table))
-        return True
+        self.bands.append(_screen(self._lattice.next_band(), walked, self.table))
 
     def search(
-        self, accept: Callable[[tuple[int, ...]], _T | None], node_budget: int
+        self,
+        accept: Callable[[tuple[int, ...]], _T | None],
+        node_budget: int,
+        cost_cap: float,
     ) -> tuple[tuple[int, ...], _T, int] | None:
-        """search_lattice on this walk."""
-        return _search(self._walk(), accept, node_budget, self)
+        """search_lattice on this walk, capped at cost_cap."""
+        return _search(self._walk(), accept, node_budget, self, cost_cap)
 
     def rejects_plan(self, counts: Sequence[int]) -> bool:
         """The table's tangent reject of the plan: read from the rejects
@@ -596,16 +661,14 @@ class SurrogateWalk:
         return bool(band.rejected[i])
 
 
-def surrogate_walk(
-    instance: Instance, cost_cap: float, grid: int = _TANGENT_GRID
-) -> SurrogateWalk:
-    """The instance's SurrogateWalk under cost_cap, screened by its
-    TangentTable of the given grid size: made once per Instance object,
-    cap and grid, and shared by every search on it."""
+def surrogate_walk(instance: Instance, grid: int = _TANGENT_GRID) -> SurrogateWalk:
+    """The instance's SurrogateWalk, screened by its TangentTable of the
+    given grid size: made once per Instance object and grid, and shared by
+    every surrogate search on it, whatever its cost cap."""
     return instance._shared(
-        ("surrogate_walk", float(cost_cap), grid),
+        ("surrogate_walk", grid),
         lambda: SurrogateWalk(
-            tangent_table(instance, grid), [m.cost for m in instance.models], cost_cap
+            tangent_table(instance, grid), [m.cost for m in instance.models]
         ),
     )
 
@@ -646,15 +709,15 @@ def exact_opt(
     optimal for its problem; search_lattice walks that order. For
     "surrogate" the instance's TangentTable rules most plans out, in
     batches and then one by one, before any tilt is optimized; the walk,
-    its survivors and their rejects are the instance's SurrogateWalk for
-    the cap, shared with every other surrogate search on the instance
-    (run_afptas included). For "true"
-    the BhattacharyyaScreen rules out, in batches, plans whose errors no
-    decision rule can bring under the tolerances, and the profile blocks
-    the exact errors of the other plans need are built once per call. The
-    default cost cap is the cost of querying every model for the uniform
-    certifying round count, which is always surrogate-feasible (and hence
-    true-feasible).
+    its survivors and their rejects are the instance's SurrogateWalk,
+    shared with every other surrogate search on the instance whatever its
+    cap (run_afptas included), and the search stops at this cap. For
+    "true" the BhattacharyyaScreen rules out, in batches, plans whose
+    errors no decision rule can bring under the tolerances, and the
+    profile blocks the exact errors of the other plans need are built once
+    per call. The default cost cap is the cost of querying every model for
+    the uniform certifying round count, which is always surrogate-feasible
+    (and hence true-feasible).
 
     Raises InfeasibleWithinCapError if the capped lattice holds no feasible
     plan, and EnumerationBudgetError if the search walks more
@@ -674,7 +737,7 @@ def exact_opt(
     labels = range(instance.n_labels)
     if problem == "surrogate":
         check = _surrogate_check(instance)
-        walk = surrogate_walk(instance, cost_cap)
+        walk = surrogate_walk(instance)
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             if walk.rejects_plan(counts):
@@ -682,7 +745,7 @@ def exact_opt(
             r = np.array(counts, dtype=float)
             return all(check(r, yi)[0] for yi in labels) or None
 
-        found = walk.search(accept, node_budget)
+        found = walk.search(accept, node_budget, cost_cap)
     else:
         cache: _BlockCache = {}
 

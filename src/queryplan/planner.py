@@ -18,11 +18,12 @@ DP at every grid point and keeps the cheapest feasible state. That sweep
 costs grid^pairs x states and suits only toy fixtures, so it lives with
 the tests (tests/reference_sweep.py) as the reference they compare the
 search against; its building blocks round_weights, dp_solve and backtrack
-stay here. The walk is the instance's exact.SurrogateWalk for the
-search's cost cap, which every solve of the Instance object and the exact
-optimizer's searches share: it prescreens plans in batches with one matrix
-product of optimistic pair bounds, keeps the survivors and their per-plan
-rejects, and hands the survivors, in cost order, to the certifier below.
+stay here. The walk is the instance's exact.SurrogateWalk, which every
+solve of the Instance object and the exact optimizer's searches share,
+each stopping at its own cost cap: it prescreens plans in batches with
+one matrix product of optimistic pair bounds, keeps the survivors and
+their per-plan rejects, and hands the survivors, in cost order, to the
+certifier below.
 Both come from one per-instance bounds.TangentTable, which the certifier
 holds. Only the window scan depends on epsilon; the cap, the constants
 that do not depend on it and the audit of each plan are computed once per
@@ -417,14 +418,12 @@ class _WindowCertifier:
       the same first argmins and values.
 
     Both inequalities carry a margin of 1e-9 relative, far above the
-    rounding they absorb. The walk is the instance's for the search's cost
-    cap and the table's grid, so every solve of an instance reads it.
+    rounding they absorb. The walk is the instance's for the table's grid,
+    so every solve of an instance reads it, up to the search's cost cap.
     """
 
     def __init__(self, instance: Instance, constants: DerivedConstants):
-        self.walk = surrogate_walk(
-            instance, _search_cap(instance, constants), _TANGENT_GRID
-        )
+        self.walk = surrogate_walk(instance, _TANGENT_GRID)
         table = self.walk.table
         self.table = table
         # the table's grid proxies and their lower bounds, as the certifier's
@@ -510,7 +509,8 @@ def _solve_search(
     instance: Instance, constants: DerivedConstants, node_budget: int
 ) -> tuple[QueryPlan, list[float]]:
     certifier = _WindowCertifier(instance, constants)
-    found = certifier.walk.search(certifier.certify, node_budget)
+    cap = _search_cap(instance, constants)
+    found = certifier.walk.search(certifier.certify, node_budget, cap)
     if found is None:
         raise RuntimeError(
             "lattice exhausted without a certifiable plan; the uniform padded "
@@ -529,8 +529,8 @@ def run_afptas(
 ) -> SolveCertificate:
     """Runs the approximation scheme end to end and audits the result.
 
-    It walks plans in cost order on the instance's exact.SurrogateWalk
-    for its cost cap, which every solve of the instance shares, and
+    It walks plans in cost order, up to its cost cap, on the instance's
+    exact.SurrogateWalk, which every search on the instance shares, and
     certifies each plan its prescreen keeps with the window certificate:
     per pair, the first argmin of the floored
     certificate over the whole tilt axis, found by scanning only the window

@@ -93,11 +93,10 @@ class SetCoverInstance:
             raise ValueError("need one weight per set")
         if not sets:
             raise ValueError("need at least one set")
-        universe = set(range(1, self.n + 1))
         for i, s in enumerate(sets):
             if not s:
                 raise ValueError(f"set {i} is empty")
-            if not s <= universe:
+            if min(s) < 1 or max(s) > self.n:
                 raise ValueError(f"set {i} has elements outside the universe")
         for i, w in enumerate(weights):
             if not (math.isfinite(w) and w > 0):
@@ -119,7 +118,7 @@ class SetCoverInstance:
         got: set[int] = set()
         for j in indices:
             got |= self.sets[j]
-        return got == set(range(1, self.n + 1))
+        return len(got) == self.n  # every element lies in 1..n
 
     def to_dict(self) -> dict:
         d = {

@@ -261,7 +261,7 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
     )
     costs = [m.cost for m in inst.models]
     table = LoggedTable(inst)
-    walk = SurrogateWalk(table, costs, 40.0 * max(costs))
+    walk, cap = SurrogateWalk(table, costs), 40.0 * max(costs)
     asked = []
 
     def accept(counts):
@@ -272,7 +272,7 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
         return None
 
     try:
-        walk.search(accept, n_plans)
+        walk.search(accept, n_plans, cap)
     except EnumerationBudgetError:
         pass
     # every survivor was read from a batch: per band 8 plans, then twice as
@@ -291,7 +291,7 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
     batches, first = len(table.batches), asked[:]
     asked.clear()
     try:
-        walk.search(accept, n_plans)
+        walk.search(accept, n_plans, cap)
     except EnumerationBudgetError:
         pass
     assert asked == first

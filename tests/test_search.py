@@ -10,6 +10,7 @@ order, in bounded memory.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -28,11 +29,16 @@ from queryplan.bounds import (
 )
 from queryplan.exact import (
     EnumerationBudgetError,
+    SurrogateWalk,
+    _Bands,
+    _top,
     exact_error_table,
+    exact_opt,
     lattice_bands,
     search_lattice,
 )
 from queryplan.experiments import random_instance
+from queryplan.planner import _search_cap, run_afptas
 from reference_lattice import lattice_ascending
 
 
@@ -251,6 +257,48 @@ def test_banded_walk_yields_the_heap_sequence(costs, cheap_last, cap_kind, scale
     # ties never split across bands: each band costs more than the last
     for (_, last), (first, _) in zip(edges, edges[1:]):
         assert left_fold(costs, last) < left_fold(costs, first)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    costs=st.lists(WALK_COSTS, min_size=1, max_size=4),
+    cap_kind=st.sampled_from(["plan", "scaled"]),
+    pick=st.floats(0.0, 1.0),
+)
+def test_capped_walk_is_a_prefix_of_the_uncapped_walk(costs, cap_kind, pick):
+    # the uncapped walk's plans and their folds, as a SurrogateWalk reads
+    # them, up to ORDER_LIMIT plans
+    walk = _Bands(costs, math.inf)
+    plans, folds = [], []
+    while len(plans) < ORDER_LIMIT:
+        band, band_folds, _ = walk.next_band()
+        plans.extend(tuple(row) for row in band.tolist())
+        folds.extend(band_folds.tolist())
+    assert folds == sorted(folds)
+    if cap_kind == "plan":  # a cap equal to a walked plan's cost
+        cost_cap = folds[int(pick * (len(plans) - 1))]
+    else:
+        cost_cap = pick * 12 * max(costs)
+    # the capped walk is the prefix of plans whose fold is below top
+    below = bisect.bisect_left(folds, _top(cost_cap))
+    capped = []
+    for band in lattice_bands(costs, cost_cap):
+        capped.extend(tuple(row) for row in band.tolist())
+        if len(capped) > len(plans):
+            break
+    if below < len(plans):
+        assert capped == plans[:below]
+    else:
+        assert capped[: len(plans)] == plans
+
+
+def test_one_walk_serves_every_cost_cap(duo):
+    exact = exact_opt(duo, problem="surrogate")
+    certs = [run_afptas(duo, eps) for eps in (0.1, 0.5, 1.0)]
+    # four searches under two caps, on one walk
+    assert all(exact.cost_cap < _search_cap(duo, c.constants) for c in certs)
+    walks = [v for v in vars(duo)["_search"].values() if isinstance(v, SurrogateWalk)]
+    assert len(walks) == 1
 
 
 def test_banded_walk_continues_runs_past_float_drift():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,30 @@ def test_setcover_validation():
         SetCoverInstance(n=2, sets=(frozenset({1, 5}),), weights=(1.0,))
     with pytest.raises(ValueError, match="positive"):
         SetCoverInstance(n=2, sets=(frozenset({1, 2}),), weights=(0.0,))
+
+
+@pytest.mark.parametrize("elements", [{0, 1}, {-3, 2}, {2, 3}, {1, 10**30}])
+def test_setcover_names_the_set_with_elements_outside_the_universe(elements):
+    sets = (frozenset({1, 2}), frozenset(elements))
+    with pytest.raises(ValueError, match="^set 1 has elements outside the universe$"):
+        SetCoverInstance(n=2, sets=sets, weights=(1.0, 1.0))
+
+
+def test_setcover_checks_a_large_universe_in_constant_memory():
+    # the universe is never built: a set's elements are checked by their
+    # range, and a cover by the size of the union
+    n = 10**6
+    tracemalloc.start()
+    try:
+        sc = SetCoverInstance(n=n, sets=(frozenset({1, n}),), weights=(1.0,))
+        covered = sc.covers((0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not covered
+    with pytest.raises(ValueError, match="^set 0 has elements outside the universe$"):
+        SetCoverInstance(n=n, sets=(frozenset({1, n + 1}),), weights=(1.0,))
 
 
 def test_setcover_names_an_integer_too_large_for_a_float(sc3):

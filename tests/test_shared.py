@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queryplan.bounds import uniform_feasible_count
-from queryplan.exact import exact_opt
+from queryplan.exact import _top, exact_opt, lattice_bands, surrogate_walk
 from queryplan.experiments import random_instance
 from queryplan.instances import (
     Instance,
@@ -98,6 +98,44 @@ def test_shared_searches_answer_as_fresh_copies(seed, n_labels, alpha, budget):
                 assert outcome(job, shared) == outcome(job, fresh(inst))
     blown = outcome(exact_job(enumerated - 1), fresh(inst))
     assert "EnumerationBudgetError" in blown
+
+
+def kind_of(job, inst: Instance) -> tuple:
+    """(outcome type, plan, enumerated) of the job on inst."""
+    try:
+        got = job(inst)
+    except RuntimeError as exc:
+        return (type(exc).__name__, None, None)
+    return (type(got).__name__, got.plan.counts, got.enumerated)
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_capped_search_on_a_longer_walk_keeps_its_budget_edge(seed):
+    # a search under a cap below run_afptas's reads a walk that already
+    # runs past the cap; at budgets about the size of the capped lattice,
+    # its outcome is a fresh copy's and that of the capped lattice walked
+    # on its own: the optimum if it lies within the cap and the budget,
+    # else a budget error if the capped lattice outgrows the budget, else
+    # no plan within the cap
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=2 + seed % 2, max_models=3, alpha=0.1)
+    opt = exact_opt(fresh(inst))
+    cheapest = float(inst.costs.min())
+    shared = fresh(inst)
+    run_afptas(shared, 0.5)
+    for cap in (2.0 * cheapest, 4.0 * cheapest, opt.cost):
+        assert surrogate_walk(shared).bands[-1].hi > _top(cap)
+        size = sum(len(band) for band in lattice_bands(list(inst.costs), cap))
+        for budget in (size - 1, size, size + 1):
+            job = exact_job(budget, cap)
+            if opt.cost <= cap and opt.enumerated <= budget:
+                want = ("OptResult", opt.plan.counts, opt.enumerated)
+            elif size > budget:
+                want = ("EnumerationBudgetError", None, None)
+            else:
+                want = ("InfeasibleWithinCapError", None, None)
+            assert kind_of(job, shared) == want
+            assert outcome(job, shared) == outcome(job, fresh(inst))
 
 
 def shown(inst: Instance) -> tuple:
