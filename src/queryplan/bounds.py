@@ -40,6 +40,7 @@ each pair's Bayes error that no decision rule beats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import GeneratorType
@@ -373,6 +374,15 @@ _WINDOW_CHUNK = 1 << 15
 _AHEAD_SHARE = 4
 
 
+def _halfspaces(
+    weights: np.ndarray, floors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A screen's necessary condition r . weights[h] >= floors[h], each
+    floor lowered by 1e-9 relative, far above the rounding of the screen's
+    own arithmetic: exact.BatchScreen's halfspaces."""
+    return weights, floors - 1e-9 * (1.0 + np.abs(floors))
+
+
 class TangentTable:
     """Every ordered pair's log M_m and its slope at a grid of tilts, and
     the lower bounds both searches rule plans out with.
@@ -390,7 +400,14 @@ class TangentTable:
     golden-section value is never below the true minimum, no plan the
     surrogate check accepts is ever ruled out.
 
-    A table holds no state past its construction, so one serves every
+    Each term of a label's sum is at most the sum, so a plan passes only
+    if r . w_max[p] >= log(min_amp[p] / cap_y) for each pair p = (y, y'):
+    one halfspace per pair, with weights >= 0, in ``halfspaces``
+    (exact.BatchScreen). The walk turns it into a least last count per
+    prefix and screens only the plans at or past it.
+
+    A table holds no state past its construction but its halfspaces,
+    computed on first use from its fixed arrays, so one serves every
     search on an instance (tangent_table).
     """
 
@@ -438,6 +455,13 @@ class TangentTable:
         f = self.grid_amp + (r @ self._log_m_rows).reshape(shape)
         df = self.log_ratio[:, None] + (r @ self._slope_rows).reshape(shape)
         return f, df
+
+    @functools.cached_property
+    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """One halfspace per ordered pair (class docstring): a kept plan's
+        every pair bound is at most its label's cap."""
+        pair_caps = self.alpha_cap @ self.label_mask
+        return _halfspaces(self.w_max, np.log(self.min_amp / pair_caps))
 
     def lower_bounds(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
         """A value no larger than min_s f(s) over [0, 1] for each convex f
@@ -502,6 +526,11 @@ class BhattacharyyaScreen:
     some pair, this bound lowered by 1e-9 relative exceeds
     p * alpha_y + q * alpha_y' raised by 1e-9 relative (label_caps), so no
     plan whose exact errors meet every tolerance is ruled out.
+
+    As 1 + sqrt(...) <= 2, the bound is at least pq BC^2, so a plan passes
+    only if 2 r . (-log M(1/2)) >= log(pq (1 - 1e-9) / cap) for each pair:
+    one halfspace per unordered pair, with weights >= 0, in ``halfspaces``
+    (exact.BatchScreen), which the walk prunes its bands with.
     """
 
     def __init__(self, instance: Instance):
@@ -517,6 +546,15 @@ class BhattacharyyaScreen:
         self.weights = w / w.sum(axis=1, keepdims=True)  # (U, 2): p, q
         _, caps = label_caps(instance)
         self.cap = (self.weights * caps[idx]).sum(axis=1)  # (U,)
+
+    @functools.cached_property
+    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """One halfspace per unordered pair (class docstring). log M_m(1/2)
+        <= 0; clipping a rounded positive one to 0 only weakens it."""
+        pq = self.weights[:, 0] * self.weights[:, 1]
+        return _halfspaces(
+            2.0 * np.maximum(-self.log_bc, 0.0), np.log(pq * (1.0 - 1e-9) / self.cap)
+        )
 
     def lower_bounds(self, plans: np.ndarray) -> np.ndarray:
         """For plans stacked as a (B, K) array, each pair's bound on

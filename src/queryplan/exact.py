@@ -14,7 +14,14 @@ prefix of counts it keeps the next count of the last model and its cost,
 so a band costs a few numpy calls however many plans it holds. The
 search, search_lattice, is shared with the planner: it rules out most of
 each band with one matrix product of pair bounds and hands the survivors
-in walk order to a caller's acceptance check. For the surrogate problem
+in walk order to a caller's acceptance check. Both screens also state a
+necessary condition as halfspaces (BatchScreen), which give each prefix
+a least last count; a screened band past the first then folds every
+plan, to count it, but materializes, sorts and screens only the plans
+at or past that count, and ranks them among all the band's folds. Such
+a band holds its folds, not its plans, whole, so where few plans are
+candidates it grows past _BAND_MAX, up to _BAND_PRUNED plans (or a
+share of the live prefixes, if more). For the surrogate problem
 the bounds are the optimistic ones of bounds.TangentTable, and the check
 is the surrogate check of is_surrogate_feasible behind the same table's
 per-plan reject; the planner's window certificate uses the same table.
@@ -79,6 +86,18 @@ def profile_count(instance: Instance, plan: QueryPlan | Sequence[int]) -> int:
     return n
 
 
+def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every integer j in [lo[i], hi[i]) of every row i, as two
+    arrays in row-major order."""
+    n = hi - lo
+    src = np.repeat(np.arange(len(n)), n)
+    start = np.cumsum(n)
+    start -= hi  # each row's first index, less lo
+    step = np.arange(len(src))
+    step -= start[src]
+    return src, step
+
+
 def _compositions(total: int, width: int, cap: int) -> np.ndarray:
     """All integer vectors of the given width with entries in [0, cap]
     summing to total, in lexicographic order."""
@@ -93,9 +112,7 @@ def _compositions(total: int, width: int, cap: int) -> np.ndarray:
     left = total - rows[:, 0]
     for rest in range(width - 2, 0, -1):
         lo = np.maximum(left - rest * cap, 0)
-        n = np.minimum(left, cap) - lo + 1
-        step = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
-        src = np.repeat(np.arange(len(rows)), n)
+        src, step = _spans(lo, np.minimum(left, cap) + 1)
         rows = np.column_stack([rows[src], step])
         left = left[src] - step
     return np.column_stack([rows, left])
@@ -304,6 +321,14 @@ _BAND_FIRST = 448
 _BAND_MAX = 2048
 _BAND_SHARE = 4
 
+# A walk pruned by its prescreen's halfspaces materializes only its
+# candidates, so a band's working set is its folds, one float per plan,
+# and its candidates' rows of counts. Its bands double until they would
+# hold _BAND_MAX rows at the last band's share, up to this many plans (or
+# 1/_BAND_SHARE of the live prefixes, if more), which lets each live
+# prefix yield several plans per band.
+_BAND_PRUNED = 8192
+
 
 class _Level:
     """The plans over the first k models, produced band by band.
@@ -312,20 +337,112 @@ class _Level:
     its next count of model k - 1 makes, and that plan's left fold.
     Prefixes join from the level below as the bands reach their folds, and
     leave once their next fold is at or past ``top``, so no plan is ever
-    folded twice.
+    folded twice. With a screen, each prefix also keeps, from the first
+    call of candidates on, the least last count a candidate plan takes
+    under the screen's halfspaces (_least_count), computed once per
+    prefix.
     """
 
-    def __init__(self, costs: Sequence[float], top: float):
+    def __init__(
+        self,
+        costs: Sequence[float],
+        top: float,
+        screen: BatchScreen | None = None,
+    ):
         self.cost = costs[-1]
         self.top = top
         self.sub = _Level(costs[:-1], top) if len(costs) > 1 else None
         rows = 1 if self.sub is None else 0  # the first model's empty prefix
         self.plans = np.zeros((rows, len(costs)), dtype=np.int64)
         self.fold = np.zeros(rows)
+        self.screen = screen
+        self.floor: np.ndarray | None = None  # set by candidates
 
     def band(self, hi: float) -> tuple[np.ndarray, np.ndarray]:
         """(counts (n, k), folds (n,)) of the plans whose fold lies in
         [lo, hi), unsorted, where lo is the previous call's hi."""
+        rows, runs, live, n = self._fold(hi)
+        # per plan, in row-major order: its prefix's row and its step past
+        # the prefix's next plan
+        src, step = np.nonzero(live)
+        folds = runs[src, step]
+        del runs, live  # freed before the counts are built
+        counts = self._counts(rows, src, step)
+        self._advance(rows, n)
+        return counts, folds
+
+    def candidates(
+        self, hi: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """band's plans whose last count is at or past their prefix's
+        floor, sorted by (fold, counts): (counts (n, k), folds (n,), ranks
+        (n,), size, held), where a plan's rank is its 0-based position
+        among all the band's size plans in that order, and held is how
+        many plans became rows of counts on the way.
+
+        Every plan is folded. When candidates are fewer than half the
+        band's plans and no two plans share a fold, only the candidates
+        become rows of counts, and a rank counts the band's folds below
+        the plan's, by one sort of the folds. Otherwise every plan is
+        materialized and sorted by (fold, counts), as a fold tie's order
+        turns on counts.
+        """
+        rows, runs, live, n = self._fold(hi)
+        if self.floor is None:
+            self.least = _least_count(*self.screen.halfspaces)
+            self.floor = self.least(self.plans[:, :-1])
+        # each prefix's steps past its next plan to its first candidate
+        first = np.maximum(self.floor[rows] - self.plans[rows, -1], 0.0)
+        first = np.minimum(first, n).astype(np.int64)
+        every = None
+        if 2 * int((n - first).sum()) < int(n.sum()):
+            every = runs[live]
+            every.sort()
+            if (every[1:] == every[:-1]).any():
+                every = None
+        if every is None:
+            src, step = np.nonzero(live)
+            keep = step >= first[src]
+        else:
+            # from 1-d arrays: a mask of the columns past first would
+            # cost numpy buffers far larger than the band's runs
+            src, step = _spans(first, n)
+        del first
+        folds = runs[src, step]
+        del runs, live  # freed before the counts are built
+        counts = self._counts(rows, src, step)
+        del src, step  # freed before the sort; every holds what ranks need
+        self._advance(rows, n)
+        if every is not None:
+            order = np.argsort(folds)  # distinct folds
+            folds = folds[order]
+            ranks = np.searchsorted(every, folds)
+            return counts[order], folds, ranks, len(every), len(folds)
+        order = _cost_order(counts, folds)
+        if keep.all():
+            ranks = np.arange(len(order))
+        else:
+            ranks = np.flatnonzero(keep[order])
+            order = order[ranks]
+        return counts[order], folds[order], ranks, len(folds), len(folds)
+
+    def _counts(
+        self, rows: np.ndarray, src: np.ndarray, step: np.ndarray
+    ) -> np.ndarray:
+        """The counts of the plans step[i] past the next plan of the prefix
+        in row rows[src[i]]."""
+        counts = self.plans[rows[src]]
+        counts[:, -1] += step
+        return counts
+
+    def _fold(
+        self, hi: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Joins the prefixes the level below reaches before hi, and folds
+        each prefix with a fold below hi: (rows, runs, live, n), the
+        prefixes' rows, their runs (_runs), the mask of runs below hi and
+        its count per row. Each prefix's fold moves to its first plan at or
+        past hi; its count moves with _advance, once the band is read."""
         if self.sub is not None:
             counts, folds = self.sub.band(hi)
             if len(folds):
@@ -333,23 +450,25 @@ class _Level:
                 joined[:, :-1] = counts
                 self.plans = np.concatenate([self.plans, joined])
                 self.fold = np.concatenate([self.fold, folds])
+                if self.floor is not None:
+                    self.floor = np.concatenate([self.floor, self.least(counts)])
         rows = np.nonzero(self.fold < hi)[0]
         runs = self._runs(self.fold[rows], hi)
         live = runs < hi
-        # per plan, in row-major order: its prefix's row and its step past
-        # the prefix's next plan
-        src, step = np.nonzero(live)
-        folds = runs[src, step]
         n = live.sum(axis=1)
         self.fold[rows] = runs[np.arange(len(rows)), n]
-        counts = self.plans[rows[src]]
-        counts[:, -1] += step
+        return rows, runs, live, n
+
+    def _advance(self, rows: np.ndarray, n: np.ndarray) -> None:
+        """Moves the folded prefixes' counts n plans on, to their first
+        plan at or past hi, and drops the prefixes past top."""
         self.plans[rows, -1] += n
         alive = self.fold < self.top
         if not alive.all():
             self.plans = self.plans[alive]
             self.fold = self.fold[alive]
-        return counts, folds
+            if self.floor is not None:
+                self.floor = self.floor[alive]
 
     def _runs(self, start: np.ndarray, hi: float) -> np.ndarray:
         """Per row, the folds start, start + c, (start + c) + c, ... in
@@ -368,13 +487,43 @@ class _Level:
             start = block[:, -1] + self.cost
 
 
+def _least_count(
+    weights: np.ndarray, floors: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """For halfspaces r . weights[h] >= floors[h] with weights >= 0, the map
+    from prefixes (n, K - 1) to the least last count (n,) that meets every
+    halfspace: as r . weights[h] grows with the last count, every plan of
+    the prefix from that count on meets them, and none before it. A
+    halfspace the last count does not move sets no count: its weight
+    divides as NaN, which np.fmax passes over, so the count can only be
+    too low, never too high. Rounding lowers a count by at most the
+    margin the floors carry (BatchScreen). With no halfspace, every
+    count is a candidate."""
+    if not len(floors):
+        return lambda prefixes: np.zeros(len(prefixes))
+    head = weights[:, :-1].T
+    slope = np.where(weights[:, -1] > 0.0, weights[:, -1], np.nan)
+
+    def least(prefixes: np.ndarray) -> np.ndarray:
+        need = (floors - prefixes @ head) / slope  # (n, H)
+        return np.ceil(np.fmax.reduce(need, axis=1, initial=0.0))
+
+    return least
+
+
+def _cost_order(counts: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """The order that sorts the plans by (fold, counts)."""
+    order = np.argsort(folds, kind="stable")
+    if (np.diff(folds[order]) == 0).any():  # ties: order them by counts
+        order = np.lexsort((*counts.T[::-1], folds))
+    return order
+
+
 def _by_cost(
     counts: np.ndarray, folds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The plans and their folds, sorted by (fold, counts)."""
-    order = np.argsort(folds, kind="stable")
-    if (np.diff(folds[order]) == 0).any():  # ties: order them by counts
-        order = np.lexsort((*counts.T[::-1], folds))
+    order = _cost_order(counts, folds)
     return counts[order], folds[order]
 
 
@@ -398,21 +547,32 @@ def lattice_bands(costs: Sequence[float], cost_cap: float) -> Iterator[np.ndarra
     x^K / (K! prod(costs)) plans cost less than x, and the box bound
     prod(x / c_m + 1) keeps skewed costs from overfilling it. Later edges
     extrapolate the count walked so far as x^K, for about twice the last
-    band's plans, up to _BAND_MAX or a share of the live prefixes.
+    band's plans, up to _BAND_MAX or a share of the live prefixes. Every
+    band is materialized whole; a screened walk (search_lattice)
+    materializes only the candidates of its prescreen's halfspaces past
+    its first band, so its bands may grow up to _BAND_PRUNED plans, or
+    the same share of the live prefixes (_Bands._past).
     """
     return _Bands(costs, cost_cap)
 
 
 class _Bands:
-    """lattice_bands' iterator. An object rather than a generator, so a
-    walk paused between bands (a SurrogateWalk) holds its live prefixes
-    but not the band it handed out last."""
+    """lattice_bands' iterator, and with a prescreen, the screened walk's
+    (screened_band). An object rather than a generator, so a walk paused
+    between bands (a SurrogateWalk) holds its live prefixes but not the
+    band it handed out last."""
 
-    def __init__(self, costs: Sequence[float], cost_cap: float):
+    def __init__(
+        self,
+        costs: Sequence[float],
+        cost_cap: float,
+        prescreen: BatchScreen | None = None,
+    ):
         costs = [float(c) for c in costs]
         self.K = K = len(costs)
         self.top = _top(cost_cap)
-        self.level: _Level | None = _Level(costs, self.top)
+        self.prescreen = prescreen
+        self.level: _Level | None = _Level(costs, self.top, prescreen)
         self.target = _BAND_FIRST
         self.hi = min(
             (self.target * math.factorial(K) * math.prod(costs)) ** (1 / K),
@@ -434,28 +594,75 @@ class _Bands:
         its upper edge hi, which every later plan's fold is at or past;
         None past the walk's end."""
         while self.level is not None:
-            level = self.level
             hi = self.hi = min(self.hi, self.top)
-            band, folds = _by_cost(*level.band(hi))
-            if hi == self.top:
-                self.level = None  # the walk is done; free its prefixes
-            else:
-                self.walked += len(band)
-                self.target = min(
-                    2 * self.target, max(_BAND_MAX, len(level.fold) // _BAND_SHARE)
-                )
-                self.hi *= (1 + self.target / self.walked) ** (1 / self.K)
+            band, folds = _by_cost(*self.level.band(hi))
+            self._past(hi, len(band), len(band))
             if len(band):
                 return band, folds, hi
         return None
+
+    def screened_band(self) -> _Band | None:
+        """The next band screened as one prescreen batch, with positions
+        counted from the walk's start; None past the walk's end.
+
+        Once the walk has passed a plan, only a band's candidates under
+        the prescreen's halfspaces are materialized and sorted
+        (_Level.candidates), and the batch holds them alone. The first
+        band is small and ends most searches, so it is screened whole,
+        without the least counts' fixed cost. The batch's mask is computed
+        row by row, so both keep the same plans, and a position counts
+        every plan of the walk before it."""
+        walked = self.walked  # empty bands and the last one add nothing
+        while self.level is not None:
+            hi = self.hi = min(self.hi, self.top)
+            if self.walked:
+                plans, folds, ranks, size, held = self.level.candidates(hi)
+            else:
+                plans, folds = _by_cost(*self.level.band(hi))
+                ranks = np.arange(len(plans))
+                size = held = len(plans)
+            self._past(hi, size, held)
+            if size:
+                kept = np.flatnonzero(self.prescreen.passes(plans.astype(float)))
+                positions = ranks[kept] + (walked + 1)
+                return _Band(plans[kept], folds[kept], positions, walked + size, hi)
+        return None
+
+    def _past(self, hi: float, size: int, held: int) -> None:
+        """Moves past a band of size plans with upper edge hi, of which
+        held became rows of counts: ends the walk at top, or sets the
+        next band's edge. Bands double until they would hold _BAND_MAX
+        rows at this band's share of rows to plans, up to _BAND_PRUNED
+        plans, or a share of the live prefixes if more. A band that held
+        every plan sets a limit of _BAND_MAX plans, as in lattice_bands."""
+        if hi == self.top:
+            self.level = None  # the walk is done; free its prefixes
+            return
+        self.walked += size
+        limit = _BAND_MAX
+        if held < size:
+            limit = min(_BAND_PRUNED, _BAND_MAX * size // max(held, 1))
+        live = len(self.level.fold)
+        self.target = min(2 * self.target, max(limit, live // _BAND_SHARE))
+        self.hi *= (1 + self.target / self.walked) ** (1 / self.K)
 
 
 _T = TypeVar("_T")
 
 
 class BatchScreen(Protocol):
-    """What search_lattice prescreens each band with: TangentTable, the
-    planner's certifier, or BhattacharyyaScreen."""
+    """What search_lattice prescreens each band with: TangentTable (also
+    the planner's, through the instance's SurrogateWalk) or
+    BhattacharyyaScreen.
+
+    Its ``halfspaces``, (weights (H, K), floors (H,)) with weights >= 0,
+    state a necessary condition: every plan it keeps has
+    r . weights[h] >= floors[h] for every h, with a margin above rounding.
+    The walk prunes each band but the first to the plans that meet it
+    before the batch (_Bands.screened_band). A screen with H = 0 (weights
+    of any width) prunes nothing."""
+
+    halfspaces: tuple[np.ndarray, np.ndarray]
 
     def passes(self, plans: np.ndarray) -> np.ndarray:
         """For plans stacked as a (B, K) array, a mask of those kept."""
@@ -488,26 +695,11 @@ class _Band:
         self.scored = 0
 
 
-def _screen(
-    band: tuple[np.ndarray, np.ndarray, float], walked: int, prescreen: BatchScreen
-) -> _Band:
-    """A band of the walk (_Bands.next_band), past its first ``walked``
-    plans, screened as one prescreen batch."""
-    plans, folds, hi = band
-    kept = np.flatnonzero(prescreen.passes(plans.astype(float)))
-    return _Band(plans[kept], folds[kept], kept + (walked + 1), walked + len(plans), hi)
-
-
 def _screened(
     costs: Sequence[float], cost_cap: float, prescreen: BatchScreen
 ) -> Iterator[_Band]:
     """lattice_bands' bands, each screened as one prescreen batch."""
-    bands = _Bands(costs, cost_cap)
-    walked = 0
-    while (band := bands.next_band()) is not None:
-        band = _screen(band, walked, prescreen)  # paused, it holds no raw band
-        walked = band.end
-        yield band
+    return iter(_Bands(costs, cost_cap, prescreen).screened_band, None)
 
 
 def _budget_error(node_budget: int) -> EnumerationBudgetError:
@@ -540,7 +732,9 @@ def _search(
     for band in bands:
         past = band.hi > top  # the cap falls in this band
         n = int(np.searchsorted(band.folds, top)) if past else len(band.plans)
-        for i, position in enumerate(band.positions[:n].tolist()):
+        # read lazily: a grown band may hold thousands of survivors past
+        # the plan a search accepts
+        for i, position in enumerate(memoryview(band.positions[:n])):
             if position > node_budget:
                 raise _budget_error(node_budget)
             counts = tuple(band.plans[i].tolist())
@@ -577,8 +771,10 @@ def search_lattice(
     1-based position in the walk, or None if the capped lattice runs out.
     Raises EnumerationBudgetError on reaching position node_budget + 1
     without an accepted plan. Each cost band the walk yields is one
-    prescreen batch, and only its survivors become tuples; ``accept`` sees
-    them one at a time in walk order and never a plan past the budget. The
+    prescreen batch, and only its survivors become tuples; past the first
+    band the batch holds only the band's candidates under the
+    prescreen's halfspaces, while positions still count every plan. ``accept`` sees the survivors
+    one at a time in walk order and never a plan past the budget. The
     prescreen's mask is computed row by row, so the result, the budget
     behaviour and the sequence of accept calls are those of checking one
     plan at a time, wherever the bands are cut.
@@ -595,7 +791,10 @@ class SurrogateWalk:
     """The surrogate searches' walk of one instance: lattice_bands with no
     cost cap, screened by the instance's TangentTable, kept as it grows,
     so every search on the instance reads the same bands, w_max survivors,
-    positions and tangent rejects, whatever its cap.
+    positions and tangent rejects, whatever its cap. Each band past the
+    first is pruned by the table's halfspaces (_Bands.screened_band), so
+    the walk turns only a band's candidates into counts, while positions
+    count every plan.
 
     A search reads the bands in order, stops at its first plan over its
     cap and extends the walk by one band only when it reaches the end;
@@ -615,7 +814,7 @@ class SurrogateWalk:
         self.table = table
         self.costs = [float(c) for c in costs]
         self.bands: list[_Band] = []
-        self._lattice = _Bands(self.costs, math.inf)
+        self._lattice = _Bands(self.costs, math.inf, table)
         self._lock = threading.Lock()  # one thread at a time extends
         # the band and index of the survivor last handed to an accept
         self.at: tuple[_Band | None, int] = (None, 0)
@@ -634,8 +833,7 @@ class SurrogateWalk:
     def _extend(self) -> None:
         """Screens the walk's next band into bands; an uncapped walk has
         no end."""
-        walked = self.bands[-1].end if self.bands else 0
-        self.bands.append(_screen(self._lattice.next_band(), walked, self.table))
+        self.bands.append(self._lattice.screened_band())
 
     def search(
         self,

@@ -6,7 +6,8 @@ count vectors; raw response sequences never need to be materialized.
 
 One MAP rule, _map_rule, decides for map_estimate and for the error mask
 that exact enumeration and Monte Carlo share: scores within SCORE_TOL of
-the maximum are tied, and the first tied label is the decision.
+the maximum are tied (_tied), and the first tied label is the decision.
+The mask reads that decision from the tied labels alone.
 """
 
 from __future__ import annotations
@@ -127,24 +128,38 @@ def map_estimate(
 def _map_rule(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The MAP rule for every row of scores (n, L): (predicted, tied), the
     first label within SCORE_TOL of the row's maximum and the mask of all
-    such labels."""
+    such labels (_tied)."""
+    tied = _tied(scores)
+    return tied.argmax(axis=1), tied
+
+
+def _tied(scores: np.ndarray) -> np.ndarray:
+    """The mask of labels within SCORE_TOL of each row's maximum, for
+    scores (n, L); a row of finite scores always has one."""
     # column by column: numpy's max(axis=1) over a few columns is slow
     top = functools.reduce(np.maximum, scores.T)
-    tied = scores >= (top - SCORE_TOL)[:, None]
-    return tied.argmax(axis=1), tied
+    return scores >= (top - SCORE_TOL)[:, None]
 
 
 def _error_mask(tie_policy: str) -> Callable[[np.ndarray, int], np.ndarray]:
     """Checks tie_policy and returns map_estimate's error mask under it:
-    given scores (n, L) and the true label's index, true for each wrong row."""
+    given scores (n, L) and the true label's index, true for each wrong row.
+
+    _map_rule decides for the first tied label, and every row has one, so
+    the mask reads the tied columns alone: a row is wrong when the true
+    label is not tied or when, under "lowest-index", an earlier label is,
+    and under "count-tie-as-error", any other label is."""
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie_policy!r}")
+    lowest = tie_policy == "lowest-index"
 
     def wrong(scores: np.ndarray, yi: int) -> np.ndarray:
-        predicted, tied = _map_rule(scores)
-        if tie_policy == "lowest-index":
-            return predicted != yi
-        return (predicted != yi) | (tied.sum(axis=1) > 1)
+        tied = _tied(scores)
+        out = ~tied[:, yi]
+        for j in range(yi if lowest else scores.shape[1]):
+            if j != yi:
+                out |= tied[:, j]
+        return out
 
     return wrong
 

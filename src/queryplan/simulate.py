@@ -79,10 +79,19 @@ def simulate_error(
     while done < trials:
         n = min(CHUNK_TRIALS, trials - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, index]))
-        scores = np.broadcast_to(instance.log_prior, (n, instance.n_labels)).copy()
+        scores = None
         for m, r in active:
             counts = rng.multinomial(r, m.conditional[yi], size=n)
-            scores += counts.astype(float) @ m.log_conditional.T
+            loglik = counts.astype(float) @ m.log_conditional.T
+            if scores is None:
+                # the first model's scores plus the prior, in place: float
+                # addition commutes, so this is log_prior + loglik bit for bit
+                scores = loglik
+                scores += instance.log_prior
+            else:
+                scores += loglik
+        if scores is None:  # no queries: every trial scores the prior alone
+            scores = np.broadcast_to(instance.log_prior, (n, instance.n_labels))
         errors += int(wrong(scores, yi).sum())
         done += n
         index += 1

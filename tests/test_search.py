@@ -5,7 +5,9 @@ exactly like the loop below, which both solvers ran before: the same plan,
 result and enumerated count, the same accept calls in the same order, and
 the same budget error at the same plan. Its banded numpy walk,
 lattice_bands, must yield the reference heap walk's plans in the same
-order, in bounded memory.
+order, in bounded memory. Past its first band, a screened walk
+materializes only each band's candidates under the screen's halfspaces,
+and its bands grow past lattice_bands' size; the searches must not tell.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from queryplan.exact import (
     EnumerationBudgetError,
     SurrogateWalk,
     _Bands,
+    _least_count,
+    _screened,
     _top,
     exact_error_table,
     exact_opt,
@@ -43,7 +47,10 @@ from reference_lattice import lattice_ascending
 
 
 class KeepAll:
-    """A screen that keeps every plan, for an unscreened search."""
+    """A screen that keeps every plan, for an unscreened search: it states
+    no halfspace, so every plan is a candidate."""
+
+    halfspaces = (np.zeros((0, 0)), np.zeros(0))
 
     def passes(self, plans):
         return np.ones(len(plans), dtype=bool)
@@ -52,10 +59,14 @@ class KeepAll:
 KEEP_ALL = KeepAll()
 
 
-def per_plan_search(costs, cost_cap, accept, node_budget, prescreen):
-    """The reference: walk, budget check and prescreen one plan at a time."""
+def per_plan_search(costs, cost_cap, accept, node_budget, prescreen, walk=None):
+    """The reference: walk, budget check and prescreen one plan at a time.
+    walk, if given, is a prefix of lattice_ascending's plans at least
+    node_budget + 1 long, or the whole capped walk."""
     enumerated = 0
-    for _, counts in lattice_ascending(costs, cost_cap):
+    if walk is None:
+        walk = (counts for _, counts in lattice_ascending(costs, cost_cap))
+    for counts in walk:
         enumerated += 1
         if enumerated > node_budget:
             raise EnumerationBudgetError(
@@ -310,19 +321,154 @@ def test_banded_walk_continues_runs_past_float_drift():
     assert banded == [counts for _, counts in lattice_ascending(costs, cost_cap)]
 
 
+def walk_search(walk):
+    """SurrogateWalk.search with search_lattice's arguments; the walk
+    brings its own prescreen and has no cap of its own."""
+    return lambda costs, cost_cap, accept, node_budget, prescreen: walk.search(
+        accept, node_budget, cost_cap
+    )
+
+
+# The longest prefix of a pruned walk a property example searches: it
+# spans the walk's first bands past _BAND_MAX, which grow up to
+# _BAND_PRUNED plans.
+PRUNED_LIMIT = 16_000
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(1e-4, 0.3),
+    costs=st.lists(WALK_COSTS, min_size=3, max_size=3),
+    screen_kind=st.sampled_from(["tangent", "bhattacharyya"]),
+    cap_scale=st.one_of(st.just(math.inf), st.floats(0.0, 40.0)),
+    accept_kind=st.sampled_from(["none", "residue"]),
+    residue=st.integers(0, 400),
+    edge=st.integers(0, 8),
+)
+def test_pruned_walk_matches_per_plan_search(
+    seed, n_labels, alpha, costs, screen_kind, cap_scale, accept_kind, residue, edge
+):
+    # a screen with halfspaces prunes each band before its batch; the
+    # searches must not tell, at budgets on either side of a band's end
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
+    costs = costs[: inst.n_models]
+    cost_cap = cap_scale * max(costs)
+    if screen_kind == "tangent":
+        screen = TangentTable(inst)
+    else:
+        screen = BhattacharyyaScreen(inst)
+    assert screen.halfspaces is not None
+
+    def accept(counts):
+        if accept_kind == "none":
+            return None
+        key = sum(c * (7 + 3 * k) ** 2 for k, c in enumerate(counts))
+        return key if key % 401 == residue else None
+
+    ends = []
+    for band in _screened(costs, cost_cap, screen):
+        ends.append(band.end)
+        if band.end >= PRUNED_LIMIT:
+            break
+    if ends[-1] > PRUNED_LIMIT and len(ends) > 1:
+        ends.pop()
+    end = ends[min(edge, len(ends) - 1)]
+    walk = [
+        counts
+        for _, counts in itertools.islice(lattice_ascending(costs, cost_cap), end + 2)
+    ]
+    reference = functools.partial(per_plan_search, walk=walk)
+    searches = [search_lattice]
+    if screen_kind == "tangent":
+        searches.append(walk_search(SurrogateWalk(screen, costs)))
+    for budget in (end - 1, end, end + 1):
+        args = (costs, cost_cap, budget, screen)
+        want = run_logged(reference, accept, *args)
+        for search in searches:
+            assert run_logged(search, accept, *args) == want
+
+
+def test_least_count_matches_brute_force():
+    # small binary fractions keep every product and sum exact, so the least
+    # count is the brute-force one; a halfspace with a zero last weight
+    # holds for all counts or none, and is left out
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        H, K = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        weights = rng.integers(0, 9, size=(H, K)) / 4.0
+        weights[rng.random(H) < 0.3, -1] = 0.0
+        floors = rng.integers(-8, 40, size=H) / 4.0
+        prefixes = rng.integers(0, 6, size=(20, K - 1))
+        got = _least_count(weights, floors)(prefixes)
+        steep = weights[:, -1] > 0.0
+        for prefix, least in zip(prefixes, got):
+            plans = np.column_stack([np.tile(prefix, (200, 1)), np.arange(200)])
+            meets = (plans @ weights[steep].T >= floors[steep]).all(axis=1)
+            assert least == np.flatnonzero(meets)[0]
+            assert meets[int(least) :].all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(1e-4, 0.3),
+    top=st.integers(1, 300),
+)
+def test_kept_plans_meet_the_screens_halfspaces(seed, n_labels, alpha, top):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
+    plans = rng.integers(0, top + 1, size=(2000, inst.n_models)).astype(float)
+    for screen in (TangentTable(inst), BhattacharyyaScreen(inst)):
+        weights, floors = screen.halfspaces
+        assert (weights >= 0.0).all()
+        kept = plans[screen.passes(plans)]
+        assert (kept @ weights.T >= floors).all()
+
+
+# The seed-42 guarantee sweep's two longest surrogate searches: draws 6 and
+# 2 of its stream, with their optima and walk positions.
+LONG_WALKS = {6: ((0, 58, 0), 47_932), 2: ((253, 0), 22_920)}
+
+
+def guarantee_draw(index):
+    rng = np.random.default_rng(42)
+    for _ in range(index + 1):
+        inst = random_instance(rng, n_labels=2, max_models=3, alpha=1e-3)
+    return inst
+
+
+@pytest.mark.parametrize("index", sorted(LONG_WALKS))
+def test_long_screened_walks_keep_their_optima(index):
+    plan, enumerated = LONG_WALKS[index]
+    opt = exact_opt(guarantee_draw(index), problem="surrogate")
+    assert (opt.plan.counts, opt.enumerated) == (plan, enumerated)
+
+
 # The guarantee pool's largest search: its costs, its cap and its length.
 GUARANTEE_COSTS = (0.9405343761003392, 0.7228358286865199, 0.889838117171245)
 GUARANTEE_CAP = 150.63929099552814
 GUARANTEE_PLANS = 47_932
 
-# tracemalloc peak of lattice_bands over that search: 317-324 KB on numpy
-# 2.4 when this bound was set, which leaves about a fifth for headroom. The
-# heap walk's peak read 372 KB in a fresh process (less once tuple free
-# lists are warm, so it is no fixed yardstick); bands of up to 16,384
-# plans read 1.6 MB. search_lattice over the same walk, screening every
-# band whole and accepting nothing, read 316-318 KB: the survivors of one
-# band at a time add nothing to the walk's own peak.
+# tracemalloc peak of lattice_bands over that search: 274-278 KB on numpy
+# 2.4.6 (317-324 KB when this bound was set, before a band freed its runs
+# ahead of its counts). The heap walk's peak read 372 KB in a fresh process
+# (less once tuple free lists are warm, so it is no fixed yardstick); bands
+# of up to 16,384 plans read 1.6 MB. search_lattice over the same walk
+# behind KEEP_ALL, whose every plan is a candidate, so that every band past
+# the first is materialized whole and keeps _BAND_MAX's size, accepting
+# nothing, reads 374-376 KB, with each live prefix's least count.
 WALK_PEAK_BYTES = 400_000
+
+# The search exact_opt runs on that walk: draw 6's SurrogateWalk, pruned
+# by its TangentTable's halfspaces, in bands of up to _BAND_PRUNED plans
+# whose folds, not counts, are held whole. Its peak reads 386-387 KB, and
+# read 312 KB in bands of up to _BAND_MAX plans each materialized whole;
+# this bound leaves about a fifth for headroom.
+SCREENED_PEAK_BYTES = 460_000
 
 
 def traced_peak(run):
@@ -348,5 +494,18 @@ def test_walk_footprint_is_bounded():
         with pytest.raises(EnumerationBudgetError):
             search_lattice(costs, cap, lambda counts: None, GUARANTEE_PLANS, KEEP_ALL)
 
+    # the same search with the models in draw order, as exact_opt runs it
+    inst = guarantee_draw(6)
+    table = TangentTable(inst)
+    costs = [m.cost for m in inst.models]
+    plan, enumerated = LONG_WALKS[6]
+    assert enumerated == GUARANTEE_PLANS
+
+    def screened():
+        walk = SurrogateWalk(table, costs)
+        found = walk.search(lambda c: c == plan or None, 10**6, GUARANTEE_CAP)
+        assert found == (plan, True, enumerated)
+
     assert traced_peak(walk) <= WALK_PEAK_BYTES
     assert traced_peak(search) <= WALK_PEAK_BYTES
+    assert traced_peak(screened) <= SCREENED_PEAK_BYTES
