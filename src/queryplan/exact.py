@@ -34,7 +34,19 @@ each label pair's Bayes error, and the check is exact errors; each such
 search walks on its own.
 One profile-mass loop serves every exact error, and each public entry
 builds every (model, count) profile block once per call and reuses it
-across labels and plans.
+across labels and plans; models with zero queries have no block.
+
+With two labels, the MAP decision on a profile depends only on the score
+difference Δ = s₁ − s₀, a sum of per-model terms, so exact_opt's true
+search decides each plan by a sorted split (_split_accept) instead of the
+joint product: the largest block sorted by Δ, with running sums of its
+weights, and one searchsorted per row of the other blocks joined. It
+hands a plan to the profile scan when some profile's Δ lies within a
+stated rounding margin of a tie threshold (likelihood._delta_margin), or
+an error within its rounding band of the tolerance, so every accept
+decision, and so every plan and position, is the scan's.
+exact_error_table, exact_error and exact_pairwise, and all searches over
+three or more labels, keep the scan, which stays the audit of the split.
 """
 
 from __future__ import annotations
@@ -56,7 +68,13 @@ from .bounds import (
     uniform_feasible_count,
 )
 from .instances import Instance, QueryPlan, _label_pair, as_plan, plan_cost
-from .likelihood import _error_mask
+from .likelihood import (
+    _delta_margin,
+    _delta_threshold,
+    _error_mask,
+    _gamma,
+    _log_scale,
+)
 
 # A log-likelihood difference this close to zero is counted as favoring the
 # competitor; keeps the exact pairwise terms conservative under fp noise.
@@ -154,63 +172,121 @@ def _log_factorial(k: int) -> float:
 
 # Profile blocks by (model index, query count), built once per call of a
 # public entry and shared by every plan and label it scores.
-_BlockCache = dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+_BlockCache = dict[tuple[int, int], "_Block"]
+
+
+class _Block:
+    """One model's profiles at one query count: ``table`` (P, L + 1) holds
+    each profile's log-likelihood under every label, then its log
+    multinomial coefficient. With two labels, ``sorted`` is the view the
+    sorted split reads, computed once."""
+
+    __slots__ = ("table", "_sorted")
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self._sorted: _Sorted | None = None
+
+    def sorted(self) -> _Sorted:
+        """The _side of the profiles sorted by Δ, (Δ, e₀, e₁, top₀, top₁),
+        then (tail (P + 1,), head (P + 1,)), where tail[i] sums e₀ over the
+        sorted profiles from i on and head[i] sums e₁ over those before i.
+        Each is a direct running sum, never a difference of two."""
+        if self._sorted is None:
+            t = self.table
+            side = _side(t[np.argsort(t[:, 1] - t[:, 0], kind="stable")])
+            tail = np.zeros(len(t) + 1)
+            tail[:-1] = np.cumsum(side[1][::-1])[::-1]
+            head = np.zeros(len(t) + 1)
+            np.cumsum(side[2], out=head[1:])
+            self._sorted = (*side, tail, head)
+        return self._sorted
+
+
+# (Δ, e₀, e₁, top₀, top₁) of _side.
+_Side = tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
+# _Block.sorted's: a _Side, then (tail, head).
+_Sorted = tuple[np.ndarray, np.ndarray, np.ndarray, float, float, np.ndarray, np.ndarray]
+
+
+def _side(rows: np.ndarray) -> _Side:
+    """Two-label profile rows (n, 3), as a _Block's table holds them:
+    (Δ, e₀, e₁, top₀, top₁), with Δ = loglik₁ − loglik₀, and
+    e_y = exp(w_y − top_y) for the log weight w_y = logcoef + loglik_y
+    under y, whose largest value is top_y."""
+    w = rows[:, :2] + rows[:, 2:]
+    top = np.maximum.reduce(w)
+    e = np.exp(w.T - top[:, None])
+    return rows[:, 1] - rows[:, 0], e[0], e[1], *top.tolist()
+
+
+# The rest of a plan that queries one model: the empty profile.
+_EMPTY_SIDE = _side(np.zeros((1, 3)))
 
 
 def _model_blocks(
     instance: Instance, plan: QueryPlan, cache: _BlockCache
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per model: (log-likelihood matrix (P, L), log multinomial coeffs (P,)).
+) -> list[_Block]:
+    """The blocks of the models the plan queries, in model order; a plan
+    that queries none has the one empty profile, whose log-likelihoods
+    and coefficient are 0.
 
-    Models with zero queries contribute a single empty profile. A block
-    missing from the cache is built and stored there.
+    Models with zero queries contribute only that empty profile, so
+    leaving them out adds no 0.0 to any sum and changes no bit, nor any
+    chunk _iter_joint yields. A block missing from the cache is built and
+    stored there.
     """
     blocks = []
     for k, (m, r) in enumerate(zip(instance.models, plan.counts)):
+        if not r:
+            continue
         block = cache.get((k, r))
         if block is None:
             profiles = _compositions(r, m.n_symbols, r)
-            loglik = profiles.astype(float) @ m.log_conditional.T
+            table = np.empty((len(profiles), instance.n_labels + 1))
+            table[:, :-1] = profiles.astype(float) @ m.log_conditional.T
             log_fact = np.array([_log_factorial(j) for j in range(r + 1)])
-            logcoef = log_fact[r] - log_fact[profiles].sum(axis=1)
-            block = cache[k, r] = (loglik, logcoef)
+            table[:, -1] = log_fact[r] - log_fact[profiles].sum(axis=1)
+            block = cache[k, r] = _Block(table)
         blocks.append(block)
-    return blocks
+    return blocks or [_Block(np.zeros((1, instance.n_labels + 1)))]
 
 
-def _iter_joint(
-    blocks: list[tuple[np.ndarray, np.ndarray]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Streams the cartesian product of model blocks in bounded chunks.
-
-    Yields (loglik (n, L), logcoef (n,)) pairs where rows are joint profiles.
-    """
-    ll0, lc0 = blocks[0]
-    if len(blocks) == 1:
-        for i in range(0, ll0.shape[0], _CHUNK):
-            yield ll0[i : i + _CHUNK], lc0[i : i + _CHUNK]
+def _iter_joint(tables: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Streams the cartesian product of per-model tables (P_m, C) in
+    bounded chunks: each row of a chunk (n, C) is the sum of one row of
+    every table, the first table's outermost."""
+    t0 = tables[0]
+    if len(tables) == 1:
+        for i in range(0, t0.shape[0], _CHUNK):
+            yield t0[i : i + _CHUNK]
         return
-    for llr, lcr in _iter_joint(blocks[1:]):
-        step = max(1, _CHUNK // llr.shape[0])
-        for i in range(0, ll0.shape[0], step):
-            ll = (ll0[i : i + step, None, :] + llr[None, :, :]).reshape(
-                -1, ll0.shape[1]
+    for rest in _iter_joint(tables[1:]):
+        step = max(1, _CHUNK // rest.shape[0])
+        for i in range(0, t0.shape[0], step):
+            yield (t0[i : i + step, None, :] + rest[None, :, :]).reshape(
+                -1, t0.shape[1]
             )
-            lc = (lc0[i : i + step, None] + lcr[None, :]).reshape(-1)
-            yield ll, lc
+
+
+def _check_budget(instance: Instance, plan: QueryPlan, budget: int) -> int:
+    """The plan's profile count, if within budget."""
+    n = profile_count(instance, plan)
+    if n > budget:
+        raise EnumerationBudgetError(
+            f"plan induces {n} profiles, over the budget of {budget}"
+        )
+    return n
 
 
 def _scan_profiles(
     instance: Instance, plan: QueryPlan, budget: int, cache: _BlockCache
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yields (posterior scores (n, L), log joint coefficient (n,)) chunks."""
-    n = profile_count(instance, plan)
-    if n > budget:
-        raise EnumerationBudgetError(
-            f"plan induces {n} profiles, over the budget of {budget}"
-        )
-    for loglik, logcoef in _iter_joint(_model_blocks(instance, plan, cache)):
-        yield instance.log_prior[None, :] + loglik, logcoef
+    _check_budget(instance, plan, budget)
+    tables = [b.table for b in _model_blocks(instance, plan, cache)]
+    for joint in _iter_joint(tables):
+        yield instance.log_prior[None, :] + joint[:, :-1], joint[:, -1]
 
 
 def _profile_mass(
@@ -230,6 +306,89 @@ def _profile_mass(
             logw = logcoef[mask] + (scores[mask, yi] - instance.log_prior[yi])
             chunk_lse.append(float(_logsumexp(logw)))
     return math.exp(_logsumexp(np.array(chunk_lse))) if chunk_lse else 0.0
+
+
+def _split_errors(
+    instance: Instance,
+    plan: QueryPlan,
+    tie_policy: str,
+    cache: _BlockCache,
+    scale: float,
+) -> tuple[float, float] | None:
+    """Both labels' MAP errors of a two-label plan by the sorted split, or
+    None if some profile's Δ lies within _delta_margin of a threshold,
+    where only the scores can decide; scale is _log_scale's.
+
+    Δ is a sum of per-model terms, so the largest block is sorted by Δ
+    once (_Block.sorted) and the other blocks are joined: per joined row
+    with Δ_A, the profiles of the largest block past the threshold less
+    Δ_A are one searchsorted away, and their weight is a running sum
+    (the sort-and-search step of Horowitz and Sahni, JACM 21(2), 1974).
+    A label's error is then one dot product per chunk of joined rows,
+    scaled by exp(top + shift), which is at least the chunk's largest
+    joint weight: at least 1/n for a plan of n profiles in one chunk."""
+    blocks = _model_blocks(instance, plan, cache)
+    big = max(range(len(blocks)), key=lambda i: len(blocks[i].table))
+    d, _, _, shift0, shift1, tail, head = blocks[big].sorted()
+    rest = [b for i, b in enumerate(blocks) if i != big]
+    if len(rest) < 2:
+        sides = [rest[0].sorted()[:5] if rest else _EMPTY_SIDE]
+    else:
+        sides = map(_side, _iter_joint([b.table for b in rest]))
+    margin = _delta_margin(instance, plan.counts, scale)
+    gap = float(instance.log_prior[1] - instance.log_prior[0])
+    t0, t1 = (_delta_threshold(tie_policy, yi) - gap for yi in (0, 1))
+    error0 = error1 = 0.0
+    for delta, e0, e1, top0, top1 in sides:
+        cuts = []
+        for t in (t0,) if t1 == t0 else (t0, t1):
+            # per row, the sorted profiles below t - delta, where no
+            # profile may lie within the margin
+            x = t - delta
+            cut = d.searchsorted(x - margin)
+            if (cut != d.searchsorted(x + margin, "right")).any():
+                return None
+            cuts.append(cut)
+        # label 0 is wrong past its cut, label 1 before its cut
+        error0 += float(e0 @ tail[cuts[0]]) * math.exp(top0 + shift0)
+        error1 += float(e1 @ head[cuts[-1]]) * math.exp(top1 + shift1)
+    return error0, error1
+
+
+def _split_accept(
+    instance: Instance,
+    plan: QueryPlan,
+    tie_policy: str,
+    budget: int,
+    cache: _BlockCache,
+) -> bool | None:
+    """Whether a two-label plan meets both tolerances, decided as the scan
+    (_profile_mass) decides, from _split_errors; None where the split
+    cannot tell: some Δ lies within the margin, or an error within its
+    rounding band of the tolerance. Raises as the scan does over budget.
+
+    Both ways sum exp(w) over the same wrong profiles (the margin sees to
+    that), with log weights w built from the same block entries by sums
+    of at most 2K + 3 terms of magnitude up to 2M (K queried models,
+    M = _log_scale), so they differ by at most γ_{2K+4}·4M, plus at most
+    u·745 from shifting and taking logs of values down to the smallest
+    double; summing n positive terms adds γ_n. Relative to the exact
+    error, each is then off by at most δ = γ_{2K+6}·(4M + 750) + γ_n, and
+    the band 1e-9 + 2δ covers both. Terms under the smallest normal
+    double lose at most ulp(0) each, at most 4n·ulp(0) in all, an
+    absolute floor that matters only at tolerances near 1e-300."""
+    n = _check_budget(instance, plan, budget)
+    scale = _log_scale(instance, plan.counts)
+    errors = _split_errors(instance, plan, tie_policy, cache, scale)
+    if errors is None:
+        return None
+    k = sum(1 for r in plan.counts if r)
+    band = 1e-9 + 2.0 * (_gamma(2 * k + 6) * (4.0 * scale + 750.0) + _gamma(n))
+    floor = 4.0 * n * math.ulp(0.0)
+    tolerances = instance.tolerances.tolist()
+    if any(abs(e - a) <= band * a + floor for e, a in zip(errors, tolerances)):
+        return None
+    return all(e <= a for e, a in zip(errors, tolerances))
 
 
 def exact_pairwise(
@@ -946,9 +1105,14 @@ def exact_opt(
         found = walk.search(accept, node_budget, cost_cap)
     else:
         cache: _BlockCache = {}
+        two = instance.n_labels == 2
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             plan = QueryPlan(counts)
+            if two:
+                met = _split_accept(instance, plan, tie_policy, profile_budget, cache)
+                if met is not None:
+                    return met or None
             return all(
                 _profile_mass(instance, plan, yi, wrong, profile_budget, cache)
                 <= instance.tolerances[yi]

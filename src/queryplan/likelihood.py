@@ -164,6 +164,75 @@ def _error_mask(tie_policy: str) -> Callable[[np.ndarray, int], np.ndarray]:
     return wrong
 
 
+def _delta_threshold(tie_policy: str, yi: int) -> float:
+    """With two labels, _error_mask's rule on the score difference
+    Δ = s₁ − s₀: label 0 is wrong when Δ lies above the returned
+    threshold, label 1 when Δ lies below it.
+
+    _tied marks label 0 when Δ ≤ SCORE_TOL and label 1 when
+    Δ ≥ −SCORE_TOL. So under "lowest-index" label 0 is wrong when
+    Δ > SCORE_TOL and label 1 when Δ ≤ SCORE_TOL; under
+    "count-tie-as-error" label 0 is wrong when Δ ≥ −SCORE_TOL, and label
+    1 as before. A Δ at the threshold itself is for the scores to decide:
+    callers decide by Δ only where it lies farther than _delta_margin
+    from the threshold."""
+    return -SCORE_TOL if tie_policy == "count-tie-as-error" and yi == 0 else SCORE_TOL
+
+
+# The unit roundoff of float64.
+_UNIT = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    """γ_n = n·u / (1 − n·u): a sum or dot product of n terms, computed in
+    any order, is off by at most γ_n times the sum of its terms'
+    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, §3.1 and §4.2), and γ_a + γ_b ≤ γ_{a+b}."""
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+def _log_scale(instance: Instance, counts: Sequence[int]) -> float:
+    """M = max |log prior| + Σ_m r_m · max |log p_m|, over the plan's
+    models: a bound on every score, log-likelihood, log multinomial
+    coefficient (at most r_m·log |X_m|, and some symbol has p ≤ 1/|X_m|)
+    and partial sum of them that a profile of the plan takes; score
+    differences are bounded by 2M. The maxima are taken once per Instance
+    object."""
+    prior, models = instance._shared(
+        "log_maxima",
+        lambda: (
+            float(np.abs(instance.log_prior).max()),
+            [float(np.abs(m.log_conditional).max()) for m in instance.models],
+        ),
+    )
+    return prior + sum(r * a for r, a in zip(counts, models) if r)
+
+
+def _delta_margin(instance: Instance, counts: Sequence[int], scale: float) -> float:
+    """How far a profile's Δ must lie from a _delta_threshold for every
+    way of computing it here to decide alike, given scale = _log_scale.
+
+    With X the largest alphabet and K the number of queried models:
+    - The scores' rule computes s_y as K dot products of counts with
+      log p_m(·|y), of up to X terms each, plus the prior: off by at most
+      γ_{X+K}·M each. It compares s₀ with fl(s₁ − SCORE_TOL) or the
+      reverse, one more rounding of at most u·(M + SCORE_TOL). So it
+      decides as the exact Δ does unless that lies within
+      2γ_{X+K}·M + u·(M + 1) of the threshold.
+    - A Δ path takes per-symbol or per-profile differences of
+      log-likelihoods (one rounding each, of terms up to 2M in all),
+      their dot products with counts (γ_X), a sum over the K models and
+      the prior gap (K + 1 terms), and compares with the threshold less
+      a partial sum (one more): off by at most γ_{X+K+3}·2M.
+    Both together are below γ_{3X+3K+4}·(2M + 1); the margin takes
+    γ_{4(X+K+2)}·(2M + 1). At M = 14.5 (six queries of a 0.9/0.1
+    channel) it is 6.7e-14, far below SCORE_TOL, so the exact ties of
+    symmetric channels, Δ = 0, are decided by Δ."""
+    active = [m.n_symbols for m, r in zip(instance.models, counts) if r]
+    width = max(active, default=1) + len(active) + 2
+    return _gamma(4 * width) * (2.0 * scale + 1.0)
+
+
 def delta(
     instance: Instance, obs: ObservationSet, y: int | str, y_other: int | str
 ) -> float:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from queryplan.experiments import random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec, QueryPlan
+from queryplan.likelihood import SCORE_TOL
 from queryplan.setcover import SetCoverInstance
 
 # The acceptance suite: random instances alternating two and three labels,
@@ -35,6 +38,37 @@ def symmetric_binary(p: float, cost: float, name: str) -> ModelSpec:
         conditional=np.array([[p, 1.0 - p], [1.0 - p, p]]),
         cost=cost,
     )
+
+
+def symmetric_instance(ps: Sequence[float], prior0: float = 0.5) -> Instance:
+    """Two labels and one symmetric channel per entry of ps; under the
+    uniform prior, every profile with as many of each symbol has Δ = 0."""
+    models = tuple(symmetric_binary(p, 1.0 + j, f"m{j}") for j, p in enumerate(ps))
+    return Instance(
+        ("0", "1"), np.array([prior0, 1.0 - prior0]), models, np.full(2, 0.05)
+    )
+
+
+def near_threshold_instance() -> Instance:
+    """A symmetric channel under a prior whose log odds are SCORE_TOL, so
+    every profile with as many of each symbol has Δ at the threshold
+    SCORE_TOL."""
+    prior0 = 1.0 / (1.0 + math.exp(SCORE_TOL))
+    return symmetric_instance([0.9], prior0)
+
+
+@st.composite
+def two_label_plans(draw) -> tuple[Instance, QueryPlan]:
+    """A random two-label instance or one of symmetric channels, and a plan
+    querying any of its models up to 12 times, so 0 to 3 of them."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        inst = random_instance(rng, n_labels=2, max_models=3)
+    else:
+        ps = draw(st.lists(st.sampled_from([0.6, 0.75, 0.9]), min_size=1, max_size=3))
+        inst = symmetric_instance(ps)
+    counts = draw(st.tuples(*(st.integers(0, 12) for _ in inst.models)))
+    return inst, QueryPlan(counts)
 
 
 @pytest.fixture

@@ -4,12 +4,14 @@ import itertools
 import math
 import re
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import near_threshold_instance, symmetric_instance, two_label_plans
 from queryplan.bounds import (
     BhattacharyyaScreen,
     is_surrogate_feasible,
@@ -25,6 +27,8 @@ from queryplan.exact import (
     _compositions,
     _log_factorial,
     _profile_mass,
+    _split_accept,
+    _split_errors,
     exact_error,
     exact_error_table,
     exact_opt,
@@ -34,7 +38,7 @@ from queryplan.exact import (
 )
 from queryplan.experiments import random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec, QueryPlan, as_plan, plan_cost
-from queryplan.likelihood import TIE_POLICIES, _error_mask
+from queryplan.likelihood import TIE_POLICIES, _error_mask, _log_scale
 from reference_lattice import lattice_ascending
 
 # binomial tail oracles for the two-symbol reference model with p = 0.9:
@@ -329,10 +333,31 @@ def assert_matches_reference(inst: Instance, tie_policy: str, node_budget: int):
     assert opt.enumerated == enumerated
 
 
+def scan_only_true_opt(inst: Instance, **kwargs):
+    """exact_opt(problem="true") with every accept decided by the profile
+    scan: the sorted split always defers to it."""
+    with mock.patch("queryplan.exact._split_accept", return_value=None):
+        return exact_opt(inst, problem="true", **kwargs)
+
+
+def assert_split_matches_scan(inst: Instance, tie_policy: str):
+    """exact_opt(problem="true") returns the scan-only search's plan, cost
+    and position."""
+    opt = exact_opt(inst, problem="true", tie_policy=tie_policy)
+    want = scan_only_true_opt(inst, tie_policy=tie_policy)
+    assert (opt.plan, opt.cost, opt.enumerated) == (
+        want.plan,
+        want.cost,
+        want.enumerated,
+    )
+
+
 @pytest.mark.parametrize("policy", TIE_POLICIES)
 @pytest.mark.parametrize("name", ["bsc", "asym", "duo"])
 def test_exact_opt_true_matches_unscreened_walk_on_fixtures(request, name, policy):
-    assert_matches_reference(request.getfixturevalue(name), policy, 10**6)
+    inst = request.getfixturevalue(name)
+    assert_matches_reference(inst, policy, 10**6)
+    assert_split_matches_scan(inst, policy)
 
 
 # Plans the unscreened reference may walk per example; some draws walk ten
@@ -352,6 +377,8 @@ def test_exact_opt_true_matches_unscreened_walk(seed, n_labels, alpha, policy):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
     assert_matches_reference(inst, policy, REFERENCE_WALK_LIMIT)
+    if n_labels == 2:
+        assert_split_matches_scan(inst, policy)
 
 
 def test_screened_plans_no_longer_hit_the_profile_budget():
@@ -368,3 +395,79 @@ def test_screened_plans_no_longer_hit_the_profile_budget():
     assert opt.plan.counts == (0, 3)
     assert opt.enumerated == 22
     assert exact_opt(inst, problem="true") == opt
+
+
+# ---------------------------------------------------------------------------
+# The sorted split: two-label errors by the score difference.
+# ---------------------------------------------------------------------------
+
+
+def split_errors(inst: Instance, plan: QueryPlan, policy: str):
+    return _split_errors(inst, plan, policy, {}, _log_scale(inst, plan.counts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=two_label_plans(), policy=st.sampled_from(TIE_POLICIES))
+@example(case=(symmetric_instance([0.9]), QueryPlan((2,))), policy="lowest-index")
+@example(
+    case=(symmetric_instance([0.9, 0.75]), QueryPlan((0, 0))),
+    policy="count-tie-as-error",
+)
+def test_split_errors_match_profile_scan(case, policy):
+    # exact ties (Δ = 0) lie far outside the margin, so the split decides
+    # them; its errors are the scan's up to rounding
+    inst, plan = case
+    errors = split_errors(inst, plan, policy)
+    assert errors is not None
+    wrong = _error_mask(policy)
+    for yi, got in enumerate(errors):
+        want = _profile_mass(inst, plan, yi, wrong, PROFILE_BUDGET, {})
+        assert abs(got - want) <= 1e-13 * want
+
+
+def deferred_plans(inst: Instance, policy: str) -> list[tuple[int, ...]]:
+    """The plans exact_opt(problem="true") hands to the scan because the
+    split defers, in walk order."""
+    deferred = []
+
+    def spy(instance, plan, *args):
+        met = _split_accept(instance, plan, *args)
+        if met is None:
+            deferred.append(plan.counts)
+        return met
+
+    with mock.patch("queryplan.exact._split_accept", spy):
+        exact_opt(inst, problem="true", tie_policy=policy)
+    return deferred
+
+
+def test_split_defers_at_the_tolerance(duo):
+    # with the tolerances at the optimum's exact errors, the split's errors
+    # lie within its rounding band of them, so the scan accepts the optimum
+    opt = exact_opt(duo, problem="true")
+    errors = exact_error_table(duo, opt.plan).errors
+    at_errors = duo.with_tolerances(np.array(errors))
+    assert deferred_plans(duo, "lowest-index") == []
+    assert deferred_plans(at_errors, "lowest-index") == [opt.plan.counts]
+    got = exact_opt(at_errors, problem="true")
+    assert (got.plan, got.cost, got.enumerated) == (opt.plan, opt.cost, opt.enumerated)
+    assert_matches_reference(at_errors, "lowest-index", 10**6)
+    assert_split_matches_scan(at_errors, "lowest-index")
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+def test_split_defers_at_the_delta_margin(policy):
+    inst = near_threshold_instance()
+    # the profile (1, 1) lies at the threshold; plans of odd counts hold no
+    # such profile
+    assert split_errors(inst, QueryPlan((2,)), policy) is None
+    assert split_errors(inst, QueryPlan((3,)), policy) is not None
+    assert deferred_plans(inst, policy) == [(2,)]
+    assert_matches_reference(inst, policy, 10**6)
+    assert_split_matches_scan(inst, policy)
+
+
+def test_split_keeps_the_profile_budget():
+    inst = symmetric_instance([0.9, 0.75])
+    with pytest.raises(EnumerationBudgetError, match="42 profiles"):
+        _split_accept(inst, QueryPlan((5, 6)), "lowest-index", 41, {})

@@ -15,11 +15,18 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queryplan.bounds import uniform_feasible_count
-from queryplan.exact import _top, exact_opt, lattice_bands, surrogate_walk
+from queryplan.exact import (
+    EnumerationBudgetError,
+    OptResult,
+    _top,
+    exact_opt,
+    lattice_bands,
+    surrogate_walk,
+)
 from queryplan.experiments import random_instance
 from queryplan.instances import (
     Instance,
@@ -56,16 +63,31 @@ def solve_job(epsilon: float, node_budget: int = 2_000_000):
     return lambda inst: run_afptas(inst, epsilon, node_budget=node_budget)
 
 
-def cheap_cap(inst: Instance) -> float:
-    """A cost cap below the surrogate optimum on the draws below."""
-    return 2.0 * float(inst.costs.min())
+def fresh_optimum(inst: Instance) -> OptResult | None:
+    """The surrogate optimum of a fresh copy, or None if it lies past the
+    default node budget."""
+    try:
+        return exact_opt(fresh(inst), problem="surrogate")
+    except EnumerationBudgetError:
+        return None
 
 
-JOBS = [
-    ("exact", exact_job()),
-    ("exact-capped", lambda inst: exact_job(cost_cap=cheap_cap(inst))(inst)),
-    *[(eps, solve_job(eps)) for eps in EPSILONS],
-]
+def cheap_cap(inst: Instance, opt: OptResult | None) -> float:
+    """A cost cap strictly below the surrogate optimum: twice the cheapest
+    model's cost, or less where the optimum costs no more (a search takes
+    the plans up to cap + 1e-9). An optimum past the node budget has more
+    than a million plans at or below its cost, so it costs more than the
+    few plans within twice the cheapest cost."""
+    cap = 2.0 * float(inst.costs.min())
+    return cap if opt is None else min(cap, opt.cost - 1e-6)
+
+
+def jobs(cap: float) -> list:
+    return [
+        ("exact", exact_job()),
+        ("exact-capped", exact_job(cost_cap=cap)),
+        *[(eps, solve_job(eps)) for eps in EPSILONS],
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -75,29 +97,36 @@ JOBS = [
     alpha=st.floats(0.01, 0.2),
     budget=st.integers(1, 300),
 )
+# the optimum, (2, 0, 0), costs exactly twice the cheapest model's cost
+@example(seed=18870, n_labels=2, alpha=0.125, budget=1)
+# the optimum lies past the default node budget
+@example(seed=269, n_labels=4, alpha=0.06211538695890965, budget=1)
 def test_shared_searches_answer_as_fresh_copies(seed, n_labels, alpha, budget):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
-    want = {name: outcome(job, fresh(inst)) for name, job in JOBS}
+    opt = fresh_optimum(inst)
+    named = jobs(cheap_cap(inst, opt))
+    want = {name: outcome(job, fresh(inst)) for name, job in named}
     assert "InfeasibleWithinCapError" in want["exact-capped"]
     # both epsilon orders, with the exact searches first and last
-    for order in (JOBS, JOBS[::-1]):
+    for order in (named, named[::-1]):
         shared = fresh(inst)
         assert {name: outcome(job, shared) for name, job in order} == want
 
     # a search that runs out of budget, then one that accepts on the same
-    # walk, and the reverse order
-    enumerated = exact_opt(fresh(inst), problem="surrogate").enumerated
-    budgets = [(exact_job(enumerated - 1), exact_job(enumerated))]
+    # walk, and the reverse order; an exact search can accept only within
+    # the default budget
     small, large = solve_job(0.5, budget), solve_job(0.5, 4 * budget)
-    budgets.append((small, large))
+    budgets = [(small, large)]
+    if opt is not None:
+        budgets.append((exact_job(opt.enumerated - 1), exact_job(opt.enumerated)))
+        blown = outcome(exact_job(opt.enumerated - 1), fresh(inst))
+        assert "EnumerationBudgetError" in blown
     for pair in budgets:
-        for jobs in (pair, pair[::-1]):
+        for sequence in (pair, pair[::-1]):
             shared = fresh(inst)
-            for job in jobs:
+            for job in sequence:
                 assert outcome(job, shared) == outcome(job, fresh(inst))
-    blown = outcome(exact_job(enumerated - 1), fresh(inst))
-    assert "EnumerationBudgetError" in blown
 
 
 def kind_of(job, inst: Instance) -> tuple:

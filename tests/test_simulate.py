@@ -2,10 +2,23 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import near_threshold_instance, symmetric_instance, two_label_plans
 from queryplan.exact import exact_error
-from queryplan.simulate import WILSON_Z, simulate_error, wilson_interval
+from queryplan.instances import QueryPlan
+from queryplan.likelihood import TIE_POLICIES, _delta_margin, _log_scale
+from queryplan.simulate import (
+    CHUNK_TRIALS,
+    WILSON_Z,
+    _DeltaChunks,
+    simulate_error,
+    wilson_interval,
+)
+from reference_simulate import reference_simulate_error
 
 
 def test_wilson_interval_endpoints():
@@ -84,3 +97,83 @@ def test_argument_validation(bsc):
             simulate_error(bsc, (2,), "1", trials=10, seed=seed)
     with pytest.raises(ValueError, match="tie policy"):
         simulate_error(bsc, (2,), "1", trials=10, seed=0, tie_policy="flip")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=two_label_plans(),
+    yi=st.integers(0, 1),
+    trials=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+    policy=st.sampled_from(TIE_POLICIES),
+)
+# exact ties: the profile (1, 1) has Δ = 0, decided by Δ
+@example(
+    case=(symmetric_instance([0.9]), QueryPlan((2,))),
+    yi=0,
+    trials=2000,
+    seed=3,
+    policy="count-tie-as-error",
+)
+# Δ at the threshold: every chunk falls back to the scores
+@example(
+    case=(near_threshold_instance(), QueryPlan((2,))),
+    yi=1,
+    trials=2000,
+    seed=3,
+    policy="lowest-index",
+)
+# three chunks, the last of one trial
+@example(
+    case=(symmetric_instance([0.75, 0.6]), QueryPlan((3, 4))),
+    yi=0,
+    trials=2 * CHUNK_TRIALS + 1,
+    seed=11,
+    policy="lowest-index",
+)
+def test_two_label_estimates_match_the_score_path(case, yi, trials, seed, policy):
+    inst, plan = case
+    got = simulate_error(inst, plan, yi, trials, seed, policy)
+    assert got == reference_simulate_error(inst, plan, yi, trials, seed, policy)
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
+def test_chunks_fall_back_only_near_the_threshold(policy):
+    # exact ties lie far from either threshold, a Δ at SCORE_TOL does not
+    plan = (2,)
+    for inst, falls_back in (
+        (symmetric_instance([0.9]), False),
+        (near_threshold_instance(), True),
+    ):
+        active = [(inst.models[0], 2)]
+        margin = _delta_margin(inst, plan, _log_scale(inst, plan))
+        chunks = _DeltaChunks(inst, active, 1, policy, margin)
+        key = np.array([3, 0], dtype=np.uint64)
+        assert (chunks.errors(key, 2000) is None) == falls_back
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 29, 30, 31, 100, 1000, 10**6])
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-3])
+def test_binomial_draws_are_the_two_symbol_multinomial(r, p):
+    # simulate_error's Δ path draws a two-symbol model's counts with
+    # binomial(r, p) where the score path calls multinomial(r, [p, 1 - p]);
+    # both must consume the same stream alike, inversion (r·min(p, 1 - p)
+    # < 30) and BTPE alike, or the estimates would part
+    for key in ([0, 0], [7, 3], [2**64 - 1, 5]):
+        key = np.array(key, dtype=np.uint64)
+        a = np.random.Generator(np.random.Philox(key=key))
+        b = np.random.Generator(np.random.Philox(key=key))
+        first = a.binomial(r, p, size=500)
+        counts = b.multinomial(r, [p, 1.0 - p], size=500)
+        assert np.array_equal(first, counts[:, 0])
+        assert np.array_equal(a.integers(2**62, size=4), b.integers(2**62, size=4))
+
+
+def test_seeds_past_2_63_keep_their_low_bits():
+    # Philox keys are two uint64 words: seeds past 2**63 that differ in
+    # their lowest bit draw different streams (through float64 they drew
+    # one), and the largest seed draws without a warning about a cast
+    inst = symmetric_instance([0.9])
+    seeds = (2**64 - 1, 2**64 - 2, 2**63 + 1, 2**63 + 2)
+    errors = [simulate_error(inst, (1,), 0, 20_000, s).errors for s in seeds]
+    assert errors == [1994, 1990, 2032, 2054]
