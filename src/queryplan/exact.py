@@ -171,8 +171,20 @@ def _log_factorial(k: int) -> float:
 
 
 # Profile blocks by (model index, query count), built once per call of a
-# public entry and shared by every plan and label it scores.
-_BlockCache = dict[tuple[int, int], "_Block"]
+# public entry and shared by every plan and label it scores; under
+# _LOG_FACT, the call's table of log-factorials (_log_factorials).
+_BlockCache = dict[tuple[int, int] | str, "_Block | np.ndarray"]
+_LOG_FACT = "log_fact"
+
+
+def _log_factorials(cache: _BlockCache, r: int) -> np.ndarray:
+    """log(k!) for k = 0..r at least: the cache's table, grown by
+    _log_factorial where a block needs more of it."""
+    table = cache.get(_LOG_FACT, np.empty(0))
+    if len(table) <= r:
+        more = [_log_factorial(k) for k in range(len(table), r + 1)]
+        table = cache[_LOG_FACT] = np.concatenate([table, more])
+    return table
 
 
 class _Block:
@@ -245,7 +257,7 @@ def _model_blocks(
             profiles = _compositions(r, m.n_symbols, r)
             table = np.empty((len(profiles), instance.n_labels + 1))
             table[:, :-1] = profiles.astype(float) @ m.log_conditional.T
-            log_fact = np.array([_log_factorial(j) for j in range(r + 1)])
+            log_fact = _log_factorials(cache, r)
             table[:, -1] = log_fact[r] - log_fact[profiles].sum(axis=1)
             block = cache[k, r] = _Block(table)
         blocks.append(block)

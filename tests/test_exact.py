@@ -26,6 +26,8 @@ from queryplan.exact import (
     InfeasibleWithinCapError,
     _compositions,
     _log_factorial,
+    _log_factorials,
+    _model_blocks,
     _profile_mass,
     _split_accept,
     _split_errors,
@@ -185,6 +187,23 @@ def test_log_factorial_matches_scipy_gammaln_bit_for_bit():
     got = np.array([_log_factorial(k) for k in ks])
     want = gammaln(np.array(ks, dtype=float) + 1.0)
     assert np.flatnonzero(got != want).tolist() == []
+
+
+def test_log_factorial_table_grows_from_the_scalar():
+    # a call's blocks read one table, grown on demand: its entries are
+    # _log_factorial's, and a block built from a grown table is the block
+    # built from a fresh one
+    cache: dict = {}
+    small = _log_factorials(cache, 5)
+    assert _log_factorials(cache, 3) is small
+    grown = _log_factorials(cache, 40)
+    assert grown.tolist() == [_log_factorial(k) for k in range(41)]
+    inst = symmetric_instance([0.75, 0.6])
+    plan = QueryPlan((7, 3))
+    fresh = _model_blocks(inst, plan, {})
+    shared = _model_blocks(inst, plan, cache)
+    for a, b in zip(fresh, shared):
+        assert a.table.tobytes() == b.table.tobytes()
 
 
 def test_exact_opt_true_vs_surrogate(bsc):
