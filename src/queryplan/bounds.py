@@ -21,10 +21,15 @@ holds several pairs as lanes, and golden_lanes minimizes them in lockstep:
 each lane keeps its own interval as Python floats and takes the steps a
 one-lane golden section would, while each step evaluates every lane in one
 numpy call over a (lanes, K, X) stack. golden_section is its one-lane case.
-is_surrogate_feasible runs all L(L-1) ordered pairs at once,
-instance_contraction all unordered pairs, and _surrogate_check, which makes
-the check for the searches, a label's L-1 pairs; the check is the fsum of
-the minima's exps against the tolerance.
+is_surrogate_feasible runs all L(L-1) ordered pairs at once and
+instance_contraction all unordered pairs; the check is the fsum of the
+minima's exps against each label's tolerance. The searches' check,
+_surrogate_accept, runs the same lanes and may settle: as each proxy is
+convex, the value a lane ends on is at most the larger value at the ends
+of any interval its golden section has reached, plus twice the rounding
+bound δ of _proxy_rounding. Once those bounds, raised by 3δ, pass every
+label's check after some lockstep round, the plan is accepted without
+running the sections to the end.
 
 Before it, searches rule plans out with one table per instance,
 TangentTable, whose tangent lower bounds serve both the batched prescreen
@@ -49,6 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .instances import Instance, QueryPlan, _indistinguishable, _label_pair, as_plan
+from .likelihood import _gamma, _log_scale
 
 # Interval width at which golden-section search stops.
 GSS_TOL = 1e-6
@@ -149,21 +155,37 @@ LaneObjective = Callable[[list[float], "list[int] | None"], list[float]]
 
 
 def _golden_steps(
-    lo: float, hi: float, c: float, d: float, fc: float, fd: float, out: list, k: int
+    lo: float,
+    hi: float,
+    c: float,
+    d: float,
+    fc: float,
+    fd: float,
+    fa: float,
+    fb: float,
+    out: list,
+    tops: list | None,
+    k: int,
 ):
     """One lane's golden-section search on [lo, hi] from its values fc, fd
-    at the first two points c < d, as a generator: yields each further
-    point, is sent its value, and finally stores a point within GSS_TOL of
-    the minimizer in out[k] and yields None."""
+    at the first two points c < d and fa, fb at lo and hi, as a generator:
+    yields each further point, is sent its value, keeps in tops[k], unless
+    tops is None, the larger value at its interval's ends, and finally
+    stores a point within GSS_TOL of the minimizer in out[k] and yields
+    None."""
     a, b = lo, hi
     while (b - a) > GSS_TOL:
         if fc <= fd:
-            b, d, fd = d, c, fc
+            b, d, fb, fd = d, c, fd, fc
             c = b - _INV_PHI * (b - a)
+            if tops is not None:
+                tops[k] = fa if fa > fb else fb
             fc = yield c
         else:
-            a, c, fc = c, d, fd
+            a, c, fa, fc = c, d, fc, fd
             d = a + _INV_PHI * (b - a)
+            if tops is not None:
+                tops[k] = fa if fa > fb else fb
             fd = yield d
     out[k] = 0.5 * (a + b)
     yield None
@@ -173,15 +195,27 @@ _send = GeneratorType.send
 
 
 def golden_lanes(
-    f: LaneObjective, n: int, lo: float, hi: float, also: Sequence[float] = ()
-) -> tuple[list[float], list[list[float]]]:
+    f: LaneObjective,
+    n: int,
+    lo: float,
+    hi: float,
+    also: Sequence[float] = (),
+    fixed: Sequence[bool] = (),
+    settle: Callable[[list[float]], bool] | None = None,
+) -> tuple[list[float], list[list[float]]] | None:
     """Minimizes n unimodal functions on [lo, hi] in lockstep.
 
     Returns each lane's point within GSS_TOL of its minimizer, and for each
     tilt in also, every lane's value there. Every lane runs _golden_steps,
     so it takes the steps it would take alone; the first call of f
     evaluates every lane at both first points and at also, and each later
-    one the next point of every lane still running.
+    one the next point of every lane still running. A lane marked in fixed
+    takes no step, and its point is the interval's midpoint.
+
+    With settle, also begins with lo and hi, and each lane keeps the larger
+    of its values at its interval's ends (a fixed lane's interval stays
+    [lo, hi]). After every round of steps settle is passed those values,
+    and once it answers True the search stops and returns None.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -190,13 +224,20 @@ def golden_lanes(
     first = f(
         [x for x in (c, d, *also) for _ in range(n)], list(range(n)) * (2 + len(also))
     )
-    out = [0.0] * n
-    steps = [
-        _golden_steps(lo, hi, c, d, fc, fd, out, k)
-        for k, (fc, fd) in enumerate(zip(first[:n], first[n : 2 * n]))
-    ]
     ends = [first[m : m + n] for m in range(2 * n, len(first), n)]
-    if n == 1:
+    if settle is None:
+        fa = fb = [math.inf] * n
+        tops = None
+    else:
+        fa, fb = ends[:2]
+        tops = list(map(max, fa, fb))
+    out = [0.5 * (lo + hi)] * n
+    lanes = [k for k in range(n) if not (fixed and fixed[k])]
+    steps = [
+        _golden_steps(lo, hi, c, d, first[k], first[n + k], fa[k], fb[k], out, tops, k)
+        for k in lanes
+    ]
+    if len(steps) == n == 1 and settle is None:
         # the same rounds without the bookkeeping of several lanes
         step = steps[0]
         x = next(step)
@@ -204,16 +245,17 @@ def golden_lanes(
             x = step.send(f([x], None)[0])
         return out, ends
     points = list(map(next, steps))
-    lanes = list(range(n))
-    live = None  # every lane, until one stops
+    live = None if len(lanes) == n else lanes  # None: every lane
     while True:
+        if settle is not None and settle(tops):
+            return None
         if None in points:
             keep = [k for k, x in enumerate(points) if x is not None]
-            if not keep:
-                return out, ends
             live = lanes = [lanes[k] for k in keep]
             steps = [steps[k] for k in keep]
             points = [points[k] for k in keep]
+        if not lanes:
+            return out, ends
         points = list(map(_send, steps, f(points, live)))
 
 
@@ -224,20 +266,26 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def _minimize_tilts(
-    f: LaneObjective, flat: Sequence[bool]
-) -> list[tuple[float, float]]:
+    f: LaneObjective,
+    flat: Sequence[bool],
+    settle: Callable[[list[float]], bool] | None = None,
+) -> list[tuple[float, float]] | None:
     """Minimizes convex tilt objectives over [0, 1] in lockstep lanes;
-    returns (s*, value) per lane.
+    returns (s*, value) per lane, or None if settle stops the lanes
+    (golden_lanes).
 
     Each golden-section point is re-evaluated exactly and compared against
     both endpoints, so boundary minimizers are returned exactly. A flat
-    objective returns s = 0.5 by convention.
+    objective returns s = 0.5 by convention and takes no golden-section
+    step; with no other lane, nothing is left to settle.
     """
     n = len(flat)
     if all(flat):
         return [(0.5, v) for v in f([0.5] * n, None)]
-    inner, (at_0, at_1) = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0))
-    s_in = [0.5 if fl else s for fl, s in zip(flat, inner)]
+    lanes = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0), flat, settle)
+    if lanes is None:
+        return None
+    s_in, (at_0, at_1) = lanes
     best = []
     for fl, s, v, v0, v1 in zip(flat, s_in, f(s_in, None), at_0, at_1):
         if not fl:
@@ -310,10 +358,15 @@ class PairStack:
         np.vecdot is the same BLAS dot as counts @ log_m, bit for bit."""
         return self.lane_objective(lambda log_m: np.vecdot(log_m, counts), self._ratios)
 
-    def tilts(self, counts: np.ndarray) -> list[tuple[float, float]]:
-        """Each pair's optimal tilt and log proxy for float plan counts."""
+    def tilts(
+        self,
+        counts: np.ndarray,
+        settle: Callable[[list[float]], bool] | None = None,
+    ) -> list[tuple[float, float]] | None:
+        """Each pair's optimal tilt and log proxy for float plan counts, or
+        None if settle stops the lanes (golden_lanes)."""
         flat = [fl and q == 0.0 for fl, q in zip(self.flat, self._ratios)]
-        return _minimize_tilts(self.proxy(counts), flat)
+        return _minimize_tilts(self.proxy(counts), flat, settle)
 
     def contractions(self) -> list[tuple[float, float]]:
         """Each pair's (s*, min_s sum_m log M_m(s)): pair_contraction."""
@@ -338,24 +391,76 @@ def optimize_tilt(
     return PairStack(instance, [(yi, yj)]).tilts(counts)[0]
 
 
-def _surrogate_check(instance: Instance) -> Callable[..., tuple]:
-    """The surrogate check of one label, with each label's competitor pairs
-    stacked once, as the lanes of one lockstep golden section.
+def _proxy_rounding(instance: Instance, counts: np.ndarray) -> float:
+    """δ: a bound on how far one evaluation of a pair's tilted proxy,
+    f(s) = s·ρ + Σ_m r_m·log M_m(s) as PairStack.proxy computes it, lies
+    from its exact value, for plan counts r summing to n.
 
-    check(counts, yi), for float plan counts, returns (error <= tolerance,
-    error, (s*, log proxy) per competitor in label order); the error is the
-    fsum of the competitors' proxies at their optimal tilts.
+    With u = 2⁻⁵³, X the padded alphabet width, K the number of models,
+    A_m = max |log p_m| and M = _log_scale (so |ρ| + Σ r_m·A_m ≤ 2M):
+    - each (1 − s)·log p + s·log q takes three roundings of terms whose
+      magnitudes sum to at most A_m: off by γ_3·A_m, which log-sum-exp
+      passes on, as it moves by at most the largest move of an entry;
+    - _logsumexp then subtracts the top (u·2A_m), takes exp and log
+      (within one ulp each, so 2u relative), sums X terms in [0, 1] one of
+      which is 1 (γ_X), and adds the top back (u·(A_m + 1)); padding adds
+      exact zeros. With log X + 1 ≤ X, log M_m is off by at most
+      γ_{X+12}·(A_m + X + 1), and |log M_m| ≤ A_m;
+    - the dot product with the counts adds γ_K·Σ r_m·|log M_m|, and
+      s·ρ and the last sum γ_2·(|ρ| + Σ r_m·|log M_m|).
+    In all, δ ≤ γ_{X+K+16}·(3M + n·(X + 1) + 1), which is what this
+    returns; the last term keeps δ at least 18u.
+    """
+    X = max(m.n_symbols for m in instance.models)
+    n = float(np.add.reduce(counts))
+    scale = _log_scale(instance, counts)
+    return _gamma(X + instance.n_models + 16) * (3.0 * scale + n * (X + 1) + 1.0)
+
+
+def _label_values(pair_tilts: Sequence[tuple[float, float]], L: int) -> list[float]:
+    """Each label's surrogate error from the (s*, log proxy) of every
+    ordered pair, in ordered_pairs' order: the fsum of its L - 1
+    competitors' proxies."""
+    return [
+        math.fsum(math.exp(lv) for _, lv in pair_tilts[k : k + L - 1])
+        for k in range(0, len(pair_tilts), L - 1)
+    ]
+
+
+def _surrogate_accept(instance: Instance) -> Callable[[np.ndarray], bool]:
+    """The surrogate searches' check: accept(counts), for float plan
+    counts, answers as is_surrogate_feasible(instance, counts).feasible
+    does, on the same lanes, but settles where it can.
+
+    Each lane's proxy f is convex and the value _minimize_tilts returns
+    lies in an interval [a, b] of every golden-section round (a flat lane
+    keeps [0, 1]), so that value is at most max(f(a), f(b)) + 2δ, with δ
+    from _proxy_rounding. Past each round, accept takes those bounds plus
+    3δ, which also covers forming the bound and its exp: once every
+    label's fsum of their exps is at most its tolerance, the exact values
+    would pass too, and the check accepts. A plan that never settles runs
+    on to the exact values.
     """
     L = instance.n_labels
-    rows = [PairStack(instance, [(i, j) for j in range(L) if j != i]) for i in range(L)]
-    alphas = [float(a) for a in instance.tolerances]
+    stack = PairStack(instance, ordered_pairs(L))
+    labels = list(zip(range(0, len(stack.flat), L - 1), instance.tolerances.tolist()))
 
-    def check(counts: np.ndarray, yi: int) -> tuple[bool, float, list]:
-        tilts = rows[yi].tilts(counts)
-        value = math.fsum(math.exp(lv) for _, lv in tilts)
-        return value <= alphas[yi], value, tilts
+    def accept(counts: np.ndarray) -> bool:
+        slack = 3.0 * _proxy_rounding(instance, counts)
 
-    return check
+        def settled(tops: list[float]) -> bool:
+            return all(
+                math.fsum(math.exp(t + slack) for t in tops[k : k + L - 1]) <= alpha
+                for k, alpha in labels
+            )
+
+        pair_tilts = stack.tilts(counts, settled)
+        if pair_tilts is None:
+            return True
+        values = _label_values(pair_tilts, L)
+        return all(v <= alpha for v, (_, alpha) in zip(values, labels))
+
+    return accept
 
 
 # Tilts, evenly spaced over [0, 1], at which TangentTable tabulates log M and
@@ -643,9 +748,8 @@ def surrogate_error(
     y: int | str,
 ) -> float:
     """Surrogate statewise error for label y: the sum over competitors of
-    the per-pair proxy at its optimal tilt."""
-    counts = as_plan(plan, instance).as_array().astype(float)
-    return _surrogate_check(instance)(counts, instance.label_index(y))[1]
+    the per-pair proxy at its optimal tilt (is_surrogate_feasible's)."""
+    return is_surrogate_feasible(instance, plan).values[instance.label_index(y)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -693,11 +797,7 @@ def is_surrogate_feasible(
     pairs = ordered_pairs(len(names))
     # every label's pairs in one lockstep run; label y's are the (y, .) block
     pair_tilts = PairStack(instance, pairs).tilts(counts)
-    per = len(names) - 1
-    values = tuple(
-        math.fsum(math.exp(lv) for _, lv in pair_tilts[k : k + per])
-        for k in range(0, len(pairs), per)
-    )
+    values = tuple(_label_values(pair_tilts, len(names)))
     tolerances = tuple(float(a) for a in instance.tolerances)
     flags = tuple(v <= a for v, a in zip(values, tolerances))
     return SurrogateReport(

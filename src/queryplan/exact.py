@@ -52,6 +52,7 @@ three or more labels, keep the scan, which stays the audit of the split.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
@@ -63,11 +64,11 @@ from .bounds import (
     BhattacharyyaScreen,
     TangentTable,
     _logsumexp,
-    _surrogate_check,
+    _surrogate_accept,
     tangent_table,
     uniform_feasible_count,
 )
-from .instances import Instance, QueryPlan, _label_pair, as_plan, plan_cost
+from .instances import Instance, QueryPlan, _expect, _label_pair, as_plan, plan_cost
 from .likelihood import (
     _delta_margin,
     _delta_threshold,
@@ -85,6 +86,15 @@ NODE_BUDGET = 1_000_000
 
 # Max joint profiles materialized at once during enumeration.
 _CHUNK = 1 << 20
+
+
+def _budget(value: int, field: str) -> int:
+    """A work budget as an int; a ValueError naming the field unless it is
+    a non-negative integer (a bool is not one)."""
+    _expect(value, numbers.Integral, field, "a non-negative integer")
+    if value < 0:
+        raise ValueError(f"{field} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -415,6 +425,7 @@ def exact_pairwise(
 
     This is the quantity the per-pair tilted proxy upper-bounds.
     """
+    budget = _budget(budget, "budget")
     plan = as_plan(plan, instance)
     yi, yj = _label_pair(instance, y, y_other)
     return _profile_mass(
@@ -435,6 +446,7 @@ def exact_error(
     budget: int = PROFILE_BUDGET,
 ) -> float:
     """Exact statewise MAP error for label y under the chosen tie policy."""
+    budget = _budget(budget, "budget")
     wrong = _error_mask(tie_policy)
     plan = as_plan(plan, instance)
     return _profile_mass(instance, plan, instance.label_index(y), wrong, budget, {})
@@ -463,6 +475,7 @@ def exact_error_table(
     tie_policy: str = "lowest-index",
     budget: int = PROFILE_BUDGET,
 ) -> ExactErrorResult:
+    budget = _budget(budget, "budget")
     wrong = _error_mask(tie_policy)
     plan = as_plan(plan, instance)
     cache: _BlockCache = {}
@@ -1098,6 +1111,8 @@ def exact_opt(
         raise ValueError(f"unknown problem {problem!r}")
     if cost_cap is not None and math.isnan(cost_cap):
         raise ValueError("cost_cap is NaN")
+    node_budget = _budget(node_budget, "node_budget")
+    profile_budget = _budget(profile_budget, "profile_budget")
     wrong = _error_mask(tie_policy)
     costs = [m.cost for m in instance.models]
     if cost_cap is None:
@@ -1105,14 +1120,13 @@ def exact_opt(
         cost_cap = n_unif * float(sum(costs))
     labels = range(instance.n_labels)
     if problem == "surrogate":
-        check = _surrogate_check(instance)
+        check = _surrogate_accept(instance)
         walk = surrogate_walk(instance)
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             if walk.rejects_plan(counts):
                 return None
-            r = np.array(counts, dtype=float)
-            return all(check(r, yi)[0] for yi in labels) or None
+            return check(np.array(counts, dtype=float)) or None
 
         found = walk.search(accept, node_budget, cost_cap)
     else:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _surrogate_check
+from .bounds import is_surrogate_feasible
 from .exact import (
     EnumerationBudgetError,
     exact_opt,
@@ -239,14 +239,10 @@ def greedy_baseline(instance: Instance, max_steps: int | None = None) -> GreedyR
     """
     if max_steps is None:
         max_steps = derive_constants(instance, 1.0).n_max
-    check = _surrogate_check(instance)
 
     def worst_ratio(counts: list[int]) -> float:
-        r = np.array(counts, dtype=float)
-        return max(
-            check(r, yi)[1] / float(instance.tolerances[yi])
-            for yi in range(instance.n_labels)
-        )
+        report = is_surrogate_feasible(instance, counts)
+        return max(v / a for v, a in zip(report.values, report.tolerances))
 
     counts = [0] * instance.n_models
     steps: list[int] = []

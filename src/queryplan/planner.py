@@ -44,8 +44,9 @@ tilts and answers equal those of a full-axis scan (see _WindowCertifier).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,8 +60,8 @@ from .bounds import (
     ordered_pairs,
     uniform_feasible_count,
 )
-from .exact import _compositions, exact_opt, surrogate_walk
-from .instances import Instance, QueryPlan, _indistinguishable, plan_cost
+from .exact import _budget, _compositions, exact_opt, surrogate_walk
+from .instances import Instance, QueryPlan, _expect, _indistinguishable, plan_cost
 
 MEMORY_BUDGET = 1 << 28
 SEARCH_NODE_BUDGET = 2_000_000
@@ -108,6 +109,7 @@ def derive_constants(instance: Instance, epsilon: float) -> DerivedConstants:
     """Computes every discretization constant for the given accuracy target.
     The constants that do not depend on it are computed once per Instance
     object and shared by every call."""
+    _expect(epsilon, numbers.Real, "epsilon", "a number")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     B, rho, n_unif, kappa_min, delta_margin, theta, k_max, n_max, lam = (
@@ -290,6 +292,7 @@ def dp_solve(
     between models are broken by the lower model index. The table is dense,
     so it only suits coarse constants: it is the literal scheme's oracle.
     """
+    memory_budget = _budget(memory_budget, "memory_budget")
     K = instance.n_models
     if K > 127:
         raise ValueError("backpointers are int8; at most 127 models supported")
@@ -389,6 +392,11 @@ def guarantee_threshold(instance: Instance, constants: DerivedConstants) -> floa
     return (L - 1) * float(pr.min()) / float(pr.max()) * math.exp(-pad)
 
 
+# Axis points a window certifier keeps per pair (_WindowCertifier.spans); a
+# longer window is scanned in _WINDOW_CHUNK batches and not kept.
+_SPAN_MAX = 1 << 13
+
+
 class _WindowCertifier:
     """The axis certificate of a plan, minimized per pair over the tilt axis
     without scanning the axis.
@@ -420,6 +428,16 @@ class _WindowCertifier:
     Both inequalities carry a margin of 1e-9 relative, far above the
     rounding they absorb. The walk is the instance's for the table's grid,
     so every solve of an instance reads it, up to the search's cost cap.
+
+    s_i * log(prior ratio) and w_p(i) do not depend on the plan, and the
+    windows of a solve's plans overlap, so the certifier keeps them per
+    pair over one span of axis indices (``spans``): each window extends
+    its pair's span, computing only the points outside it, all pairs' in
+    one batch. A window that neither overlaps nor touches the span, or
+    that would grow it past _SPAN_MAX points, replaces it; a window longer
+    than that is scanned in batches and not kept. A certificate read from
+    a span takes the same operations on the same values, so every answer
+    is bit-identical to a scan's.
     """
 
     def __init__(self, instance: Instance, constants: DerivedConstants):
@@ -433,12 +451,18 @@ class _WindowCertifier:
         self.n_axis = tilt_axis_size(constants)
         self.masks = table.label_mask > 0
         self.tolerances = [float(a) for a in instance.tolerances]
+        # per pair: (first axis index, s_i * log ratio (n,), weights (n, K)),
+        # or None before the pair's first window
+        self.spans: list[tuple[int, np.ndarray, np.ndarray] | None] = [None] * len(
+            table.log_ratio
+        )
 
-    def axis_certificates(
-        self, pair_of: np.ndarray, index: np.ndarray, r: np.ndarray
-    ) -> np.ndarray:
-        """cert_{pair_of[n]}(index[n]) for every n, computed with the same
-        operations in the same order as a full-axis table, so the values are
+    def axis_weights(
+        self, pair_of: np.ndarray, index: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """s_i * log(prior ratio) and the floored weights w_p(i), for
+        p = pair_of[n] and i = index[n], computed with the same operations
+        in the same order as a full-axis table, so the values are
         bit-identical to it."""
         c = self.constants
         t = self.table
@@ -446,10 +470,70 @@ class _WindowCertifier:
         v = (1.0 - s)[:, None, None] * t.log_p[pair_of] + s[
             :, None, None
         ] * t.log_q[pair_of]
-        log_m = _logsumexp(v)  # (N, K)
-        w = _floor_weights(log_m, c.round_scale)
-        covered = np.minimum(w @ r, c.t_max)
-        return s * t.log_ratio[pair_of] - c.round_scale * covered
+        w = _floor_weights(_logsumexp(v), c.round_scale)  # (N, K)
+        return s * t.log_ratio[pair_of], w
+
+    def _certificates(
+        self, amp: np.ndarray, w: np.ndarray, r: np.ndarray
+    ) -> np.ndarray:
+        """The plan's cert at points with axis_weights' values (amp, w),
+        bit-identical to a full-axis table."""
+        c = self.constants
+        return amp - c.round_scale * np.minimum(w @ r, c.t_max)
+
+    def _chunks(
+        self, pair_of: np.ndarray, index: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """axis_weights over the points, in batches of _WINDOW_CHUNK."""
+        for k in range(0, len(index), _WINDOW_CHUNK):
+            yield self.axis_weights(
+                pair_of[k : k + _WINDOW_CHUNK], index[k : k + _WINDOW_CHUNK]
+            )
+
+    def _extend(self, windows: list[tuple[int, int]]) -> None:
+        """Makes each pair's span cover its window [lo, hi], if the window
+        is kept (class docstring), computing only the points the span does
+        not hold, every pair's in one batch."""
+        # (pair, new span's first index, old points kept [k0, k1], new points)
+        grown = []
+        for p, (lo, hi) in enumerate(windows):
+            if hi - lo >= _SPAN_MAX:
+                continue  # scanned, never kept
+            span = self.spans[p]
+            s0, s1 = (span[0], span[0] + len(span[1]) - 1) if span else (lo, lo - 1)
+            a, b = lo, hi  # the new span
+            touch = lo <= s1 + 1 and s0 - 1 <= hi
+            if touch and max(hi, s1) - min(lo, s0) < _SPAN_MAX:
+                a, b = min(lo, s0), max(hi, s1)
+            k0, k1 = max(a, s0), min(b, s1)
+            if (k0, k1) == (a, b):
+                continue  # held whole
+            if k0 > k1:
+                k0, k1 = b + 1, b  # nothing kept: every point is new
+            new = np.concatenate((np.arange(a, k0), np.arange(k1 + 1, b + 1)))
+            grown.append((p, a, k0, k1, new))
+        if not grown:
+            return
+        pair_of = np.repeat([g[0] for g in grown], [len(g[4]) for g in grown])
+        parts = list(self._chunks(pair_of, np.concatenate([g[4] for g in grown])))
+        amp, w = parts[0]
+        if len(parts) > 1:
+            amp = np.concatenate([x for x, _ in parts])
+            w = np.concatenate([x for _, x in parts])
+        at = 0
+        for p, a, k0, k1, new in grown:
+            cut, end = at + k0 - a, at + len(new)  # new points left of k0 end at cut
+            old = self.spans[p]
+            if k0 > k1:  # keeps nothing: the batch's slices, not copies
+                self.spans[p] = (a, amp[at:end], w[at:end])
+            else:
+                keep = slice(k0 - old[0], k1 + 1 - old[0])
+                self.spans[p] = (
+                    a,
+                    np.concatenate([amp[at:cut], old[1][keep], amp[cut:end]]),
+                    np.concatenate([w[at:cut], old[2][keep], w[cut:end]]),
+                )
+            at = end
 
     def certify(self, counts: tuple[int, ...]) -> np.ndarray | None:
         """Per-pair first-argmin axis indices if the plan certifies every
@@ -465,7 +549,7 @@ class _WindowCertifier:
         grid = self.table.grid
         near = np.clip(np.rint(grid[f.argmin(axis=1)] / c.mesh), 0, last)
         near = near.astype(np.int64)
-        cap = self.axis_certificates(np.arange(P), near, r)
+        cap = self._certificates(*self.axis_weights(np.arange(P), near), r)
         cap = cap + 1e-9 * (1.0 + np.abs(cap))
         # where every tangent f_g + f'_g (s - s_g) stays <= cap
         reach = grid + (cap[:, None] - f) / np.where(df != 0.0, df, 1.0)
@@ -473,25 +557,21 @@ class _WindowCertifier:
         s_hi = np.where(df > 0.0, reach, 1.0).min(axis=1)
         lo = np.minimum(np.maximum(np.floor(s_lo / c.mesh) - 1, 0), near)
         hi = np.maximum(np.minimum(np.ceil(s_hi / c.mesh) + 1, last), near)
-        lo = lo.astype(np.int64)
-        sizes = hi.astype(np.int64) - lo + 1
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        pair_of = np.repeat(np.arange(P), sizes)
-        index = np.arange(starts[-1]) - np.repeat(starts[:-1] - lo, sizes)
-        cert = np.concatenate(
-            [
-                self.axis_certificates(
-                    pair_of[k : k + _WINDOW_CHUNK], index[k : k + _WINDOW_CHUNK], r
-                )
-                for k in range(0, len(index), _WINDOW_CHUNK)
-            ]
-        )
+        windows = list(zip(lo.astype(np.int64).tolist(), hi.astype(np.int64).tolist()))
+        self._extend(windows)
         best_idx = np.empty(P, dtype=np.int64)
         best = np.empty(P)
-        for p in range(P):
-            j = int(cert[starts[p] : starts[p + 1]].argmin())
-            best_idx[p] = lo[p] + j
-            best[p] = cert[starts[p] + j]
+        for p, (i, j) in enumerate(windows):
+            if j - i < _SPAN_MAX:  # read from the span
+                s0, amp, w = self.spans[p]
+                view = slice(i - s0, j + 1 - s0)
+                cert = self._certificates(amp[view], w[view], r)
+            else:  # too long to keep
+                chunks = self._chunks(np.repeat(p, j - i + 1), np.arange(i, j + 1))
+                cert = np.concatenate([self._certificates(*x, r) for x in chunks])
+            k = int(cert.argmin())
+            best_idx[p] = i + k
+            best[p] = cert[k]
         for yi, mask in enumerate(self.masks):
             if math.fsum(math.exp(v) for v in best[mask]) > self.tolerances[yi]:
                 return None
@@ -552,6 +632,7 @@ def run_afptas(
     instance's guarantee threshold, or empirically when check_optimal is
     set and the exact surrogate optimum confirms the ratio.
     """
+    node_budget = _budget(node_budget, "node_budget")
     constants = derive_constants(instance, epsilon)
     plan, tilts = _solve_search(instance, constants, node_budget)
     # the audit of a plan is the instance's too: solves at several epsilon

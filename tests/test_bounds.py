@@ -17,6 +17,7 @@ from queryplan.bounds import (
     TangentTable,
     _logsumexp,
     _minimize_tilts,
+    _surrogate_accept,
     affinity,
     golden_lanes,
     golden_section,
@@ -31,8 +32,8 @@ from queryplan.bounds import (
     surrogate_error,
     uniform_feasible_count,
 )
-from queryplan.exact import EnumerationBudgetError, SurrogateWalk
-from queryplan.experiments import random_instance, random_plan
+from queryplan.exact import EnumerationBudgetError, SurrogateWalk, exact_opt
+from queryplan.experiments import GUARANTEE_NODE_BUDGET, random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec
 
 
@@ -351,6 +352,83 @@ def test_lanes_match_scalar_reference(seed, n_labels, kind, counts):
             assert pair_contraction(inst, i, j) == pc
             worst = max(worst, math.exp(pc[1]))
     assert instance_contraction(inst) == worst
+
+
+def _twin(inst: Instance, same_prior: bool) -> Instance:
+    """inst with label 2 given label 1's rows in every model, an
+    indistinguishable pair; with same_prior, also label 1's prior, so
+    the pair's lanes are flat."""
+    models = []
+    for m in inst.models:
+        rows = m.conditional.copy()
+        rows[1] = rows[0]
+        models.append(ModelSpec(m.name, m.alphabet, rows, m.cost))
+    prior = inst.prior.copy()
+    if same_prior:
+        prior[1] = prior[0]
+    return Instance(inst.labels, prior / prior.sum(), tuple(models), inst.tolerances)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(1e-4, 0.3),
+    counts=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    twin=st.sampled_from([None, "flat", "ratio"]),
+    near=st.sampled_from([None, 1.0 - 1e-12, 1.0 + 1e-12]),
+)
+def test_settled_accept_answers_as_the_full_check(
+    seed, n_labels, alpha, counts, twin, near
+):
+    # the settled accept says what is_surrogate_feasible says: also with
+    # a tolerance 1e-12 relative from the plan's own surrogate error,
+    # where only the exact values can tell, and with an indistinguishable
+    # pair, whose lanes are flat or linear
+    rng = np.random.default_rng(seed)
+    inst = random_instance(
+        rng, n_labels=n_labels, max_models=3, alphabet_sizes=(2, 4), alpha=alpha
+    )
+    if twin is not None:
+        inst = _twin(inst, twin == "flat")
+    plan = tuple(counts[: inst.n_models])
+    if near is not None:
+        values = np.array(is_surrogate_feasible(inst, plan).values) * near
+        inst = inst.with_tolerances(np.where(values < 1.0, values, inst.tolerances))
+    want = is_surrogate_feasible(inst, plan).feasible
+    assert _surrogate_accept(inst)(np.array(plan, dtype=float)) == want
+
+
+def test_settled_accept_makes_fewer_objective_calls(monkeypatch):
+    # on the seed-42 guarantee draws, the accept of each surrogate optimum
+    # settles before its golden sections end
+    rng = np.random.default_rng(42)
+    draws = [random_instance(rng, n_labels=2, max_models=3) for _ in range(12)]
+    plans = [
+        exact_opt(inst, node_budget=GUARANTEE_NODE_BUDGET).plan.counts
+        for inst in draws
+    ]
+    calls = []
+    lane_objective = PairStack.lane_objective
+
+    def counted(self, *args):
+        f = lane_objective(self, *args)
+
+        def g(s, live):
+            calls.append(len(s))
+            return f(s, live)
+
+        return g
+
+    monkeypatch.setattr(PairStack, "lane_objective", counted)
+    for inst, plan in zip(draws, plans):
+        accept = _surrogate_accept(inst)
+        del calls[:]
+        assert accept(np.array(plan, dtype=float))
+        settled = len(calls)
+        del calls[:]
+        assert is_surrogate_feasible(inst, plan).feasible
+        assert settled < len(calls), (plan, settled, len(calls))
 
 
 @settings(max_examples=60, deadline=None)

@@ -249,6 +249,44 @@ def test_exact_opt_argument_validation(bsc):
         exact_error_table(bsc, (2,), tie_policy="random")
 
 
+# Values no work budget takes: a bool, a float, a string and a negative int.
+BAD_BUDGETS = [(True, "bool"), (10**6 + 0.5, "float"), ("10", "str"), (-1, "-1")]
+
+
+@pytest.mark.parametrize("value, named", BAD_BUDGETS)
+@pytest.mark.parametrize("problem", ["surrogate", "true"])
+def test_exact_opt_rejects_a_bad_node_budget(bsc, problem, value, named):
+    with pytest.raises(ValueError, match=f"node_budget must be .*{named}"):
+        exact_opt(bsc, problem=problem, node_budget=value)
+
+
+@pytest.mark.parametrize("value, named", BAD_BUDGETS)
+@pytest.mark.parametrize("problem", ["surrogate", "true"])
+def test_exact_opt_rejects_a_bad_profile_budget(bsc, problem, value, named):
+    with pytest.raises(ValueError, match=f"profile_budget must be .*{named}"):
+        exact_opt(bsc, problem=problem, profile_budget=value)
+
+
+@pytest.mark.parametrize("value, named", BAD_BUDGETS)
+def test_exact_errors_reject_a_bad_budget(bsc, value, named):
+    match = f"budget must be .*{named}"
+    with pytest.raises(ValueError, match=match):
+        exact_error(bsc, (2,), "1", budget=value)
+    with pytest.raises(ValueError, match=match):
+        exact_pairwise(bsc, (2,), "1", "2", budget=value)
+    with pytest.raises(ValueError, match=match):
+        exact_error_table(bsc, (2,), budget=value)
+
+
+def test_budgets_take_any_non_negative_integer(bsc):
+    # numpy integers are integers; zero is a budget, if a small one
+    assert exact_opt(bsc, node_budget=np.int64(100)).plan.counts == (6,)
+    want = exact_error(bsc, (2,), "1")
+    assert exact_error(bsc, (2,), "1", budget=np.uint8(3)) == want
+    with pytest.raises(EnumerationBudgetError, match="profiles"):
+        exact_error_table(bsc, (2,), budget=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import symmetric_binary
 from queryplan import planner
@@ -27,6 +29,7 @@ from queryplan.planner import (
     tilt_axis,
     tilt_axis_size,
 )
+from reference_certifier import FullAxisCertifier
 from reference_lattice import lattice_ascending
 from reference_sweep import (
     GridBudgetError,
@@ -195,6 +198,15 @@ def test_dp_budget_and_mode_errors(bsc_constants):
         dp_solve(inst, constants, weights, mode="sparse")
 
 
+@pytest.mark.parametrize(
+    "value, named", [(True, "bool"), (10**6 + 0.5, "float"), ("10", "str"), (-1, "-1")]
+)
+def test_dp_solve_rejects_a_bad_memory_budget(bsc, coarse_constants, value, named):
+    weights = round_weights(bsc, coarse_constants, [0.5, 0.5])
+    with pytest.raises(ValueError, match=f"memory_budget must be .*{named}"):
+        dp_solve(bsc, coarse_constants, weights, memory_budget=value)
+
+
 def test_backtrack_rejects_unreachable_state(bsc_constants):
     inst = two_model_instance(1.0, 1.0)
     constants = dataclasses.replace(bsc_constants, t_max=2)
@@ -318,6 +330,25 @@ def test_run_afptas_search_budget_raises_enumeration_error(duo):
 def test_run_afptas_argument_validation(bsc):
     with pytest.raises(ValueError, match="epsilon"):
         run_afptas(bsc, 2.0)
+
+
+@pytest.mark.parametrize(
+    "value, named", [(True, "bool"), ("0.5", "str"), (None, "NoneType")]
+)
+def test_run_afptas_rejects_an_epsilon_that_is_no_number(bsc, value, named):
+    # True would pass as epsilon 1.0
+    with pytest.raises(ValueError, match=f"epsilon must be a number, got {named}"):
+        run_afptas(bsc, value)
+    with pytest.raises(ValueError, match=f"epsilon must be a number, got {named}"):
+        derive_constants(bsc, value)
+
+
+@pytest.mark.parametrize(
+    "value, named", [(True, "bool"), (10**6 + 0.5, "float"), ("10", "str"), (-1, "-1")]
+)
+def test_run_afptas_rejects_a_bad_node_budget(bsc, value, named):
+    with pytest.raises(ValueError, match=f"node_budget must be .*{named}"):
+        run_afptas(bsc, 0.5, node_budget=value)
 
 
 # ---------------------------------------------------------------------------
@@ -460,3 +491,130 @@ def test_window_certifier_takes_the_patched_grid(bsc):
         want = default.certify(counts)
         got = patched.certify(counts)
         assert got is None if want is None else np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The window certifier's kept spans of axis weights
+# ---------------------------------------------------------------------------
+
+
+def _spans(certifier) -> list[tuple[int, int] | None]:
+    """Each pair's span as (first axis index, points), None if empty."""
+    return [None if s is None else (s[0], len(s[1])) for s in certifier.spans]
+
+
+def _span_moves(before, after) -> set[str]:
+    """How the spans moved: "left" or "right" where a span grew on that
+    side, "jump" where it moved to a range it does not overlap."""
+    moves = set()
+    for b, a in zip(before, after):
+        if b is None or a is None or a == b:
+            continue
+        (b0, bn), (a0, an) = b, a
+        if a0 + an <= b0 or a0 >= b0 + bn:
+            moves.add("jump")
+        if a0 < b0 < a0 + an:
+            moves.add("left")
+        if a0 < b0 + bn < a0 + an:
+            moves.add("right")
+    return moves
+
+
+def _check(certifier, reference, counts, got, span_max) -> None:
+    """The certifier's answer got for counts is the full-axis reference's,
+    and every span holds at most span_max points."""
+    want = reference.certify(counts)
+    assert (got is None) == (want is None), counts
+    assert want is None or np.array_equal(got, want), (counts, got, want)
+    assert all(s is None or s[1] <= span_max for s in _spans(certifier))
+
+
+def _drive(certifier, reference, plans, span_max) -> set[str]:
+    """Certifies the plans in order, each checked (_check); returns the
+    spans' moves."""
+    moves = set()
+    for counts in plans:
+        before = _spans(certifier)
+        _check(certifier, reference, counts, certifier.certify(counts), span_max)
+        moves |= _span_moves(before, _spans(certifier))
+    return moves
+
+
+def test_kept_spans_grow_jump_and_answer_as_the_full_axis():
+    # on this draw, the plans' windows grow each pair's span on both
+    # sides and jump to disjoint ranges, twice over
+    rng = np.random.default_rng(12)
+    inst = random_instance(rng, n_labels=2, max_models=2, alpha=0.3)
+    constants = derive_constants(inst, 0.5)
+    plans = [(60, 0), (0, 60), (60, 0), (30, 30), (0, 60), (200, 0), (0, 200)] * 2
+    certifier = planner._WindowCertifier(inst, constants)
+    reference = FullAxisCertifier(inst, constants)
+    moves = _drive(certifier, reference, plans, planner._SPAN_MAX)
+    assert moves == {"left", "right", "jump"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 3),
+    mesh=st.floats(2e-3, 0.2),
+    round_scale=st.floats(0.02, 0.5),
+    t_max=st.integers(1, 400),
+    plans=st.lists(
+        st.lists(st.integers(0, 80), min_size=3, max_size=3), min_size=1, max_size=10
+    ),
+    span_max=st.sampled_from([1, 5, 40, planner._SPAN_MAX]),
+    chunk=st.sampled_from([3, planner._WINDOW_CHUNK]),
+)
+def test_kept_spans_answer_as_the_full_axis(
+    seed, n_labels, mesh, round_scale, t_max, plans, span_max, chunk
+):
+    # any plan sequence, with spans bounded to a few points or not, and
+    # windows longer than the bound scanned without being kept
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=0.3)
+    constants = dataclasses.replace(
+        derive_constants(inst, 0.5), mesh=mesh, round_scale=round_scale, t_max=t_max
+    )
+    plans = [tuple(p[: inst.n_models]) for p in plans]
+    reference = FullAxisCertifier(inst, constants)
+    with mock.patch.multiple(planner, _SPAN_MAX=span_max, _WINDOW_CHUNK=chunk):
+        certifier = planner._WindowCertifier(inst, constants)
+        _drive(certifier, reference, plans * 2, span_max)
+
+
+def test_kept_spans_on_the_guarantee_case_of_plan_0_253(monkeypatch):
+    # the seed-42 guarantee draw 2, its models swapped: the solve at eps 0.5
+    # scans one pair window after another over the same stretch of the
+    # axis, and computes only a small share of the points they hold
+    rng = np.random.default_rng(42)
+    draw = [random_instance(rng, n_labels=2, max_models=3) for _ in range(3)][2]
+    inst = dataclasses.replace(draw, models=draw.models[::-1])
+    constants = derive_constants(inst, 0.5)
+    reference = FullAxisCertifier(inst, constants)
+    windows, computed = [], []
+    extend = planner._WindowCertifier._extend
+    axis_weights = planner._WindowCertifier.axis_weights
+    certify = planner._WindowCertifier.certify
+
+    def logged_extend(self, pair_windows):
+        windows.extend(pair_windows)
+        return extend(self, pair_windows)
+
+    def counted(self, pair_of, index):
+        computed.append(len(index))
+        return axis_weights(self, pair_of, index)
+
+    def checked(self, counts):
+        got = certify(self, counts)
+        _check(self, reference, counts, got, planner._SPAN_MAX)
+        return got
+
+    monkeypatch.setattr(planner._WindowCertifier, "_extend", logged_extend)
+    monkeypatch.setattr(planner._WindowCertifier, "axis_weights", counted)
+    monkeypatch.setattr(planner._WindowCertifier, "certify", checked)
+    assert exact_opt(inst).plan.counts == (0, 253)
+    assert run_afptas(inst, 0.5).plan.counts == (0, 258)
+    scanned = sum(hi - lo + 1 for lo, hi in windows)
+    assert len(windows) >= 2 * 40
+    assert 10 * sum(computed) < scanned
