@@ -38,9 +38,17 @@ crossing only in a grid cell where the slope changes sign, so only those
 cells are computed. tangent_table builds an instance's table once per
 Instance object, and uniform_feasible_count its answer, so every search on
 the instance shares them; exact.SurrogateWalk scores the per-plan rejects
-ahead of the searches in batches. The exact search for the true problem
-screens its batches with BhattacharyyaScreen instead, a lower bound on
-each pair's Bayes error that no decision rule beats.
+ahead of the searches in batches. A batch computes proxies only for the
+pairs y < y': the mirror (y', y) has f_{y'y}(s) = f_{yy'}(1 - s) - ρ_{yy'},
+with ρ_{yy'} the pair's log prior ratio, so its minimum is the pair's
+minus ρ_{yy'}. The exact search for the true problem screens its batches
+with BhattacharyyaScreen instead, a lower bound on each pair's Bayes error
+that no decision rule beats.
+
+Reductions over the padded alphabet axis, which holds a handful of
+symbols, go through _reduce_last: a large array is folded elementwise
+across that axis, in numpy's own order, so every value is the reduce's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -65,14 +73,40 @@ _PAD = -1e30
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# _reduce_last folds arrays of more elements than this; below it one
+# reduce call is faster. Measured with numpy 2.4.6 on a 2-CPU x86-64 host,
+# _logsumexp of a golden-section lane stack of (6, 3, 3) took 6.3 µs
+# reduced and 8.1 µs folded, and of (20, 3, 3) 9.1 µs and 8.4 µs.
+_FOLD_MIN = 160
+
+# numpy adds up to this many terms of a reduce one after another, from the
+# first; from 8 terms it sums pairwise, so longer axes are not folded.
+_FOLD_TERMS = 7
+
+
+def _reduce_last(ufunc: np.ufunc, v: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(v, -1), bit for bit, for np.maximum and np.add.
+
+    A reduce over a last axis of a few alphabet symbols is slow: on a
+    (30000, 3, 3) array, numpy 2.4.6 took 5.5 ms for the max and 1.9 ms for
+    the sum, against 0.24 and 0.26 ms as elementwise calls. So a large array
+    is folded: ufunc across the axis's slices, first to last. A max is exact
+    in any order, and a sum of at most _FOLD_TERMS terms is added in numpy's
+    own order (tests/test_bounds.py pins both)."""
+    if v.size <= _FOLD_MIN or not 2 <= v.shape[-1] <= _FOLD_TERMS:
+        return ufunc.reduce(v, -1)
+    out = ufunc(v[..., 0], v[..., 1])
+    for k in range(2, v.shape[-1]):
+        ufunc(out, v[..., k], out=out)
+    return out
+
 
 def _logsumexp(v: np.ndarray) -> np.ndarray:
     """log(sum(exp(v))) over the last axis. The window certifier must match
     a full-axis table bit for bit; scipy's logsumexp rounds differently.
-    The reductions are v.max and v.sum without their Python wrappers, and
-    with the axis passed by position, which numpy parses faster."""
-    top = np.maximum.reduce(v, -1)
-    return np.log(np.add.reduce(np.exp(v - top[..., None]), -1)) + top
+    The reductions are numpy's max and sum over the axis (_reduce_last)."""
+    top = _reduce_last(np.maximum, v)
+    return np.log(_reduce_last(np.add, np.exp(v - top[..., None]))) + top
 
 
 def ordered_pairs(L: int) -> list[tuple[int, int]]:
@@ -472,10 +506,10 @@ _TANGENT_GRID = 129
 # TangentTable.rejects_each holds at once.
 _WINDOW_CHUNK = 1 << 15
 
-# A rejects_each batch holds about two float arrays of its (plans x pairs x
-# grid tilts) size at once, f and its slope, since lower_bounds computes
-# crossings only at the cells where the slope changes sign; so a batch's
-# arrays get this share of _WINDOW_CHUNK.
+# A rejects_each batch holds about two float arrays of its (plans x pairs
+# y < y' x grid tilts) size at once, f and its slope, since lower_bounds
+# computes crossings only at the cells where the slope changes sign; so a
+# batch's arrays get this share of _WINDOW_CHUNK.
 _AHEAD_SHARE = 4
 
 
@@ -505,6 +539,17 @@ class TangentTable:
     golden-section value is never below the true minimum, no plan the
     surrogate check accepts is ever ruled out.
 
+    The per-plan rejects need the L(L-1)/2 pairs y < y' only. As M_m of
+    (y', y) at s is M_m of (y, y') at 1 - s, the mirror's proxy is
+    f_{y'y}(s) = f_{yy'}(1 - s) - ρ, with ρ = log(prior(y') / prior(y)),
+    so min f_{y'y} = min f_{yy'} - ρ, and rejects_each sets the mirror's
+    bound to lb - ρ. That subtraction rounds by at most u |lb - ρ|, far
+    inside lower_bounds' margin of 1e-9 (1 + |lb|), as |ρ| < 745 for any
+    two positive doubles. So a batch of rejects computes proxies on half
+    the pairs, and twice the plans share its elements (batch_rows).
+    w_max, the halfspaces and the planner's window certificates keep all
+    L(L-1) ordered pairs.
+
     Each term of a label's sum is at most the sum, so a plan passes only
     if r . w_max[p] >= log(min_amp[p] / cap_y) for each pair p = (y, y'):
     one halfspace per pair, with weights >= 0, in ``halfspaces``
@@ -517,7 +562,8 @@ class TangentTable:
     """
 
     def __init__(self, instance: Instance, grid: int = _TANGENT_GRID):
-        stack = PairStack(instance, ordered_pairs(instance.n_labels))
+        pairs = ordered_pairs(instance.n_labels)
+        stack = PairStack(instance, pairs)
         self.log_p, self.log_q = stack.log_p, stack.log_q  # (P, K, X)
         self.log_ratio = stack.log_ratio  # (P,)
         self.label_mask, self.alpha_cap = label_caps(instance)
@@ -526,12 +572,13 @@ class TangentTable:
         self.grid = s
         s4 = s[:, None, None]
         v = (1.0 - s4) * self.log_p[:, None] + s4 * self.log_q[:, None]  # (P, G, K, X)
-        top = v.max(axis=3)
+        top = _reduce_last(np.maximum, v)
         e = np.exp(v - top[..., None])
-        z = e.sum(axis=3)
+        z = _reduce_last(np.add, e)
         self.grid_log_m = np.log(z) + top  # (P, G, K)
         # d/ds log M_m(s): the tilted mean of log q - log p (0 on padding)
-        self.grid_slope = (e * (self.log_q - self.log_p)[:, None]).sum(axis=3) / z
+        dlog = e * (self.log_q - self.log_p)[:, None]
+        self.grid_slope = _reduce_last(np.add, dlog) / z
         self.grid_amp = s[None, :] * self.log_ratio[:, None]  # (P, G)
 
         floor = self.lower_bounds(
@@ -539,26 +586,30 @@ class TangentTable:
         )
         self.w_max = np.maximum(-floor, 0.0)  # (P, K)
         self.min_amp = np.minimum(1.0, np.exp(self.log_ratio))  # (P,)
-        # (K, P * G) views, for a batch's proxies with one product each
+        # rejects_each's pairs y < y': their grid tilts' prior terms (U, G)
+        # and log ratios, and (K, U * G) views of their tables, for a
+        # batch's proxies with one product each; then where each ordered
+        # pair's bound lies among theirs and then their mirrors'
+        upper = [p for p, (y, y2) in enumerate(pairs) if y < y2]
         K = instance.n_models
-        self._log_m_rows = self.grid_log_m.reshape(-1, K).T
-        self._slope_rows = self.grid_slope.reshape(-1, K).T
+        self._upper_amp = self.grid_amp[upper]
+        self._upper_ratio = self.log_ratio[upper]
+        self._upper_log_m = self.grid_log_m[upper].reshape(-1, K).T
+        self._upper_slope = self.grid_slope[upper].reshape(-1, K).T
+        at = {pairs[p]: k for k, p in enumerate(upper)}
+        self._bound_of = np.array(
+            [at[y, y2] if y < y2 else len(upper) + at[y2, y] for y, y2 in pairs]
+        )
         # plans per rejects_each batch, whose arrays get a share of
         # _WINDOW_CHUNK elements (_AHEAD_SHARE)
         share = _WINDOW_CHUNK // _AHEAD_SHARE
-        self.batch_rows = max(1, share // self.grid_amp.size)
+        self.batch_rows = max(1, share // self._upper_amp.size)
 
     def proxy_on_grid(self, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """f_p and its slope at every grid tilt, each shaped (P, G), or
-        (B, P, G) for plans stacked as a (B, K) array."""
+        """f_p and its slope at every grid tilt, each shaped (P, G)."""
         r = np.asarray(counts, dtype=float)
-        if r.ndim == 1:
-            f = self.grid_amp + self.grid_log_m @ r
-            df = self.log_ratio[:, None] + self.grid_slope @ r
-            return f, df
-        shape = (len(r), *self.grid_amp.shape)
-        f = self.grid_amp + (r @ self._log_m_rows).reshape(shape)
-        df = self.log_ratio[:, None] + (r @ self._slope_rows).reshape(shape)
+        f = self.grid_amp + self.grid_log_m @ r
+        df = self.log_ratio[:, None] + self.grid_slope @ r
         return f, df
 
     @functools.cached_property
@@ -598,15 +649,27 @@ class TangentTable:
         """For plans stacked as a (B, K) array, which the w_max bounds keep."""
         return ~self._over_caps(self.min_amp * np.exp(-(plans @ self.w_max.T)))
 
-    def rejects(self, f: np.ndarray, df: np.ndarray) -> bool:
-        """Whether the plan with proxy_on_grid (f, df) can never certify."""
-        return bool(self._over_caps(np.exp(self.lower_bounds(f, df))))
+    def pair_bounds(self, plans: np.ndarray) -> np.ndarray:
+        """For plans stacked as a (B, K) array, a value no larger than
+        min_s f_p(s) for every ordered pair p, shaped (B, P): lower_bounds
+        of the pairs y < y' and their mirrors' lb - ρ (class docstring)."""
+        r = np.asarray(plans, dtype=float)
+        shape = (len(r), *self._upper_amp.shape)
+        f = self._upper_amp + (r @ self._upper_log_m).reshape(shape)
+        df = self._upper_ratio[:, None] + (r @ self._upper_slope).reshape(shape)
+        lb = self.lower_bounds(f, df)  # (B, U)
+        mirrored = np.concatenate((lb, lb - self._upper_ratio), axis=1)
+        return mirrored[:, self._bound_of]
 
     def rejects_each(self, plans: np.ndarray) -> np.ndarray:
-        """rejects for every plan of a (B, K) array, in one pass; callers
-        keep B within batch_rows."""
-        f, df = self.proxy_on_grid(plans)
-        return self._over_caps(np.exp(self.lower_bounds(f, df)))
+        """Whether each plan of a (B, K) array can never certify, in one
+        pass over the pairs y < y' (pair_bounds); callers keep B within
+        batch_rows."""
+        return self._over_caps(np.exp(self.pair_bounds(plans)))
+
+    def rejects_one(self, counts: Sequence[int]) -> bool:
+        """rejects_each of one plan: the same computation on one row."""
+        return bool(self.rejects_each(np.array([counts], dtype=float))[0])
 
 
 def tangent_table(instance: Instance, grid: int = _TANGENT_GRID) -> TangentTable:

@@ -1034,7 +1034,7 @@ class SurrogateWalk:
         scored alone."""
         band, i = self.at
         if band is None or band.plans[i].tolist() != list(counts):
-            return self.table.rejects(*self.table.proxy_on_grid(counts))
+            return self.table.rejects_one(counts)
         while band.scored <= i:
             j = band.scored
             end = j + min(j + _AHEAD_FIRST, self.table.batch_rows)

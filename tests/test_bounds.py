@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,16 @@ import reference_tilt
 from conftest import symmetric_binary
 from queryplan.bounds import (
     _AHEAD_SHARE,
+    _FOLD_MIN,
+    _FOLD_TERMS,
+    _PAD,
     _WINDOW_CHUNK,
     PairStack,
     PairTables,
     TangentTable,
     _logsumexp,
     _minimize_tilts,
+    _reduce_last,
     _surrogate_accept,
     affinity,
     golden_lanes,
@@ -231,21 +236,20 @@ def test_tangent_table_bounds_golden_sections(seed, n_labels, alpha, counts):
         # w_max never undercuts a model's golden-section weight
         assert all(table.w_max[p, m] >= -lv for p, (_, lv) in enumerate(minima))
     if is_surrogate_feasible(inst, tuple(int(c) for c in r)).feasible:
-        assert not table.rejects(f, df)
+        assert not table.rejects_one(r)
 
 
 class LoggedTable(TangentTable):
-    """A TangentTable that logs the plan batches it scores and every plan
-    it scores alone."""
+    """A TangentTable that logs the size of every batch of plans it
+    scores; a plan scored alone is a batch of one."""
 
     def __init__(self, instance):
-        self.batches, self.alone = [], []
+        self.batches = []
         super().__init__(instance)
 
-    def proxy_on_grid(self, counts):
-        r = np.asarray(counts, dtype=float)
-        (self.batches if r.ndim == 2 else self.alone).append(len(r))
-        return super().proxy_on_grid(counts)
+    def rejects_each(self, plans):
+        self.batches.append(len(plans))
+        return super().rejects_each(plans)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,9 +270,9 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
     asked = []
 
     def accept(counts):
-        r = np.asarray(counts, dtype=float)
-        want = TangentTable.rejects(table, *TangentTable.proxy_on_grid(table, r))
-        assert walk.rejects_plan(counts) == want
+        # the plan scored alone, unlogged
+        want = TangentTable.rejects_each(table, np.array([counts], dtype=float))
+        assert walk.rejects_plan(counts) == want[0]
         asked.append(counts)
         return None
 
@@ -277,9 +281,11 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
     except EnumerationBudgetError:
         pass
     # every survivor was read from a batch: per band 8 plans, then twice as
-    # many each time, up to a share of _WINDOW_CHUNK elements
-    assert table.alone == [] and sum(table.batches) >= len(asked)
-    rows = max(1, _WINDOW_CHUNK // (_AHEAD_SHARE * table.grid_amp.size))
+    # many each time, up to a share of _WINDOW_CHUNK elements over the
+    # L(L-1)/2 pairs y < y'; no plan was scored alone
+    assert sum(table.batches) >= len(asked)
+    pairs = n_labels * (n_labels - 1) // 2
+    rows = max(1, _WINDOW_CHUNK // (_AHEAD_SHARE * pairs * table.grid.size))
     assert table.batch_rows == rows
     sizes = []
     for band in walk.bands:
@@ -296,7 +302,7 @@ def test_lookahead_rejects_match_rejects_alone(seed, n_labels, alpha, n_plans):
     except EnumerationBudgetError:
         pass
     assert asked == first
-    assert len(table.batches) == batches and table.alone == []
+    assert len(table.batches) == batches
 
 
 def _lane_instance(seed: int, n_labels: int, kind: str) -> Instance:
@@ -504,6 +510,90 @@ def test_logsumexp_matches_reference():
         assert np.array_equal(_logsumexp(v), reference_tilt._logsumexp(v))
 
 
+def _fold_in_order(v: np.ndarray) -> np.ndarray:
+    """The slices of v's last axis added first to last."""
+    total = v[..., 0] + v[..., 1]
+    for k in range(2, v.shape[-1]):
+        total = total + v[..., k]
+    return total
+
+
+@pytest.mark.parametrize("X", range(2, 10))
+def test_folds_match_numpy_reduce_bit_for_bit(X):
+    rng = np.random.default_rng(X)
+    # both sides of _FOLD_MIN: golden-section lane stacks and the
+    # planner's window batches
+    rows = _FOLD_MIN // (3 * X) + 1
+    for shape in [(X,), (2, X), (3, 3, X), (rows, 3, X), (2000, 3, X)]:
+        v = rng.normal(scale=30.0, size=shape)
+        v[..., -1] = _PAD  # the padding of a narrow alphabet
+        views = [v, v[..., ::-1], np.asfortranarray(v)]
+        if v.ndim > 1:
+            views.append(v[::2])  # strided rows
+        for w in views:
+            assert np.array_equal(_logsumexp(w), reference_tilt._logsumexp(w))
+            assert np.array_equal(_reduce_last(np.maximum, w), w.max(axis=-1))
+            e = np.exp(w - w.max(axis=-1, keepdims=True))
+            assert np.array_equal(_reduce_last(np.add, e), e.sum(axis=-1))
+    # folding relies on numpy adding a reduce of up to _FOLD_TERMS terms
+    # in order; a numpy whose order differs must fail here, so the data
+    # also tells that order from the reverse one
+    e = np.exp(rng.normal(scale=3.0, size=(2000, 3, X)))
+    if X <= _FOLD_TERMS:
+        assert np.array_equal(np.add.reduce(e, -1), _fold_in_order(e)), (
+            f"numpy no longer adds a reduce of {X} terms in order: "
+            "re-measure bounds._FOLD_TERMS"
+        )
+    if X >= 3:
+        assert not np.array_equal(_fold_in_order(e), _fold_in_order(e[..., ::-1]))
+
+
+@pytest.mark.parametrize("n_labels", [2, 3])
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 4), (3, 7), (8, 9)])
+def test_tangent_table_grids_match_reduced_tables(sizes, n_labels):
+    rng = np.random.default_rng(sum(sizes) + n_labels)
+    inst = random_instance(rng, n_labels=n_labels, alphabet_sizes=sizes)
+    table = TangentTable(inst)
+    # the tables as numpy's reductions over the alphabet build them
+    s4 = table.grid[:, None, None]
+    v = (1.0 - s4) * table.log_p[:, None] + s4 * table.log_q[:, None]
+    top = v.max(axis=3)
+    e = np.exp(v - top[..., None])
+    z = e.sum(axis=3)
+    slope = (e * (table.log_q - table.log_p)[:, None]).sum(axis=3) / z
+    assert np.array_equal(table.grid_log_m, np.log(z) + top)
+    assert np.array_equal(table.grid_slope, slope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    alpha=st.floats(1e-4, 0.3),
+    skew=st.floats(0.05, 1.0),
+    counts=st.lists(st.integers(0, 30), min_size=3, max_size=3),
+)
+def test_mirrored_bounds_stay_below_golden_sections(seed, n_labels, alpha, skew, counts):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(
+        rng, n_labels=n_labels, max_models=3, alphabet_sizes=(2, 4), alpha=alpha
+    )
+    # priors far apart, so the mirrors' bounds lb - ρ move far from lb
+    prior = np.maximum(rng.dirichlet(np.full(n_labels, skew)), 1e-6)
+    inst = dataclasses.replace(inst, prior=prior / prior.sum())
+    r = np.asarray(counts[: inst.n_models], dtype=float)
+    table = TangentTable(inst)
+    bounds = table.pair_bounds(r[None])[0]
+    pairs = ordered_pairs(n_labels)
+    # every pair's bound, the mirrors' y > y' included, is at most its
+    # golden-section minimum
+    tilts = PairStack(inst, pairs).tilts(r)
+    assert all(b <= lv for b, (_, lv) in zip(bounds, tilts))
+    if is_surrogate_feasible(inst, tuple(int(c) for c in r)).feasible:
+        assert not table.rejects_one(r)
+        assert not table.rejects_each(np.stack([r, r]))[1]
+
+
 def _dense_lower_bounds(table: TangentTable, f: np.ndarray, df: np.ndarray):
     """lower_bounds with a crossing computed in every grid cell."""
     d = float(table.grid[1] - table.grid[0])
@@ -523,7 +613,7 @@ def test_sign_change_crossings_match_dense_cells(seed, n_labels):
     table = TangentTable(inst)
     plans = rng.integers(0, 40, size=(50, inst.n_models)).astype(float)
     plans[0] = 0.0
-    f, df = table.proxy_on_grid(plans)  # (B, P, G)
+    f, df = map(np.stack, zip(*map(table.proxy_on_grid, plans)))  # (B, P, G)
     assert np.array_equal(table.lower_bounds(f, df), _dense_lower_bounds(table, f, df))
     for r in plans[:10]:  # single plans, (P, G)
         f, df = table.proxy_on_grid(r)

@@ -358,21 +358,21 @@ def test_run_afptas_rejects_a_bad_node_budget(bsc, value, named):
 
 @pytest.fixture
 def scored_alone(monkeypatch):
-    """Logs the table of every plan TangentTable.rejects scores alone."""
+    """Logs the table of every plan TangentTable.rejects_one scores alone."""
     alone: list[TangentTable] = []
-    rejects = TangentTable.rejects
+    rejects_one = TangentTable.rejects_one
 
-    def counted(self, f, df):
+    def counted(self, counts):
         alone.append(self)
-        return rejects(self, f, df)
+        return rejects_one(self, counts)
 
-    monkeypatch.setattr(TangentTable, "rejects", counted)
+    monkeypatch.setattr(TangentTable, "rejects_one", counted)
     return alone
 
 
 @pytest.fixture
 def scored_rejects(monkeypatch, scored_alone):
-    """Checks every rejects_plan answer against the plan's rejects scored
+    """Checks every rejects_plan answer against the plan's reject scored
     alone. Yields a log of (counts, answered from the batch scored ahead)."""
     log: list[tuple[tuple[int, ...], bool]] = []
     rejects_plan = SurrogateWalk.rejects_plan
@@ -381,7 +381,7 @@ def scored_rejects(monkeypatch, scored_alone):
         before = len(scored_alone)
         got = rejects_plan(self, counts)
         log.append((counts, len(scored_alone) == before))
-        assert got == self.table.rejects(*self.table.proxy_on_grid(counts)), counts
+        assert got == self.table.rejects_one(counts), counts
         return got
 
     monkeypatch.setattr(SurrogateWalk, "rejects_plan", checked)
