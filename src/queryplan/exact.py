@@ -8,13 +8,13 @@ sequence space but still explodes on large plans, hence explicit budgets.
 
 The optimizer walks the plan lattice in nondecreasing cost, ties broken
 lexicographically by count vector, and returns the first feasible plan,
-which is therefore a minimum-cost one. The walk, lattice_bands, yields
-that order as sorted integer arrays, one per cost band [lo, hi): for each
-prefix of counts it keeps the next count of the last model and its cost,
-so a band costs a few numpy calls however many plans it holds. The
-search, search_lattice, is shared with the planner: it rules out most of
-each band with one matrix product of pair bounds and hands the survivors
-in walk order to a caller's acceptance check. Both screens also state a
+which is therefore a minimum-cost one. The walk, _Bands, yields that
+order one cost band [lo, hi) at a time: for each prefix of counts it
+keeps the next count of the last model and its cost, so a band costs a
+few numpy calls however many plans it holds. The search, search_lattice,
+is shared with the planner: it rules out most of each band with one
+matrix product of pair bounds and hands the survivors in walk order to a
+caller's acceptance check. Both screens also state a
 necessary condition as halfspaces (BatchScreen), which give each prefix
 a least last count; a screened band past the first then folds every
 plan, to count it, but materializes, sorts and screens only the plans
@@ -703,14 +703,6 @@ def _cost_order(counts: np.ndarray, folds: np.ndarray) -> np.ndarray:
     return order
 
 
-def _by_cost(
-    counts: np.ndarray, folds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The plans and their folds, sorted by (fold, counts)."""
-    order = _cost_order(counts, folds)
-    return counts[order], folds[order]
-
-
 def _top(cost_cap: float) -> float:
     """The fold every plan of a walk capped at cost_cap lies below: the
     plans with cost <= cost_cap + 1e-9 (band edges are half-open), and only
@@ -719,38 +711,29 @@ def _top(cost_cap: float) -> float:
     return math.nextafter(cap, math.inf) if cap >= 0 else math.ulp(0.0)
 
 
-def lattice_bands(costs: Sequence[float], cost_cap: float) -> Iterator[np.ndarray]:
-    """Yields every plan with cost <= cost_cap + 1e-9, and always the empty
-    plan, as (B, K) int64 arrays in nondecreasing cost with ties broken
-    lexicographically by counts.
+class _Bands:
+    """The screened walk: an iterator of the plans with cost <= cost_cap +
+    1e-9, and always the empty plan, in nondecreasing cost with ties broken
+    lexicographically by counts, one cost band [lo, hi) at a time, each
+    screened as one prescreen batch (a _Band). An object rather than a
+    generator, so a walk paused between bands (a SurrogateWalk) holds its
+    live prefixes but not the band it handed out last.
 
     A plan's cost is its left fold: costs[m] added r_m times, model by
-    model, so equal plans cost equal floats. Each array is one cost band
-    [lo, hi), sorted by (cost, counts), so ties never split across arrays.
-    The first band's edge comes from the simplex volume: at least
+    model, so equal plans cost equal floats, and ties never split across
+    bands. The first band's edge comes from the simplex volume: at least
     x^K / (K! prod(costs)) plans cost less than x, and the box bound
     prod(x / c_m + 1) keeps skewed costs from overfilling it. Later edges
     extrapolate the count walked so far as x^K, for about twice the last
-    band's plans, up to _BAND_MAX or a share of the live prefixes. Every
-    band is materialized whole; a screened walk (search_lattice)
-    materializes only the candidates of its prescreen's halfspaces past
-    its first band, so its bands may grow up to _BAND_PRUNED plans, or
-    the same share of the live prefixes (_Bands._past).
-    """
-    return _Bands(costs, cost_cap)
-
-
-class _Bands:
-    """lattice_bands' iterator, and with a prescreen, the screened walk's
-    (screened_band). An object rather than a generator, so a walk paused
-    between bands (a SurrogateWalk) holds its live prefixes but not the
-    band it handed out last."""
+    band's plans, up to _BAND_MAX, or _BAND_PRUNED where a band
+    materializes only its candidates, or a share of the live prefixes
+    (_past)."""
 
     def __init__(
         self,
         costs: Sequence[float],
         cost_cap: float,
-        prescreen: BatchScreen | None = None,
+        prescreen: BatchScreen,
     ):
         costs = [float(c) for c in costs]
         self.K = K = len(costs)
@@ -767,27 +750,9 @@ class _Bands:
     def __iter__(self) -> _Bands:
         return self
 
-    def __next__(self) -> np.ndarray:
-        band = self.next_band()
-        if band is None:
-            raise StopIteration
-        return band[0]
-
-    def next_band(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """The next band's plans and folds, sorted by (fold, counts), and
-        its upper edge hi, which every later plan's fold is at or past;
-        None past the walk's end."""
-        while self.level is not None:
-            hi = self.hi = min(self.hi, self.top)
-            band, folds = _by_cost(*self.level.band(hi))
-            self._past(hi, len(band), len(band))
-            if len(band):
-                return band, folds, hi
-        return None
-
-    def screened_band(self) -> _Band | None:
+    def __next__(self) -> _Band:
         """The next band screened as one prescreen batch, with positions
-        counted from the walk's start; None past the walk's end.
+        counted from the walk's start; StopIteration past the walk's end.
 
         Once the walk has passed a plan, only a band's candidates under
         the prescreen's halfspaces are materialized and sorted
@@ -802,7 +767,9 @@ class _Bands:
             if self.walked:
                 plans, folds, ranks, size, held = self.level.candidates(hi)
             else:
-                plans, folds = _by_cost(*self.level.band(hi))
+                plans, folds = self.level.band(hi)
+                order = _cost_order(plans, folds)
+                plans, folds = plans[order], folds[order]
                 ranks = np.arange(len(plans))
                 size = held = len(plans)
             self._past(hi, size, held)
@@ -810,7 +777,7 @@ class _Bands:
                 kept = np.flatnonzero(self.prescreen.passes(plans.astype(float)))
                 positions = ranks[kept] + (walked + 1)
                 return _Band(plans[kept], folds[kept], positions, walked + size, hi)
-        return None
+        raise StopIteration
 
     def _past(self, hi: float, size: int, held: int) -> None:
         """Moves past a band of size plans with upper edge hi, of which
@@ -818,7 +785,7 @@ class _Bands:
         next band's edge. Bands double until they would hold _BAND_MAX
         rows at this band's share of rows to plans, up to _BAND_PRUNED
         plans, or a share of the live prefixes if more. A band that held
-        every plan sets a limit of _BAND_MAX plans, as in lattice_bands."""
+        every plan sets a limit of _BAND_MAX plans."""
         if hi == self.top:
             self.level = None  # the walk is done; free its prefixes
             return
@@ -843,8 +810,8 @@ class BatchScreen(Protocol):
     state a necessary condition: every plan it keeps has
     r . weights[h] >= floors[h] for every h, with a margin above rounding.
     The walk prunes each band but the first to the plans that meet it
-    before the batch (_Bands.screened_band). A screen with H = 0 (weights
-    of any width) prunes nothing."""
+    before the batch (_Bands.__next__). A screen with H = 0 (weights of
+    any width) prunes nothing."""
 
     halfspaces: tuple[np.ndarray, np.ndarray]
 
@@ -879,26 +846,17 @@ class _Band:
         self.scored = 0
 
 
-def _screened(
-    costs: Sequence[float], cost_cap: float, prescreen: BatchScreen
-) -> Iterator[_Band]:
-    """lattice_bands' bands, each screened as one prescreen batch."""
-    return iter(_Bands(costs, cost_cap, prescreen).screened_band, None)
-
-
 def _budget_error(node_budget: int) -> EnumerationBudgetError:
     return EnumerationBudgetError(f"search enumerated more than {node_budget} plans")
 
 
-def _holds_more(costs: Sequence[float], cost_cap: float, node_budget: int) -> bool:
-    """Whether lattice_bands(costs, cost_cap) yields more than node_budget
-    plans; it walks no further than the band that tells."""
-    walked = 0
-    for band in lattice_bands(costs, cost_cap):
-        walked += len(band)
-        if walked > node_budget:
-            return True
-    return False
+def _holds_more(
+    costs: Sequence[float], cost_cap: float, screen: BatchScreen, node_budget: int
+) -> bool:
+    """Whether the walk capped at cost_cap holds more than node_budget
+    plans: a screened band's end counts every plan before it, so the walk
+    goes no further than the band that tells."""
+    return any(band.end > node_budget for band in _Bands(costs, cost_cap, screen))
 
 
 def _search(
@@ -932,7 +890,7 @@ def _search(
             # holds at most band.end plans, and past the budget only a count
             # tells how many
             if band.end > node_budget and _holds_more(
-                walk.costs, cost_cap, node_budget
+                walk.costs, cost_cap, walk.table, node_budget
             ):
                 raise _budget_error(node_budget)
             return None
@@ -948,22 +906,22 @@ def search_lattice(
     node_budget: int,
     prescreen: BatchScreen,
 ) -> tuple[tuple[int, ...], _T, int] | None:
-    """The first plan, in lattice_bands order, that the prescreen keeps and
-    that ``accept`` maps to a result other than None.
+    """The first plan, in the walk's order (_Bands), that the prescreen
+    keeps and that ``accept`` maps to a result other than None.
 
     Returns (counts, result, enumerated), with enumerated the plan's
     1-based position in the walk, or None if the capped lattice runs out.
     Raises EnumerationBudgetError on reaching position node_budget + 1
     without an accepted plan. Each cost band the walk yields is one
     prescreen batch, and only its survivors become tuples; past the first
-    band the batch holds only the band's candidates under the
-    prescreen's halfspaces, while positions still count every plan. ``accept`` sees the survivors
-    one at a time in walk order and never a plan past the budget. The
-    prescreen's mask is computed row by row, so the result, the budget
-    behaviour and the sequence of accept calls are those of checking one
-    plan at a time, wherever the bands are cut.
+    band the batch holds only the band's candidates under the prescreen's
+    halfspaces, while positions still count every plan. ``accept`` sees
+    the survivors one at a time in walk order and never a plan past the
+    budget. The prescreen's mask is computed row by row, so the result,
+    the budget behaviour and the sequence of accept calls are those of
+    checking one plan at a time, wherever the bands are cut.
     """
-    return _search(_screened(costs, cost_cap, prescreen), accept, node_budget)
+    return _search(_Bands(costs, cost_cap, prescreen), accept, node_budget)
 
 
 # Survivors in a band's first batch of tangent rejects; each later batch
@@ -972,12 +930,12 @@ _AHEAD_FIRST = 8
 
 
 class SurrogateWalk:
-    """The surrogate searches' walk of one instance: lattice_bands with no
-    cost cap, screened by the instance's TangentTable, kept as it grows,
-    so every search on the instance reads the same bands, w_max survivors,
+    """The surrogate searches' walk of one instance: _Bands with no cost
+    cap, screened by the instance's TangentTable, kept as it grows, so
+    every search on the instance reads the same bands, w_max survivors,
     positions and tangent rejects, whatever its cap. Each band past the
-    first is pruned by the table's halfspaces (_Bands.screened_band), so
-    the walk turns only a band's candidates into counts, while positions
+    first is pruned by the table's halfspaces (_Bands.__next__), so the
+    walk turns only a band's candidates into counts, while positions
     count every plan.
 
     A search reads the bands in order, stops at its first plan over its
@@ -985,7 +943,7 @@ class SurrogateWalk:
     search behaves as search_lattice with the table as prescreen and the
     same cap. The capped walk's plans are a prefix of this one's, cut by
     the plans' folds, so only the budget check of the band where the cap
-    falls may need to count the capped walk's plans (see _search).
+    falls may need to count the capped walk's plans (_holds_more).
     rejects_plan answers for the survivor a search is handing its accept
     from rejects scored ahead in one batch: 8 survivors, then twice as
     many each time a search reaches the end of the scored ones, up to the
@@ -1017,7 +975,7 @@ class SurrogateWalk:
     def _extend(self) -> None:
         """Screens the walk's next band into bands; an uncapped walk has
         no end."""
-        self.bands.append(self._lattice.screened_band())
+        self.bands.append(next(self._lattice))
 
     def search(
         self,

@@ -1,4 +1,4 @@
-"""Experiment drivers: random instances, sweeps, and a greedy baseline.
+"""Experiment drivers: random instances and sweeps.
 
 The random family keeps instances desk-scale: small alphabets, conditional
 rows drawn from a flat Dirichlet then floored at ROW_FLOOR and renormalized
@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import is_surrogate_feasible
 from .exact import (
     EnumerationBudgetError,
+    _budget,
     exact_opt,
 )
-from .instances import Instance, ModelSpec, QueryPlan, plan_cost
-from .planner import derive_constants, run_afptas
+from .instances import Instance, ModelSpec, QueryPlan
+from .planner import run_afptas
 
 # random_instance's family: the floor on every conditional entry before
 # renormalizing, the range of the log-uniform costs, and the gap that every
@@ -178,8 +177,11 @@ def guarantee_sweep(
     GUARANTEE_NODE_BUDGET lattice nodes (others are skipped), then runs
     the scheme at each epsilon and records cost, ratio, and whether the
     (1+eps) factor held. Deterministic for a given seed. Raises ValueError
-    unless 0 < alpha < 1, alpha being every label's tolerance.
+    unless seed and n_instances are non-negative integers and 0 < alpha < 1,
+    alpha being every label's tolerance.
     """
+    seed = _budget(seed, "seed")
+    n_instances = _budget(n_instances, "n_instances")
     alpha = _sweep_alpha(alpha)
     rng = np.random.default_rng(seed)
     rows = []
@@ -212,63 +214,3 @@ def guarantee_sweep(
                 }
             )
     return rows
-
-
-@dataclass(frozen=True)
-class GreedyResult:
-    plan: QueryPlan
-    cost: float
-    steps: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "plan": list(self.plan.counts),
-            "cost": self.cost,
-            "steps": list(self.steps),
-        }
-
-
-def greedy_baseline(instance: Instance, max_steps: int | None = None) -> GreedyResult:
-    """Myopic baseline: repeatedly add the single query with the best
-    reduction in max_y surrogate_error(y)/alpha_y per unit cost.
-
-    Stops as soon as every tolerance is met; raises if the step cap (the
-    instance's query-count cap by default) is hit first. Ties go to the
-    lower model index. Useful as a foil: cheap queries with modest evidence
-    can dominate each myopic step yet lose to a pricier model overall.
-    """
-    if max_steps is None:
-        max_steps = derive_constants(instance, 1.0).n_max
-
-    def worst_ratio(counts: list[int]) -> float:
-        report = is_surrogate_feasible(instance, counts)
-        return max(v / a for v, a in zip(report.values, report.tolerances))
-
-    counts = [0] * instance.n_models
-    steps: list[int] = []
-    current = worst_ratio(counts)
-    while current > 1.0:
-        if len(steps) >= max_steps:
-            raise RuntimeError(
-                f"greedy reached {max_steps} queries without meeting the "
-                "tolerances"
-            )
-        best_gain = -1.0
-        best_m = -1
-        best_next = current
-        for m, model in enumerate(instance.models):
-            counts[m] += 1
-            nxt = worst_ratio(counts)
-            counts[m] -= 1
-            gain = (current - nxt) / model.cost
-            if gain > best_gain:
-                best_gain = gain
-                best_m = m
-                best_next = nxt
-        counts[best_m] += 1
-        steps.append(best_m)
-        current = best_next
-    plan = QueryPlan(tuple(counts))
-    return GreedyResult(
-        plan=plan, cost=plan_cost(instance, plan), steps=tuple(steps)
-    )

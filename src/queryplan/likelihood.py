@@ -1,4 +1,4 @@
-"""Posterior scores, MAP decisions, and observation sampling.
+"""Posterior scores and MAP decisions.
 
 Observations from repeated queries are exchangeable given the label, so the
 per-model response counts are a sufficient statistic. All scoring works on
@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .instances import Instance, QueryPlan, _label_pair, as_plan
+from .instances import Instance, _label_pair
 
 # Posterior log-scores within this absolute tolerance of the maximum are
 # treated as tied; keeps decisions stable under floating-point noise.
@@ -245,22 +245,3 @@ def delta(
     yi, yj = _label_pair(instance, y, y_other)
     scores = log_posterior_scores(instance, obs)
     return float(scores[yj] - scores[yi])
-
-
-def sample_observations(
-    instance: Instance,
-    plan: QueryPlan | Sequence[int],
-    true_label: int | str,
-    seed: int,
-) -> ObservationSet:
-    """Draws one observation set for the plan under the given true label."""
-    plan = as_plan(plan, instance)
-    yi = instance.label_index(true_label)
-    rng = np.random.default_rng(seed)
-    counts = []
-    for m, r in zip(instance.models, plan.counts):
-        if r:
-            counts.append(rng.multinomial(r, m.conditional[yi]).astype(np.int64))
-        else:
-            counts.append(np.zeros(m.n_symbols, dtype=np.int64))
-    return ObservationSet(tuple(counts))

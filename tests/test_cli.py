@@ -397,6 +397,11 @@ def test_exact_rejects_malformed_plan(bsc_path, capsys):
             id="guarantee-alpha-above-1",
         ),
         pytest.param(
+            ["sweep-guarantee", "--seed", "42", "--instances", "-1"],
+            "n_instances must be a non-negative integer",
+            id="guarantee-instances-negative",
+        ),
+        pytest.param(
             [
                 "reduce-setcover",
                 "--sets",

@@ -24,6 +24,7 @@ from queryplan.exact import (
     PROFILE_BUDGET,
     EnumerationBudgetError,
     InfeasibleWithinCapError,
+    _Bands,
     _compositions,
     _log_factorial,
     _log_factorials,
@@ -35,13 +36,12 @@ from queryplan.exact import (
     exact_error_table,
     exact_opt,
     exact_pairwise,
-    lattice_bands,
     profile_count,
 )
 from queryplan.experiments import random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec, QueryPlan, as_plan, plan_cost
 from queryplan.likelihood import TIE_POLICIES, _error_mask, _log_scale
-from reference_lattice import lattice_ascending
+from reference_lattice import KEEP_ALL, lattice_ascending
 
 # binomial tail oracles for the two-symbol reference model with p = 0.9:
 # P(Bin(6, 0.1) >= 3) and P(Bin(6, 0.1) >= 4)
@@ -147,7 +147,8 @@ def test_lattice_ascending_order_and_coverage():
         ),
     )
     assert walked == brute
-    banded = [tuple(row) for band in lattice_bands(costs, cap) for row in band.tolist()]
+    bands = _Bands(costs, cap, KEEP_ALL)
+    banded = [tuple(row) for band in bands for row in band.plans.tolist()]
     assert banded == [counts for _, counts in brute]
 
 

@@ -8,7 +8,6 @@ import pytest
 from queryplan.experiments import (
     GUARANTEE_FIELDS,
     TIGHTNESS_FIELDS,
-    greedy_baseline,
     guarantee_sweep,
     random_instance,
     random_plan,
@@ -75,26 +74,23 @@ def test_guarantee_sweep_rejects_alpha_outside_unit_interval(alpha):
         guarantee_sweep(seed=11, n_instances=1, epsilons=(0.5,), alpha=alpha)
 
 
-def test_greedy_baseline_meets_tolerances_on_reference(bsc):
-    result = greedy_baseline(bsc)
-    assert result.plan.counts == (6,)
-    assert result.cost == 6.0
-    assert result.steps == (0,) * 6
-    assert result.to_dict()["plan"] == [6]
-
-
-def test_greedy_baseline_is_myopic_on_the_foil(duo):
-    # every single step favors the cheap model, overshooting the optimum
-    # (three sharp queries, cost 7.5)
-    result = greedy_baseline(duo)
-    assert result.plan.counts == (10, 0)
-    assert result.cost == 10.0
-    assert set(result.steps) == {0}
-
-
-def test_greedy_baseline_step_cap(duo):
-    with pytest.raises(RuntimeError, match="greedy reached"):
-        greedy_baseline(duo, max_steps=2)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_instances", -1),
+        ("n_instances", 1.5),
+        ("n_instances", True),
+        ("seed", -5),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_guarantee_sweep_rejects_counts_that_are_not_non_negative_integers(
+    field, value
+):
+    args = {"seed": 11, "n_instances": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+        guarantee_sweep(**args, epsilons=(0.5,))
 
 
 def test_write_rows_round_trip(tmp_path):

@@ -23,7 +23,6 @@ from queryplan.bounds import (
     uniform_feasible_count,
 )
 from queryplan.exact import exact_error, exact_error_table, exact_opt, exact_pairwise
-from queryplan.experiments import greedy_baseline
 from queryplan.instances import (
     Instance,
     ModelSpec,
@@ -195,8 +194,6 @@ SOLVERS = {
     "delta": lambda inst: delta(inst, OBS, 0, 1),
     "derive_constants": lambda inst: derive_constants(inst, 0.5),
     "uniform_feasible_count": uniform_feasible_count,
-    "greedy_baseline": greedy_baseline,
-    "greedy_baseline_capped": lambda inst: greedy_baseline(inst, max_steps=5),
     "max_pair_weights": max_pair_weights,
     "pairwise_proxy_log": lambda inst: pairwise_proxy_log(inst, (6,), 0, 1, 0.5),
     "log_affinity": lambda inst: log_affinity(inst, 0, 0, 1, 0.5),
@@ -220,8 +217,6 @@ def test_solvers_name_the_nonfinite_field(bsc, solver, field, value):
     [
         "derive_constants",
         "exact_opt",
-        "greedy_baseline",
-        "greedy_baseline_capped",
         "run_afptas",
         "uniform_feasible_count",
     ],

@@ -20,7 +20,6 @@ from queryplan.likelihood import (
     delta,
     log_posterior_scores,
     map_estimate,
-    sample_observations,
 )
 
 
@@ -152,18 +151,3 @@ def test_delta_hand_value_and_errors(bsc):
 def test_delta_is_antisymmetric(bsc, a, b):
     obs = obs_ab(bsc, a, b)
     assert delta(bsc, obs, "1", "2") == -delta(bsc, obs, "2", "1")
-
-
-def test_sample_observations_deterministic(bsc):
-    first = sample_observations(bsc, (200,), "1", seed=7)
-    second = sample_observations(bsc, (200,), "1", seed=7)
-    other = sample_observations(bsc, (200,), "1", seed=8)
-    assert np.array_equal(first.counts[0], second.counts[0])
-    assert not np.array_equal(first.counts[0], other.counts[0])
-
-
-def test_sample_observations_totals_match_plan(duo):
-    obs = sample_observations(duo, (5, 3), "2", seed=0)
-    assert [int(c.sum()) for c in obs.counts] == [5, 3]
-    empty = sample_observations(duo, (0, 0), "2", seed=0)
-    assert empty.total == 0

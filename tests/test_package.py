@@ -14,10 +14,15 @@ def test_every_export_resolves():
 
 
 def test_sweep_helpers_are_not_exported():
-    # the literal sweep lives in tests/reference_sweep.py, not the package
-    for name in ("build_grid", "find_feasible_state"):
+    # the literal sweep lives in tests/reference_sweep.py, not the package;
+    # the greedy baseline, the observation sampler and the unscreened walk
+    # are gone, as no claim, command or workload used them
+    removed = ("greedy_baseline", "GreedyResult", "sample_observations")
+    for name in ("build_grid", "find_feasible_state", *removed):
         assert name not in queryplan.__all__
         assert not hasattr(queryplan, name)
+    for name in ("lattice_bands", "_screened"):
+        assert not hasattr(queryplan.exact, name)
 
 
 def test_runtime_loads_no_scipy():

@@ -3,11 +3,12 @@
 search_lattice prescreens plans a cost band at a time but must behave
 exactly like the loop below, which both solvers ran before: the same plan,
 result and enumerated count, the same accept calls in the same order, and
-the same budget error at the same plan. Its banded numpy walk,
-lattice_bands, must yield the reference heap walk's plans in the same
-order, in bounded memory. Past its first band, a screened walk
-materializes only each band's candidates under the screen's halfspaces,
-and its bands grow past lattice_bands' size; the searches must not tell.
+the same budget error at the same plan. Its banded numpy walk, _Bands,
+behind KEEP_ALL, a screen that keeps every plan, must yield the
+reference heap walk's plans in the same order, in bounded memory. Past
+its first band, a walk under a screen with halfspaces materializes only
+each band's candidates, and its bands grow past KEEP_ALL's size; the
+searches must not tell.
 """
 
 from __future__ import annotations
@@ -34,29 +35,14 @@ from queryplan.exact import (
     SurrogateWalk,
     _Bands,
     _least_count,
-    _screened,
     _top,
     exact_error_table,
     exact_opt,
-    lattice_bands,
     search_lattice,
 )
 from queryplan.experiments import random_instance
 from queryplan.planner import _search_cap, run_afptas
-from reference_lattice import lattice_ascending
-
-
-class KeepAll:
-    """A screen that keeps every plan, for an unscreened search: it states
-    no halfspace, so every plan is a candidate."""
-
-    halfspaces = (np.zeros((0, 0)), np.zeros(0))
-
-    def passes(self, plans):
-        return np.ones(len(plans), dtype=bool)
-
-
-KEEP_ALL = KeepAll()
+from reference_lattice import KEEP_ALL, lattice_ascending
 
 
 def per_plan_search(costs, cost_cap, accept, node_budget, prescreen, walk=None):
@@ -122,11 +108,10 @@ def assert_same_search(accept, costs, cost_cap, node_budget, prescreen=KEEP_ALL)
 # The walk the position test searches, and its first three band edges:
 # the last position of each band and the positions on either side of it.
 EDGE_COSTS, EDGE_CAP = (1.0, 1.5, 2.0), 60.0
-BAND_ENDS = list(
-    itertools.accumulate(
-        len(band) for band in itertools.islice(lattice_bands(EDGE_COSTS, EDGE_CAP), 3)
-    )
-)
+BAND_ENDS = [
+    band.end
+    for band in itertools.islice(_Bands(EDGE_COSTS, EDGE_CAP, KEEP_ALL), 3)
+]
 EDGE_POSITIONS = [end + side for end in BAND_ENDS for side in (-1, 0, 1)]
 
 
@@ -256,10 +241,11 @@ def test_banded_walk_yields_the_heap_sequence(costs, cheap_last, cap_kind, scale
     heap = [counts for _, counts in itertools.islice(walk, ORDER_LIMIT)]
     walked = []
     edges = []
-    for band in lattice_bands(costs, cost_cap):
-        assert band.dtype == np.int64 and band.shape[1] == len(costs) and len(band)
-        edges.append((tuple(band[0].tolist()), tuple(band[-1].tolist())))
-        walked.extend(tuple(row) for row in band.tolist())
+    for band in _Bands(costs, cost_cap, KEEP_ALL):
+        plans = band.plans
+        assert plans.dtype == np.int64 and plans.shape[1] == len(costs) and len(plans)
+        edges.append((tuple(plans[0].tolist()), tuple(plans[-1].tolist())))
+        walked.extend(tuple(row) for row in plans.tolist())
         if len(walked) >= ORDER_LIMIT:
             break
     assert walked[:ORDER_LIMIT] == heap
@@ -279,12 +265,12 @@ def test_banded_walk_yields_the_heap_sequence(costs, cheap_last, cap_kind, scale
 def test_capped_walk_is_a_prefix_of_the_uncapped_walk(costs, cap_kind, pick):
     # the uncapped walk's plans and their folds, as a SurrogateWalk reads
     # them, up to ORDER_LIMIT plans
-    walk = _Bands(costs, math.inf)
+    walk = _Bands(costs, math.inf, KEEP_ALL)
     plans, folds = [], []
     while len(plans) < ORDER_LIMIT:
-        band, band_folds, _ = walk.next_band()
-        plans.extend(tuple(row) for row in band.tolist())
-        folds.extend(band_folds.tolist())
+        band = next(walk)
+        plans.extend(tuple(row) for row in band.plans.tolist())
+        folds.extend(band.folds.tolist())
     assert folds == sorted(folds)
     if cap_kind == "plan":  # a cap equal to a walked plan's cost
         cost_cap = folds[int(pick * (len(plans) - 1))]
@@ -293,8 +279,8 @@ def test_capped_walk_is_a_prefix_of_the_uncapped_walk(costs, cap_kind, pick):
     # the capped walk is the prefix of plans whose fold is below top
     below = bisect.bisect_left(folds, _top(cost_cap))
     capped = []
-    for band in lattice_bands(costs, cost_cap):
-        capped.extend(tuple(row) for row in band.tolist())
+    for band in _Bands(costs, cost_cap, KEEP_ALL):
+        capped.extend(tuple(row) for row in band.plans.tolist())
         if len(capped) > len(plans):
             break
     if below < len(plans):
@@ -316,8 +302,8 @@ def test_banded_walk_continues_runs_past_float_drift():
     # thousands of adds of one cheap cost fold to less than start + j * c,
     # so the columns sized from the band's width can end short of its edge
     costs, cost_cap = (0.0005987520159159514,), 8.723571011758693
-    bands = lattice_bands(costs, cost_cap)
-    banded = [tuple(row) for band in bands for row in band.tolist()]
+    bands = _Bands(costs, cost_cap, KEEP_ALL)
+    banded = [tuple(row) for band in bands for row in band.plans.tolist()]
     assert banded == [counts for _, counts in lattice_ascending(costs, cost_cap)]
 
 
@@ -369,7 +355,7 @@ def test_pruned_walk_matches_per_plan_search(
         return key if key % 401 == residue else None
 
     ends = []
-    for band in _screened(costs, cost_cap, screen):
+    for band in _Bands(costs, cost_cap, screen):
         ends.append(band.end)
         if band.end >= PRUNED_LIMIT:
             break
@@ -453,14 +439,13 @@ GUARANTEE_COSTS = (0.9405343761003392, 0.7228358286865199, 0.889838117171245)
 GUARANTEE_CAP = 150.63929099552814
 GUARANTEE_PLANS = 47_932
 
-# tracemalloc peak of lattice_bands over that search: 274-278 KB on numpy
-# 2.4.6 (317-324 KB when this bound was set, before a band freed its runs
-# ahead of its counts). The heap walk's peak read 372 KB in a fresh process
-# (less once tuple free lists are warm, so it is no fixed yardstick); bands
-# of up to 16,384 plans read 1.6 MB. search_lattice over the same walk
-# behind KEEP_ALL, whose every plan is a candidate, so that every band past
-# the first is materialized whole and keeps _BAND_MAX's size, accepting
-# nothing, reads 374-376 KB, with each live prefix's least count.
+# tracemalloc peak of search_lattice over that search behind KEEP_ALL,
+# whose every plan is a candidate, so that every band past the first is
+# materialized whole and keeps _BAND_MAX's size, accepting nothing: 372-377
+# KB on numpy 2.4.6, with each live prefix's least count. The heap walk's
+# peak read 372 KB in a fresh process (less once tuple free lists are
+# warm, so it is no fixed yardstick); bands of up to 16,384 plans read
+# 1.6 MB.
 WALK_PEAK_BYTES = 400_000
 
 # The search exact_opt runs on that walk: draw 6's SurrogateWalk, pruned
@@ -482,13 +467,6 @@ def traced_peak(run):
 
 
 def test_walk_footprint_is_bounded():
-    def walk():
-        walked = 0
-        for band in lattice_bands(GUARANTEE_COSTS, GUARANTEE_CAP):
-            walked += len(band)
-            if walked >= GUARANTEE_PLANS:
-                break
-
     def search():
         costs, cap = GUARANTEE_COSTS, GUARANTEE_CAP
         with pytest.raises(EnumerationBudgetError):
@@ -506,6 +484,5 @@ def test_walk_footprint_is_bounded():
         found = walk.search(lambda c: c == plan or None, 10**6, GUARANTEE_CAP)
         assert found == (plan, True, enumerated)
 
-    assert traced_peak(walk) <= WALK_PEAK_BYTES
     assert traced_peak(search) <= WALK_PEAK_BYTES
     assert traced_peak(screened) <= SCREENED_PEAK_BYTES

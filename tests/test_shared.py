@@ -22,9 +22,9 @@ from queryplan.bounds import uniform_feasible_count
 from queryplan.exact import (
     EnumerationBudgetError,
     OptResult,
+    _Bands,
     _top,
     exact_opt,
-    lattice_bands,
     surrogate_walk,
 )
 from queryplan.experiments import random_instance
@@ -35,6 +35,7 @@ from queryplan.instances import (
     instance_to_json,
 )
 from queryplan.planner import run_afptas
+from reference_lattice import KEEP_ALL
 
 EPSILONS = (0.1, 0.5, 1.0)
 
@@ -154,7 +155,8 @@ def test_capped_search_on_a_longer_walk_keeps_its_budget_edge(seed):
     run_afptas(shared, 0.5)
     for cap in (2.0 * cheapest, 4.0 * cheapest, opt.cost):
         assert surrogate_walk(shared).bands[-1].hi > _top(cap)
-        size = sum(len(band) for band in lattice_bands(list(inst.costs), cap))
+        walk = _Bands(list(inst.costs), cap, KEEP_ALL)
+        size = sum(len(band.plans) for band in walk)
         for budget in (size - 1, size, size + 1):
             job = exact_job(budget, cap)
             if opt.cost <= cap and opt.enumerated <= budget:
