@@ -58,8 +58,19 @@ def _parse_plan(text: str) -> list[int]:
     return data
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_floats(text: str, option: str) -> list[float]:
+    """The numbers of a comma-separated list, empty items skipped; a
+    ValueError naming the option unless it holds at least one number and
+    nothing else."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"{option} must be comma-separated numbers, got {text!r}"
+        ) from None
+    if not values:
+        raise ValueError(f"{option} must list at least one number, got {text!r}")
+    return values
 
 
 def _load_valid(args: argparse.Namespace) -> Instance:
@@ -172,7 +183,9 @@ def _cmd_reduce_setcover(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_tightness(args: argparse.Namespace) -> int:
     rows = experiments.tightness_sweep(
-        _load_valid(args), _parse_floats(args.alphas), tie_policy=args.tie_policy
+        _load_valid(args),
+        _parse_floats(args.alphas, "--alphas"),
+        tie_policy=args.tie_policy,
     )
     if args.output:
         experiments.write_rows(args.output, rows, experiments.TIGHTNESS_FIELDS)
@@ -185,7 +198,7 @@ def _cmd_sweep_guarantee(args: argparse.Namespace) -> int:
     rows = experiments.guarantee_sweep(
         seed=args.seed,
         n_instances=args.instances,
-        epsilons=_parse_floats(args.epsilons),
+        epsilons=_parse_floats(args.epsilons, "--epsilons"),
         alpha=args.alpha,
     )
     if args.output:

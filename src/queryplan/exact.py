@@ -36,21 +36,27 @@ One profile-mass loop serves every exact error, and each public entry
 builds every (model, count) profile block once per call and reuses it
 across labels and plans; models with zero queries have no block.
 
-With two labels, the MAP decision on a profile depends only on the score
-difference Δ = s₁ − s₀, a sum of per-model terms, so exact_opt's true
-search decides each plan by a sorted split (_split_accept) instead of the
-joint product: the largest block sorted by Δ, with running sums of its
-weights, and one searchsorted per row of the other blocks joined. It
-hands a plan to the profile scan when some profile's Δ lies within a
-stated rounding margin of a tie threshold (likelihood._delta_margin), or
-an error within its rounding band of the tolerance, so every accept
+exact_opt's true search decides each plan by a sorted split per label
+pair (_split_accept) before any joint product, whatever the label count.
+For labels y < z, the score difference Δ = s_z − s_y is a sum of per-model
+terms, so the largest block is sorted by Δ, with running sums of its
+weights, and one searchsorted per row of the other blocks joined finds
+the profiles past a threshold. Label y is wrong where some z scores above
+it by more than SCORE_TOL and right where every z scores below it by more
+than that, so by the union bound its error lies between the largest and
+the sum of its pairs' probabilities of Δ past ±SCORE_TOL; with two labels
+both events sit at the tie threshold and the bounds meet. Each bound
+counts a profile only beyond a stated rounding margin of its threshold
+(likelihood._delta_margin), and a plan whose bounds straddle a tolerance,
+within a rounding band, goes to the profile scan, so every accept
 decision, and so every plan and position, is the scan's.
-exact_error_table, exact_error and exact_pairwise, and all searches over
-three or more labels, keep the scan, which stays the audit of the split.
+exact_error_table, exact_error and exact_pairwise keep the scan, which
+stays the audit of the split.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import threading
@@ -70,6 +76,7 @@ from .bounds import (
 )
 from .instances import Instance, QueryPlan, _expect, _label_pair, as_plan, plan_cost
 from .likelihood import (
+    SCORE_TOL,
     _delta_margin,
     _delta_threshold,
     _error_mask,
@@ -200,50 +207,51 @@ def _log_factorials(cache: _BlockCache, r: int) -> np.ndarray:
 class _Block:
     """One model's profiles at one query count: ``table`` (P, L + 1) holds
     each profile's log-likelihood under every label, then its log
-    multinomial coefficient. With two labels, ``sorted`` is the view the
-    sorted split reads, computed once."""
+    multinomial coefficient. ``sorted(y, z)`` is the view the sorted split
+    reads for the label pair y < z, computed once per pair."""
 
     __slots__ = ("table", "_sorted")
 
     def __init__(self, table: np.ndarray):
         self.table = table
-        self._sorted: _Sorted | None = None
+        self._sorted: dict[tuple[int, int], _Sorted] = {}
 
-    def sorted(self) -> _Sorted:
-        """The _side of the profiles sorted by Δ, (Δ, e₀, e₁, top₀, top₁),
-        then (tail (P + 1,), head (P + 1,)), where tail[i] sums e₀ over the
-        sorted profiles from i on and head[i] sums e₁ over those before i.
-        Each is a direct running sum, never a difference of two."""
-        if self._sorted is None:
+    def sorted(self, y: int, z: int) -> _Sorted:
+        """The _side of the profiles sorted by Δ, (Δ, e_y, e_z, top_y,
+        top_z), then (tail (P + 1,), head (P + 1,)), where tail[i] sums e_y
+        over the sorted profiles from i on and head[i] sums e_z over those
+        before i. Each is a direct running sum, never a difference of two."""
+        got = self._sorted.get((y, z))
+        if got is None:
             t = self.table
-            side = _side(t[np.argsort(t[:, 1] - t[:, 0], kind="stable")])
+            side = _side(t[np.argsort(t[:, z] - t[:, y], kind="stable")], y, z)
             tail = np.zeros(len(t) + 1)
             tail[:-1] = np.cumsum(side[1][::-1])[::-1]
             head = np.zeros(len(t) + 1)
             np.cumsum(side[2], out=head[1:])
-            self._sorted = (*side, tail, head)
-        return self._sorted
+            got = self._sorted[y, z] = (*side, tail, head)
+        return got
 
 
-# (Δ, e₀, e₁, top₀, top₁) of _side.
+# (Δ, e_y, e_z, top_y, top_z) of _side.
 _Side = tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
 # _Block.sorted's: a _Side, then (tail, head).
 _Sorted = tuple[np.ndarray, np.ndarray, np.ndarray, float, float, np.ndarray, np.ndarray]
 
 
-def _side(rows: np.ndarray) -> _Side:
-    """Two-label profile rows (n, 3), as a _Block's table holds them:
-    (Δ, e₀, e₁, top₀, top₁), with Δ = loglik₁ − loglik₀, and
-    e_y = exp(w_y − top_y) for the log weight w_y = logcoef + loglik_y
-    under y, whose largest value is top_y."""
-    w = rows[:, :2] + rows[:, 2:]
+def _side(rows: np.ndarray, y: int, z: int) -> _Side:
+    """Profile rows (n, L + 1), as a _Block's table holds them, read for
+    the label pair y < z: (Δ, e_y, e_z, top_y, top_z), with
+    Δ = loglik_z − loglik_y, and e_x = exp(w_x − top_x) for the log weight
+    w_x = logcoef + loglik_x under x, whose largest value is top_x."""
+    w = rows[:, y : z + 1 : z - y] + rows[:, -1:]
     top = np.maximum.reduce(w)
     e = np.exp(w.T - top[:, None])
-    return rows[:, 1] - rows[:, 0], e[0], e[1], *top.tolist()
+    return rows[:, z] - rows[:, y], e[0], e[1], *top.tolist()
 
 
-# The rest of a plan that queries one model: the empty profile.
-_EMPTY_SIDE = _side(np.zeros((1, 3)))
+# The rest of a plan that queries one model: the empty profile, for any pair.
+_EMPTY_SIDE: _Side = (np.zeros(1), np.ones(1), np.ones(1), 0.0, 0.0)
 
 
 def _model_blocks(
@@ -330,51 +338,104 @@ def _profile_mass(
     return math.exp(_logsumexp(np.array(chunk_lse))) if chunk_lse else 0.0
 
 
-def _split_errors(
+def _cuts(
+    d: np.ndarray, delta: np.ndarray, past_at: float, short_of: float, margin: float
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """A label's two cuts of the sorted Δ values d for joined rows with Δ
+    delta: (past, short, apart), where past[i] counts the profiles of d
+    that row i does not take past past_at by more than the margin,
+    short[i] those it takes short of short_of by more than it, and apart
+    whether the two differ on some row."""
+    x = past_at - delta
+    past = d.searchsorted(x + margin, "right")
+    short = d.searchsorted((x if short_of == past_at else short_of - delta) - margin)
+    return past, short, (past != short).any()
+
+
+def _split_bounds(
     instance: Instance,
     plan: QueryPlan,
     tie_policy: str,
     cache: _BlockCache,
     scale: float,
-) -> tuple[float, float] | None:
-    """Both labels' MAP errors of a two-label plan by the sorted split, or
-    None if some profile's Δ lies within _delta_margin of a threshold,
-    where only the scores can decide; scale is _log_scale's.
+) -> Iterator[tuple[list[float], list[float]]]:
+    """Every label's bounds on its MAP error by the sorted split, after
+    each label pair y < z in turn: (lower, upper), each a bound on the
+    exact error up to rounding (_split_accept), which the later pairs
+    only tighten or complete; scale is _log_scale's.
+
+    Label y is wrong where some z scores above it by more than
+    SCORE_TOL, and right where every z scores below it by more than
+    SCORE_TOL. So, with Δ = s_z − s_y and τ = SCORE_TOL, the union bound
+    gives max_z P_y(Δ > τ) ≤ error_y ≤ Σ_z P_y(Δ ≥ −τ), and the reverse
+    events of Δ bound label z. With two labels, both events of a label
+    sit at its _delta_threshold, and the bounds meet at the error. A
+    lower term counts only the profiles past its threshold by more than
+    _delta_margin, and an upper term every profile short of it by less,
+    so each holds for the scores' own decisions.
 
     Δ is a sum of per-model terms, so the largest block is sorted by Δ
-    once (_Block.sorted) and the other blocks are joined: per joined row
-    with Δ_A, the profiles of the largest block past the threshold less
-    Δ_A are one searchsorted away, and their weight is a running sum
-    (the sort-and-search step of Horowitz and Sahni, JACM 21(2), 1974).
-    A label's error is then one dot product per chunk of joined rows,
-    scaled by exp(top + shift), which is at least the chunk's largest
-    joint weight: at least 1/n for a plan of n profiles in one chunk."""
+    once per pair (_Block.sorted) and the other blocks are joined: per
+    joined row with Δ_A, the profiles of the largest block past a
+    threshold less Δ_A are one searchsorted away, and their weight is a
+    running sum (the sort-and-search step of Horowitz and Sahni, JACM
+    21(2), 1974). A term is then one dot product per chunk of joined
+    rows, one for both bounds where their cuts agree, scaled by
+    exp(top + shift), which is at least the chunk's largest joint
+    weight: at least 1/n for a plan of n profiles in one chunk."""
     blocks = _model_blocks(instance, plan, cache)
     big = max(range(len(blocks)), key=lambda i: len(blocks[i].table))
-    d, _, _, shift0, shift1, tail, head = blocks[big].sorted()
     rest = [b for i, b in enumerate(blocks) if i != big]
-    if len(rest) < 2:
-        sides = [rest[0].sorted()[:5] if rest else _EMPTY_SIDE]
-    else:
-        sides = map(_side, _iter_joint([b.table for b in rest]))
     margin = _delta_margin(instance, plan.counts, scale)
-    gap = float(instance.log_prior[1] - instance.log_prior[0])
-    t0, t1 = (_delta_threshold(tie_policy, yi) - gap for yi in (0, 1))
-    error0 = error1 = 0.0
-    for delta, e0, e1, top0, top1 in sides:
-        cuts = []
-        for t in (t0,) if t1 == t0 else (t0, t1):
-            # per row, the sorted profiles below t - delta, where no
-            # profile may lie within the margin
-            x = t - delta
-            cut = d.searchsorted(x - margin)
-            if (cut != d.searchsorted(x + margin, "right")).any():
-                return None
-            cuts.append(cut)
-        # label 0 is wrong past its cut, label 1 before its cut
-        error0 += float(e0 @ tail[cuts[0]]) * math.exp(top0 + shift0)
-        error1 += float(e1 @ head[cuts[-1]]) * math.exp(top1 + shift1)
-    return error0, error1
+    # each label's thresholds of a pair, (lower, upper): y is wrong where
+    # Δ lies above them, z where it lies below them; y's cuts serve z
+    # where z's (upper, lower) are y's (lower, upper)
+    n_labels = instance.n_labels
+    if n_labels == 2:
+        t_y, t_z = _delta_threshold(tie_policy, 0), _delta_threshold(tie_policy, 1)
+        y_at, z_at = (t_y, t_y), (t_z, t_z)
+    else:
+        y_at, z_at = (SCORE_TOL, -SCORE_TOL), (-SCORE_TOL, SCORE_TOL)
+    shared = z_at[::-1] == y_at
+    prior = instance.log_prior.tolist()
+    lower = [0.0] * n_labels
+    upper = [0.0] * n_labels
+    for y, z in itertools.combinations(range(n_labels), 2):
+        d, _, _, shift_y, shift_z, tail, head = blocks[big].sorted(y, z)
+        if len(rest) < 2:
+            sides = [rest[0].sorted(y, z)[:5] if rest else _EMPTY_SIDE]
+        else:
+            joint = _iter_joint([b.table for b in rest])
+            sides = (_side(rows, y, z) for rows in joint)
+        gap = prior[z] - prior[y]
+        low_y = up_y = low_z = up_z = 0.0
+        for delta, e_y, e_z, top_y, top_z in sides:
+            past, short, apart = _cuts(d, delta, y_at[0] - gap, y_at[1] - gap, margin)
+            if shared:
+                past_z, short_z, apart_z = past, short, apart
+            else:
+                past_z, short_z, apart_z = _cuts(
+                    d, delta, z_at[1] - gap, z_at[0] - gap, margin
+                )
+            # y is wrong from its cuts on: its lower term from past, its
+            # upper from short; one dot product where they agree
+            f = math.exp(top_y + shift_y)
+            term = float(e_y @ tail[past]) * f
+            low_y += term
+            up_y += float(e_y @ tail[short]) * f if apart else term
+            # z is wrong before its cuts: its upper term before past, its
+            # lower before short
+            f = math.exp(top_z + shift_z)
+            term = float(e_z @ head[past_z]) * f
+            up_z += term
+            low_z += float(e_z @ head[short_z]) * f if apart_z else term
+        if low_y > lower[y]:
+            lower[y] = low_y
+        if low_z > lower[z]:
+            lower[z] = low_z
+        upper[y] += up_y
+        upper[z] += up_z
+        yield lower, upper
 
 
 def _split_accept(
@@ -384,33 +445,41 @@ def _split_accept(
     budget: int,
     cache: _BlockCache,
 ) -> bool | None:
-    """Whether a two-label plan meets both tolerances, decided as the scan
-    (_profile_mass) decides, from _split_errors; None where the split
-    cannot tell: some Δ lies within the margin, or an error within its
-    rounding band of the tolerance. Raises as the scan does over budget.
+    """Whether a plan meets every tolerance, decided as the scan
+    (_profile_mass) decides, from the bounds of _split_bounds: False as
+    soon as some label's lower bound exceeds its tolerance by more than
+    the rounding band, True if every upper bound lies under its
+    tolerance by more than the band, else None, for the scan to decide.
+    Raises as the scan does over budget.
 
-    Both ways sum exp(w) over the same wrong profiles (the margin sees to
-    that), with log weights w built from the same block entries by sums
-    of at most 2K + 3 terms of magnitude up to 2M (K queried models,
-    M = _log_scale), so they differ by at most γ_{2K+4}·4M, plus at most
-    u·745 from shifting and taking logs of values down to the smallest
-    double; summing n positive terms adds γ_n. Relative to the exact
-    error, each is then off by at most δ = γ_{2K+6}·(4M + 750) + γ_n, and
-    the band 1e-9 + 2δ covers both. Terms under the smallest normal
-    double lose at most ulp(0) each, at most 4n·ulp(0) in all, an
-    absolute floor that matters only at tolerances near 1e-300."""
+    A bound and the scan sum exp(w) over nested sets of profiles (the
+    margin sees to that), with log weights w built from the same block
+    entries by sums of at most 2K + 3 terms of magnitude up to 2M (K
+    queried models, M = _log_scale), so each term differs by at most
+    γ_{2K+4}·4M, plus at most u·745 from shifting and taking logs of
+    values down to the smallest double. An upper bound sums at most
+    (L − 1)·n positive terms over L − 1 pairs of n profiles, which adds
+    γ_{(L−1)n}, and the scan's n terms add less. Relative to the exact
+    sums, each is then off by at most
+    δ = γ_{2K+6}·(4M + 750) + γ_{(L−1)n}, and the band 1e-9 + 2δ covers
+    both. Terms under the smallest normal double lose at most ulp(0)
+    each, at most 4(L − 1)n·ulp(0) in all, an absolute floor that
+    matters only at tolerances near 1e-300."""
     n = _check_budget(instance, plan, budget)
     scale = _log_scale(instance, plan.counts)
-    errors = _split_errors(instance, plan, tie_policy, cache, scale)
-    if errors is None:
-        return None
     k = sum(1 for r in plan.counts if r)
-    band = 1e-9 + 2.0 * (_gamma(2 * k + 6) * (4.0 * scale + 750.0) + _gamma(n))
-    floor = 4.0 * n * math.ulp(0.0)
+    terms = (instance.n_labels - 1) * n
+    band = 1e-9 + 2.0 * (_gamma(2 * k + 6) * (4.0 * scale + 750.0) + _gamma(terms))
+    floor = 4.0 * terms * math.ulp(0.0)
     tolerances = instance.tolerances.tolist()
-    if any(abs(e - a) <= band * a + floor for e, a in zip(errors, tolerances)):
-        return None
-    return all(e <= a for e, a in zip(errors, tolerances))
+    for lower, upper in _split_bounds(instance, plan, tie_policy, cache, scale):
+        for e, a in zip(lower, tolerances):
+            if e - a > band * a + floor:
+                return False
+    for e, a in zip(upper, tolerances):
+        if a - e <= band * a + floor:
+            return None
+    return True
 
 
 def exact_pairwise(
@@ -1053,9 +1122,12 @@ def exact_opt(
     shared with every other surrogate search on the instance whatever its
     cap (run_afptas included), and the search stops at this cap. For
     "true" the BhattacharyyaScreen rules out, in batches, plans whose
-    errors no decision rule can bring under the tolerances, and the
-    profile blocks the exact errors of the other plans need are built once
-    per call. The default cost cap is the cost of querying every model for
+    errors no decision rule can bring under the tolerances. Every other
+    plan, whatever the label count, is decided by the pairwise split's
+    bounds on each label's exact error (_split_accept), or by the profile
+    scan where a bound straddles a tolerance, with the decision the scan
+    would take; the profile blocks both read are built once per call. The
+    default cost cap is the cost of querying every model for
     the uniform certifying round count, which is always surrogate-feasible
     (and hence true-feasible).
 
@@ -1089,19 +1161,17 @@ def exact_opt(
         found = walk.search(accept, node_budget, cost_cap)
     else:
         cache: _BlockCache = {}
-        two = instance.n_labels == 2
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             plan = QueryPlan(counts)
-            if two:
-                met = _split_accept(instance, plan, tie_policy, profile_budget, cache)
-                if met is not None:
-                    return met or None
-            return all(
-                _profile_mass(instance, plan, yi, wrong, profile_budget, cache)
-                <= instance.tolerances[yi]
-                for yi in labels
-            ) or None
+            met = _split_accept(instance, plan, tie_policy, profile_budget, cache)
+            if met is None:
+                met = all(
+                    _profile_mass(instance, plan, yi, wrong, profile_budget, cache)
+                    <= instance.tolerances[yi]
+                    for yi in labels
+                )
+            return met or None
 
         prescreen = BhattacharyyaScreen(instance)
         found = search_lattice(costs, cost_cap, accept, node_budget, prescreen)

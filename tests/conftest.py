@@ -57,6 +57,16 @@ def near_threshold_instance() -> Instance:
     return symmetric_instance([0.9], prior0)
 
 
+def three_label_draw(k: int) -> Instance:
+    """Draw k of the three-label stream: the (k + 1)-th
+    random_instance(rng, n_labels=3, max_models=3) from
+    np.random.default_rng(5)."""
+    rng = np.random.default_rng(5)
+    for _ in range(k + 1):
+        inst = random_instance(rng, n_labels=3, max_models=3)
+    return inst
+
+
 @st.composite
 def two_label_plans(draw) -> tuple[Instance, QueryPlan]:
     """A random two-label instance or one of symmetric channels, and a plan
@@ -68,6 +78,39 @@ def two_label_plans(draw) -> tuple[Instance, QueryPlan]:
         ps = draw(st.lists(st.sampled_from([0.6, 0.75, 0.9]), min_size=1, max_size=3))
         inst = symmetric_instance(ps)
     counts = draw(st.tuples(*(st.integers(0, 12) for _ in inst.models)))
+    return inst, QueryPlan(counts)
+
+
+def symmetric_labels_instance(n_labels: int, ps: Sequence[float]) -> Instance:
+    """n_labels labels under a uniform prior, and one symmetric channel per
+    entry p of ps, with one symbol per label: label y emits its own symbol
+    with prob p and each other one with prob (1 - p) / (n_labels - 1).
+    Labels whose symbols a profile holds equally often tie: Δ = 0."""
+    models = []
+    for j, p in enumerate(ps):
+        cond = np.full((n_labels, n_labels), (1.0 - p) / (n_labels - 1))
+        np.fill_diagonal(cond, p)
+        models.append(ModelSpec(f"m{j}", tuple("abcd"[:n_labels]), cond, 1.0 + j))
+    return Instance(
+        tuple(str(y) for y in range(n_labels)),
+        np.full(n_labels, 1.0 / n_labels),
+        tuple(models),
+        np.full(n_labels, 0.05),
+    )
+
+
+@st.composite
+def labelled_plans(draw) -> tuple[Instance, QueryPlan]:
+    """A random instance of 2 to 4 labels or one of symmetric channels, and
+    a plan querying any of its models up to 6 times, so 0 to 3 of them."""
+    n_labels = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        inst = random_instance(rng, n_labels=n_labels, max_models=3)
+    else:
+        ps = draw(st.lists(st.sampled_from([0.5, 0.7, 0.9]), min_size=1, max_size=2))
+        inst = symmetric_labels_instance(n_labels, ps)
+    counts = draw(st.tuples(*(st.integers(0, 6) for _ in inst.models)))
     return inst, QueryPlan(counts)
 
 

@@ -367,9 +367,29 @@ def test_exact_rejects_malformed_plan(bsc_path, capsys):
             id="tightness-alpha-above-1",
         ),
         pytest.param(
+            ["sweep-tightness", "--instance", "{bsc}", "--alphas", ","],
+            "--alphas must list at least one number",
+            id="tightness-alphas-empty",
+        ),
+        pytest.param(
+            ["sweep-tightness", "--instance", "{bsc}", "--alphas", "0.1,x"],
+            "--alphas must be comma-separated numbers",
+            id="tightness-alphas-not-numbers",
+        ),
+        pytest.param(
             ["sweep-guarantee", "--seed", "1", "--alpha", "0"],
             "tolerances",
             id="guarantee-alpha-0",
+        ),
+        pytest.param(
+            ["sweep-guarantee", "--seed", "1", "--instances", "1", "--epsilons", ","],
+            "--epsilons must list at least one number",
+            id="guarantee-epsilons-empty",
+        ),
+        pytest.param(
+            ["sweep-guarantee", "--seed", "1", "--epsilons", "0.5,abc"],
+            "--epsilons must be comma-separated numbers",
+            id="guarantee-epsilons-not-numbers",
         ),
         pytest.param(
             ["exact", "--instance", "{bsc}", "--opt", "true", "--cost-cap", "nan"],

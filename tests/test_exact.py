@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import near_threshold_instance, symmetric_instance, two_label_plans
+from conftest import (
+    labelled_plans,
+    near_threshold_instance,
+    symmetric_instance,
+    symmetric_labels_instance,
+    three_label_draw,
+    two_label_plans,
+)
 from queryplan.bounds import (
     BhattacharyyaScreen,
     is_surrogate_feasible,
@@ -30,8 +37,9 @@ from queryplan.exact import (
     _log_factorials,
     _model_blocks,
     _profile_mass,
+    _scan_profiles,
     _split_accept,
-    _split_errors,
+    _split_bounds,
     exact_error,
     exact_error_table,
     exact_opt,
@@ -40,7 +48,13 @@ from queryplan.exact import (
 )
 from queryplan.experiments import random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec, QueryPlan, as_plan, plan_cost
-from queryplan.likelihood import TIE_POLICIES, _error_mask, _log_scale
+from queryplan.likelihood import (
+    SCORE_TOL,
+    TIE_POLICIES,
+    _delta_margin,
+    _error_mask,
+    _log_scale,
+)
 from reference_lattice import KEEP_ALL, lattice_ascending
 
 # binomial tail oracles for the two-symbol reference model with p = 0.9:
@@ -398,11 +412,17 @@ def scan_only_true_opt(inst: Instance, **kwargs):
         return exact_opt(inst, problem="true", **kwargs)
 
 
-def assert_split_matches_scan(inst: Instance, tie_policy: str):
+def assert_split_matches_scan(inst: Instance, tie_policy: str, **kwargs):
     """exact_opt(problem="true") returns the scan-only search's plan, cost
-    and position."""
-    opt = exact_opt(inst, problem="true", tie_policy=tie_policy)
-    want = scan_only_true_opt(inst, tie_policy=tie_policy)
+    and position, or raises the same budget error."""
+    kwargs["tie_policy"] = tie_policy
+    try:
+        want = scan_only_true_opt(inst, **kwargs)
+    except EnumerationBudgetError as exc:
+        with pytest.raises(EnumerationBudgetError, match=re.escape(str(exc))):
+            exact_opt(inst, problem="true", **kwargs)
+        return
+    opt = exact_opt(inst, problem="true", **kwargs)
     assert (opt.plan, opt.cost, opt.enumerated) == (
         want.plan,
         want.cost,
@@ -423,11 +443,15 @@ def test_exact_opt_true_matches_unscreened_walk_on_fixtures(request, name, polic
 # which both sides must raise alike.
 REFERENCE_WALK_LIMIT = 150
 
+# Plans the scan-only search may walk per example: four-label draws at
+# alpha 0.02 may take seconds per thousand plans.
+SCAN_WALK_LIMIT = 3000
+
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_labels=st.integers(2, 3),
+    n_labels=st.integers(2, 4),
     alpha=st.floats(0.02, 0.3),
     policy=st.sampled_from(TIE_POLICIES),
 )
@@ -435,8 +459,7 @@ def test_exact_opt_true_matches_unscreened_walk(seed, n_labels, alpha, policy):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=alpha)
     assert_matches_reference(inst, policy, REFERENCE_WALK_LIMIT)
-    if n_labels == 2:
-        assert_split_matches_scan(inst, policy)
+    assert_split_matches_scan(inst, policy, node_budget=SCAN_WALK_LIMIT)
 
 
 def test_screened_plans_no_longer_hit_the_profile_budget():
@@ -456,12 +479,32 @@ def test_screened_plans_no_longer_hit_the_profile_budget():
 
 
 # ---------------------------------------------------------------------------
-# The sorted split: two-label errors by the score difference.
+# The sorted split: each label's error bounded by its pairs' score differences.
 # ---------------------------------------------------------------------------
 
 
-def split_errors(inst: Instance, plan: QueryPlan, policy: str):
-    return _split_errors(inst, plan, policy, {}, _log_scale(inst, plan.counts))
+def split_bounds(
+    inst: Instance, plan: QueryPlan, policy: str
+) -> tuple[list[float], list[float]]:
+    """Every label's (lower, upper) bounds once every pair is split."""
+    scale = _log_scale(inst, plan.counts)
+    for lower, upper in _split_bounds(inst, plan, policy, {}, scale):
+        pass
+    return lower, upper
+
+
+def near_a_threshold(inst: Instance, plan: QueryPlan) -> bool:
+    """Whether some profile of a two-label plan has its score difference
+    within twice _delta_margin of a tie threshold, ±SCORE_TOL: the split
+    computes it another way, within the margin of this."""
+    margin = _delta_margin(inst, plan.counts, _log_scale(inst, plan.counts))
+    deltas = np.concatenate(
+        [
+            scores[:, 1] - scores[:, 0]
+            for scores, _ in _scan_profiles(inst, plan, PROFILE_BUDGET, {})
+        ]
+    )
+    return bool((np.abs(np.abs(deltas) - SCORE_TOL) <= 2.0 * margin).any())
 
 
 @settings(max_examples=200, deadline=None)
@@ -472,31 +515,73 @@ def split_errors(inst: Instance, plan: QueryPlan, policy: str):
     policy="count-tie-as-error",
 )
 def test_split_errors_match_profile_scan(case, policy):
-    # exact ties (Δ = 0) lie far outside the margin, so the split decides
-    # them; its errors are the scan's up to rounding
+    # exact ties (Δ = 0) lie far outside the margin, so with two labels both
+    # bounds are the error, which is the scan's up to rounding
     inst, plan = case
-    errors = split_errors(inst, plan, policy)
-    assert errors is not None
+    lower, upper = split_bounds(inst, plan, policy)
+    assert lower == upper
     wrong = _error_mask(policy)
-    for yi, got in enumerate(errors):
+    for yi, got in enumerate(lower):
         want = _profile_mass(inst, plan, yi, wrong, PROFILE_BUDGET, {})
         assert abs(got - want) <= 1e-13 * want
 
 
-def deferred_plans(inst: Instance, policy: str) -> list[tuple[int, ...]]:
+@settings(max_examples=150, deadline=None)
+@given(case=labelled_plans(), policy=st.sampled_from(TIE_POLICIES))
+@example(
+    case=(symmetric_labels_instance(3, [0.7]), QueryPlan((2,))),
+    policy="lowest-index",
+)
+@example(
+    case=(symmetric_labels_instance(4, [0.5, 0.9]), QueryPlan((3, 1))),
+    policy="count-tie-as-error",
+)
+def test_split_bounds_bracket_exact_errors(case, policy):
+    # lower ≤ exact error ≤ upper for every label, up to 1e-9 relative, the
+    # least rounding band _split_accept allows; with two labels and no
+    # profile in the margin, the bounds meet
+    inst, plan = case
+    lower, upper = split_bounds(inst, plan, policy)
+    for yi in range(inst.n_labels):
+        err = exact_error(inst, plan, yi, policy)
+        assert lower[yi] <= err * (1.0 + 1e-9)
+        assert err <= upper[yi] * (1.0 + 1e-9)
+    if inst.n_labels == 2 and not near_a_threshold(inst, plan):
+        assert lower == upper
+
+
+def split_decisions(
+    inst: Instance, policy: str
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], bool]]:
     """The plans exact_opt(problem="true") hands to the scan because the
-    split defers, in walk order."""
+    split defers, in walk order, and the split's decision on every other
+    plan it saw."""
     deferred = []
+    decided = {}
 
     def spy(instance, plan, *args):
         met = _split_accept(instance, plan, *args)
         if met is None:
             deferred.append(plan.counts)
+        else:
+            decided[plan.counts] = met
         return met
 
     with mock.patch("queryplan.exact._split_accept", spy):
         exact_opt(inst, problem="true", tie_policy=policy)
-    return deferred
+    return deferred, decided
+
+
+
+def scan_meets(inst: Instance, counts: tuple[int, ...], policy: str) -> bool:
+    """Whether the profile scan finds every label's error within its
+    tolerance."""
+    wrong = _error_mask(policy)
+    plan = QueryPlan(counts)
+    return all(
+        _profile_mass(inst, plan, yi, wrong, PROFILE_BUDGET, {}) <= inst.tolerances[yi]
+        for yi in range(inst.n_labels)
+    )
 
 
 def test_split_defers_at_the_tolerance(duo):
@@ -505,8 +590,8 @@ def test_split_defers_at_the_tolerance(duo):
     opt = exact_opt(duo, problem="true")
     errors = exact_error_table(duo, opt.plan).errors
     at_errors = duo.with_tolerances(np.array(errors))
-    assert deferred_plans(duo, "lowest-index") == []
-    assert deferred_plans(at_errors, "lowest-index") == [opt.plan.counts]
+    assert split_decisions(duo, "lowest-index")[0] == []
+    assert split_decisions(at_errors, "lowest-index")[0] == [opt.plan.counts]
     got = exact_opt(at_errors, problem="true")
     assert (got.plan, got.cost, got.enumerated) == (opt.plan, opt.cost, opt.enumerated)
     assert_matches_reference(at_errors, "lowest-index", 10**6)
@@ -516,13 +601,36 @@ def test_split_defers_at_the_tolerance(duo):
 @pytest.mark.parametrize("policy", TIE_POLICIES)
 def test_split_defers_at_the_delta_margin(policy):
     inst = near_threshold_instance()
-    # the profile (1, 1) lies at the threshold; plans of odd counts hold no
-    # such profile
-    assert split_errors(inst, QueryPlan((2,)), policy) is None
-    assert split_errors(inst, QueryPlan((3,)), policy) is not None
-    assert deferred_plans(inst, policy) == [(2,)]
+    # the profile (1, 1) lies at the threshold SCORE_TOL, so plan (2,)'s
+    # bounds part for label 1, and for label 0 unless count-tie-as-error
+    # moves its threshold to -SCORE_TOL; plans of odd counts hold no such
+    # profile
+    lower, upper = split_bounds(inst, QueryPlan((2,)), policy)
+    parted = [lo < up for lo, up in zip(lower, upper)]
+    assert parted == [policy == "lowest-index", True]
+    lower, upper = split_bounds(inst, QueryPlan((3,)), policy)
+    assert lower == upper
+    # under count-tie-as-error, label 0's lower bound already counts the
+    # tie and exceeds the tolerance, so the bounds reject (2,); wherever
+    # the bounds decide, the decision is the scan's
+    deferred, decided = split_decisions(inst, policy)
+    assert deferred == ([(2,)] if policy == "lowest-index" else [])
+    for counts, met in decided.items():
+        assert met == scan_meets(inst, counts, policy)
     assert_matches_reference(inst, policy, 10**6)
     assert_split_matches_scan(inst, policy)
+
+
+def test_split_defers_straddling_plans_to_the_scan():
+    # three-label draw 5 at alpha 1e-2: twenty plans' max-versus-sum
+    # brackets straddle a tolerance, and the scan decides them as the
+    # scan-only search does
+    inst = three_label_draw(5).with_tolerances(np.full(3, 1e-2))
+    deferred, _ = split_decisions(inst, "lowest-index")
+    assert len(deferred) == 20
+    opt = exact_opt(inst, problem="true")
+    assert (opt.plan.counts, opt.enumerated) == ((16, 15), 605)
+    assert_split_matches_scan(inst, "lowest-index")
 
 
 def test_split_keeps_the_profile_budget():

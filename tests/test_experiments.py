@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import three_label_draw
+from queryplan.exact import exact_opt
 from queryplan.experiments import (
     GUARANTEE_FIELDS,
     TIGHTNESS_FIELDS,
@@ -55,6 +57,27 @@ def test_tightness_sweep_reference_instance(bsc):
     assert by_alpha[0.05]["surrogate_opt"] == 6.0
     assert by_alpha[0.05]["ratio"] == pytest.approx(2.0)
     assert all(r["ratio"] >= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "draw, alpha, counts, enumerated",
+    [
+        pytest.param(0, 1e-2, (28, 0, 0), 2_556, id="draw0-1e-2"),
+        pytest.param(0, 1e-3, (45, 0, 0), 9_909, id="draw0-1e-3"),
+        pytest.param(1, 1e-2, (0, 39, 4), 8_136, id="draw1-1e-2"),
+        pytest.param(1, 1e-3, (0, 62, 6), 30_662, id="draw1-1e-3"),
+        pytest.param(5, 1e-2, (16, 15), 605, id="draw5-1e-2"),
+        pytest.param(5, 1e-3, (24, 24), 1_454, id="draw5-1e-3"),
+    ],
+)
+def test_three_label_tightness_rungs(draw, alpha, counts, enumerated):
+    # the true optima the profile scan found before the pairwise split, and
+    # the surrogate optimum never cheaper than the true one
+    inst = three_label_draw(draw).with_tolerances(np.full(3, alpha))
+    opt = exact_opt(inst, problem="true")
+    assert (opt.plan.counts, opt.enumerated) == (counts, enumerated)
+    surrogate = exact_opt(inst, problem="surrogate")
+    assert surrogate.cost / opt.cost >= 1.0
 
 
 def test_guarantee_sweep_tiny_run():
