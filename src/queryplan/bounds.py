@@ -21,9 +21,12 @@ holds several pairs as lanes, and golden_lanes minimizes them in lockstep:
 each lane keeps its own interval as Python floats and takes the steps a
 one-lane golden section would, while each step evaluates every lane in one
 numpy call over a (lanes, K, X) stack. golden_section is its one-lane case.
-is_surrogate_feasible runs all L(L-1) ordered pairs at once and
-instance_contraction all unordered pairs; the check is the fsum of the
-minima's exps against each label's tolerance. The searches' check,
+An instance's stack of all L(L-1) ordered pairs is built once per
+Instance object (pair_stack), and every check, screen and bound on the
+instance reads it: is_surrogate_feasible runs all its lanes at once,
+instance_contraction the lanes y < y' (upper_lanes), and TangentTable and
+BhattacharyyaScreen take their tables from it. The check is the fsum of
+the minima's exps against each label's tolerance. The searches' check,
 _surrogate_accept, runs the same lanes and may settle: as each proxy is
 convex, the value a lane ends on is at most the larger value at the ends
 of any interval its golden section has reached, plus twice the rounding
@@ -38,12 +41,13 @@ crossing only in a grid cell where the slope changes sign, so only those
 cells are computed. tangent_table builds an instance's table once per
 Instance object, and uniform_feasible_count its answer, so every search on
 the instance shares them; exact.SurrogateWalk scores the per-plan rejects
-ahead of the searches in batches. A batch computes proxies only for the
-pairs y < y': the mirror (y', y) has f_{y'y}(s) = f_{yy'}(1 - s) - ρ_{yy'},
-with ρ_{yy'} the pair's log prior ratio, so its minimum is the pair's
-minus ρ_{yy'}. The exact search for the true problem screens its batches
-with BhattacharyyaScreen instead, a lower bound on each pair's Bayes error
-that no decision rule beats.
+ahead of the searches in batches. The table and its batches compute only
+the pairs y < y': the mirror (y', y) has f_{y'y}(s) = f_{yy'}(1 - s) -
+ρ_{yy'}, with ρ_{yy'} the pair's log prior ratio, so its minimum is the
+pair's minus ρ_{yy'}, and on a grid of 2^k + 1 tilts its grid tables are
+the pair's read backwards. The exact search for the true problem screens
+its batches with BhattacharyyaScreen instead, a lower bound on each pair's
+Bayes error that no decision rule beats.
 
 Reductions over the padded alphabet axis, which holds a handful of
 symbols, go through _reduce_last: a large array is folded elementwise
@@ -53,6 +57,7 @@ for bit.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -350,9 +355,28 @@ class PairStack:
         self.flat = [
             all(_indistinguishable(m, yi, yj) for m in models) for yi, yj in pairs
         ]
+        self._lanes()
+
+    def _lanes(self) -> None:
         # per lane: its (K, X) tables, and its prior ratio as a Python float
         self._rows = list(zip(self.log_p, self.log_q))
         self._ratios = self.log_ratio.tolist()
+
+    def select(self, lanes: Sequence[int]) -> PairStack:
+        """The stack of the given lanes, in that order, copied from this
+        one's arrays without another build."""
+        sub = copy.copy(self)
+        sub.log_p, sub.log_q = self.log_p[lanes], self.log_q[lanes]
+        sub.log_ratio = self.log_ratio[lanes]
+        sub.flat = [self.flat[k] for k in lanes]
+        sub._lanes()
+        return sub
+
+    def log_affinities(self, lane: int, s: float) -> np.ndarray:
+        """log M_m(s) of one lane's pair for every model m, as a length-K
+        vector: PairTables.log_affinities on the lane's tables."""
+        p, q = self._rows[lane]
+        return _logsumexp((1.0 - s) * p + s * q)
 
     def lane_objective(
         self,
@@ -406,6 +430,21 @@ class PairStack:
         """Each pair's (s*, min_s sum_m log M_m(s)): pair_contraction."""
         total = self.lane_objective(lambda log_m: np.add.reduce(log_m, -1))
         return _minimize_tilts(total, self.flat)
+
+
+def pair_stack(instance: Instance) -> PairStack:
+    """The PairStack of every ordered pair, in ordered_pairs' order, built
+    once per Instance object: the tables every surrogate check, screen and
+    bound on the instance reads."""
+    return instance._shared(
+        "pair_stack", lambda: PairStack(instance, ordered_pairs(instance.n_labels))
+    )
+
+
+def upper_lanes(L: int) -> list[int]:
+    """The lanes of ordered_pairs(L) whose pair (y, y') has y < y', in
+    order: the unordered pairs."""
+    return [p for p, (y, y2) in enumerate(ordered_pairs(L)) if y < y2]
 
 
 def optimize_tilt(
@@ -476,7 +515,7 @@ def _surrogate_accept(instance: Instance) -> Callable[[np.ndarray], bool]:
     on to the exact values.
     """
     L = instance.n_labels
-    stack = PairStack(instance, ordered_pairs(L))
+    stack = pair_stack(instance)
     labels = list(zip(range(0, len(stack.flat), L - 1), instance.tolerances.tolist()))
 
     def accept(counts: np.ndarray) -> bool:
@@ -539,16 +578,23 @@ class TangentTable:
     golden-section value is never below the true minimum, no plan the
     surrogate check accepts is ever ruled out.
 
-    The per-plan rejects need the L(L-1)/2 pairs y < y' only. As M_m of
-    (y', y) at s is M_m of (y, y') at 1 - s, the mirror's proxy is
-    f_{y'y}(s) = f_{yy'}(1 - s) - ρ, with ρ = log(prior(y') / prior(y)),
-    so min f_{y'y} = min f_{yy'} - ρ, and rejects_each sets the mirror's
-    bound to lb - ρ. That subtraction rounds by at most u |lb - ρ|, far
-    inside lower_bounds' margin of 1e-9 (1 + |lb|), as |ρ| < 745 for any
-    two positive doubles. So a batch of rejects computes proxies on half
-    the pairs, and twice the plans share its elements (batch_rows).
-    w_max, the halfspaces and the planner's window certificates keep all
-    L(L-1) ordered pairs.
+    The grid tables and the per-plan rejects need the L(L-1)/2 pairs
+    y < y' only. As M_m of (y', y) at s is M_m of (y, y') at 1 - s, the
+    mirror's tables at grid tilt k/(G - 1) are the pair's at
+    1 - k/(G - 1). On a grid of G = 2^k + 1 points those tilts are dyadic
+    and 1 - k/(G - 1) is exact, so the mirror's grid log M is the pair's
+    read backwards, and its slope the pair's read backwards and negated
+    (as 0.0 - x, which keeps a zero positive), bit for bit what a direct
+    build computes; both are copied into one C-contiguous (P, G, K)
+    array. A grid of another size raises ValueError. The mirror's proxy
+    is f_{y'y}(s) = f_{yy'}(1 - s) - ρ, with ρ = log(prior(y') /
+    prior(y)), so min f_{y'y} = min f_{yy'} - ρ, and rejects_each sets the
+    mirror's bound to lb - ρ. That subtraction rounds by at most
+    u |lb - ρ|, far inside lower_bounds' margin of 1e-9 (1 + |lb|), as
+    |ρ| < 745 for any two positive doubles. So a batch of rejects computes
+    proxies on half the pairs, and twice the plans share its elements
+    (batch_rows). w_max, the halfspaces and the planner's window
+    certificates keep all L(L-1) ordered pairs.
 
     Each term of a label's sum is at most the sum, so a plan passes only
     if r . w_max[p] >= log(min_amp[p] / cap_y) for each pair p = (y, y'):
@@ -558,27 +604,44 @@ class TangentTable:
 
     A table holds no state past its construction but its halfspaces,
     computed on first use from its fixed arrays, so one serves every
-    search on an instance (tangent_table).
+    search on an instance (tangent_table). Its log_p, log_q and log_ratio
+    are the instance's pair_stack's arrays.
     """
 
     def __init__(self, instance: Instance, grid: int = _TANGENT_GRID):
-        pairs = ordered_pairs(instance.n_labels)
-        stack = PairStack(instance, pairs)
+        if grid < 2 or (grid - 1) & (grid - 2):
+            raise ValueError(f"grid must have 2**k + 1 points, got {grid!r}")
+        L, K = instance.n_labels, instance.n_models
+        pairs = ordered_pairs(L)
+        stack = pair_stack(instance)
         self.log_p, self.log_q = stack.log_p, stack.log_q  # (P, K, X)
         self.log_ratio = stack.log_ratio  # (P,)
         self.label_mask, self.alpha_cap = label_caps(instance)
+        # the pairs y < y': their positions among the lanes, and where each
+        # ordered pair's values lie among theirs and then their mirrors'
+        upper = upper_lanes(L)
+        at = {pairs[p]: k for k, p in enumerate(upper)}
+        self._bound_of = np.array(
+            [at[y, y2] if y < y2 else len(upper) + at[y2, y] for y, y2 in pairs]
+        )
 
         s = np.linspace(0.0, 1.0, grid)
         self.grid = s
         s4 = s[:, None, None]
-        v = (1.0 - s4) * self.log_p[:, None] + s4 * self.log_q[:, None]  # (P, G, K, X)
+        log_p, log_q = self.log_p[upper, None], self.log_q[upper, None]
+        v = (1.0 - s4) * log_p + s4 * log_q  # (U, G, K, X)
         top = _reduce_last(np.maximum, v)
         e = np.exp(v - top[..., None])
         z = _reduce_last(np.add, e)
-        self.grid_log_m = np.log(z) + top  # (P, G, K)
+        log_m = np.log(z) + top  # (U, G, K)
         # d/ds log M_m(s): the tilted mean of log q - log p (0 on padding)
-        dlog = e * (self.log_q - self.log_p)[:, None]
-        self.grid_slope = _reduce_last(np.add, dlog) / z
+        slope = _reduce_last(np.add, e * (log_q - log_p)) / z
+        # each mirror is its pair read backwards, the slope negated, bit for
+        # bit as G - 1 is a power of two (class docstring)
+        self.grid_log_m = np.concatenate((log_m, log_m[:, ::-1]))[self._bound_of]
+        self.grid_slope = np.concatenate((slope, 0.0 - slope[:, ::-1]))[
+            self._bound_of
+        ]  # (P, G, K), C-contiguous
         self.grid_amp = s[None, :] * self.log_ratio[:, None]  # (P, G)
 
         floor = self.lower_bounds(
@@ -588,18 +651,11 @@ class TangentTable:
         self.min_amp = np.minimum(1.0, np.exp(self.log_ratio))  # (P,)
         # rejects_each's pairs y < y': their grid tilts' prior terms (U, G)
         # and log ratios, and (K, U * G) views of their tables, for a
-        # batch's proxies with one product each; then where each ordered
-        # pair's bound lies among theirs and then their mirrors'
-        upper = [p for p, (y, y2) in enumerate(pairs) if y < y2]
-        K = instance.n_models
+        # batch's proxies with one product each
         self._upper_amp = self.grid_amp[upper]
         self._upper_ratio = self.log_ratio[upper]
-        self._upper_log_m = self.grid_log_m[upper].reshape(-1, K).T
-        self._upper_slope = self.grid_slope[upper].reshape(-1, K).T
-        at = {pairs[p]: k for k, p in enumerate(upper)}
-        self._bound_of = np.array(
-            [at[y, y2] if y < y2 else len(upper) + at[y2, y] for y, y2 in pairs]
-        )
+        self._upper_log_m = log_m.reshape(-1, K).T
+        self._upper_slope = slope.reshape(-1, K).T
         # plans per rejects_each batch, whose arrays get a share of
         # _WINDOW_CHUNK elements (_AHEAD_SHARE)
         share = _WINDOW_CHUNK // _AHEAD_SHARE
@@ -706,8 +762,9 @@ class BhattacharyyaScreen:
         pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
         self.pairs = pairs
         # log M_m(1/2) per unordered pair, shaped (U, K)
+        stack = pair_stack(instance)
         self.log_bc = np.array(
-            [PairTables(instance, i, j).log_affinities(0.5) for i, j in pairs]
+            [stack.log_affinities(lane, 0.5) for lane in upper_lanes(L)]
         ).reshape(len(pairs), K)
         idx = np.array(pairs, dtype=int).reshape(-1, 2)
         w = instance.prior[idx]
@@ -769,11 +826,10 @@ def instance_contraction(instance: Instance) -> float:
     Lies in (0, 1) for identifiable instances; rho close to 1 means some
     label pair is barely distinguishable even using every model.
     """
-    L = instance.n_labels
     # min value is symmetric in the pair order since M swaps s -> 1-s
-    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    lanes = upper_lanes(instance.n_labels)
     worst = 0.0
-    for _, lv in PairStack(instance, pairs).contractions():
+    for _, lv in pair_stack(instance).select(lanes).contractions():
         worst = max(worst, math.exp(lv))
     return worst
 
@@ -859,7 +915,7 @@ def is_surrogate_feasible(
     names = instance.labels
     pairs = ordered_pairs(len(names))
     # every label's pairs in one lockstep run; label y's are the (y, .) block
-    pair_tilts = PairStack(instance, pairs).tilts(counts)
+    pair_tilts = pair_stack(instance).tilts(counts)
     values = tuple(_label_values(pair_tilts, len(names)))
     tolerances = tuple(float(a) for a in instance.tolerances)
     flags = tuple(v <= a for v, a in zip(values, tolerances))

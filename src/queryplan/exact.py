@@ -27,17 +27,21 @@ is the surrogate check of is_surrogate_feasible behind the same table's
 per-plan reject; the planner's window certificate uses the same table.
 The surrogate searches of one Instance object share one SurrogateWalk, a
 walk with no cost cap: each search stops at its own cap, and the screened
-bands and the per-plan rejects one search computes serve every later one,
-whatever its cap, which extends the walk only past its end. For the
-true problem the bound is bounds.BhattacharyyaScreen, a lower bound on
-each label pair's Bayes error, and the check is exact errors; each such
-search walks on its own.
+bands, the survivors' tuples and the per-plan rejects one search computes
+serve every later one, whatever its cap, which extends the walk only past
+its end. For the true problem the bound is bounds.BhattacharyyaScreen, a
+lower bound on each label pair's Bayes error, and the check is exact
+errors; each such search walks on its own.
 One profile-mass loop serves every exact error, and each public entry
 builds every (model, count) profile block once per call and reuses it
 across labels and plans; models with zero queries have no block.
 
 exact_opt's true search decides each plan by a sorted split per label
-pair (_split_accept) before any joint product, whatever the label count.
+pair (_split_accept) before any joint product, whatever the label count,
+on an instance of several models. On an instance of one model every plan
+is one block, with no joint product to avoid, and a block no later plan
+reuses, so its plans go straight to the profile scan, which is faster
+there.
 For labels y < z, the score difference Δ = s_z − s_y is a sum of per-model
 terms, so the largest block is sorted by Δ, with running sums of its
 weights, and one searchsorted per row of the other blocks joined finds
@@ -893,10 +897,18 @@ class _Band:
     """One band of a screened walk: the plans the prescreen kept, as a
     (n, K) int64 array, their folds and 1-based walk positions, the
     position of the band's last plan and the band's upper edge hi, which
-    every later plan's fold is at or past. A SurrogateWalk sets each
-    survivor's tangent reject, for the first ``scored``."""
+    every later plan's fold is at or past.
 
-    __slots__ = ("plans", "folds", "positions", "end", "hi", "rejected", "scored")
+    A search hands each survivor to its accept as a tuple from ``rows``,
+    a list of the band's length that fill_rows fills by slices, in the
+    chunks _batch_end gives; a SurrogateWalk scores each survivor's
+    tangent reject into ``rejected`` in the same chunks, for the first
+    ``scored``. Both lists are made whole at once, so two searches that
+    race on a band write the same values to the same places."""
+
+    __slots__ = (
+        "plans", "folds", "positions", "end", "hi", "rows", "rejected", "scored"
+    )
 
     def __init__(
         self,
@@ -911,8 +923,25 @@ class _Band:
         self.positions = positions
         self.end = end
         self.hi = hi
-        self.rejected = np.zeros(len(plans), dtype=bool)
+        self.rows: list[tuple[int, ...] | None] = [None] * len(plans)
+        self.rejected = [False] * len(plans)
         self.scored = 0
+
+    def fill_rows(self, j: int, most: int) -> None:
+        """Sets the rows of the chunk of survivors that starts at j."""
+        end = _batch_end(j, most)
+        self.rows[j:end] = map(tuple, self.plans[j:end].tolist())
+
+
+# Survivors in a band's first chunk of rows and tangent rejects; each later
+# chunk of the band doubles, up to a batch limit.
+_AHEAD_FIRST = 8
+
+
+def _batch_end(j: int, most: int) -> int:
+    """The end of a band's chunk of survivors that starts at j: 8
+    survivors, then as many as the band's chunks before it, up to most."""
+    return j + min(j + _AHEAD_FIRST, most)
 
 
 def _budget_error(node_budget: int) -> EnumerationBudgetError:
@@ -937,20 +966,32 @@ def _search(
 ) -> tuple[tuple[int, ...], _T, int] | None:
     """search_lattice over screened bands, which may run past cost_cap
     (a SurrogateWalk's do): the search stops at its first plan over the
-    cap, with the capped walk's outcome. Before each accept call, the walk,
-    if any, learns which survivor the plan is (SurrogateWalk.at)."""
+    cap, with the capped walk's outcome. Each survivor goes to accept as
+    the tuple in its band's rows, filled a chunk at a time (_Band). Before
+    each accept call, the walk, if any, learns which survivor the plan is
+    and the very tuple handed (SurrogateWalk.at)."""
     top = _top(cost_cap)
+    # a walk keeps its bands' rows for every later search; a band no walk
+    # keeps is filled a few rows at a time, and each row is dropped once
+    # handed, so its rows hold no more than its plans do
+    most = _AHEAD_FIRST if walk is None else walk.table.batch_rows
     for band in bands:
         past = band.hi > top  # the cap falls in this band
         n = int(np.searchsorted(band.folds, top)) if past else len(band.plans)
+        rows = band.rows
         # read lazily: a grown band may hold thousands of survivors past
         # the plan a search accepts
         for i, position in enumerate(memoryview(band.positions[:n])):
             if position > node_budget:
                 raise _budget_error(node_budget)
-            counts = tuple(band.plans[i].tolist())
-            if walk is not None:
-                walk.at = (band, i)
+            counts = rows[i]
+            if counts is None:
+                band.fill_rows(i, most)
+                counts = rows[i]
+            if walk is None:
+                rows[i] = None
+            else:
+                walk.at = (band, i, counts)
             result = accept(counts)
             if result is not None:
                 return counts, result, position
@@ -965,6 +1006,7 @@ def _search(
             return None
         if band.end > node_budget:
             raise _budget_error(node_budget)
+        del band, rows  # freed before the next band is screened
     return None
 
 
@@ -993,11 +1035,6 @@ def search_lattice(
     return _search(_Bands(costs, cost_cap, prescreen), accept, node_budget)
 
 
-# Survivors in a band's first batch of tangent rejects; each later batch
-# of the band doubles, up to the table's batch_rows.
-_AHEAD_FIRST = 8
-
-
 class SurrogateWalk:
     """The surrogate searches' walk of one instance: _Bands with no cost
     cap, screened by the instance's TangentTable, kept as it grows, so
@@ -1013,12 +1050,15 @@ class SurrogateWalk:
     same cap. The capped walk's plans are a prefix of this one's, cut by
     the plans' folds, so only the budget check of the band where the cap
     falls may need to count the capped walk's plans (_holds_more).
-    rejects_plan answers for the survivor a search is handing its accept
-    from rejects scored ahead in one batch: 8 survivors, then twice as
-    many each time a search reaches the end of the scored ones, up to the
-    table's batch_rows. So a band is scored at most one batch past the
-    furthest plan any search has reached, and a later search reads every
-    reject an earlier one scored.
+    rejects_plan answers for the survivor a search is handing its accept,
+    which it knows by the tuple's identity (or, from other callers, by
+    equal counts), from rejects scored ahead in one batch: 8 survivors,
+    then twice as many each time a search reaches the end of the scored
+    ones, up to the table's batch_rows. The band's rows of tuples are
+    filled in the same chunks (_Band), and both stay with the band. So a
+    band is scored at most one batch past the furthest plan any search has
+    reached, and a later search reads every tuple and reject an earlier
+    one made.
     """
 
     def __init__(self, table: TangentTable, costs: Sequence[float]):
@@ -1027,8 +1067,8 @@ class SurrogateWalk:
         self.bands: list[_Band] = []
         self._lattice = _Bands(self.costs, math.inf, table)
         self._lock = threading.Lock()  # one thread at a time extends
-        # the band and index of the survivor last handed to an accept
-        self.at: tuple[_Band | None, int] = (None, 0)
+        # the band, index and row of the survivor last handed to an accept
+        self.at: tuple[_Band | None, int, tuple[int, ...] | None] = (None, 0, None)
 
     def _walk(self) -> Iterator[_Band]:
         """The bands in order, extending the walk past its end."""
@@ -1057,17 +1097,18 @@ class SurrogateWalk:
 
     def rejects_plan(self, counts: Sequence[int]) -> bool:
         """The table's tangent reject of the plan: read from the rejects
-        scored ahead if it is the survivor being handed to an accept, else
-        scored alone."""
-        band, i = self.at
-        if band is None or band.plans[i].tolist() != list(counts):
+        scored ahead if it is the survivor being handed to an accept (its
+        row itself, or equal counts), else scored alone."""
+        band, i, row = self.at
+        if counts is not row and row != tuple(counts):
             return self.table.rejects_one(counts)
+        rejected = band.rejected
         while band.scored <= i:
             j = band.scored
-            end = j + min(j + _AHEAD_FIRST, self.table.batch_rows)
-            band.rejected[j:end] = self.table.rejects_each(band.plans[j:end])
-            band.scored = min(end, len(band.plans))
-        return bool(band.rejected[i])
+            end = _batch_end(j, self.table.batch_rows)
+            rejected[j:end] = self.table.rejects_each(band.plans[j:end]).tolist()
+            band.scored = min(end, len(rejected))
+        return rejected[i]
 
 
 def surrogate_walk(instance: Instance, grid: int = _TANGENT_GRID) -> SurrogateWalk:
@@ -1126,8 +1167,8 @@ def exact_opt(
     plan, whatever the label count, is decided by the pairwise split's
     bounds on each label's exact error (_split_accept), or by the profile
     scan where a bound straddles a tolerance, with the decision the scan
-    would take; the profile blocks both read are built once per call. The
-    default cost cap is the cost of querying every model for
+    would take; on an instance of one model, every plan goes to the scan
+    directly. The profile blocks both read are built once per call. The default cost cap is the cost of querying every model for
     the uniform certifying round count, which is always surrogate-feasible
     (and hence true-feasible).
 
@@ -1161,10 +1202,15 @@ def exact_opt(
         found = walk.search(accept, node_budget, cost_cap)
     else:
         cache: _BlockCache = {}
+        # with one model, each plan's one block serves no other plan, so the
+        # split's sorted views of it are never reused and the scan is faster
+        split = instance.n_models > 1
 
         def accept(counts: tuple[int, ...]) -> bool | None:
             plan = QueryPlan(counts)
-            met = _split_accept(instance, plan, tie_policy, profile_budget, cache)
+            met = None
+            if split:
+                met = _split_accept(instance, plan, tie_policy, profile_budget, cache)
             if met is None:
                 met = all(
                     _profile_mass(instance, plan, yi, wrong, profile_budget, cache)

@@ -219,16 +219,16 @@ class Instance:
     def _shared(self, key, build: Callable[[], _T]) -> _T:
         """build(), made once per key for this Instance object and shared
         by every search on it: uniform_feasible_count's answer, the
-        TangentTable of each grid size, the surrogate searches' walk of
-        each grid size, which serves every cost cap, the constants of
-        derive_constants that do not depend on epsilon, each plan
-        run_afptas returns with its surrogate report, and the largest log
-        magnitudes of the prior and of each model's conditional
-        (likelihood._log_scale). The memo is no
-        field, so repr, ==, JSON, dataclasses.replace and with_tolerances
-        do not see it, and pickles and copies leave it out (__getstate__):
-        a copy builds its own. An instance is immutable, so what is built
-        from it never goes stale."""
+        PairStack of its ordered pairs, the TangentTable of each grid
+        size, the surrogate searches' walk of each grid size, which serves
+        every cost cap, the constants of derive_constants that do not
+        depend on epsilon, each plan run_afptas returns with its surrogate
+        report, and the largest log magnitudes of the prior and of each
+        model's conditional (likelihood._log_scale). The memo is no field,
+        so repr, ==, JSON, dataclasses.replace and with_tolerances do not
+        see it, and pickles and copies leave it out (__getstate__): a copy
+        builds its own. An instance is immutable, so what is built from it
+        never goes stale."""
         memo = self.__dict__.get("_search")
         if memo is None:
             memo = self.__dict__.setdefault("_search", {})

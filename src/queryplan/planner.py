@@ -58,7 +58,9 @@ from .bounds import (
     _logsumexp,
     is_surrogate_feasible,
     ordered_pairs,
+    pair_stack,
     uniform_feasible_count,
+    upper_lanes,
 )
 from .exact import _budget, _compositions, exact_opt, surrogate_walk
 from .instances import Instance, QueryPlan, _expect, _indistinguishable, plan_cost
@@ -168,12 +170,11 @@ def _instance_constants(instance: Instance) -> tuple:
 
     delta_margin = min(kappa_min / (4.0 * B * B), 0.25)
 
+    stack = pair_stack(instance)
     theta = 0.0
-    for i in range(L):
-        for j in range(i + 1, L):
-            tables = PairTables(instance, i, j)
-            for s in (delta_margin, 1.0 - delta_margin):
-                theta = max(theta, math.exp(float(tables.log_affinities(s).sum())))
+    for lane in upper_lanes(L):
+        for s in (delta_margin, 1.0 - delta_margin):
+            theta = max(theta, math.exp(float(stack.log_affinities(lane, s).sum())))
     if not theta < 1.0:
         raise ValueError(
             "pair contraction is not bounded away from 1 inside the tilt window"
@@ -435,9 +436,10 @@ class _WindowCertifier:
     its pair's span, computing only the points outside it, all pairs' in
     one batch. A window that neither overlaps nor touches the span, or
     that would grow it past _SPAN_MAX points, replaces it; a window longer
-    than that is scanned in batches and not kept. A certificate read from
-    a span takes the same operations on the same values, so every answer
-    is bit-identical to a scan's.
+    than that is scanned in batches and not kept. The cap U_p is read from
+    the spans too when each holds its pair's index (_near), else computed
+    in one batch. A certificate read from a span takes the same operations
+    on the same values, so every answer is bit-identical to a scan's.
     """
 
     def __init__(self, instance: Instance, constants: DerivedConstants):
@@ -449,8 +451,10 @@ class _WindowCertifier:
         self.lower_bounds = table.lower_bounds
         self.constants = constants
         self.n_axis = tilt_axis_size(constants)
-        self.masks = table.label_mask > 0
-        self.tolerances = [float(a) for a in instance.tolerances]
+        # each label's first pair and tolerance: its L - 1 pairs follow
+        self.L = L = instance.n_labels
+        firsts = range(0, L * (L - 1), L - 1)
+        self.labels = list(zip(firsts, instance.tolerances.tolist()))
         # per pair: (first axis index, s_i * log ratio (n,), weights (n, K)),
         # or None before the pair's first window
         self.spans: list[tuple[int, np.ndarray, np.ndarray] | None] = [None] * len(
@@ -535,32 +539,49 @@ class _WindowCertifier:
                 )
             at = end
 
+    def _near(self, near: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """axis_weights at each pair's index near[p]: read from the kept
+        spans when each holds its pair's index, else computed in one batch."""
+        held = []
+        for span, i in zip(self.spans, near):
+            if span is None or not 0 <= i - span[0] < len(span[1]):
+                return self.axis_weights(np.arange(len(near)), np.array(near))
+            held.append((span, i - span[0]))
+        amp = np.array([span[1][k] for span, k in held])
+        return amp, np.array([span[2][k] for span, k in held])
+
     def certify(self, counts: tuple[int, ...]) -> np.ndarray | None:
         """Per-pair first-argmin axis indices if the plan certifies every
         tolerance, else None; the same answer as scanning the whole axis."""
         if self.walk.rejects_plan(counts):
             return None
         f, df = self.proxy_on_grid(counts)
-        c = self.constants
+        mesh = self.constants.mesh
         r = np.asarray(counts, dtype=np.int64)
-        P = f.shape[0]
         last = self.n_axis - 1
         # U_p: the certificate at the axis index nearest the best grid tilt
         grid = self.table.grid
-        near = np.clip(np.rint(grid[f.argmin(axis=1)] / c.mesh), 0, last)
-        near = near.astype(np.int64)
-        cap = self._certificates(*self.axis_weights(np.arange(P), near), r)
+        near = [
+            min(max(round(s / mesh), 0), last)
+            for s in grid[f.argmin(axis=1)].tolist()
+        ]
+        cap = self._certificates(*self._near(near), r)
         cap = cap + 1e-9 * (1.0 + np.abs(cap))
         # where every tangent f_g + f'_g (s - s_g) stays <= cap
         reach = grid + (cap[:, None] - f) / np.where(df != 0.0, df, 1.0)
-        s_lo = np.where(df < 0.0, reach, 0.0).max(axis=1)
-        s_hi = np.where(df > 0.0, reach, 1.0).min(axis=1)
-        lo = np.minimum(np.maximum(np.floor(s_lo / c.mesh) - 1, 0), near)
-        hi = np.maximum(np.minimum(np.ceil(s_hi / c.mesh) + 1, last), near)
-        windows = list(zip(lo.astype(np.int64).tolist(), hi.astype(np.int64).tolist()))
+        s_lo = np.where(df < 0.0, reach, 0.0).max(axis=1).tolist()
+        s_hi = np.where(df > 0.0, reach, 1.0).min(axis=1).tolist()
+        # the axis indices of the window, one point wider on each side and
+        # holding near; clamping s / mesh to [-1, last + 1] moves no bound
+        # and keeps an infinite one out of floor and ceil
+        windows = []
+        for a, b, k in zip(s_lo, s_hi, near):
+            lo = math.floor(min(max(a / mesh, -1.0), last + 1.0)) - 1
+            hi = math.ceil(min(max(b / mesh, -1.0), last + 1.0)) + 1
+            windows.append((min(max(lo, 0), k), max(min(hi, last), k)))
         self._extend(windows)
-        best_idx = np.empty(P, dtype=np.int64)
-        best = np.empty(P)
+        best_idx = []
+        best = []
         for p, (i, j) in enumerate(windows):
             if j - i < _SPAN_MAX:  # read from the span
                 s0, amp, w = self.spans[p]
@@ -570,12 +591,12 @@ class _WindowCertifier:
                 chunks = self._chunks(np.repeat(p, j - i + 1), np.arange(i, j + 1))
                 cert = np.concatenate([self._certificates(*x, r) for x in chunks])
             k = int(cert.argmin())
-            best_idx[p] = i + k
-            best[p] = cert[k]
-        for yi, mask in enumerate(self.masks):
-            if math.fsum(math.exp(v) for v in best[mask]) > self.tolerances[yi]:
+            best_idx.append(i + k)
+            best.append(float(cert[k]))
+        for k, alpha in self.labels:
+            if math.fsum(math.exp(v) for v in best[k : k + self.L - 1]) > alpha:
                 return None
-        return best_idx
+        return np.array(best_idx)
 
 
 def _search_cap(instance: Instance, constants: DerivedConstants) -> float:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference_tilt
-from conftest import symmetric_binary
+from conftest import symmetric_binary, symmetric_labels_instance
 from queryplan.bounds import (
     _AHEAD_SHARE,
     _FOLD_MIN,
@@ -548,21 +548,48 @@ def test_folds_match_numpy_reduce_bit_for_bit(X):
         assert not np.array_equal(_fold_in_order(e), _fold_in_order(e[..., ::-1]))
 
 
-@pytest.mark.parametrize("n_labels", [2, 3])
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float arrays hold the same values bit for bit, the
+    signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_labels", [2, 3, 4])
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 4), (3, 7), (8, 9)])
 def test_tangent_table_grids_match_reduced_tables(sizes, n_labels):
     rng = np.random.default_rng(sum(sizes) + n_labels)
     inst = random_instance(rng, n_labels=n_labels, alphabet_sizes=sizes)
-    table = TangentTable(inst)
-    # the tables as numpy's reductions over the alphabet build them
-    s4 = table.grid[:, None, None]
-    v = (1.0 - s4) * table.log_p[:, None] + s4 * table.log_q[:, None]
-    top = v.max(axis=3)
-    e = np.exp(v - top[..., None])
-    z = e.sum(axis=3)
-    slope = (e * (table.log_q - table.log_p)[:, None]).sum(axis=3) / z
-    assert np.array_equal(table.grid_log_m, np.log(z) + top)
-    assert np.array_equal(table.grid_slope, slope)
+    for grid in (2, 3, 17, 129):
+        table = TangentTable(inst, grid)
+        # every ordered pair's tables built directly, as numpy's reductions
+        # over the alphabet build them; the table builds the pairs y < y'
+        # and reads each mirror's backwards
+        s4 = table.grid[:, None, None]
+        v = (1.0 - s4) * table.log_p[:, None] + s4 * table.log_q[:, None]
+        top = v.max(axis=3)
+        e = np.exp(v - top[..., None])
+        z = e.sum(axis=3)
+        slope = (e * (table.log_q - table.log_p)[:, None]).sum(axis=3) / z
+        assert same_bits(table.grid_log_m, np.log(z) + top)
+        assert same_bits(table.grid_slope, slope)
+        assert table.grid_log_m.flags.c_contiguous
+        assert table.grid_slope.flags.c_contiguous
+
+
+def test_tangent_table_mirrors_keep_a_zero_slope_positive():
+    # a symmetric channel under equal priors has slope 0 at s = 1/2, which
+    # a mirror read as -slope would turn into -0.0
+    inst = symmetric_labels_instance(3, [0.9, 0.75])
+    table = TangentTable(inst, 17)
+    assert (table.grid_slope[:, 8] == 0.0).all()
+    assert not np.signbit(table.grid_slope[:, 8]).any()
+
+
+@pytest.mark.parametrize("grid", [-1, 0, 1, 4, 100, 128, 130])
+def test_tangent_table_grid_must_have_dyadic_tilts(bsc, grid):
+    # a mirror is its pair read backwards only where 1 - k/(G - 1) is exact
+    with pytest.raises(ValueError, match=r"2\*\*k \+ 1 points"):
+        TangentTable(bsc, grid)
 
 
 @settings(max_examples=60, deadline=None)

@@ -573,6 +573,21 @@ def split_decisions(
 
 
 
+def scanned_plans(inst: Instance, policy: str) -> list[tuple[int, ...]]:
+    """The plans exact_opt(problem="true") hands the profile scan, in walk
+    order."""
+    plans = []
+
+    def spy(instance, plan, *args):
+        if plans[-1:] != [plan.counts]:
+            plans.append(plan.counts)
+        return _profile_mass(instance, plan, *args)
+
+    with mock.patch("queryplan.exact._profile_mass", spy):
+        exact_opt(inst, problem="true", tie_policy=policy)
+    return plans
+
+
 def scan_meets(inst: Instance, counts: tuple[int, ...], policy: str) -> bool:
     """Whether the profile scan finds every label's error within its
     tolerance."""
@@ -612,8 +627,18 @@ def test_split_defers_at_the_delta_margin(policy):
     assert lower == upper
     # under count-tie-as-error, label 0's lower bound already counts the
     # tie and exceeds the tolerance, so the bounds reject (2,); wherever
-    # the bounds decide, the decision is the scan's
-    deferred, decided = split_decisions(inst, policy)
+    # the bounds decide, the decision is the scan's. The search hands these
+    # one-model plans straight to the scan, so the split is asked here
+    plans = scanned_plans(inst, policy)
+    assert (2,) in plans
+    deferred, decided = [], {}
+    for counts in plans:
+        met = _split_accept(inst, QueryPlan(counts), policy, PROFILE_BUDGET, {})
+        if met is None:
+            deferred.append(counts)
+        else:
+            decided[counts] = met
+    assert split_decisions(inst, policy) == ([], {})
     assert deferred == ([(2,)] if policy == "lowest-index" else [])
     for counts, met in decided.items():
         assert met == scan_meets(inst, counts, policy)

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from conftest import symmetric_binary
 from queryplan import planner
 from queryplan.bounds import TangentTable
-from queryplan.exact import EnumerationBudgetError, SurrogateWalk, exact_opt
+from queryplan.exact import (
+    EnumerationBudgetError,
+    SurrogateWalk,
+    exact_opt,
+    surrogate_walk,
+)
 from queryplan.experiments import random_instance
 from queryplan.instances import Instance, QueryPlan, plan_cost
 from queryplan.planner import (
@@ -414,6 +419,43 @@ def test_lookahead_matches_rejects_on_sweep_walks(scored_rejects):
     assert all(ahead for _, ahead in scored_rejects)
 
 
+@pytest.mark.parametrize("index", [0, 1, 7])
+def test_rejects_plan_reads_the_handed_row_in_any_form(scored_alone, index):
+    inst = sweep_draws(index + 1)[index]
+    walk = surrogate_walk(inst)
+    table = walk.table
+    handed = []
+
+    def accept(counts):
+        band, i, row = walk.at
+        assert counts is row and row is band.rows[i]
+        # the row itself, an equal tuple, a list and an int64 array
+        forms = [counts, tuple(list(counts)), list(counts), np.array(counts)]
+        before = len(scored_alone)
+        got = [walk.rejects_plan(c) for c in forms]
+        assert len(scored_alone) == before  # each read from the batch
+        assert got == [table.rejects_one(counts)] * len(forms)
+        handed.append(counts)
+        return None
+
+    with pytest.raises(EnumerationBudgetError):
+        walk.search(accept, 5_000, math.inf)
+    assert len(handed) > 100
+    # the rows were filled in the chunks the rejects were scored in, each
+    # the plan's counts as a tuple
+    for band in walk.bands:
+        filled = [r is not None for r in band.rows]
+        assert filled == [k < band.scored for k in range(len(band.rows))]
+        assert band.rows[: band.scored] == list(map(tuple, band.plans.tolist()))[
+            : band.scored
+        ]
+    # a plan other than the one handed out last is scored alone
+    before = len(scored_alone)
+    other = tuple(c + 1 for c in handed[-1])
+    assert walk.rejects_plan(other) == table.rejects_one(other)
+    assert len(scored_alone) == before + 2
+
+
 def walk_survivors(inst: Instance, last: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The plans the tangent prescreen keeps, one at a time, in walk order
     up to and including last."""
@@ -610,11 +652,36 @@ def test_kept_spans_on_the_guarantee_case_of_plan_0_253(monkeypatch):
         _check(self, reference, counts, got, planner._SPAN_MAX)
         return got
 
+    # each certification's cap: whether the spans held every pair's
+    # nearest index, and how many axis points it computed
+    caps = []
+    near_weights = planner._WindowCertifier._near
+
+    def logged_near(self, near):
+        held = all(
+            s is not None and s[0] <= i < s[0] + len(s[1])
+            for s, i in zip(self.spans, near)
+        )
+        before = len(computed)
+        amp, w = near_weights(self, near)
+        caps.append((held, sum(computed[before:])))
+        # the cap's weights are the axis's at those indices, bit for bit
+        want = axis_weights(self, np.arange(len(near)), np.array(near))
+        assert np.array_equal(amp, want[0]) and np.array_equal(w, want[1])
+        return amp, w
+
     monkeypatch.setattr(planner._WindowCertifier, "_extend", logged_extend)
     monkeypatch.setattr(planner._WindowCertifier, "axis_weights", counted)
     monkeypatch.setattr(planner._WindowCertifier, "certify", checked)
+    monkeypatch.setattr(planner._WindowCertifier, "_near", logged_near)
     assert exact_opt(inst).plan.counts == (0, 253)
     assert run_afptas(inst, 0.5).plan.counts == (0, 258)
     scanned = sum(hi - lo + 1 for lo, hi in windows)
     assert len(windows) >= 2 * 40
     assert 10 * sum(computed) < scanned
+    # only the first certification finds no span to read its cap from; a
+    # cap whose nearest indices lie in the spans computes no axis point,
+    # any other one per pair
+    assert len(caps) == len(windows) // 2
+    assert [held for held, _ in caps] == [False] + [True] * (len(caps) - 1)
+    assert all(points == (0 if held else 2) for held, points in caps)

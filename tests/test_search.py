@@ -441,18 +441,20 @@ GUARANTEE_PLANS = 47_932
 
 # tracemalloc peak of search_lattice over that search behind KEEP_ALL,
 # whose every plan is a candidate, so that every band past the first is
-# materialized whole and keeps _BAND_MAX's size, accepting nothing: 372-377
-# KB on numpy 2.4.6, with each live prefix's least count. The heap walk's
-# peak read 372 KB in a fresh process (less once tuple free lists are
-# warm, so it is no fixed yardstick); bands of up to 16,384 plans read
-# 1.6 MB.
+# materialized whole and keeps _BAND_MAX's size, accepting nothing: 308-310
+# KB on numpy 2.4.6, with each live prefix's least count, as each band is
+# freed before the next is screened (372-377 KB while it was not). The
+# heap walk's peak read 372 KB in a fresh process (less once tuple free
+# lists are warm, so it is no fixed yardstick); bands of up to 16,384
+# plans read 1.6 MB.
 WALK_PEAK_BYTES = 400_000
 
 # The search exact_opt runs on that walk: draw 6's SurrogateWalk, pruned
 # by its TangentTable's halfspaces, in bands of up to _BAND_PRUNED plans
-# whose folds, not counts, are held whole. Its peak reads 386-387 KB, and
-# read 312 KB in bands of up to _BAND_MAX plans each materialized whole;
-# this bound leaves about a fifth for headroom.
+# whose folds, not counts, are held whole. Its peak reads 395 KB with the
+# lists of rows and rejects the walk keeps per band (386-387 KB with the
+# rejects as a bool array), and read 312 KB in bands of up to _BAND_MAX
+# plans each materialized whole; this bound leaves a sixth for headroom.
 SCREENED_PEAK_BYTES = 460_000
 
 

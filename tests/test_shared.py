@@ -1,10 +1,11 @@
 """Searches on one Instance object share what they derive from it.
 
-uniform_feasible_count, the TangentTables, the surrogate searches' walks,
-the epsilon-free constants and run_afptas's audits are built once per
-Instance object. Every search must answer as it would on a fresh copy, in
-any order and under any budget, and the shared state must stay out of
-everything an Instance shows: repr, ==, JSON, pickles and copies.
+uniform_feasible_count, the stack of ordered pairs, the TangentTables,
+the surrogate searches' walks, the epsilon-free constants and
+run_afptas's audits are built once per Instance object. Every search
+must answer as it would on a fresh copy, in any order and under any
+budget, and the shared state must stay out of everything an Instance
+shows: repr, ==, JSON, pickles and copies.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from queryplan.bounds import uniform_feasible_count
+from queryplan.bounds import (
+    PairStack,
+    is_surrogate_feasible,
+    pair_stack,
+    uniform_feasible_count,
+)
 from queryplan.exact import (
     EnumerationBudgetError,
     OptResult,
@@ -212,3 +218,31 @@ def test_copies_with_other_tolerances_get_their_own_state(duo):
         assert repr(got) == repr(exact_opt(fresh(other), problem="surrogate"))
         assert got.cost > exact_opt(duo, problem="surrogate").cost
     assert uniform_feasible_count(duo) == uniform_feasible_count(fresh(duo))
+
+
+@pytest.mark.parametrize("n_labels", [2, 3])
+def test_one_pair_stack_serves_every_search_on_an_instance(monkeypatch, n_labels):
+    # both exact optima, three solves and an audit read the instance's one
+    # stack of ordered pairs: the tangent table, the settled surrogate
+    # check, the Bhattacharyya screen, the contraction and the constants
+    inst = random_instance(
+        np.random.default_rng(42), n_labels=n_labels, max_models=3, alpha=0.02
+    )
+    built = []
+    init = PairStack.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PairStack, "__init__", counted)
+    opt = exact_opt(inst, problem="surrogate")
+    exact_opt(inst, problem="true")
+    for epsilon in EPSILONS:
+        run_afptas(inst, epsilon)
+    assert is_surrogate_feasible(inst, opt.plan).feasible
+    assert len(built) == 1
+    assert pair_stack(inst) is built[0]
+    # a fresh copy builds its own
+    exact_opt(fresh(inst), problem="surrogate")
+    assert len(built) == 2
