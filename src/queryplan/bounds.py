@@ -17,21 +17,41 @@ any plan feasible for the surrogate is feasible for the true problem.
 
 The tilted pair proxy s*log(prior ratio) + sum_m r_m log M_m(s) is written
 once, as PairStack.proxy. The pairs' tilts are independent, so a PairStack
-holds several pairs as lanes, and golden_lanes minimizes them in lockstep:
-each lane keeps its own interval as Python floats and takes the steps a
-one-lane golden section would, while each step evaluates every lane in one
-numpy call over a (lanes, K, X) stack. golden_section is its one-lane case.
-An instance's stack of all L(L-1) ordered pairs is built once per
-Instance object (pair_stack), and every check, screen and bound on the
-instance reads it: is_surrogate_feasible runs all its lanes at once,
-instance_contraction the lanes y < y' (upper_lanes), and TangentTable and
-BhattacharyyaScreen take their tables from it. The check is the fsum of
-the minima's exps against each label's tolerance. The searches' check,
-_surrogate_accept, runs the same lanes and may settle: as each proxy is
-convex, the value a lane ends on is at most the larger value at the ends
-of any interval its golden section has reached, plus twice the rounding
-bound δ of _proxy_rounding. Once those bounds, raised by 3δ, pass every
-label's check after some lockstep round, the plan is accepted without
+holds several pairs as lanes, and their golden sections run in lockstep
+(_lockstep, the one golden-section loop): each lane keeps its own interval
+as Python floats and takes the steps a one-lane golden section would,
+while each call evaluates every lane that needs a value in one numpy call
+over a (lanes, K, X) stack. golden_lanes decides every round from the
+values; golden_section is its one-lane case. An instance's stack of all
+L(L-1) ordered pairs is built once per Instance object (pair_stack), and
+every check, screen and bound on the instance reads it: is_surrogate_feasible
+runs all its lanes at once, instance_contraction the lanes y < y'
+(upper_lanes), and TangentTable and BhattacharyyaScreen take their tables
+from it. The check is the fsum of the minima's exps against each label's
+tolerance.
+
+A check's and a contraction's golden sections take the iterates golden_lanes
+would, bit for bit, but evaluate few of them. Each lane's objective f is
+convex, with slope ρ + Σ_m r_m·E_s[ℓ_m] and curvature Σ_m r_m·Var_s[ℓ_m]
+in closed form (ℓ_m = log q - log p), and |f'''| <= W·f'' for W the
+largest range of ℓ_m over the queried models. PairStack._locate brackets
+each minimizer: one call evaluates slopes and curvatures at 17 tilts, and
+up to three more at two points around a Newton iterate, and a point whose
+computed slope lies beyond its rounding bound σ bounds the minimizer from
+that side. From each end's slope and curvature bounds, _golden_steps bounds
+D = f(d) - f(c) of a round; where D clears ±2δ, with δ the bound
+PairStack.rounding puts on one computed value, the computed values compare
+as the exact ones do, and the round is decided without them. Any other
+round (about the last few, where D is at rounding level, and rounds the
+bounds are too loose for) is decided from values, which it asks for with
+the points either outcome's next round needs. A run makes about 3
+derivative calls and 2 value calls, against golden_lanes' 31.
+
+The searches' check, _surrogate_accept, runs the same lanes with every round
+decided from the values, and may settle: as each proxy is convex, the value
+a lane ends on is at most the larger value at the ends of any interval its
+golden section has reached, plus 2δ. Once those bounds, raised by 3δ, pass
+every label's check after some lockstep round, the plan is accepted without
 running the sections to the end.
 
 Before it, searches rule plans out with one table per instance,
@@ -61,13 +81,12 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from types import GeneratorType
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .instances import Instance, QueryPlan, _indistinguishable, _label_pair, as_plan
-from .likelihood import _gamma, _log_scale
+from .likelihood import _UNIT, _gamma, _log_maxima
 
 # Interval width at which golden-section search stops.
 GSS_TOL = 1e-6
@@ -192,45 +211,181 @@ def pairwise_proxy_log(
 # value of lane live[k] (of lane k when live is None) at tilt s[k].
 LaneObjective = Callable[[list[float], "list[int] | None"], list[float]]
 
+# A lane's rule (_rule, _golden_steps): for the left end of its bracket and
+# then the right, (s, 2s, g, κlo, κlo/2, κhi/2), each bound moved outward by
+# _RULE_ROUNDING; then W and tol.
+Rule = tuple[float, ...]
+
 
 def _golden_steps(
     lo: float,
     hi: float,
     c: float,
     d: float,
-    fc: float,
-    fd: float,
-    fa: float,
-    fb: float,
-    out: list,
-    tops: list | None,
-    k: int,
+    fc: float | None,
+    fd: float | None,
+    rule: Rule | None = None,
+    ends: list[float] | None = None,
 ):
-    """One lane's golden-section search on [lo, hi] from its values fc, fd
-    at the first two points c < d and fa, fb at lo and hi, as a generator:
-    yields each further point, is sent its value, keeps in tops[k], unless
-    tops is None, the larger value at its interval's ends, and finally
-    stores a point within GSS_TOL of the minimizer in out[k] and yields
-    None."""
+    """One lane's golden-section search on [lo, hi] from its first two
+    points c < d, as a generator: each round keeps [a, d] when f(c) <= f(d)
+    and [c, b] otherwise. It returns a point within GSS_TOL of the
+    minimizer, and its value when it was sent it.
+
+    Without a rule, each round the generator yields the points whose values
+    it lacks (fc and fd, None when not evaluated) and is sent their values;
+    with ends, it keeps there the values at its interval's ends, f(a) and
+    f(b). With a rule, the rule answers the rounds whose outcome it proves
+    (below); for any other round the generator yields the points it lacks
+    together with the point the next round needs after either outcome (the
+    final point after the last round), and is sent all their values, so a
+    run of such rounds takes about half as many calls.
+
+    The rule proves f(c) <= f(d) or f(c) > f(d) for the computed values of
+    a convex f wherever the exact difference D = f(d) - f(c) clears ±tol,
+    with tol at least 2δ and δ the values' rounding bound. At its right end
+    s_r, f'(s_r) >= g_r and κlo_r <= f''(s_r) <= κhi_r (at the left end
+    s_l, -f'(s_l) >= g_l, the mirror image); a missing end lies at ±inf. As
+    |f'''| <= W·f'' (f''' sums third central moments of ℓ_m, each at most
+    its range W_m times the variance), f''(x) lies within f''(s)·e^{±W|x -
+    s|}. For c + d > 2s_r, which puts d past s_r, as d - c > GSS_TOL/5
+    outweighs the sum's rounding, with y = d - s_r and z = s_r - c:
+    - z <= 0: f' >= f'(c) >= g_r + κlo_r·|z|·e^{-W|z|} on [c, d], so
+      D >= (d - c)·(g_r + κlo_r·|z|·e^{-W|z|});
+    - z > 0: integrating f' out from s_r both ways, D >= g_r·(d - c) +
+      κlo_r·y²·e^{-Wy}/2 - κhi_r·z²·e^{Wz}/2.
+    Each bound is valid whatever the sign of g_r. The left end is the
+    mirror image, for c + d < 2s_l. The rule's terms carry
+    _RULE_ROUNDING, which covers the rounding of the bound itself."""
     a, b = lo, hi
+    phi = _INV_PHI
+    known: dict[float, float] = {}
+    if rule is not None:
+        (s_l, l2, g_l, k_l, a_l, b_l, s_r, r2, g_r, k_r, a_r, b_r, W, tol) = rule
+        exp = math.exp
     while (b - a) > GSS_TOL:
-        if fc <= fd:
-            b, d, fb, fd = d, c, fd, fc
-            c = b - _INV_PHI * (b - a)
-            if tops is not None:
-                tops[k] = fa if fa > fb else fb
-            fc = yield c
+        if rule is None:
+            if fc is None and fd is None:
+                fc, fd = yield (c, d)
+            elif fc is None:
+                (fc,) = yield (c,)
+            elif fd is None:
+                (fd,) = yield (d,)
         else:
-            a, c, fa, fc = c, d, fc, fd
-            d = a + _INV_PHI * (b - a)
-            if tops is not None:
-                tops[k] = fa if fa > fb else fb
-            fd = yield d
-    out[k] = 0.5 * (a + b)
-    yield None
+            m = c + d
+            if m > r2:
+                z = s_r - c
+                if z <= 0.0:
+                    proved = (d - c) * (g_r - k_r * z * exp(W * z)) > tol
+                else:
+                    y = d - s_r
+                    proved = (
+                        g_r * (d - c) + a_r * y * y * exp(-W * y)
+                        - b_r * z * z * exp(W * z)
+                        > tol
+                    )
+                if proved:
+                    b, d, fd, fc = d, c, fc, None
+                    c = b - phi * (b - a)
+                    continue
+            elif m < l2:
+                z = d - s_l
+                if z <= 0.0:
+                    proved = (d - c) * (g_l - k_l * z * exp(W * z)) > tol
+                else:
+                    y = s_l - c
+                    proved = (
+                        g_l * (d - c) + a_l * y * y * exp(-W * y)
+                        - b_l * z * z * exp(W * z)
+                        > tol
+                    )
+                if proved:
+                    a, c, fc, fd = c, d, fd, None
+                    d = a + phi * (b - a)
+                    continue
+            if fc is None:
+                fc = known.get(c)
+            if fd is None:
+                fd = known.get(d)
+            if fc is None or fd is None:
+                need = [x for x, v in ((c, fc), (d, fd)) if v is None]
+                after_l = d - phi * (d - a) if d - a > GSS_TOL else 0.5 * (a + d)
+                after_r = c + phi * (b - c) if b - c > GSS_TOL else 0.5 * (c + b)
+                got = yield (*need, after_l, after_r)
+                if fc is None:
+                    fc = got[0]
+                if fd is None:
+                    fd = got[-3]
+                known = {after_l: got[-2], after_r: got[-1]}
+        if fc <= fd:
+            if ends is not None:
+                ends[1] = fd
+            b, d, fd, fc = d, c, fc, None
+            c = b - phi * (b - a)
+        else:
+            if ends is not None:
+                ends[0] = fc
+            a, c, fc, fd = c, d, fd, None
+            d = a + phi * (b - a)
+    x = 0.5 * (a + b)
+    return x, known.get(x)
 
 
-_send = GeneratorType.send
+def _unmoved(x: float):
+    """A lane that takes no step: a generator that returns (x, None) at
+    once."""
+    return x, None
+    yield
+
+
+def _valued(step):
+    """step, then the value at the point it returns, asked for unless the
+    step was sent it: returns (point, value)."""
+    x, value = yield from step
+    if value is None:
+        (value,) = yield (x,)
+    return x, value
+
+
+def _values_at(*xs: float):
+    """A request for one lane's values at xs, which it returns."""
+    return (yield xs)
+
+
+def _lockstep(
+    f: LaneObjective,
+    lanes: list[int],
+    steps: list,
+    settled: Callable[[], bool] | None = None,
+) -> list | None:
+    """The one golden-section loop: runs generators that ask for values of
+    lane lanes[i] (steps[i], as _golden_steps does), answering every
+    request of a round with one call of f, and returns what each generator
+    returns; or None as soon as settled() answers True, which it is asked
+    before each call. A call that asks every lane of lanes, one point each
+    and in order, passes f live = None."""
+    out: list = [None] * len(steps)
+    todo: list = []
+
+    def advance(i: int, sent) -> None:
+        try:
+            todo.append((i, steps[i].send(sent)))
+        except StopIteration as stop:
+            out[i] = stop.value
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while todo:
+        if settled is not None and settled():
+            return None
+        asked, todo = todo, []
+        live = [lanes[i] for i, xs in asked for _ in xs]
+        got = f([x for _, xs in asked for x in xs], None if live == lanes else live)
+        j = 0
+        for i, xs in asked:
+            advance(i, got[j : j + len(xs)])
+            j += len(xs)
+    return out
 
 
 def golden_lanes(
@@ -242,7 +397,8 @@ def golden_lanes(
     fixed: Sequence[bool] = (),
     settle: Callable[[list[float]], bool] | None = None,
 ) -> tuple[list[float], list[list[float]]] | None:
-    """Minimizes n unimodal functions on [lo, hi] in lockstep.
+    """Minimizes n unimodal functions on [lo, hi] in lockstep, deciding
+    every round from the values f computes.
 
     Returns each lane's point within GSS_TOL of its minimizer, and for each
     tilt in also, every lane's value there. Every lane runs _golden_steps,
@@ -264,38 +420,21 @@ def golden_lanes(
         [x for x in (c, d, *also) for _ in range(n)], list(range(n)) * (2 + len(also))
     )
     ends = [first[m : m + n] for m in range(2 * n, len(first), n)]
-    if settle is None:
-        fa = fb = [math.inf] * n
-        tops = None
-    else:
-        fa, fb = ends[:2]
-        tops = list(map(max, fa, fb))
-    out = [0.5 * (lo + hi)] * n
-    lanes = [k for k in range(n) if not (fixed and fixed[k])]
+    kept = [None] * n if settle is None else [list(v) for v in zip(*ends[:2])]
     steps = [
-        _golden_steps(lo, hi, c, d, first[k], first[n + k], fa[k], fb[k], out, tops, k)
-        for k in lanes
+        _unmoved(0.5 * (lo + hi))
+        if fixed and fixed[k]
+        else _golden_steps(lo, hi, c, d, first[k], first[n + k], None, kept[k])
+        for k in range(n)
     ]
-    if len(steps) == n == 1 and settle is None:
-        # the same rounds without the bookkeeping of several lanes
-        step = steps[0]
-        x = next(step)
-        while x is not None:
-            x = step.send(f([x], None)[0])
-        return out, ends
-    points = list(map(next, steps))
-    live = None if len(lanes) == n else lanes  # None: every lane
-    while True:
-        if settle is not None and settle(tops):
-            return None
-        if None in points:
-            keep = [k for k, x in enumerate(points) if x is not None]
-            live = lanes = [lanes[k] for k in keep]
-            steps = [steps[k] for k in keep]
-            points = [points[k] for k in keep]
-        if not lanes:
-            return out, ends
-        points = list(map(_send, steps, f(points, live)))
+
+    def settled() -> bool:
+        return settle([fa if fa > fb else fb for fa, fb in kept])
+
+    out = _lockstep(f, list(range(n)), steps, None if settle is None else settled)
+    if out is None:
+        return None
+    return [x for x, _ in out], ends
 
 
 def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -304,9 +443,35 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
     return golden_lanes(lambda s, live: [f(x) for x in s], 1, lo, hi)[0][0]
 
 
+def _ruled_lanes(
+    f: LaneObjective, flat: Sequence[bool], rules: Sequence[Rule | None]
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """golden_lanes' points on [0, 1] and the values at them, at 0 and at 1
+    (0.0 for a flat lane), with each lane's rule answering the rounds it
+    proves (_golden_steps); a lane without one decides every round from
+    its values. A flat lane takes no step. The values at 0 and 1 and at
+    each lane's point ride on the calls its other rounds make."""
+    n = len(flat)
+    c, d = 1.0 - _INV_PHI, _INV_PHI
+    steps = [
+        _valued(_unmoved(0.5) if fl else _golden_steps(0.0, 1.0, c, d, None, None, rule))
+        for fl, rule in zip(flat, rules)
+    ]
+    lanes = [k for k in range(n) if not flat[k]]
+    out = _lockstep(
+        f, list(range(n)) + lanes, steps + [_values_at(0.0, 1.0) for _ in lanes]
+    )
+    at_0, at_1 = [0.0] * n, [0.0] * n
+    for k, (v0, v1) in zip(lanes, out[n:]):
+        at_0[k], at_1[k] = v0, v1
+    s_in, values = map(list, zip(*out[:n]))
+    return s_in, values, at_0, at_1
+
+
 def _minimize_tilts(
     f: LaneObjective,
     flat: Sequence[bool],
+    rules: Sequence[Rule | None] | None = None,
     settle: Callable[[list[float]], bool] | None = None,
 ) -> list[tuple[float, float]] | None:
     """Minimizes convex tilt objectives over [0, 1] in lockstep lanes;
@@ -316,17 +481,24 @@ def _minimize_tilts(
     Each golden-section point is re-evaluated exactly and compared against
     both endpoints, so boundary minimizers are returned exactly. A flat
     objective returns s = 0.5 by convention and takes no golden-section
-    step; with no other lane, nothing is left to settle.
+    step; with no other lane, nothing is left to settle. With rules
+    (PairStack._locate), the rules answer the rounds they prove
+    (_ruled_lanes), and the points and values are golden_lanes', bit for
+    bit.
     """
     n = len(flat)
     if all(flat):
         return [(0.5, v) for v in f([0.5] * n, None)]
-    lanes = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0), flat, settle)
-    if lanes is None:
-        return None
-    s_in, (at_0, at_1) = lanes
+    if rules is None:
+        lanes = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0), flat, settle)
+        if lanes is None:
+            return None
+        s_in, (at_0, at_1) = lanes
+        values = f(s_in, None)
+    else:
+        s_in, values, at_0, at_1 = _ruled_lanes(f, flat, rules)
     best = []
-    for fl, s, v, v0, v1 in zip(flat, s_in, f(s_in, None), at_0, at_1):
+    for fl, s, v, v0, v1 in zip(flat, s_in, values, at_0, at_1):
         if not fl:
             if v0 < v or (v0 == v and 0.0 < s):
                 s, v = 0.0, v0
@@ -334,6 +506,135 @@ def _minimize_tilts(
                 s, v = 1.0, v1
         best.append((s, v))
     return best
+
+
+# The first call of a located minimization (PairStack._locate) evaluates
+# every lane's slope and curvature at these tilts, 0 and 1 among them.
+_START = np.linspace(0.0, 1.0, 17)
+
+# Most Newton calls a located minimization makes past its first, and the
+# bracket width at which a lane takes no further step.
+_NEWTON_CALLS = 3
+_BRACKET = 1e-9
+
+# Relative rounding a round's bound allows for (_golden_steps): each side
+# of it takes at most a dozen roundings and one exp, whose argument W·y is
+# off by at most 4u·W relative (W's own rounding, from ℓ's, and the
+# product's), with W < 1490 for any log ratio of positive doubles: in all
+# under 1e-12.
+_RULE_ROUNDING = 1e-11
+_DOWN, _UP = 1.0 - _RULE_ROUNDING, 1.0 + _RULE_ROUNDING
+
+
+def _newton_point(
+    side: list, width: float, sigma: float
+) -> tuple[float, float] | None:
+    """A lane's next two points, t ± Δ, or None once its bracket is narrow
+    enough (PairStack._locate). side holds the nearest points of certified
+    slope on each side of the minimizer, each as (s, slope, curvature) or
+    None. With both, t is the root of the cubic that matches their slopes
+    and curvatures, by two Newton steps from their secant root, and its
+    error is about W³·h⁴/384 on a bracket of width h; with one, t is the
+    Newton step from it, off by about W·step². Δ is a few times that error
+    plus the slope's noise, and at most a quarter of the bracket."""
+    left, right = side
+    if left is not None and right is not None:
+        x0, g0, k0 = left
+        x1, g1, k1 = right
+        h = x1 - x0
+        if h <= _BRACKET:
+            return None
+        kappa = k0 if k0 < k1 else k1
+        if not kappa > 0.0 or 8.0 * sigma >= kappa * h:
+            return None  # as narrow as the slope's rounding lets it be
+        # the cubic in τ = (x - x0)/h: g0·(1 - 3τ² + 2τ³) + g1·(3τ² - 2τ³)
+        # + h·κ0·(τ - 2τ² + τ³) + h·κ1·(τ³ - τ²)
+        a0, a1, dg = h * k0, h * k1, g1 - g0
+        t = -g0 / dg
+        for _ in range(2):
+            t2 = t * t
+            u = 1.0 - t
+            p = g0 + dg * (3.0 - 2.0 * t) * t2 + a0 * t * u * u - a1 * t2 * u
+            dp = 6.0 * dg * t * u + a0 * u * (1.0 - 3.0 * t) + a1 * t * (3.0 * t - 2.0)
+            if not dp > 0.0:
+                break
+            t -= p / dp
+        t = x0 + h * t
+        lo, hi = x0, x1
+        error = width**3 * h**4 / 64.0
+    elif left is not None or right is not None:
+        x, g, kappa = left or right
+        lo = x if right is None else 0.0
+        hi = 1.0 if right is None else x
+        if hi - lo <= _BRACKET or not kappa > 0.0 or 8.0 * sigma >= kappa * (hi - lo):
+            return None
+        step = g / kappa
+        t = x - step
+        error = 2.0 * width * step * step
+    else:
+        return None
+    if not lo < t < hi:
+        t = 0.5 * (lo + hi)
+    delta = min(error + 4.0 * sigma / kappa, 0.25 * (hi - lo))
+    return (max(lo, t - delta), min(hi, t + delta))
+
+
+def _rule(
+    left: tuple[float, float, float] | None,
+    right: tuple[float, float, float] | None,
+    sigma: float,
+    eta: float,
+    zeta: float,
+    width: float,
+    delta: float,
+) -> Rule:
+    """A lane's rule (_golden_steps) from the ends of its bracket, each
+    (s, slope, curvature) as computed, or None, when the exact slope lies
+    within sigma of the computed one, the exact curvature within [(κ̂ -
+    zeta)/(1 + eta), (κ̂ + zeta)/(1 - eta)] of the computed κ̂, each
+    computed value of the objective within delta of the exact one, and
+    |f'''| <= width·f''. The rounds are decided beyond tol = 2·delta, so
+    that the computed values compare as the exact ones do. Each bound a
+    term takes is widened by _RULE_ROUNDING, which also covers its own
+    rounding."""
+    ends: list[float] = []
+    for end, sign in ((left, -1.0), (right, 1.0)):
+        if end is None:
+            ends += (sign * math.inf, sign * math.inf, 0.0, 0.0, 0.0, 0.0)
+            continue
+        x, g, kappa = end
+        g = sign * g - sigma  # a lower bound on the exact -f'(x) or f'(x)
+        g *= _DOWN if g > 0.0 else _UP
+        low = max((kappa - zeta) * (1.0 - eta), 0.0) * _DOWN
+        high = max(kappa + zeta, 0.0) * (1.0 + 2.0 * eta) * _UP
+        ends += (x, 2.0 * x, g, low, 0.5 * low, 0.5 * high)
+    return (*ends, width, 2.0 * delta * _UP)
+
+
+class _Calculus:
+    """Per-lane constants of a PairStack's located minimizations
+    (PairStack._locate), over models m: the stack's log p and ℓ = log q -
+    log p (0 on padding), and every symbol's (1, ℓ, ℓ²), shaped for
+    _derivatives; the range W_m of ℓ_m over the alphabet (width, as lists);
+    and the coefficients of the slope and curvature rounding bounds."""
+
+    __slots__ = ("log_p", "ell", "basis", "width", "slope_coef", "curv_coef", "eta")
+
+    def __init__(self, stack: PairStack):
+        p, q = stack.log_p, stack.log_q
+        K, X = p.shape[1:]
+        ell = q - p
+        spread = np.abs(ell).max(-1)  # L_m, (P, K)
+        self.log_p, self.ell = p[:, None], ell[:, None]
+        self.basis = np.stack((np.ones_like(ell), ell, ell * ell), -1)[:, None]
+        # padding's ℓ of 0 widens no range, as both rows sum to 1, so a
+        # model's ℓ are not all of one sign; where rounding makes them so,
+        # a wider range only loosens the rules
+        self.width = (ell.max(-1) - ell.min(-1)).tolist()
+        mag = np.array(stack._log_maxima[1])  # A_m over every label
+        self.slope_coef = spread * (14.0 * mag + 2 * X + K + 12)
+        self.curv_coef = (6 * X + 12) * spread * spread
+        self.eta = _UNIT * 1.001 * (14.0 * float(mag.max()) + K + 8)
 
 
 class PairStack:
@@ -355,12 +656,15 @@ class PairStack:
         self.flat = [
             all(_indistinguishable(m, yi, yj) for m in models) for yi, yj in pairs
         ]
+        self._log_maxima = _log_maxima(instance)
         self._lanes()
 
     def _lanes(self) -> None:
-        # per lane: its (K, X) tables, and its prior ratio as a Python float
+        # per lane: its (K, X) tables, its prior ratio as a Python float,
+        # and no _calculus yet (select copies this stack's)
         self._rows = list(zip(self.log_p, self.log_q))
         self._ratios = self.log_ratio.tolist()
+        self.__dict__.pop("_calculus", None)
 
     def select(self, lanes: Sequence[int]) -> PairStack:
         """The stack of the given lanes, in that order, copied from this
@@ -421,15 +725,175 @@ class PairStack:
         counts: np.ndarray,
         settle: Callable[[list[float]], bool] | None = None,
     ) -> list[tuple[float, float]] | None:
-        """Each pair's optimal tilt and log proxy for float plan counts, or
-        None if settle stops the lanes (golden_lanes)."""
-        flat = [fl and q == 0.0 for fl, q in zip(self.flat, self._ratios)]
-        return _minimize_tilts(self.proxy(counts), flat, settle)
+        """Each pair's optimal tilt and log proxy for float plan counts. The
+        lanes' rules (_locate) answer the golden-section rounds they prove;
+        with settle, every round is decided from the values instead, and
+        the result is None if settle stops the lanes (golden_lanes)."""
+        fixed = [fl and q == 0.0 for fl, q in zip(self.flat, self._ratios)]
+        rules = None
+        if settle is None and not all(fixed):
+            rules = self._locate(self._ratios, counts, fixed, self.rounding(counts))
+        return _minimize_tilts(self.proxy(counts), fixed, rules, settle)
 
     def contractions(self) -> list[tuple[float, float]]:
-        """Each pair's (s*, min_s sum_m log M_m(s)): pair_contraction."""
+        """Each pair's (s*, min_s sum_m log M_m(s)): pair_contraction. Its
+        rounding bound is a proxy's for one query of every model, as the
+        objective is that proxy's without the prior term."""
+        rules = None
+        if not all(self.flat):
+            ones = np.ones(self.log_p.shape[1])
+            rules = self._locate(None, ones, self.flat, self.rounding(ones))
         total = self.lane_objective(lambda log_m: np.add.reduce(log_m, -1))
-        return _minimize_tilts(total, self.flat)
+        return _minimize_tilts(total, self.flat, rules)
+
+    def rounding(self, counts: np.ndarray) -> float:
+        """δ: a bound on how far one evaluation of a pair's tilted proxy,
+        f(s) = s·ρ + Σ_m r_m·log M_m(s) as PairStack.proxy computes it, lies
+        from its exact value, for plan counts r summing to n.
+
+        With u = 2⁻⁵³, X the padded alphabet width, K the number of models,
+        A_m = max |log p_m| and M = likelihood._log_scale (so |ρ| +
+        Σ r_m·A_m ≤ 2M):
+        - each (1 − s)·log p + s·log q takes three roundings of terms whose
+          magnitudes sum to at most A_m: off by γ_3·A_m, which log-sum-exp
+          passes on, as it moves by at most the largest move of an entry;
+        - _logsumexp then subtracts the top (u·2A_m), takes exp and log
+          (within one ulp each, so 2u relative), sums X terms in [0, 1] one
+          of which is 1 (γ_X), and adds the top back (u·(A_m + 1)); padding
+          adds exact zeros. With log X + 1 ≤ X, log M_m is off by at most
+          γ_{X+12}·(A_m + X + 1), and |log M_m| ≤ A_m;
+        - the dot product with the counts adds γ_K·Σ r_m·|log M_m|, and
+          s·ρ and the last sum γ_2·(|ρ| + Σ r_m·|log M_m|).
+        In all, δ ≤ γ_{X+K+16}·(3M + n·(X + 1) + 1), which is what this
+        returns; the last term keeps δ at least 18u.
+        """
+        K, X = self.log_p.shape[1:]
+        prior, models = self._log_maxima
+        r = counts.tolist()
+        scale = prior + sum(c * a for c, a in zip(r, models) if c)
+        return _gamma(X + K + 16) * (3.0 * scale + sum(r) * (X + 1) + 1.0)
+
+    @functools.cached_property
+    def _calculus(self) -> _Calculus:
+        """The stack's _Calculus, computed on first use (_locate derives
+        its bounds)."""
+        return _Calculus(self)
+
+    def _derivatives(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """At tilts t shaped (P, J), one row per lane (or (1, J) for every
+        lane), each model's slope and curvature of log M_m, shaped
+        (P, J, K): the mean and variance of ℓ_m under the weights e_x =
+        exp(log p_x + t·ℓ_x), from the sums of e_x·(1, ℓ_x, ℓ_x²)."""
+        calc = self._calculus
+        e = np.exp(calc.log_p + t[:, :, None, None] * calc.ell)
+        sums = (e[..., None, :] @ calc.basis)[..., 0, :]  # (P, J, K, 3)
+        z = sums[..., 0]
+        mean = sums[..., 1] / z
+        return mean, sums[..., 2] / z - mean * mean
+
+    def _locate(
+        self,
+        ratios: list[float] | None,
+        weights: np.ndarray,
+        fixed: Sequence[bool],
+        delta: float,
+    ) -> list[Rule | None]:
+        """The rule each lane's golden-section rounds are answered by
+        (_golden_steps), or None, for an objective of slope ρ + Σ_m
+        w_m·mean_m and curvature Σ_m w_m·var_m (_derivatives), with ρ =
+        ratios (0 when None) and w = weights, whose computed values lie
+        within delta of the exact ones.
+
+        One call of _derivatives evaluates every lane at the _START tilts;
+        then at most _NEWTON_CALLS calls evaluate two points per lane around
+        the next iterate (_newton_point). A point whose computed slope lies
+        beyond ±σ has an exact slope of that sign, so it bounds the
+        minimizer s† from that side; the nearest on each side are the
+        rule's ends. The bounds, with u = 2⁻⁵³, K models, X the padded
+        width, A_m = max |log p_m| over every label, L_m = max |ℓ_m| and
+        W_m the range of ℓ_m:
+        - σ. ℓ is off by u·L_m; the exponent log p + t·ℓ by at most
+          u·(A_m + 3L_m) ≤ 7u·A_m, so with the exp's 2u the weights e_x are
+          off by γ_{7A_m+3} relative, and normalized by γ_{14A_m+7} (the
+          largest weight is at least e^{-log X - 373}, as each row sums to
+          1, so a weight below the normal range moves nothing). The mean of
+          ℓ is then off by γ_{14A_m+7}·L_m, plus γ_{2X+2}·L_m for its sums,
+          products and division. The dot product with w and the sum with ρ
+          add γ_{K+1}·(|ρ| + Σ_m w_m·L_m). So σ = u·1.001·((K + 1)·|ρ| +
+          Σ_m w_m·L_m·(14A_m + 2X + K + 12)), as γ_n ≤ 1.001·n·u here.
+        - Curvature. The variance under the perturbed weights is within
+          γ_{14A_m+7} relative of the exact one (it is the least mean square
+          about any centre, and every weight moves by that factor). The
+          computed Σe·ℓ²/Σe − (Σe·ℓ/Σe)² is within (6X + 11)·u·L_m² of it:
+          the first ratio is off by γ_{2X+1}·L_m² and by 3.01u·L_m² for the
+          rounded ℓ², the square of the mean by 2γ_{2X+2}·L_m², and the
+          square and difference by 2u·L_m². With the dot product's γ_K, the
+          computed κ̂ lies within ζ of an exact curvature that is within a
+          factor 1 ± η of the lane's, so that lies in [(κ̂ - ζ)/(1 + η),
+          (κ̂ + ζ)/(1 - η)], where η = u·1.001·(14·max_m A_m + K + 8) and
+          ζ = u·1.001·(6X + 12)·Σ_m w_m·L_m².
+        - W is the largest W_m of a model with w_m > 0: f''' sums w_m times
+          the third central moments of ℓ_m, each at most W_m times the
+          variance.
+        Ends of certified sign only make the rules sharp: a rule stays
+        valid with an end on either side of s† (_golden_steps).
+        """
+        calc = self._calculus
+        P = len(calc.width)
+        K = len(weights)
+        rho = [0.0] * P if ratios is None else ratios
+        coef = (calc.slope_coef @ weights).tolist()
+        sigma = [_UNIT * 1.001 * ((K + 1) * abs(x) + c) for x, c in zip(rho, coef)]
+        queried = [w > 0.0 for w in weights.tolist()]
+        width = [max([x for x, on in zip(row, queried) if on] or [0.0]) for row in calc.width]
+        start = _START.tolist()
+        sides = []
+        mean, var = self._derivatives(_START[None, :])
+        grid = zip((mean @ weights).tolist(), (var @ weights).tolist())
+        for k, (slopes, curves) in enumerate(grid):
+            # the last start tilt of certified negative slope, the first of
+            # certified positive slope
+            left = right = None
+            if not fixed[k]:
+                for x, g, kappa in zip(start, slopes, curves):
+                    g += rho[k]
+                    if g < -sigma[k]:
+                        left = (x, g, kappa)
+                    elif g > sigma[k]:
+                        right = (x, g, kappa)
+                        break
+            sides.append([left, right])
+
+        live = [k for k in range(P) if not fixed[k]]
+        for _ in range(_NEWTON_CALLS):
+            points = [(0.5, 0.5)] * P
+            now = []
+            for k in live:
+                x = _newton_point(sides[k], width[k], sigma[k])
+                if x is not None:
+                    points[k] = x
+                    now.append(k)
+            live = now
+            if not live:
+                break
+            mean, var = self._derivatives(np.array(points))
+            slopes, curves = (mean @ weights).tolist(), (var @ weights).tolist()
+            for k in live:
+                side = sides[k]
+                for x, g, kappa in zip(points[k], slopes[k], curves[k]):
+                    g += rho[k]
+                    if g < -sigma[k] and (side[0] is None or x > side[0][0]):
+                        side[0] = (x, g, kappa)
+                    elif g > sigma[k] and (side[1] is None or x < side[1][0]):
+                        side[1] = (x, g, kappa)
+
+        zeta = (_UNIT * 1.001 * (calc.curv_coef @ weights)).tolist()
+        return [
+            None
+            if fixed[k] or (left is None and right is None)
+            else _rule(left, right, sigma[k], calc.eta, zeta[k], width[k], delta)
+            for k, (left, right) in enumerate(sides)
+        ]
 
 
 def pair_stack(instance: Instance) -> PairStack:
@@ -455,39 +919,17 @@ def optimize_tilt(
 ) -> tuple[float, float]:
     """Optimal tilt for one pair: returns (s*, log proxy value at s*).
 
-    The objective s -> s*log(prior ratio) + sum_m r_m log M_m(s) is convex;
-    the returned value is an upper bound on the true minimum (never an
-    underestimate), so downstream feasibility claims stay conservative.
+    The objective s -> s*log(prior ratio) + sum_m r_m log M_m(s) is convex.
+    The returned value is the objective as computed at the returned tilt,
+    which lies within δ = PairStack.rounding(counts) of its exact value
+    there. Every tilt's exact value bounds the pair's log error term from
+    above, so the returned value does so up to δ; it is at least the exact
+    minimum less δ, and golden-section search leaves it within a rounding
+    level of that minimum.
     """
     counts = as_plan(plan, instance).as_array().astype(float)
     yi, yj = _label_pair(instance, y, y_other)
     return PairStack(instance, [(yi, yj)]).tilts(counts)[0]
-
-
-def _proxy_rounding(instance: Instance, counts: np.ndarray) -> float:
-    """δ: a bound on how far one evaluation of a pair's tilted proxy,
-    f(s) = s·ρ + Σ_m r_m·log M_m(s) as PairStack.proxy computes it, lies
-    from its exact value, for plan counts r summing to n.
-
-    With u = 2⁻⁵³, X the padded alphabet width, K the number of models,
-    A_m = max |log p_m| and M = _log_scale (so |ρ| + Σ r_m·A_m ≤ 2M):
-    - each (1 − s)·log p + s·log q takes three roundings of terms whose
-      magnitudes sum to at most A_m: off by γ_3·A_m, which log-sum-exp
-      passes on, as it moves by at most the largest move of an entry;
-    - _logsumexp then subtracts the top (u·2A_m), takes exp and log
-      (within one ulp each, so 2u relative), sums X terms in [0, 1] one of
-      which is 1 (γ_X), and adds the top back (u·(A_m + 1)); padding adds
-      exact zeros. With log X + 1 ≤ X, log M_m is off by at most
-      γ_{X+12}·(A_m + X + 1), and |log M_m| ≤ A_m;
-    - the dot product with the counts adds γ_K·Σ r_m·|log M_m|, and
-      s·ρ and the last sum γ_2·(|ρ| + Σ r_m·|log M_m|).
-    In all, δ ≤ γ_{X+K+16}·(3M + n·(X + 1) + 1), which is what this
-    returns; the last term keeps δ at least 18u.
-    """
-    X = max(m.n_symbols for m in instance.models)
-    n = float(np.add.reduce(counts))
-    scale = _log_scale(instance, counts)
-    return _gamma(X + instance.n_models + 16) * (3.0 * scale + n * (X + 1) + 1.0)
 
 
 def _label_values(pair_tilts: Sequence[tuple[float, float]], L: int) -> list[float]:
@@ -508,18 +950,19 @@ def _surrogate_accept(instance: Instance) -> Callable[[np.ndarray], bool]:
     Each lane's proxy f is convex and the value _minimize_tilts returns
     lies in an interval [a, b] of every golden-section round (a flat lane
     keeps [0, 1]), so that value is at most max(f(a), f(b)) + 2δ, with δ
-    from _proxy_rounding. Past each round, accept takes those bounds plus
-    3δ, which also covers forming the bound and its exp: once every
+    from PairStack.rounding. Past each round, accept takes those bounds
+    plus 3δ, which also covers forming the bound and its exp: once every
     label's fsum of their exps is at most its tolerance, the exact values
-    would pass too, and the check accepts. A plan that never settles runs
-    on to the exact values.
+    would pass too, and the check accepts. Settling needs the values at
+    every round's ends, so these sections decide every round from the
+    values; a plan that never settles runs on to the end of them.
     """
     L = instance.n_labels
     stack = pair_stack(instance)
     labels = list(zip(range(0, len(stack.flat), L - 1), instance.tolerances.tolist()))
 
     def accept(counts: np.ndarray) -> bool:
-        slack = 3.0 * _proxy_rounding(instance, counts)
+        slack = 3.0 * stack.rounding(counts)
 
         def settled(tops: list[float]) -> bool:
             return all(

@@ -140,9 +140,26 @@ def _spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _compositions(total: int, width: int, cap: int) -> np.ndarray:
     """All integer vectors of the given width with entries in [0, cap]
     summing to total, in lexicographic order."""
-    # built a column at a time: every prefix takes, in order, each next
-    # entry that fits the cap and leaves the rest, at most cap each, able to
-    # reach total; the last entry is then what the prefix leaves
+    if width > 2:
+        return _composition_columns(total, width, cap)
+    # closed form: for each first entry j that fits the cap and leaves at
+    # most cap, the row (j) or (j, total - j)
+    first = np.arange(
+        max(0, total - (width - 1) * cap), min(cap, total) + 1, dtype=np.int64
+    )
+    if width == 1:
+        return first[:, None]
+    rows = np.empty((len(first), 2), dtype=np.int64)
+    rows[:, 0] = first
+    rows[:, 1] = total - first
+    return rows
+
+
+def _composition_columns(total: int, width: int, cap: int) -> np.ndarray:
+    """_compositions of any width, built a column at a time: every prefix
+    takes, in order, each next entry that fits the cap and leaves the rest,
+    at most cap each, able to reach total; the last entry is then what the
+    prefix leaves."""
     rows = np.arange(
         max(0, total - (width - 1) * cap), min(cap, total) + 1, dtype=np.int64
     )[:, None]

@@ -198,14 +198,20 @@ def _log_scale(instance: Instance, counts: Sequence[int]) -> float:
     and partial sum of them that a profile of the plan takes; score
     differences are bounded by 2M. The maxima are taken once per Instance
     object."""
-    prior, models = instance._shared(
+    prior, models = _log_maxima(instance)
+    return prior + sum(r * a for r, a in zip(counts, models) if r)
+
+
+def _log_maxima(instance: Instance) -> tuple[float, list[float]]:
+    """max |log prior| and each model's max |log p_m|, taken once per
+    Instance object: the terms of _log_scale."""
+    return instance._shared(
         "log_maxima",
         lambda: (
             float(np.abs(instance.log_prior).max()),
             [float(np.abs(m.log_conditional).max()) for m in instance.models],
         ),
     )
-    return prior + sum(r * a for r, a in zip(counts, models) if r)
 
 
 def _delta_margin(instance: Instance, counts: Sequence[int], scale: float) -> float:

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_tilt
-from conftest import symmetric_binary, symmetric_labels_instance
+from conftest import acceptance_suite, symmetric_binary, symmetric_labels_instance
 from queryplan.bounds import (
     _AHEAD_SHARE,
     _FOLD_MIN,
@@ -19,9 +19,13 @@ from queryplan.bounds import (
     PairStack,
     PairTables,
     TangentTable,
+    _golden_steps,
+    _lockstep,
     _logsumexp,
     _minimize_tilts,
     _reduce_last,
+    _rule,
+    _ruled_lanes,
     _surrogate_accept,
     affinity,
     golden_lanes,
@@ -36,10 +40,12 @@ from queryplan.bounds import (
     pairwise_proxy_log,
     surrogate_error,
     uniform_feasible_count,
+    upper_lanes,
 )
 from queryplan.exact import EnumerationBudgetError, SurrogateWalk, exact_opt
 from queryplan.experiments import GUARANTEE_NODE_BUDGET, random_instance, random_plan
 from queryplan.instances import Instance, ModelSpec
+from queryplan.planner import run_afptas
 
 
 def test_affinity_bsc_midpoint(bsc):
@@ -360,6 +366,281 @@ def test_lanes_match_scalar_reference(seed, n_labels, kind, counts):
     assert instance_contraction(inst) == worst
 
 
+def _exact_lanes(f, flat):
+    """golden_lanes' points on [0, 1], the values there, at 0 and at 1
+    (0.0 for a flat lane): every round decided from the values."""
+    n = len(flat)
+    points, (at_0, at_1) = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0), flat)
+    at_0 = [0.0 if fl else v for fl, v in zip(flat, at_0)]
+    at_1 = [0.0 if fl else v for fl, v in zip(flat, at_1)]
+    return points, f(points, None), at_0, at_1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    kind=st.sampled_from(["random", "flat", "flat-ratio", "bsc"]),
+    counts=st.lists(st.integers(0, 30) | st.just(0), min_size=3, max_size=3),
+    skew=st.sampled_from([None, 1e-3, 1e-6]),
+)
+def test_certified_rounds_match_exact_golden_sections(
+    seed, n_labels, kind, counts, skew
+):
+    # the rules answer only rounds whose outcome the values would give:
+    # every lane's golden-section point, its value there and at 0 and 1
+    # are golden_lanes' bit for bit, for proxies and contractions, also
+    # for flat and twin-label lanes, all-zero plans, and (a label of tiny
+    # prior, few queries) minimizers at 0 or 1
+    inst = _lane_instance(seed, n_labels, kind)
+    if skew is not None:
+        prior = inst.prior.copy()
+        prior[-1] = skew
+        inst = dataclasses.replace(inst, prior=prior / prior.sum())
+    L = inst.n_labels
+    r = np.asarray(counts[: inst.n_models], dtype=float)
+    stack = PairStack(inst, ordered_pairs(L))
+    fixed = [fl and q == 0.0 for fl, q in zip(stack.flat, stack.log_ratio.tolist())]
+    f = stack.proxy(r)
+    if not all(fixed):
+        rules = stack._locate(stack.log_ratio.tolist(), r, fixed, stack.rounding(r))
+        assert _ruled_lanes(f, fixed, rules) == _exact_lanes(f, fixed)
+    tilts = stack.tilts(r)
+    assert tilts == stack.tilts(r, lambda tops: False)
+    assert tilts == [
+        reference_tilt.pair_tilt(PairTables(inst, i, j), r) for i, j in ordered_pairs(L)
+    ]
+    upper = stack.select(upper_lanes(L))
+    if not all(upper.flat):
+        ones = np.ones(inst.n_models)
+        rules = upper._locate(None, ones, upper.flat, upper.rounding(ones))
+        total = upper.lane_objective(lambda log_m: np.add.reduce(log_m, -1))
+        assert _ruled_lanes(total, upper.flat, rules) == _exact_lanes(total, upper.flat)
+    assert upper.contractions() == [
+        reference_tilt.pair_contraction(PairTables(inst, i, j))
+        for i, j in ordered_pairs(L)
+        if i < j
+    ]
+
+
+def test_a_tied_round_is_decided_from_the_values(monkeypatch):
+    # the binary symmetric channel under a uniform prior has proxies and a
+    # contraction symmetric about s = 1/2, so the first round's points c
+    # and 1 - c tie exactly: no rule proves it, and its values are asked
+    # for; the results are still the exact sections'
+    inst = _lane_instance(0, 2, "bsc")
+    r = np.array([6.0])
+    asked = []
+    lane_objective = PairStack.lane_objective
+
+    def recorded(self, *args):
+        f = lane_objective(self, *args)
+
+        def g(s, live):
+            asked.append(list(s))
+            return f(s, live)
+
+        return g
+
+    monkeypatch.setattr(PairStack, "lane_objective", recorded)
+    first = [1.0 - (math.sqrt(5.0) - 1.0) / 2.0, (math.sqrt(5.0) - 1.0) / 2.0]
+    stack = PairStack(inst, ordered_pairs(2))
+    tilts = stack.tilts(r)
+    assert all(x in asked[0] for x in first)
+    assert tilts == stack.tilts(r, lambda tops: False)
+    del asked[:]
+    (contraction,) = stack.select([0]).contractions()
+    assert all(x in asked[0] for x in first)
+    assert contraction == reference_tilt.pair_contraction(PairTables(inst, 0, 1))
+
+
+def _relabelled(inst: Instance, rng: np.random.Generator) -> Instance:
+    """inst with its labels and its models in a random order."""
+    lp, mp = rng.permutation(inst.n_labels), rng.permutation(inst.n_models)
+    models = tuple(
+        ModelSpec(m.name, m.alphabet, m.conditional[lp], m.cost)
+        for m in (inst.models[k] for k in mp)
+    )
+    labels = tuple(inst.labels[i] for i in lp)
+    return Instance(labels, inst.prior[lp], models, inst.tolerances[lp])
+
+
+def test_audits_and_contractions_make_at_most_ten_objective_calls(monkeypatch):
+    # every check's tilts and every contraction the solver makes on the
+    # seed-42 guarantee draws and on the acceptance suite's first 23 draws
+    # (relabelled by seed 101) take at most 10 calls of their objective and
+    # of the slopes and curvatures that locate its minimizers, against 30
+    # or 31 when every golden-section round is evaluated; a rule that
+    # stopped proving rounds would fail here
+    rng = np.random.default_rng(42)
+    guarantee = [
+        random_instance(rng, n_labels=2, max_models=3, alpha=1e-3) for _ in range(12)
+    ]
+    rng = np.random.default_rng(101)
+    solve = [_relabelled(inst, rng) for inst, _ in acceptance_suite(23)]
+    calls = [0]
+    runs = []
+    lane_objective = PairStack.lane_objective
+    derivatives = PairStack._derivatives
+
+    def counted(self, *args):
+        f = lane_objective(self, *args)
+
+        def g(s, live):
+            calls[0] += 1
+            return f(s, live)
+
+        return g
+
+    def counted_derivatives(self, t):
+        calls[0] += 1
+        return derivatives(self, t)
+
+    def run(method):
+        def wrapped(self, *args):
+            before = calls[0]
+            out = method(self, *args)
+            if len(args) < 2:  # a settled accept decides every round itself
+                runs.append(calls[0] - before)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(PairStack, "lane_objective", counted)
+    monkeypatch.setattr(PairStack, "_derivatives", counted_derivatives)
+    monkeypatch.setattr(PairStack, "tilts", run(PairStack.tilts))
+    monkeypatch.setattr(PairStack, "contractions", run(PairStack.contractions))
+    for inst in guarantee:
+        opt = exact_opt(inst, node_budget=GUARANTEE_NODE_BUDGET)
+        assert is_surrogate_feasible(inst, opt.plan).feasible
+        for eps in (0.1, 0.5, 1.0):
+            run_afptas(inst, eps)
+    for inst in solve:
+        run_afptas(inst, 0.5)
+    assert len(runs) >= 80
+    assert max(runs) <= 10, sorted(runs)[-5:]
+
+
+def _lane_with_noise(family, a, w, s0, delta, mode, t, seed):
+    """A convex lane with |f'''| <= w·f'', its exact slope and curvature,
+    and its values as a computation within delta of them would return.
+
+    The lane is a·log cosh(w·(s - s0)/2) ("logcosh", the log moment
+    generating function of two points w apart), or a·(e^{-w(s - s0)} +
+    w·(s - s0))/w² ("exp") or its mirror image about s0 ("expm"), whose
+    curvature drifts at the largest rate w allows. The values move by up
+    to 0.999·delta: upward left of t and downward right of it ("split",
+    which flips near ties at t), or at random ("hash")."""
+    if family == "logcosh":
+
+        def exact(s):
+            return a * math.log(math.cosh(0.5 * w * (s - s0)))
+
+        def slope(s):
+            return 0.5 * a * w * math.tanh(0.5 * w * (s - s0))
+
+        def curvature(s):
+            return 0.25 * a * w * w / math.cosh(0.5 * w * (s - s0)) ** 2
+
+    else:
+        sign = 1.0 if family == "exp" else -1.0
+
+        def exact(s):
+            return a * (math.exp(-sign * w * (s - s0)) + sign * w * (s - s0)) / (w * w)
+
+        def slope(s):
+            return sign * a * (1.0 - math.exp(-sign * w * (s - s0))) / w
+
+        def curvature(s):
+            return a * math.exp(-sign * w * (s - s0))
+
+    def computed(s):
+        if mode == "split":
+            nu = 1.0 if s < t else -1.0
+        else:
+            nu = np.random.default_rng([seed, int(s * 2**53)]).uniform(-1.0, 1.0)
+        return exact(s) + 0.999 * delta * nu
+
+    return computed, slope, curvature
+
+
+def _decades(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["logcosh", "exp", "expm"]),
+    s0=st.floats(0.0, 1.0),
+    w=_decades(-1.3, 1.8),
+    a=_decades(-3.0, 3.0),
+    delta=_decades(-9.0, 0.5),
+    sigma=_decades(-9.0, 0.0),
+    eta=_decades(-12.0, -1.0),
+    zeta=_decades(-9.0, 0.0),
+    left=st.none() | _decades(-9.0, -0.3),
+    right=st.none() | _decades(-9.0, -0.3),
+    mode=st.sampled_from(["split", "hash"]),
+    t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# cases where a rule without one of its margins answers a round against
+# the values: the slope bound halved, the e^{±W|x - s|} drift dropped,
+# tol = δ in place of 2δ, and the lower curvature bound taken as computed
+@example(
+    family="expm", s0=0.455644593371049, w=6.676274847567339, a=105.63438457817809,
+    delta=6.442927597756233e-07, sigma=0.007387636735865982, eta=2.0046413455825572e-07,
+    zeta=6.439174951525394e-05, left=1.8257148634986392e-06,
+    right=2.565935408659994e-06, mode="hash", t=0.18129726846890626, seed=2166855448,
+)
+@example(
+    family="exp", s0=0.6889304699620175, w=11.135037526723222, a=0.14173871889503745,
+    delta=2.4607535676159704e-06, sigma=5.381957418443539e-08,
+    eta=1.6266414013463806e-10, zeta=1.3364349572686503e-08, left=6.790760936181563e-05,
+    right=7.762272244229937e-05, mode="split", t=0.403061385748817, seed=30102869,
+)
+@example(
+    family="exp", s0=0.3630147970687997, w=1.7577134174722508, a=128.70667553344046,
+    delta=0.0010119481374907457, sigma=0.00016391989814457222, eta=0.020808307535789692,
+    zeta=8.444711426535003e-07, left=2.092946094502577e-06, right=0.02249039728022871,
+    mode="hash", t=0.9465423470954097, seed=629507577,
+)
+@example(
+    family="exp", s0=0.1699713087549629, w=42.6555905441128, a=0.1840521227106656,
+    delta=0.004487268367110274, sigma=2.96469336006012e-06, eta=8.653455505069143e-05,
+    zeta=0.45201484948570786, left=1.518114764373394e-05, right=2.103787819668273e-09,
+    mode="split", t=0.26080288034820687, seed=2650190809,
+)
+def test_rules_decide_as_the_computed_values_do(
+    family, s0, w, a, delta, sigma, eta, zeta, left, right, mode, t, seed
+):
+    # a rule built from slopes and curvatures off by up to their bounds
+    # answers a round only as the golden section on values off by up to δ
+    # answers it, whatever those errors are; the lane's scale sets theirs
+    delta *= a
+    sigma *= a * w
+    zeta *= a * w * w
+    computed, slope, curvature = _lane_with_noise(family, a, w, s0, delta, mode, t, seed)
+    rng = np.random.default_rng(seed)
+
+    def end(x):
+        if x is None:
+            return None
+        g = slope(x) + 0.999 * sigma * rng.choice([-1.0, 1.0])
+        kappa = curvature(x) * (1.0 + 0.999 * eta * rng.choice([-1.0, 1.0]))
+        return (x, g, kappa + 0.999 * zeta * rng.choice([-1.0, 1.0]))
+
+    ends = (
+        end(None if left is None else max(0.0, s0 - left)),
+        end(None if right is None else min(1.0, s0 + right)),
+    )
+    rule = _rule(*ends, sigma, eta, zeta, w, delta)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    step = _golden_steps(0.0, 1.0, 1.0 - phi, phi, None, None, rule)
+    (got,) = _lockstep(lambda s, live: [computed(x) for x in s], [0], [step])
+    assert got[0] == reference_tilt.golden_section(computed, 0.0, 1.0)
+
+
 def _twin(inst: Instance, same_prior: bool) -> Instance:
     """inst with label 2 given label 1's rows in every model, an
     indistinguishable pair; with same_prior, also label 1's prior, so
@@ -407,7 +688,9 @@ def test_settled_accept_answers_as_the_full_check(
 
 def test_settled_accept_makes_fewer_objective_calls(monkeypatch):
     # on the seed-42 guarantee draws, the accept of each surrogate optimum
-    # settles before its golden sections end
+    # settles before its golden sections end: it makes fewer objective
+    # calls than the same sections run to the end, every round decided from
+    # the values, as settling needs (a settle that never answers True)
     rng = np.random.default_rng(42)
     draws = [random_instance(rng, n_labels=2, max_models=3) for _ in range(12)]
     plans = [
@@ -429,12 +712,14 @@ def test_settled_accept_makes_fewer_objective_calls(monkeypatch):
     monkeypatch.setattr(PairStack, "lane_objective", counted)
     for inst, plan in zip(draws, plans):
         accept = _surrogate_accept(inst)
+        r = np.array(plan, dtype=float)
         del calls[:]
-        assert accept(np.array(plan, dtype=float))
+        assert accept(r)
         settled = len(calls)
         del calls[:]
-        assert is_surrogate_feasible(inst, plan).feasible
+        tilts = PairStack(inst, ordered_pairs(inst.n_labels)).tilts(r, lambda tops: False)
         assert settled < len(calls), (plan, settled, len(calls))
+        assert tilts == [(s, lv) for _, _, s, lv in is_surrogate_feasible(inst, plan).tilts]
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,6 +32,7 @@ from queryplan.exact import (
     EnumerationBudgetError,
     InfeasibleWithinCapError,
     _Bands,
+    _composition_columns,
     _compositions,
     _log_factorial,
     _log_factorials,
@@ -178,6 +179,17 @@ def test_compositions_match_filtered_product():
         assert got.dtype == np.int64
         assert got.shape == (len(expected), width)
         assert got.tolist() == [list(v) for v in expected]
+
+
+def test_closed_form_compositions_match_the_column_build():
+    # widths 1 and 2 are written in closed form; every width returns the
+    # column build's int64 rows in the same order, capped or not
+    for width, total, cap in itertools.product(range(1, 5), range(40), range(41)):
+        got = _compositions(total, width, cap)
+        want = _composition_columns(total, width, cap)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
 
 
 def test_compositions_of_uncapped_totals():
