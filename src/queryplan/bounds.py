@@ -19,40 +19,41 @@ The tilted pair proxy s*log(prior ratio) + sum_m r_m log M_m(s) is written
 once, as PairStack.proxy. The pairs' tilts are independent, so a PairStack
 holds several pairs as lanes, and their golden sections run in lockstep
 (_lockstep, the one golden-section loop): each lane keeps its own interval
-as Python floats and takes the steps a one-lane golden section would,
-while each call evaluates every lane that needs a value in one numpy call
-over a (lanes, K, X) stack. golden_lanes decides every round from the
-values; golden_section is its one-lane case. An instance's stack of all
-L(L-1) ordered pairs is built once per Instance object (pair_stack), and
-every check, screen and bound on the instance reads it: is_surrogate_feasible
-runs all its lanes at once, instance_contraction the lanes y < y'
-(upper_lanes), and TangentTable and BhattacharyyaScreen take their tables
-from it. The check is the fsum of the minima's exps against each label's
-tolerance.
+as Python floats and takes the steps a one-lane golden section would
+(_golden_steps), while each call evaluates every lane that needs a value in
+one numpy call over a (lanes, K, X) stack. golden_section is one lane
+without a rule. An instance's stack of all L(L-1) ordered pairs is built
+once per Instance object (pair_stack), and every check, screen and bound on
+the instance reads it: is_surrogate_feasible runs all its lanes at once,
+instance_contraction the lanes y < y' (upper_lanes), and TangentTable and
+BhattacharyyaScreen take their tables from it. The check is the fsum of the
+minima's exps against each label's tolerance.
 
-A check's and a contraction's golden sections take the iterates golden_lanes
-would, bit for bit, but evaluate few of them. Each lane's objective f is
-convex, with slope ρ + Σ_m r_m·E_s[ℓ_m] and curvature Σ_m r_m·Var_s[ℓ_m]
-in closed form (ℓ_m = log q - log p), and |f'''| <= W·f'' for W the
-largest range of ℓ_m over the queried models. PairStack._locate brackets
-each minimizer: one call evaluates slopes and curvatures at 17 tilts, and
-up to three more at two points around a Newton iterate, and a point whose
-computed slope lies beyond its rounding bound σ bounds the minimizer from
-that side. From each end's slope and curvature bounds, _golden_steps bounds
-D = f(d) - f(c) of a round; where D clears ±2δ, with δ the bound
-PairStack.rounding puts on one computed value, the computed values compare
-as the exact ones do, and the round is decided without them. Any other
-round (about the last few, where D is at rounding level, and rounds the
-bounds are too loose for) is decided from values, which it asks for with
-the points either outcome's next round needs. A run makes about 3
-derivative calls and 2 value calls, against golden_lanes' 31.
+A check's and a contraction's golden sections take the iterates of golden
+sections decided from values, bit for bit, but evaluate few of them. Each
+lane's objective f is convex, with slope ρ + Σ_m r_m·E_s[ℓ_m] and
+curvature Σ_m r_m·Var_s[ℓ_m] in closed form (ℓ_m = log q - log p), and
+|f'''| <= W·f'' for W the largest range of ℓ_m over the queried models.
+PairStack._locate brackets each minimizer: one call evaluates slopes and
+curvatures at 17 tilts, and up to three more at two points around a Newton
+iterate, and a point whose computed slope lies beyond its rounding bound σ
+bounds the minimizer from that side. From each end's slope and curvature
+bounds, _golden_steps bounds D = f(d) - f(c) of a round; where D clears
+±2δ, with δ the bound PairStack.rounding puts on one computed value, the
+computed values compare as the exact ones do, and the round is decided
+without them. Any other round (about the last few, where D is at rounding
+level, and rounds the bounds are too loose for) is decided from values,
+which it asks for with the points either outcome's next round needs. A run
+makes about 3 derivative calls and 2 value calls, against 31 with every
+round decided from values.
 
-The searches' check, _surrogate_accept, runs the same lanes with every round
-decided from the values, and may settle: as each proxy is convex, the value
-a lane ends on is at most the larger value at the ends of any interval its
-golden section has reached, plus 2δ. Once those bounds, raised by 3δ, pass
-every label's check after some lockstep round, the plan is accepted without
-running the sections to the end.
+The searches' check, _surrogate_accept, locates the lanes' minimizers as
+the check does and makes one value call, at each lane's bracket end p. As
+each proxy is convex with curvature at most Σ_m r_m·W_m²/4, the value the
+check would return is at most f(p) plus a margin derived from δ, the
+rounds and GSS_TOL (PairStack._bracket_bounds); when those bounds pass
+every label, the plan is accepted. Otherwise the check's certified rounds
+run on the same rules, and their values decide.
 
 Before it, searches rule plans out with one table per instance,
 TangentTable, whose tangent lower bounds serve both the batched prescreen
@@ -217,29 +218,18 @@ LaneObjective = Callable[[list[float], "list[int] | None"], list[float]]
 Rule = tuple[float, ...]
 
 
-def _golden_steps(
-    lo: float,
-    hi: float,
-    c: float,
-    d: float,
-    fc: float | None,
-    fd: float | None,
-    rule: Rule | None = None,
-    ends: list[float] | None = None,
-):
-    """One lane's golden-section search on [lo, hi] from its first two
-    points c < d, as a generator: each round keeps [a, d] when f(c) <= f(d)
-    and [c, b] otherwise. It returns a point within GSS_TOL of the
-    minimizer, and its value when it was sent it.
+def _golden_steps(lo: float, hi: float, rule: Rule | None = None):
+    """One lane's golden-section search on [lo, hi], as a generator, from
+    the points c = hi - φ·(hi - lo) < d = lo + φ·(hi - lo): each round
+    keeps [a, d] when f(c) <= f(d) and [c, b] otherwise. It returns a point
+    within GSS_TOL of the minimizer, and its value when it was sent it.
 
-    Without a rule, each round the generator yields the points whose values
-    it lacks (fc and fd, None when not evaluated) and is sent their values;
-    with ends, it keeps there the values at its interval's ends, f(a) and
-    f(b). With a rule, the rule answers the rounds whose outcome it proves
-    (below); for any other round the generator yields the points it lacks
-    together with the point the next round needs after either outcome (the
-    final point after the last round), and is sent all their values, so a
-    run of such rounds takes about half as many calls.
+    The rule, if any, answers the rounds whose outcome it proves (below).
+    For any other round the generator yields the points whose values it
+    lacks together with the point the next round needs after either outcome
+    (the final point after the last round), and is sent all their values,
+    so a run of such rounds takes about half as many calls. A lane without
+    a rule decides every round so, from values.
 
     The rule proves f(c) <= f(d) or f(c) > f(d) for the computed values of
     a convex f wherever the exact difference D = f(d) - f(c) clears ±tol,
@@ -256,75 +246,67 @@ def _golden_steps(
       κlo_r·y²·e^{-Wy}/2 - κhi_r·z²·e^{Wz}/2.
     Each bound is valid whatever the sign of g_r. The left end is the
     mirror image, for c + d < 2s_l. The rule's terms carry
-    _RULE_ROUNDING, which covers the rounding of the bound itself."""
+    _RULE_ROUNDING, which covers the rounding of the bound itself. A rule
+    with no ends (2s_l = -inf, 2s_r = inf) proves no round."""
     a, b = lo, hi
     phi = _INV_PHI
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc = fd = None
     known: dict[float, float] = {}
-    if rule is not None:
-        (s_l, l2, g_l, k_l, a_l, b_l, s_r, r2, g_r, k_r, a_r, b_r, W, tol) = rule
-        exp = math.exp
+    (s_l, l2, g_l, k_l, a_l, b_l, s_r, r2, g_r, k_r, a_r, b_r, W, tol) = rule or _rule(
+        None, None, 0.0, 0.0, 0.0, 0.0, 0.0
+    )
+    exp = math.exp
     while (b - a) > GSS_TOL:
-        if rule is None:
-            if fc is None and fd is None:
-                fc, fd = yield (c, d)
-            elif fc is None:
-                (fc,) = yield (c,)
-            elif fd is None:
-                (fd,) = yield (d,)
-        else:
-            m = c + d
-            if m > r2:
-                z = s_r - c
-                if z <= 0.0:
-                    proved = (d - c) * (g_r - k_r * z * exp(W * z)) > tol
-                else:
-                    y = d - s_r
-                    proved = (
-                        g_r * (d - c) + a_r * y * y * exp(-W * y)
-                        - b_r * z * z * exp(W * z)
-                        > tol
-                    )
-                if proved:
-                    b, d, fd, fc = d, c, fc, None
-                    c = b - phi * (b - a)
-                    continue
-            elif m < l2:
-                z = d - s_l
-                if z <= 0.0:
-                    proved = (d - c) * (g_l - k_l * z * exp(W * z)) > tol
-                else:
-                    y = s_l - c
-                    proved = (
-                        g_l * (d - c) + a_l * y * y * exp(-W * y)
-                        - b_l * z * z * exp(W * z)
-                        > tol
-                    )
-                if proved:
-                    a, c, fc, fd = c, d, fd, None
-                    d = a + phi * (b - a)
-                    continue
+        m = c + d
+        if m > r2:
+            z = s_r - c
+            if z <= 0.0:
+                proved = (d - c) * (g_r - k_r * z * exp(W * z)) > tol
+            else:
+                y = d - s_r
+                proved = (
+                    g_r * (d - c) + a_r * y * y * exp(-W * y)
+                    - b_r * z * z * exp(W * z)
+                    > tol
+                )
+            if proved:
+                b, d, fd, fc = d, c, fc, None
+                c = b - phi * (b - a)
+                continue
+        elif m < l2:
+            z = d - s_l
+            if z <= 0.0:
+                proved = (d - c) * (g_l - k_l * z * exp(W * z)) > tol
+            else:
+                y = s_l - c
+                proved = (
+                    g_l * (d - c) + a_l * y * y * exp(-W * y)
+                    - b_l * z * z * exp(W * z)
+                    > tol
+                )
+            if proved:
+                a, c, fc, fd = c, d, fd, None
+                d = a + phi * (b - a)
+                continue
+        if fc is None:
+            fc = known.get(c)
+        if fd is None:
+            fd = known.get(d)
+        if fc is None or fd is None:
+            need = [x for x, v in ((c, fc), (d, fd)) if v is None]
+            after_l = d - phi * (d - a) if d - a > GSS_TOL else 0.5 * (a + d)
+            after_r = c + phi * (b - c) if b - c > GSS_TOL else 0.5 * (c + b)
+            got = yield (*need, after_l, after_r)
             if fc is None:
-                fc = known.get(c)
+                fc = got[0]
             if fd is None:
-                fd = known.get(d)
-            if fc is None or fd is None:
-                need = [x for x, v in ((c, fc), (d, fd)) if v is None]
-                after_l = d - phi * (d - a) if d - a > GSS_TOL else 0.5 * (a + d)
-                after_r = c + phi * (b - c) if b - c > GSS_TOL else 0.5 * (c + b)
-                got = yield (*need, after_l, after_r)
-                if fc is None:
-                    fc = got[0]
-                if fd is None:
-                    fd = got[-3]
-                known = {after_l: got[-2], after_r: got[-1]}
+                fd = got[-3]
+            known = {after_l: got[-2], after_r: got[-1]}
         if fc <= fd:
-            if ends is not None:
-                ends[1] = fd
             b, d, fd, fc = d, c, fc, None
             c = b - phi * (b - a)
         else:
-            if ends is not None:
-                ends[0] = fc
             a, c, fc, fd = c, d, fd, None
             d = a + phi * (b - a)
     x = 0.5 * (a + b)
@@ -352,18 +334,12 @@ def _values_at(*xs: float):
     return (yield xs)
 
 
-def _lockstep(
-    f: LaneObjective,
-    lanes: list[int],
-    steps: list,
-    settled: Callable[[], bool] | None = None,
-) -> list | None:
+def _lockstep(f: LaneObjective, lanes: list[int], steps: list) -> list:
     """The one golden-section loop: runs generators that ask for values of
     lane lanes[i] (steps[i], as _golden_steps does), answering every
     request of a round with one call of f, and returns what each generator
-    returns; or None as soon as settled() answers True, which it is asked
-    before each call. A call that asks every lane of lanes, one point each
-    and in order, passes f live = None."""
+    returns. A call that asks every lane of lanes, one point each and in
+    order, passes f live = None."""
     out: list = [None] * len(steps)
     todo: list = []
 
@@ -376,8 +352,6 @@ def _lockstep(
     for i in range(len(steps)):
         advance(i, None)
     while todo:
-        if settled is not None and settled():
-            return None
         asked, todo = todo, []
         live = [lanes[i] for i, xs in asked for _ in xs]
         got = f([x for _, xs in asked for x in xs], None if live == lanes else live)
@@ -388,73 +362,28 @@ def _lockstep(
     return out
 
 
-def golden_lanes(
-    f: LaneObjective,
-    n: int,
-    lo: float,
-    hi: float,
-    also: Sequence[float] = (),
-    fixed: Sequence[bool] = (),
-    settle: Callable[[list[float]], bool] | None = None,
-) -> tuple[list[float], list[list[float]]] | None:
-    """Minimizes n unimodal functions on [lo, hi] in lockstep, deciding
-    every round from the values f computes.
-
-    Returns each lane's point within GSS_TOL of its minimizer, and for each
-    tilt in also, every lane's value there. Every lane runs _golden_steps,
-    so it takes the steps it would take alone; the first call of f
-    evaluates every lane at both first points and at also, and each later
-    one the next point of every lane still running. A lane marked in fixed
-    takes no step, and its point is the interval's midpoint.
-
-    With settle, also begins with lo and hi, and each lane keeps the larger
-    of its values at its interval's ends (a fixed lane's interval stays
-    [lo, hi]). After every round of steps settle is passed those values,
-    and once it answers True the search stops and returns None.
-    """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    first = f(
-        [x for x in (c, d, *also) for _ in range(n)], list(range(n)) * (2 + len(also))
-    )
-    ends = [first[m : m + n] for m in range(2 * n, len(first), n)]
-    kept = [None] * n if settle is None else [list(v) for v in zip(*ends[:2])]
-    steps = [
-        _unmoved(0.5 * (lo + hi))
-        if fixed and fixed[k]
-        else _golden_steps(lo, hi, c, d, first[k], first[n + k], None, kept[k])
-        for k in range(n)
-    ]
-
-    def settled() -> bool:
-        return settle([fa if fa > fb else fb for fa, fb in kept])
-
-    out = _lockstep(f, list(range(n)), steps, None if settle is None else settled)
-    if out is None:
-        return None
-    return [x for x, _ in out], ends
-
-
 def golden_section(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Minimizes a unimodal f on [lo, hi]; returns a point within GSS_TOL of
-    the minimizer. The one-lane case of golden_lanes."""
-    return golden_lanes(lambda s, live: [f(x) for x in s], 1, lo, hi)[0][0]
+    """Minimizes a unimodal f on a finite [lo, hi], lo < hi; returns a point
+    within GSS_TOL of the minimizer. It is one _golden_steps lane without a
+    rule, so every round is decided from f's values."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"need finite lo < hi, got {lo!r} and {hi!r}")
+    step = _golden_steps(lo, hi)
+    ((x, _),) = _lockstep(lambda s, live: [f(t) for t in s], [0], [step])
+    return x
 
 
 def _ruled_lanes(
     f: LaneObjective, flat: Sequence[bool], rules: Sequence[Rule | None]
 ) -> tuple[list[float], list[float], list[float], list[float]]:
-    """golden_lanes' points on [0, 1] and the values at them, at 0 and at 1
-    (0.0 for a flat lane), with each lane's rule answering the rounds it
-    proves (_golden_steps); a lane without one decides every round from
-    its values. A flat lane takes no step. The values at 0 and 1 and at
-    each lane's point ride on the calls its other rounds make."""
+    """Each lane's golden-section point on [0, 1] and the values at it, at
+    0 and at 1 (0.0 for a flat lane), with each lane's rule answering the
+    rounds it proves (_golden_steps); a lane without one decides every
+    round from its values. A flat lane takes no step. The values at 0 and 1
+    and at each lane's point ride on the calls its other rounds make."""
     n = len(flat)
-    c, d = 1.0 - _INV_PHI, _INV_PHI
     steps = [
-        _valued(_unmoved(0.5) if fl else _golden_steps(0.0, 1.0, c, d, None, None, rule))
+        _valued(_unmoved(0.5) if fl else _golden_steps(0.0, 1.0, rule))
         for fl, rule in zip(flat, rules)
     ]
     lanes = [k for k in range(n) if not flat[k]]
@@ -469,34 +398,22 @@ def _ruled_lanes(
 
 
 def _minimize_tilts(
-    f: LaneObjective,
-    flat: Sequence[bool],
-    rules: Sequence[Rule | None] | None = None,
-    settle: Callable[[list[float]], bool] | None = None,
-) -> list[tuple[float, float]] | None:
+    f: LaneObjective, flat: Sequence[bool], rules: Sequence[Rule | None]
+) -> list[tuple[float, float]]:
     """Minimizes convex tilt objectives over [0, 1] in lockstep lanes;
-    returns (s*, value) per lane, or None if settle stops the lanes
-    (golden_lanes).
+    returns (s*, value) per lane.
 
     Each golden-section point is re-evaluated exactly and compared against
     both endpoints, so boundary minimizers are returned exactly. A flat
     objective returns s = 0.5 by convention and takes no golden-section
-    step; with no other lane, nothing is left to settle. With rules
-    (PairStack._locate), the rules answer the rounds they prove
-    (_ruled_lanes), and the points and values are golden_lanes', bit for
-    bit.
+    step. The rules (PairStack._locate) answer the rounds they prove
+    (_ruled_lanes), and the points and values are those of golden sections
+    decided from values, bit for bit.
     """
     n = len(flat)
     if all(flat):
         return [(0.5, v) for v in f([0.5] * n, None)]
-    if rules is None:
-        lanes = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0), flat, settle)
-        if lanes is None:
-            return None
-        s_in, (at_0, at_1) = lanes
-        values = f(s_in, None)
-    else:
-        s_in, values, at_0, at_1 = _ruled_lanes(f, flat, rules)
+    s_in, values, at_0, at_1 = _ruled_lanes(f, flat, rules)
     best = []
     for fl, s, v, v0, v1 in zip(flat, s_in, values, at_0, at_1):
         if not fl:
@@ -611,14 +528,58 @@ def _rule(
     return (*ends, width, 2.0 * delta * _UP)
 
 
+def _bracket_margin(delta: float, kappa: float) -> float:
+    """How far above f̂(p), at any p in [0, 1], lies the value v that
+    _minimize_tilts returns for a lane's convex f, when each computed value
+    f̂ lies within delta = δ of f and f'' <= kappa = κ̄ on [0, 1]
+    (PairStack._bracket_bounds); f* = min f over [0, 1], x* the golden
+    point, and R = ⌈log GSS_TOL / log φ⌉ + 1 bounds the rounds, one more
+    than the exact count for the computed widths.
+    - v = min(f̂(x*), f̂(0), f̂(1)); a flat lane's v is f̂(0.5), with f
+      constant.
+    - A round a rule proves keeps the interval's exact minimum. A round
+      decided from values keeps [a, d] with f(c) <= f(d) + 2δ (or [c, b],
+      the mirror image); the convex f lies above the line through c and d
+      past d, so the minimum over [a, b] is at least f(d) - 2δ·(b - d)/(d -
+      c) = f(d) - 2δ/φ, and the kept interval's minimum is at most 2δ/φ =
+      3.236δ above it (3.24δ also covers the computed points' drift from
+      the golden ratio). So the final interval holds a t with f(t) <= f* +
+      ε, ε = 3.24·δ·R.
+    - If f* lies at 0 or 1, v <= f̂(0) or f̂(1) <= f* + δ.
+    - Otherwise f'(s†) = 0 at the minimizer s†, and f' moves from 0 by at
+      most κ̄ per unit, so f'(t)² <= 2κ̄·(f(t) - f*) <= 2κ̄ε. With |x* - t|
+      <= GSS_TOL/2, f(x*) <= f(t) + |f'(t)|·GSS_TOL/2 + κ̄·GSS_TOL²/8 <= f*
+      + E, E = ε + (GSS_TOL/2)·√(2κ̄ε) + κ̄·GSS_TOL²/4 (a quarter where an
+      eighth is exact, which covers κ̄'s rounding); v <= f̂(x*) <= f* + E +
+      δ.
+    - As f* <= f(p) <= f̂(p) + δ, v <= f̂(p) + E + 2δ in either case.
+    The margin is E + 3δ, whose last δ covers the bound's own rounding.
+    Forming f̂(p) + margin is off by at most u·|f̂(p)| + 3u·(E + 3δ), with
+    |f̂(p)| <= 2M + δ and δ >= γ_{X+K+16}·3M >= 54u·M (M as in
+    PairStack.rounding): far below the δ - 4.1u left, as δ >= 18u. And
+    math.exp is within an ulp, so the exp of a bound at least 4.1u above a
+    value is at least the value's exp: a label's fsum of the bounds' exps
+    is at least the check's own fsum."""
+    eps = 3.24 * delta * (math.ceil(math.log(GSS_TOL) / math.log(_INV_PHI)) + 1)
+    return (
+        eps
+        + 0.5 * GSS_TOL * math.sqrt(2.0 * kappa * eps)
+        + 0.25 * kappa * GSS_TOL * GSS_TOL
+        + 3.0 * delta
+    )
+
+
 class _Calculus:
     """Per-lane constants of a PairStack's located minimizations
     (PairStack._locate), over models m: the stack's log p and ℓ = log q -
     log p (0 on padding), and every symbol's (1, ℓ, ℓ²), shaped for
-    _derivatives; the range W_m of ℓ_m over the alphabet (width, as lists);
-    and the coefficients of the slope and curvature rounding bounds."""
+    _derivatives; the range W_m of ℓ_m over the alphabet (width, as lists)
+    and W_m²/4 (curvature, an array); and the coefficients of the slope and
+    curvature rounding bounds."""
 
-    __slots__ = ("log_p", "ell", "basis", "width", "slope_coef", "curv_coef", "eta")
+    __slots__ = (
+        "log_p", "ell", "basis", "width", "curvature", "slope_coef", "curv_coef", "eta"
+    )
 
     def __init__(self, stack: PairStack):
         p, q = stack.log_p, stack.log_q
@@ -630,7 +591,9 @@ class _Calculus:
         # padding's ℓ of 0 widens no range, as both rows sum to 1, so a
         # model's ℓ are not all of one sign; where rounding makes them so,
         # a wider range only loosens the rules
-        self.width = (ell.max(-1) - ell.min(-1)).tolist()
+        width = ell.max(-1) - ell.min(-1)
+        self.width = width.tolist()
+        self.curvature = 0.25 * width * width  # Var ℓ_m <= W_m²/4
         mag = np.array(stack._log_maxima[1])  # A_m over every label
         self.slope_coef = spread * (14.0 * mag + 2 * X + K + 12)
         self.curv_coef = (6 * X + 12) * spread * spread
@@ -661,10 +624,11 @@ class PairStack:
 
     def _lanes(self) -> None:
         # per lane: its (K, X) tables, its prior ratio as a Python float,
-        # and no _calculus yet (select copies this stack's)
+        # and no _calculus or _start yet (select copies this stack's)
         self._rows = list(zip(self.log_p, self.log_q))
         self._ratios = self.log_ratio.tolist()
         self.__dict__.pop("_calculus", None)
+        self.__dict__.pop("_start", None)
 
     def select(self, lanes: Sequence[int]) -> PairStack:
         """The stack of the given lanes, in that order, copied from this
@@ -720,29 +684,46 @@ class PairStack:
         np.vecdot is the same BLAS dot as counts @ log_m, bit for bit."""
         return self.lane_objective(lambda log_m: np.vecdot(log_m, counts), self._ratios)
 
-    def tilts(
-        self,
-        counts: np.ndarray,
-        settle: Callable[[list[float]], bool] | None = None,
-    ) -> list[tuple[float, float]] | None:
-        """Each pair's optimal tilt and log proxy for float plan counts. The
-        lanes' rules (_locate) answer the golden-section rounds they prove;
-        with settle, every round is decided from the values instead, and
-        the result is None if settle stops the lanes (golden_lanes)."""
+    def _ruled(
+        self, counts: np.ndarray, delta: float
+    ) -> tuple[list[bool], list[Rule | None]]:
+        """For float plan counts, whose proxies' computed values lie within
+        delta of the exact ones: the lanes tilts fixes (flat, with no prior
+        term) and every lane's rule (_locate)."""
         fixed = [fl and q == 0.0 for fl, q in zip(self.flat, self._ratios)]
-        rules = None
-        if settle is None and not all(fixed):
-            rules = self._locate(self._ratios, counts, fixed, self.rounding(counts))
-        return _minimize_tilts(self.proxy(counts), fixed, rules, settle)
+        return fixed, self._locate(self._ratios, counts, fixed, delta)
+
+    def tilts(self, counts: np.ndarray) -> list[tuple[float, float]]:
+        """Each pair's optimal tilt and log proxy for float plan counts. The
+        lanes' rules (_ruled) answer the golden-section rounds they prove."""
+        fixed, rules = self._ruled(counts, self.rounding(counts))
+        return _minimize_tilts(self.proxy(counts), fixed, rules)
+
+    def _bracket_bounds(
+        self, counts: np.ndarray, delta: float, rules: Sequence[Rule | None]
+    ) -> list[float]:
+        """For float plan counts, with delta = rounding(counts) and the
+        lanes' rules (_ruled), a bound on each lane's log proxy as tilts
+        returns it, from one value call: f̂(p) + _bracket_margin(δ, κ̄) at
+        the lane's bracket end p (its right end, else its left; 0.5 for a
+        lane without a rule, which is sound but loose), with κ̄ = Σ_m
+        r_m·W_m²/4."""
+        points = [
+            0.5 if rule is None else rule[6] if rule[6] <= 1.0 else rule[0]
+            for rule in rules
+        ]
+        kappa = (self._calculus.curvature @ counts).tolist()
+        return [
+            v + _bracket_margin(delta, k)
+            for v, k in zip(self.proxy(counts)(points, None), kappa)
+        ]
 
     def contractions(self) -> list[tuple[float, float]]:
         """Each pair's (s*, min_s sum_m log M_m(s)): pair_contraction. Its
         rounding bound is a proxy's for one query of every model, as the
         objective is that proxy's without the prior term."""
-        rules = None
-        if not all(self.flat):
-            ones = np.ones(self.log_p.shape[1])
-            rules = self._locate(None, ones, self.flat, self.rounding(ones))
+        ones = np.ones(self.log_p.shape[1])
+        rules = self._locate(None, ones, self.flat, self.rounding(ones))
         total = self.lane_objective(lambda log_m: np.add.reduce(log_m, -1))
         return _minimize_tilts(total, self.flat, rules)
 
@@ -779,6 +760,12 @@ class PairStack:
         its bounds)."""
         return _Calculus(self)
 
+    @functools.cached_property
+    def _start(self) -> tuple[np.ndarray, np.ndarray]:
+        """_derivatives at the _START tilts, where every _locate on the
+        stack begins, whatever its weights: computed on first use."""
+        return self._derivatives(_START[None, :])
+
     def _derivatives(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """At tilts t shaped (P, J), one row per lane (or (1, J) for every
         lane), each model's slope and curvature of log M_m, shaped
@@ -802,10 +789,12 @@ class PairStack:
         (_golden_steps), or None, for an objective of slope ρ + Σ_m
         w_m·mean_m and curvature Σ_m w_m·var_m (_derivatives), with ρ =
         ratios (0 when None) and w = weights, whose computed values lie
-        within delta of the exact ones.
+        within delta of the exact ones. A fixed lane has no rule, and with
+        every lane fixed nothing is evaluated.
 
-        One call of _derivatives evaluates every lane at the _START tilts;
-        then at most _NEWTON_CALLS calls evaluate two points per lane around
+        Every lane starts from its slopes and curvatures at the _START
+        tilts, evaluated once per stack (_start); then at most
+        _NEWTON_CALLS calls of _derivatives evaluate two points per lane around
         the next iterate (_newton_point). A point whose computed slope lies
         beyond ±σ has an exact slope of that sign, so it bounds the
         minimizer s† from that side; the nearest on each side are the
@@ -838,6 +827,8 @@ class PairStack:
         Ends of certified sign only make the rules sharp: a rule stays
         valid with an end on either side of s† (_golden_steps).
         """
+        if all(fixed):
+            return [None] * len(fixed)
         calc = self._calculus
         P = len(calc.width)
         K = len(weights)
@@ -848,7 +839,7 @@ class PairStack:
         width = [max([x for x, on in zip(row, queried) if on] or [0.0]) for row in calc.width]
         start = _START.tolist()
         sides = []
-        mean, var = self._derivatives(_START[None, :])
+        mean, var = self._start
         grid = zip((mean @ weights).tolist(), (var @ weights).tolist())
         for k, (slopes, curves) in enumerate(grid):
             # the last start tilt of certified negative slope, the first of
@@ -932,49 +923,42 @@ def optimize_tilt(
     return PairStack(instance, [(yi, yj)]).tilts(counts)[0]
 
 
-def _label_values(pair_tilts: Sequence[tuple[float, float]], L: int) -> list[float]:
-    """Each label's surrogate error from the (s*, log proxy) of every
-    ordered pair, in ordered_pairs' order: the fsum of its L - 1
-    competitors' proxies."""
+def _label_values(logs: Sequence[float], L: int) -> list[float]:
+    """Each label's surrogate error from the log proxy of every ordered
+    pair, in ordered_pairs' order: the fsum of its L - 1 competitors'
+    exps."""
     return [
-        math.fsum(math.exp(lv) for _, lv in pair_tilts[k : k + L - 1])
-        for k in range(0, len(pair_tilts), L - 1)
+        math.fsum(math.exp(lv) for lv in logs[k : k + L - 1])
+        for k in range(0, len(logs), L - 1)
     ]
 
 
 def _surrogate_accept(instance: Instance) -> Callable[[np.ndarray], bool]:
     """The surrogate searches' check: accept(counts), for float plan
     counts, answers as is_surrogate_feasible(instance, counts).feasible
-    does, on the same lanes, but settles where it can.
+    does, on the same lanes, mostly from one value call.
 
-    Each lane's proxy f is convex and the value _minimize_tilts returns
-    lies in an interval [a, b] of every golden-section round (a flat lane
-    keeps [0, 1]), so that value is at most max(f(a), f(b)) + 2δ, with δ
-    from PairStack.rounding. Past each round, accept takes those bounds
-    plus 3δ, which also covers forming the bound and its exp: once every
-    label's fsum of their exps is at most its tolerance, the exact values
-    would pass too, and the check accepts. Settling needs the values at
-    every round's ends, so these sections decide every round from the
-    values; a plan that never settles runs on to the end of them.
+    It locates each lane's minimizer as tilts does (PairStack._ruled) and
+    bounds each lane's log proxy from one value call at its bracket end
+    (PairStack._bracket_bounds). When every label's fsum of the bounds'
+    exps is at most its tolerance, the check's own fsum is too, and accept
+    answers True. Otherwise it runs tilts' certified rounds on the same
+    rules and compares their values as is_surrogate_feasible does.
     """
     L = instance.n_labels
     stack = pair_stack(instance)
-    labels = list(zip(range(0, len(stack.flat), L - 1), instance.tolerances.tolist()))
+    tolerances = instance.tolerances.tolist()
+
+    def passes(logs: list[float]) -> bool:
+        return all(v <= a for v, a in zip(_label_values(logs, L), tolerances))
 
     def accept(counts: np.ndarray) -> bool:
-        slack = 3.0 * stack.rounding(counts)
-
-        def settled(tops: list[float]) -> bool:
-            return all(
-                math.fsum(math.exp(t + slack) for t in tops[k : k + L - 1]) <= alpha
-                for k, alpha in labels
-            )
-
-        pair_tilts = stack.tilts(counts, settled)
-        if pair_tilts is None:
+        delta = stack.rounding(counts)
+        fixed, rules = stack._ruled(counts, delta)
+        if passes(stack._bracket_bounds(counts, delta, rules)):
             return True
-        values = _label_values(pair_tilts, L)
-        return all(v <= alpha for v, (_, alpha) in zip(values, labels))
+        pair_tilts = _minimize_tilts(stack.proxy(counts), fixed, rules)
+        return passes([lv for _, lv in pair_tilts])
 
     return accept
 
@@ -1359,7 +1343,7 @@ def is_surrogate_feasible(
     pairs = ordered_pairs(len(names))
     # every label's pairs in one lockstep run; label y's are the (y, .) block
     pair_tilts = pair_stack(instance).tilts(counts)
-    values = tuple(_label_values(pair_tilts, len(names)))
+    values = tuple(_label_values([lv for _, lv in pair_tilts], len(names)))
     tolerances = tuple(float(a) for a in instance.tolerances)
     flags = tuple(v <= a for v, a in zip(values, tolerances))
     return SurrogateReport(

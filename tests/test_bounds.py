@@ -14,11 +14,13 @@ from queryplan.bounds import (
     _AHEAD_SHARE,
     _FOLD_MIN,
     _FOLD_TERMS,
+    _NEWTON_CALLS,
     _PAD,
     _WINDOW_CHUNK,
     PairStack,
     PairTables,
     TangentTable,
+    _bracket_margin,
     _golden_steps,
     _lockstep,
     _logsumexp,
@@ -27,8 +29,8 @@ from queryplan.bounds import (
     _rule,
     _ruled_lanes,
     _surrogate_accept,
+    _values_at,
     affinity,
-    golden_lanes,
     golden_section,
     instance_contraction,
     is_surrogate_feasible,
@@ -177,6 +179,10 @@ def test_golden_section_quartic():
     assert abs(x - 0.3) <= 1e-6
     with pytest.raises(ValueError):
         golden_section(lambda t: t, 1.0, 1.0)
+    # an infinite bound raises rather than returning NaN
+    for lo, hi in [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            golden_section(lambda t: (t - 0.3) ** 2, lo, hi)
 
 
 def test_pair_tables_match_scalar_path(duo):
@@ -236,9 +242,13 @@ def test_tangent_table_bounds_golden_sections(seed, n_labels, alpha, counts):
     stack = PairStack(inst, ordered_pairs(inst.n_labels))
     # the plan's bound never exceeds the golden-section pair proxy
     assert all(b <= lv for b, (_, lv) in zip(lb, stack.tilts(r)))
+    n = len(stack.flat)
     for m in range(inst.n_models):
         one_model = stack.lane_objective(lambda log_m, m=m: log_m[..., m])
-        minima = _minimize_tilts(one_model, [False] * len(stack.flat))
+        # a model's log M is a proxy of one query of it, less the prior term
+        unit = np.eye(inst.n_models)[m]
+        rules = stack._locate(None, unit, [False] * n, stack.rounding(unit))
+        minima = _minimize_tilts(one_model, [False] * n, rules)
         # w_max never undercuts a model's golden-section weight
         assert all(table.w_max[p, m] >= -lv for p, (_, lv) in enumerate(minima))
     if is_surrogate_feasible(inst, tuple(int(c) for c in r)).feasible:
@@ -366,16 +376,6 @@ def test_lanes_match_scalar_reference(seed, n_labels, kind, counts):
     assert instance_contraction(inst) == worst
 
 
-def _exact_lanes(f, flat):
-    """golden_lanes' points on [0, 1], the values there, at 0 and at 1
-    (0.0 for a flat lane): every round decided from the values."""
-    n = len(flat)
-    points, (at_0, at_1) = golden_lanes(f, n, 0.0, 1.0, (0.0, 1.0), flat)
-    at_0 = [0.0 if fl else v for fl, v in zip(flat, at_0)]
-    at_1 = [0.0 if fl else v for fl, v in zip(flat, at_1)]
-    return points, f(points, None), at_0, at_1
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -389,7 +389,8 @@ def test_certified_rounds_match_exact_golden_sections(
 ):
     # the rules answer only rounds whose outcome the values would give:
     # every lane's golden-section point, its value there and at 0 and 1
-    # are golden_lanes' bit for bit, for proxies and contractions, also
+    # are those of rule-less lanes, which decide every round from the
+    # values, bit for bit, for proxies and contractions, also
     # for flat and twin-label lanes, all-zero plans, and (a label of tiny
     # prior, few queries) minimizers at 0 or 1
     inst = _lane_instance(seed, n_labels, kind)
@@ -404,10 +405,9 @@ def test_certified_rounds_match_exact_golden_sections(
     f = stack.proxy(r)
     if not all(fixed):
         rules = stack._locate(stack.log_ratio.tolist(), r, fixed, stack.rounding(r))
-        assert _ruled_lanes(f, fixed, rules) == _exact_lanes(f, fixed)
-    tilts = stack.tilts(r)
-    assert tilts == stack.tilts(r, lambda tops: False)
-    assert tilts == [
+        unruled = [None] * len(fixed)
+        assert _ruled_lanes(f, fixed, rules) == _ruled_lanes(f, fixed, unruled)
+    assert stack.tilts(r) == [
         reference_tilt.pair_tilt(PairTables(inst, i, j), r) for i, j in ordered_pairs(L)
     ]
     upper = stack.select(upper_lanes(L))
@@ -415,7 +415,10 @@ def test_certified_rounds_match_exact_golden_sections(
         ones = np.ones(inst.n_models)
         rules = upper._locate(None, ones, upper.flat, upper.rounding(ones))
         total = upper.lane_objective(lambda log_m: np.add.reduce(log_m, -1))
-        assert _ruled_lanes(total, upper.flat, rules) == _exact_lanes(total, upper.flat)
+        unruled = [None] * len(upper.flat)
+        assert _ruled_lanes(total, upper.flat, rules) == _ruled_lanes(
+            total, upper.flat, unruled
+        )
     assert upper.contractions() == [
         reference_tilt.pair_contraction(PairTables(inst, i, j))
         for i, j in ordered_pairs(L)
@@ -427,7 +430,8 @@ def test_a_tied_round_is_decided_from_the_values(monkeypatch):
     # the binary symmetric channel under a uniform prior has proxies and a
     # contraction symmetric about s = 1/2, so the first round's points c
     # and 1 - c tie exactly: no rule proves it, and its values are asked
-    # for; the results are still the exact sections'
+    # for; the results are still those of the sections decided from values
+    # and of the one-pair reference
     inst = _lane_instance(0, 2, "bsc")
     r = np.array([6.0])
     asked = []
@@ -447,7 +451,10 @@ def test_a_tied_round_is_decided_from_the_values(monkeypatch):
     stack = PairStack(inst, ordered_pairs(2))
     tilts = stack.tilts(r)
     assert all(x in asked[0] for x in first)
-    assert tilts == stack.tilts(r, lambda tops: False)
+    assert tilts == _minimize_tilts(stack.proxy(r), [False, False], [None, None])
+    assert tilts == [
+        reference_tilt.pair_tilt(PairTables(inst, i, j), r) for i, j in ordered_pairs(2)
+    ]
     del asked[:]
     (contraction,) = stack.select([0]).contractions()
     assert all(x in asked[0] for x in first)
@@ -500,8 +507,7 @@ def test_audits_and_contractions_make_at_most_ten_objective_calls(monkeypatch):
         def wrapped(self, *args):
             before = calls[0]
             out = method(self, *args)
-            if len(args) < 2:  # a settled accept decides every round itself
-                runs.append(calls[0] - before)
+            runs.append(calls[0] - before)
             return out
 
         return wrapped
@@ -635,8 +641,7 @@ def test_rules_decide_as_the_computed_values_do(
         end(None if right is None else min(1.0, s0 + right)),
     )
     rule = _rule(*ends, sigma, eta, zeta, w, delta)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    step = _golden_steps(0.0, 1.0, 1.0 - phi, phi, None, None, rule)
+    step = _golden_steps(0.0, 1.0, rule)
     (got,) = _lockstep(lambda s, live: [computed(x) for x in s], [0], [step])
     assert got[0] == reference_tilt.golden_section(computed, 0.0, 1.0)
 
@@ -665,13 +670,15 @@ def _twin(inst: Instance, same_prior: bool) -> Instance:
     twin=st.sampled_from([None, "flat", "ratio"]),
     near=st.sampled_from([None, 1.0 - 1e-12, 1.0 + 1e-12]),
 )
-def test_settled_accept_answers_as_the_full_check(
-    seed, n_labels, alpha, counts, twin, near
-):
-    # the settled accept says what is_surrogate_feasible says: also with
-    # a tolerance 1e-12 relative from the plan's own surrogate error,
-    # where only the exact values can tell, and with an indistinguishable
-    # pair, whose lanes are flat or linear
+# a plan the bracket bounds accept, and one whose tolerance lies within
+# their margin of its surrogate error, which the certified rounds decide
+@example(seed=0, n_labels=2, alpha=0.01, counts=[40] * 3, twin=None, near=None)
+@example(seed=0, n_labels=2, alpha=0.01, counts=[40] * 3, twin=None, near=1.0 + 1e-12)
+def test_accept_answers_as_the_full_check(seed, n_labels, alpha, counts, twin, near):
+    # the accept says what is_surrogate_feasible says: also with a
+    # tolerance 1e-12 relative from the plan's own surrogate error, where
+    # only the exact values can tell, and with an indistinguishable pair,
+    # whose lanes are flat or linear
     rng = np.random.default_rng(seed)
     inst = random_instance(
         rng, n_labels=n_labels, max_models=3, alphabet_sizes=(2, 4), alpha=alpha
@@ -686,40 +693,107 @@ def test_settled_accept_answers_as_the_full_check(
     assert _surrogate_accept(inst)(np.array(plan, dtype=float)) == want
 
 
-def test_settled_accept_makes_fewer_objective_calls(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 4),
+    kind=st.sampled_from(["random", "flat", "flat-ratio", "bsc"]),
+    counts=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    skew=st.sampled_from([None, 1e-3, 1e-6]),
+)
+def test_bracket_bounds_stay_above_the_checks_values(
+    seed, n_labels, kind, counts, skew
+):
+    # each lane's bracket bound is at least the log proxy the full check
+    # reports for it, also for flat and twin-label lanes, all-zero plans,
+    # and minimizers at 0 or 1 (a label of tiny prior)
+    inst = _lane_instance(seed, n_labels, kind)
+    if skew is not None:
+        prior = inst.prior.copy()
+        prior[-1] = skew
+        inst = dataclasses.replace(inst, prior=prior / prior.sum())
+    r = np.asarray(counts[: inst.n_models], dtype=float)
+    stack = PairStack(inst, ordered_pairs(inst.n_labels))
+    delta = stack.rounding(r)
+    _, rules = stack._ruled(r, delta)
+    tops = stack._bracket_bounds(r, delta, rules)
+    report = is_surrogate_feasible(inst, tuple(int(c) for c in r))
+    assert all(top >= lv for top, (*_, lv) in zip(tops, report.tilts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["logcosh", "exp", "expm"]),
+    s0=st.floats(0.0, 1.0),
+    w=_decades(-1.3, 1.8),
+    a=_decades(-3.0, 3.0),
+    delta=_decades(-13.5, 0.5),
+    mode=st.sampled_from(["split", "hash"]),
+    t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# cases whose rounds, decided from the values, lose more than 3δ, which a
+# margin without ε would not cover
+@example(
+    family="logcosh", s0=0.03611941144378816, w=0.12435825164524887,
+    a=2.2155664919629663, delta=3.7978370352061226e-09, mode="hash",
+    t=0.041585887231903734, seed=361815429,
+)
+@example(
+    family="exp", s0=0.5136154082588822, w=0.7072062012211726, a=3.0922316630743474,
+    delta=0.00011408091714046414, mode="hash", t=0.8389836360197808, seed=555176573,
+)
+def test_bracket_margin_covers_golden_sections(family, s0, w, a, delta, mode, t, seed):
+    # a golden section on values off by up to δ, every round decided from
+    # them, ends on a value (the least of its point's, 0's and 1's) at most
+    # _bracket_margin(δ, κ̄) above any value within δ of the minimum, with
+    # κ̄ the largest curvature on [0, 1]; the lane moves its values by
+    # 0.98δ, which leaves the rest of δ for its own rounding
+    delta *= a
+    exact, _, curvature = _lane_with_noise(family, a, w, s0, 0.0, mode, t, seed)
+    computed, _, _ = _lane_with_noise(family, a, w, s0, 0.98 * delta, mode, t, seed)
+    kappa = max(curvature(0.0), curvature(1.0), curvature(s0))
+    x = reference_tilt.golden_section(computed, 0.0, 1.0)
+    v = min(computed(x), computed(0.0), computed(1.0))
+    assert v <= exact(s0) - delta + _bracket_margin(delta, kappa)
+
+
+def test_accept_makes_one_value_call(monkeypatch):
     # on the seed-42 guarantee draws, the accept of each surrogate optimum
-    # settles before its golden sections end: it makes fewer objective
-    # calls than the same sections run to the end, every round decided from
-    # the values, as settling needs (a settle that never answers True)
+    # is decided by its bracket bounds: one value call, after the calls
+    # that locate the minimizers, and the same answer as the full check
     rng = np.random.default_rng(42)
     draws = [random_instance(rng, n_labels=2, max_models=3) for _ in range(12)]
     plans = [
         exact_opt(inst, node_budget=GUARANTEE_NODE_BUDGET).plan.counts
         for inst in draws
     ]
-    calls = []
+    values, derivatives = [], []
     lane_objective = PairStack.lane_objective
+    located = PairStack._derivatives
 
     def counted(self, *args):
         f = lane_objective(self, *args)
 
         def g(s, live):
-            calls.append(len(s))
+            values.append(len(s))
             return f(s, live)
 
         return g
 
+    def counted_derivatives(self, t):
+        derivatives.append(t.shape)
+        return located(self, t)
+
     monkeypatch.setattr(PairStack, "lane_objective", counted)
+    monkeypatch.setattr(PairStack, "_derivatives", counted_derivatives)
     for inst, plan in zip(draws, plans):
         accept = _surrogate_accept(inst)
-        r = np.array(plan, dtype=float)
-        del calls[:]
-        assert accept(r)
-        settled = len(calls)
-        del calls[:]
-        tilts = PairStack(inst, ordered_pairs(inst.n_labels)).tilts(r, lambda tops: False)
-        assert settled < len(calls), (plan, settled, len(calls))
-        assert tilts == [(s, lv) for _, _, s, lv in is_surrogate_feasible(inst, plan).tilts]
+        del values[:], derivatives[:]
+        assert accept(np.array(plan, dtype=float))
+        assert len(values) == 1, (plan, values)
+        assert len(derivatives) <= 1 + _NEWTON_CALLS, (plan, derivatives)
+        assert is_surrogate_feasible(inst, plan).feasible
 
 
 @settings(max_examples=60, deadline=None)
@@ -745,7 +819,8 @@ def test_golden_section_matches_reference(lo, width, target, power):
 def test_golden_lanes_that_stop_at_different_rounds(lo, hi):
     # widths of about GSS_TOL * phi^2, where rounding makes a lane that
     # always keeps the left part stop a round apart from one that keeps
-    # the right; each lane still ends at its one-lane point
+    # the right; each rule-less lane in lockstep still ends at its one-lane
+    # point, and the values at lo and hi ride on the first call
     targets = [lo - 1.0, hi + 1.0, 0.5 * (lo + hi)]
     calls = []
 
@@ -754,12 +829,14 @@ def test_golden_lanes_that_stop_at_different_rounds(lo, hi):
         lanes = range(len(s)) if live is None else live
         return [abs(x - targets[k]) for k, x in zip(lanes, s)]
 
-    points, ends = golden_lanes(f, 3, lo, hi, (lo, hi))
+    steps = [_golden_steps(lo, hi) for _ in targets]
+    out = _lockstep(f, [0, 1, 2] * 2, steps + [_values_at(lo, hi) for _ in targets])
     assert any(live is not None and 0 < len(set(live)) < 3 for live in calls[1:])
-    assert points == [
+    assert [x for x, _ in out[:3]] == [
         reference_tilt.golden_section(lambda t, y=y: abs(t - y), lo, hi)
         for y in targets
     ]
+    ends = [list(v) for v in zip(*out[3:])]
     assert ends == [[abs(lo - y) for y in targets], [abs(hi - y) for y in targets]]
 
 

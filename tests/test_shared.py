@@ -223,8 +223,8 @@ def test_copies_with_other_tolerances_get_their_own_state(duo):
 @pytest.mark.parametrize("n_labels", [2, 3])
 def test_one_pair_stack_serves_every_search_on_an_instance(monkeypatch, n_labels):
     # both exact optima, three solves and an audit read the instance's one
-    # stack of ordered pairs: the tangent table, the settled surrogate
-    # check, the Bhattacharyya screen, the contraction and the constants
+    # stack of ordered pairs: the tangent table, the surrogate check, the
+    # Bhattacharyya screen, the contraction and the constants
     inst = random_instance(
         np.random.default_rng(42), n_labels=n_labels, max_models=3, alpha=0.02
     )
