@@ -247,15 +247,14 @@ def _golden_steps(lo: float, hi: float, rule: Rule | None = None):
     Each bound is valid whatever the sign of g_r. The left end is the
     mirror image, for c + d < 2s_l. The rule's terms carry
     _RULE_ROUNDING, which covers the rounding of the bound itself. A rule
-    with no ends (2s_l = -inf, 2s_r = inf) proves no round."""
+    with no ends (2s_l = -inf, 2s_r = inf) proves no round: a lane without
+    a rule runs on _NO_RULE."""
     a, b = lo, hi
     phi = _INV_PHI
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc = fd = None
     known: dict[float, float] = {}
-    (s_l, l2, g_l, k_l, a_l, b_l, s_r, r2, g_r, k_r, a_r, b_r, W, tol) = rule or _rule(
-        None, None, 0.0, 0.0, 0.0, 0.0, 0.0
-    )
+    s_l, l2, g_l, k_l, a_l, b_l, s_r, r2, g_r, k_r, a_r, b_r, W, tol = rule or _NO_RULE
     exp = math.exp
     while (b - a) > GSS_TOL:
         m = c + d
@@ -528,6 +527,10 @@ def _rule(
     return (*ends, width, 2.0 * delta * _UP)
 
 
+# The rule of a lane without one, which proves no round (_golden_steps).
+_NO_RULE = _rule(None, None, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 def _bracket_margin(delta: float, kappa: float) -> float:
     """How far above f̂(p), at any p in [0, 1], lies the value v that
     _minimize_tilts returns for a lane's convex f, when each computed value
@@ -599,6 +602,16 @@ class _Calculus:
         self.curv_coef = (6 * X + 12) * spread * spread
         self.eta = _UNIT * 1.001 * (14.0 * float(mag.max()) + K + 8)
 
+    def select(self, lanes: Sequence[int]) -> _Calculus:
+        """These constants on the given lanes, in that order (eta is the
+        instance's)."""
+        sub = object.__new__(_Calculus)
+        for name in ("log_p", "ell", "basis", "curvature", "slope_coef", "curv_coef"):
+            setattr(sub, name, getattr(self, name)[lanes])
+        sub.width = [self.width[k] for k in lanes]
+        sub.eta = self.eta
+        return sub
+
 
 class PairStack:
     """Label pairs' log-conditional tables, padded to a common alphabet
@@ -623,21 +636,23 @@ class PairStack:
         self._lanes()
 
     def _lanes(self) -> None:
-        # per lane: its (K, X) tables, its prior ratio as a Python float,
-        # and no _calculus or _start yet (select copies this stack's)
+        # per lane: its (K, X) tables and its prior ratio as a Python float
         self._rows = list(zip(self.log_p, self.log_q))
         self._ratios = self.log_ratio.tolist()
-        self.__dict__.pop("_calculus", None)
-        self.__dict__.pop("_start", None)
 
     def select(self, lanes: Sequence[int]) -> PairStack:
         """The stack of the given lanes, in that order, copied from this
-        one's arrays without another build."""
+        one's arrays without another build. Its _calculus and _start are
+        this stack's rows, computed here if not yet: every entry is
+        computed within its lane, so they hold the values a build on the
+        selected lanes would."""
         sub = copy.copy(self)
         sub.log_p, sub.log_q = self.log_p[lanes], self.log_q[lanes]
         sub.log_ratio = self.log_ratio[lanes]
         sub.flat = [self.flat[k] for k in lanes]
         sub._lanes()
+        sub._calculus = self._calculus.select(lanes)
+        sub._start = tuple(a[lanes] for a in self._start)
         return sub
 
     def log_affinities(self, lane: int, s: float) -> np.ndarray:
@@ -757,13 +772,14 @@ class PairStack:
     @functools.cached_property
     def _calculus(self) -> _Calculus:
         """The stack's _Calculus, computed on first use (_locate derives
-        its bounds)."""
+        its bounds) or sliced from the stack it was selected from."""
         return _Calculus(self)
 
     @functools.cached_property
     def _start(self) -> tuple[np.ndarray, np.ndarray]:
         """_derivatives at the _START tilts, where every _locate on the
-        stack begins, whatever its weights: computed on first use."""
+        stack begins, whatever its weights: computed on first use or
+        sliced from the stack it was selected from."""
         return self._derivatives(_START[None, :])
 
     def _derivatives(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

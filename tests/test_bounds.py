@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -426,6 +427,26 @@ def test_certified_rounds_match_exact_golden_sections(
     ]
 
 
+def test_selected_lanes_keep_a_build_on_them_alone():
+    # select slices the stack's located-minimization constants (_calculus,
+    # _start), each computed within its lane: they equal those of a stack
+    # built on the selected pairs alone, bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        inst = random_instance(rng, n_labels=int(rng.integers(2, 5)), max_models=4)
+        pairs = ordered_pairs(inst.n_labels)
+        lanes = upper_lanes(inst.n_labels)[::-1]
+        sub = PairStack(inst, pairs).select(lanes)
+        alone = PairStack(inst, [pairs[k] for k in lanes])
+        for name in ("log_p", "ell", "basis", "curvature", "slope_coef", "curv_coef"):
+            got, built = getattr(sub._calculus, name), getattr(alone._calculus, name)
+            assert np.array_equal(got, built)
+        assert sub._calculus.width == alone._calculus.width
+        assert sub._calculus.eta == alone._calculus.eta
+        assert all(map(np.array_equal, sub._start, alone._start))
+        assert sub.contractions() == alone.contractions()
+
+
 def test_a_tied_round_is_decided_from_the_values(monkeypatch):
     # the binary symmetric channel under a uniform prior has proxies and a
     # contraction symmetric about s = 1/2, so the first round's points c
@@ -756,6 +777,21 @@ def test_bracket_margin_covers_golden_sections(family, s0, w, a, delta, mode, t,
     x = reference_tilt.golden_section(computed, 0.0, 1.0)
     v = min(computed(x), computed(0.0), computed(1.0))
     assert v <= exact(s0) - delta + _bracket_margin(delta, kappa)
+
+
+def test_bracket_margin_covers_the_final_interval():
+    # exact values (δ = 0) of quadratics of curvature κ̄ = 2: the golden
+    # point misses the minimizer by up to GSS_TOL/2, which only the margin's
+    # κ̄·GSS_TOL² term covers
+    for s0 in (0.1, 0.3, 0.5, 0.77):
+        target = Fraction(s0)
+
+        def f(s):
+            return (Fraction(s) - target) ** 2
+
+        x = golden_section(f, 0.0, 1.0)
+        v = min(f(x), f(0.0), f(1.0))
+        assert 0 < v <= _bracket_margin(0.0, 2.0), s0
 
 
 def test_accept_makes_one_value_call(monkeypatch):

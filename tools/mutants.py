@@ -2,24 +2,23 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/mutants.py [--list] [NAME ...]
+    python3 tools/mutants.py
 
 Each entry of MUTANTS breaks one derived margin of the solver: it names a
 file under ``src/``, one exact snippet of its source, the snippet's
-replacement and the test files that must then fail. For each mutant (all of
-them, or those named), the harness copies ``src/`` to a temporary
-directory, applies the one replacement there, and runs ``pytest -x -q`` on
-the named tests against the copy, from the temporary directory, which
-holds the run's hypothesis database; no pytest cache is written. A mutant the tests do
-not fail has survived. The harness exits 1 if any mutant survives, and
-also, before running anything, if a snippet is missing from its file or
-appears more than once: a refactor that moves a margin must move its
-mutant with it. The checkout's own files are never changed.
+replacement and the test files that must then fail. For each mutant, the
+harness copies ``src/`` to a temporary directory, applies the one
+replacement there, and runs ``pytest -x -q`` on the named tests against the
+copy, from the temporary directory, which holds the run's hypothesis
+database; no pytest cache is written. A mutant the tests do not fail has
+survived. The harness exits 1 if any mutant survives, and also, before
+running anything, if a snippet is missing from its file or appears more than
+once: a refactor that moves a margin must move its mutant with it. The
+checkout's own files are never changed.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -82,6 +81,13 @@ MUTANTS = (
         "        0.5 * GSS_TOL",
         BOUNDS_TESTS,
     ),
+    Mutant(
+        "bracket-margin-no-curvature-term",
+        BOUNDS,
+        "        + 0.25 * kappa * GSS_TOL * GSS_TOL\n",
+        "",
+        BOUNDS_TESTS,
+    ),
 )
 
 
@@ -119,28 +125,15 @@ def _killed(mutant: Mutant) -> bool:
         return done.returncode == 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [by_name[n] for n in args.names] if args.names else list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}: src/{m.file} ({', '.join(m.tests)})")
-        return 0
+def main() -> int:
     try:
-        for m in chosen:  # every snippet is checked before any test runs
+        for m in MUTANTS:  # every snippet is checked before any test runs
             _mutated(m, ROOT / "src")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     survivors = []
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
         killed = _killed(m)
         verdict = "killed" if killed else "SURVIVED"
@@ -149,9 +142,9 @@ def main(argv: list[str] | None = None) -> int:
             survivors.append(m.name)
     if survivors:
         names = ", ".join(survivors)
-        print(f"{len(survivors)} of {len(chosen)} mutants survived: {names}")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived: {names}")
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
