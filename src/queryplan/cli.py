@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -34,8 +35,10 @@ from .simulate import simulate_error
 
 
 def _emit(payload: dict, output: str | None) -> None:
+    """Writes the payload as JSON; a ValueError, before anything is written,
+    if it holds a NaN or an infinity, which JSON cannot express."""
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -120,6 +123,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     inst = _load_valid(args)
     if (args.plan is None) == (args.opt is None):
         raise ValueError("pass exactly one of --plan or --opt")
+    if args.cost_cap is not None and not math.isfinite(args.cost_cap):
+        raise ValueError(f"--cost-cap must be a finite number, got {args.cost_cap}")
     if args.plan is not None:
         table = exact_error_table(inst, _parse_plan(args.plan), args.tie_policy)
         _emit(table.to_dict(), args.output)

@@ -34,7 +34,11 @@ lower bound on each label pair's Bayes error, and the check is exact
 errors; each such search walks on its own.
 One profile-mass loop serves every exact error, and each public entry
 builds every (model, count) profile block once per call and reuses it
-across labels and plans; models with zero queries have no block.
+across labels and plans; models with zero queries have no block. A
+block's model-free half, the compositions of the count into the model's
+symbols and their log multinomial coefficients, is kept per process by
+(count, alphabet width) (_ProfileMemo), so a block costs one matrix
+product and one column copy wherever that half was built before.
 
 exact_opt's true search decides each plan by a sorted split per label
 pair (_split_accept) before any joint product, whatever the label count,
@@ -64,6 +68,7 @@ import itertools
 import math
 import numbers
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
@@ -81,11 +86,11 @@ from .bounds import (
 from .instances import Instance, QueryPlan, _expect, _label_pair, as_plan, plan_cost
 from .likelihood import (
     SCORE_TOL,
-    _delta_margin,
     _delta_threshold,
     _error_mask,
     _gamma,
-    _log_scale,
+    _log_maxima,
+    _margin,
 )
 
 # A log-likelihood difference this close to zero is counted as favoring the
@@ -209,20 +214,94 @@ def _log_factorial(k: int) -> float:
 
 
 # Profile blocks by (model index, query count), built once per call of a
-# public entry and shared by every plan and label it scores; under
-# _LOG_FACT, the call's table of log-factorials (_log_factorials).
-_BlockCache = dict[tuple[int, int] | str, "_Block | np.ndarray"]
-_LOG_FACT = "log_fact"
+# public entry and shared by every plan and label it scores. A block's
+# model-free half comes from the process's _ProfileMemo.
+_BlockCache = dict[tuple[int, int], "_Block"]
+
+# The floats the process's _ProfileMemo holds at most: 8 MiB of entries,
+# and as much again for its table of log-factorials. A row of width X
+# counts X + 1 floats; a cold pass of the benchmark's tightness pool keeps
+# 12,386 in 44 entries.
+_MEMO_FLOATS = 1 << 20
+
+# A _ProfileMemo entry: profiles (P, X) as floats, log coefficients (P,).
+_Profiles = tuple[np.ndarray, np.ndarray]
 
 
-def _log_factorials(cache: _BlockCache, r: int) -> np.ndarray:
-    """log(k!) for k = 0..r at least: the cache's table, grown by
-    _log_factorial where a block needs more of it."""
-    table = cache.get(_LOG_FACT, np.empty(0))
-    if len(table) <= r:
-        more = [_log_factorial(k) for k in range(len(table), r + 1)]
-        table = cache[_LOG_FACT] = np.concatenate([table, more])
-    return table
+class _ProfileMemo:
+    """The half of every profile block that depends on neither the model
+    nor the instance, kept per process by (count r, alphabet width X):
+    the compositions of r into X symbols as floats (P, X), in
+    _compositions' order, and their log multinomial coefficients (P,).
+    Both are read-only, so every block built from an entry is the block
+    built from a fresh one, bit for bit.
+
+    It holds at most ``bound`` floats, a row of width X counting X + 1,
+    and evicts the least recently used entries past that; an entry larger
+    than the bound is built per call and not kept. Entries and the table
+    of log-factorials are built outside the lock and stored under it, so
+    two threads that race on one key build equal entries and keep one."""
+
+    def __init__(self, bound: int = _MEMO_FLOATS):
+        self.bound = bound
+        self.held = 0  # floats in entries
+        self._entries: OrderedDict[tuple[int, int], _Profiles] = OrderedDict()
+        self._log_fact = np.empty(0)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, r: int, width: int) -> _Profiles:
+        """(profiles, log coefficients) of count r over width symbols."""
+        key = (r, width)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry
+        profiles = _compositions(r, width, r)
+        log_fact = self._log_factorials(r)
+        coef = log_fact[r] - log_fact[profiles].sum(axis=1)
+        entry = (profiles.astype(float), coef)
+        for a in entry:
+            a.setflags(write=False)
+        size = len(coef) * (width + 1)
+        if size > self.bound:
+            return entry
+        with self._lock:
+            kept = self._entries.setdefault(key, entry)
+            if kept is entry:
+                self.held += size
+                while self.held > self.bound:
+                    _, (oldest, coef) = self._entries.popitem(last=False)
+                    self.held -= oldest.size + coef.size
+        return kept
+
+    def _log_factorials(self, r: int) -> np.ndarray:
+        """log(k!) for k = 0..r at least, by _log_factorial: the memo's
+        table, grown where an entry needs more of it, and kept while it
+        holds at most ``bound`` values."""
+        table = self._log_fact
+        if len(table) <= r:
+            more = [_log_factorial(k) for k in range(len(table), r + 1)]
+            table = np.concatenate([table, more])
+            table.setflags(write=False)
+            if len(table) <= self.bound:
+                with self._lock:
+                    if len(self._log_fact) < len(table):
+                        self._log_fact = table
+        return table
+
+    def clear(self) -> None:
+        """Drops every entry and the table of log-factorials."""
+        with self._lock:
+            self._entries.clear()
+            self.held = 0
+            self._log_fact = np.empty(0)
+
+
+_PROFILES = _ProfileMemo()
 
 
 class _Block:
@@ -284,7 +363,9 @@ def _model_blocks(
 
     Models with zero queries contribute only that empty profile, so
     leaving them out adds no 0.0 to any sum and changes no bit, nor any
-    chunk _iter_joint yields. A block missing from the cache is built and
+    chunk _iter_joint yields. A block missing from the cache is built
+    from the process's _ProfileMemo entry, with one matrix product for
+    its log-likelihoods and one column copy of its coefficients, and
     stored there.
     """
     blocks = []
@@ -293,11 +374,10 @@ def _model_blocks(
             continue
         block = cache.get((k, r))
         if block is None:
-            profiles = _compositions(r, m.n_symbols, r)
-            table = np.empty((len(profiles), instance.n_labels + 1))
-            table[:, :-1] = profiles.astype(float) @ m.log_conditional.T
-            log_fact = _log_factorials(cache, r)
-            table[:, -1] = log_fact[r] - log_fact[profiles].sum(axis=1)
+            profiles, coef = _PROFILES.get(r, m.n_symbols)
+            table = np.empty((len(coef), instance.n_labels + 1))
+            table[:, :-1] = profiles @ m.log_conditional.T
+            table[:, -1] = coef
             block = cache[k, r] = _Block(table)
         blocks.append(block)
     return blocks or [_Block(np.zeros((1, instance.n_labels + 1)))]
@@ -320,21 +400,19 @@ def _iter_joint(tables: list[np.ndarray]) -> Iterator[np.ndarray]:
             )
 
 
-def _check_budget(instance: Instance, plan: QueryPlan, budget: int) -> int:
-    """The plan's profile count, if within budget."""
-    n = profile_count(instance, plan)
+def _check_budget(n: int, budget: int) -> None:
+    """Raises unless a plan's profile count n is within budget."""
     if n > budget:
         raise EnumerationBudgetError(
             f"plan induces {n} profiles, over the budget of {budget}"
         )
-    return n
 
 
 def _scan_profiles(
     instance: Instance, plan: QueryPlan, budget: int, cache: _BlockCache
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yields (posterior scores (n, L), log joint coefficient (n,)) chunks."""
-    _check_budget(instance, plan, budget)
+    _check_budget(profile_count(instance, plan), budget)
     tables = [b.table for b in _model_blocks(instance, plan, cache)]
     for joint in _iter_joint(tables):
         yield instance.log_prior[None, :] + joint[:, :-1], joint[:, -1]
@@ -378,12 +456,12 @@ def _split_bounds(
     plan: QueryPlan,
     tie_policy: str,
     cache: _BlockCache,
-    scale: float,
+    margin: float,
 ) -> Iterator[tuple[list[float], list[float]]]:
     """Every label's bounds on its MAP error by the sorted split, after
     each label pair y < z in turn: (lower, upper), each a bound on the
     exact error up to rounding (_split_accept), which the later pairs
-    only tighten or complete; scale is _log_scale's.
+    only tighten or complete; margin is the plan's _delta_margin.
 
     Label y is wrong where some z scores above it by more than
     SCORE_TOL, and right where every z scores below it by more than
@@ -407,7 +485,6 @@ def _split_bounds(
     blocks = _model_blocks(instance, plan, cache)
     big = max(range(len(blocks)), key=lambda i: len(blocks[i].table))
     rest = [b for i, b in enumerate(blocks) if i != big]
-    margin = _delta_margin(instance, plan.counts, scale)
     # each label's thresholds of a pair, (lower, upper): y is wrong where
     # Δ lies above them, z where it lies below them; y's cuts serve z
     # where z's (upper, lower) are y's (lower, upper)
@@ -486,14 +563,25 @@ def _split_accept(
     both. Terms under the smallest normal double lose at most ulp(0)
     each, at most 4(L − 1)n·ulp(0) in all, an absolute floor that
     matters only at tolerances near 1e-300."""
-    n = _check_budget(instance, plan, budget)
-    scale = _log_scale(instance, plan.counts)
-    k = sum(1 for r in plan.counts if r)
+    # one pass over the counts: the profile count n, M = _log_scale, the
+    # queried models k and the widest alphabet, for _delta_margin
+    prior, maxima = _log_maxima(instance)
+    n, k, widest, logs = 1, 0, 1, 0.0
+    for m, r, a in zip(instance.models, plan.counts, maxima):
+        if r:
+            x = m.n_symbols
+            n *= math.comb(r + x - 1, x - 1)
+            k += 1
+            widest = max(widest, x)
+            logs += r * a
+    _check_budget(n, budget)
+    scale = prior + logs
     terms = (instance.n_labels - 1) * n
     band = 1e-9 + 2.0 * (_gamma(2 * k + 6) * (4.0 * scale + 750.0) + _gamma(terms))
     floor = 4.0 * terms * math.ulp(0.0)
+    margin = _margin(widest, k, scale)
     tolerances = instance.tolerances.tolist()
-    for lower, upper in _split_bounds(instance, plan, tie_policy, cache, scale):
+    for lower, upper in _split_bounds(instance, plan, tie_policy, cache, margin):
         for e, a in zip(lower, tolerances):
             if e - a > band * a + floor:
                 return False
@@ -1185,9 +1273,11 @@ def exact_opt(
     bounds on each label's exact error (_split_accept), or by the profile
     scan where a bound straddles a tolerance, with the decision the scan
     would take; on an instance of one model, every plan goes to the scan
-    directly. The profile blocks both read are built once per call. The default cost cap is the cost of querying every model for
-    the uniform certifying round count, which is always surrogate-feasible
-    (and hence true-feasible).
+    directly. Both read one cache of profile blocks per call, each block
+    built from the process's memo of compositions (_ProfileMemo), which
+    every later call reuses. The default cost cap is the cost of querying
+    every model for the uniform certifying round count, which is always
+    surrogate-feasible (and hence true-feasible).
 
     Raises InfeasibleWithinCapError if the capped lattice holds no feasible
     plan, and EnumerationBudgetError if the search walks more

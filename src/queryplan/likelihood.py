@@ -235,8 +235,13 @@ def _delta_margin(instance: Instance, counts: Sequence[int], scale: float) -> fl
     channel) it is 6.7e-14, far below SCORE_TOL, so the exact ties of
     symmetric channels, Δ = 0, are decided by Δ."""
     active = [m.n_symbols for m, r in zip(instance.models, counts) if r]
-    width = max(active, default=1) + len(active) + 2
-    return _gamma(4 * width) * (2.0 * scale + 1.0)
+    return _margin(max(active, default=1), len(active), scale)
+
+
+def _margin(widest: int, queried: int, scale: float) -> float:
+    """_delta_margin of a plan that queries ``queried`` models, of at most
+    ``widest`` symbols each (1 if it queries none), given its scale M."""
+    return _gamma(4 * (widest + queried + 2)) * (2.0 * scale + 1.0)
 
 
 def delta(

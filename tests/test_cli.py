@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from queryplan.cli import main
+from queryplan.cli import _emit, main
 from queryplan.instances import Instance, ModelSpec, instance_to_dict, save_instance
 
 
@@ -393,8 +393,18 @@ def test_exact_rejects_malformed_plan(bsc_path, capsys):
         ),
         pytest.param(
             ["exact", "--instance", "{bsc}", "--opt", "true", "--cost-cap", "nan"],
-            "cost_cap",
+            "--cost-cap must be a finite number",
             id="cost-cap-nan",
+        ),
+        pytest.param(
+            ["exact", "--instance", "{bsc}", "--opt", "true", "--cost-cap", "inf"],
+            "--cost-cap must be a finite number",
+            id="cost-cap-inf",
+        ),
+        pytest.param(
+            ["exact", "--instance", "{bsc}", "--opt", "true", "--cost-cap=-inf"],
+            "--cost-cap must be a finite number",
+            id="cost-cap-minus-inf",
         ),
         pytest.param(
             ["calibrate", "--log", "{log}", "--smoothing", "nan"],
@@ -444,6 +454,18 @@ def test_commands_reject_bad_values(
     code = main([a.format(bsc=bsc_path, log=log, sets=sc3_path) for a in argv])
     assert code == 1
     assert field in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_emit_refuses_numbers_json_cannot_express(tmp_path, capsys, value):
+    # strict JSON has no Infinity or NaN, so no command may print them: the
+    # payload is refused before anything is written
+    out = tmp_path / "out.json"
+    for output in (None, str(out)):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"rows": [{"ratio": value}]}, output)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 def replaced(key: str, value, model: bool = False):

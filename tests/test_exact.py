@@ -32,15 +32,17 @@ from queryplan.exact import (
     EnumerationBudgetError,
     InfeasibleWithinCapError,
     _Bands,
+    _Block,
     _composition_columns,
     _compositions,
     _log_factorial,
-    _log_factorials,
     _model_blocks,
+    _ProfileMemo,
     _profile_mass,
     _scan_profiles,
     _split_accept,
     _split_bounds,
+    _PROFILES,
     exact_error,
     exact_error_table,
     exact_opt,
@@ -216,21 +218,121 @@ def test_log_factorial_matches_scipy_gammaln_bit_for_bit():
     assert np.flatnonzero(got != want).tolist() == []
 
 
-def test_log_factorial_table_grows_from_the_scalar():
-    # a call's blocks read one table, grown on demand: its entries are
+def test_log_factorial_table_grows_from_the_scalar(monkeypatch):
+    # the memo's entries read one table, grown on demand: its entries are
     # _log_factorial's, and a block built from a grown table is the block
-    # built from a fresh one
-    cache: dict = {}
-    small = _log_factorials(cache, 5)
-    assert _log_factorials(cache, 3) is small
-    grown = _log_factorials(cache, 40)
+    # built from a fresh one; a table past the memo's bound is not kept
+    memo = _ProfileMemo()
+    small = memo._log_factorials(5)
+    assert memo._log_factorials(3) is small
+    grown = memo._log_factorials(40)
     assert grown.tolist() == [_log_factorial(k) for k in range(41)]
     inst = symmetric_instance([0.75, 0.6])
     plan = QueryPlan((7, 3))
     fresh = _model_blocks(inst, plan, {})
-    shared = _model_blocks(inst, plan, cache)
+    monkeypatch.setattr("queryplan.exact._PROFILES", memo)
+    shared = _model_blocks(inst, plan, {})
     for a, b in zip(fresh, shared):
         assert a.table.tobytes() == b.table.tobytes()
+    bounded = _ProfileMemo(bound=10)
+    assert bounded._log_factorials(20).tolist() == grown[:21].tolist()
+    assert len(bounded._log_factorials(0)) == 1  # the 21 values were not kept
+
+
+def direct_coefficients(r: int, width: int) -> np.ndarray:
+    """The log multinomial coefficients of the compositions of r into
+    width symbols, from _log_factorial."""
+    log_fact = np.array([_log_factorial(j) for j in range(r + 1)])
+    return log_fact[r] - log_fact[_compositions(r, width, r)].sum(axis=1)
+
+
+def direct_table(inst: Instance, k: int, r: int) -> np.ndarray:
+    """Model k's profile block at count r, built within the call that reads
+    it: the compositions, their log-likelihoods by one matrix product and
+    their log multinomial coefficients."""
+    m = inst.models[k]
+    profiles = _compositions(r, m.n_symbols, r)
+    table = np.empty((len(profiles), inst.n_labels + 1))
+    table[:, :-1] = profiles.astype(float) @ m.log_conditional.T
+    table[:, -1] = direct_coefficients(r, m.n_symbols)
+    return table
+
+
+@st.composite
+def wide_plans(draw) -> tuple[Instance, QueryPlan]:
+    """Plans of 0-40 queries of 1-3 models of 2-4 symbols each, over 2-4
+    labels, with random conditionals."""
+    n_labels = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    n = len(widths)
+    counts = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = tuple(
+        ModelSpec(f"m{k}", tuple("abcd"[:w]), rng.dirichlet(np.ones(w), n_labels), 1.0)
+        for k, w in enumerate(widths)
+    )
+    prior = rng.dirichlet(np.ones(n_labels))
+    labels = tuple(str(y) for y in range(n_labels))
+    inst = Instance(labels, prior, models, np.full(n_labels, 0.05))
+    return inst, QueryPlan(tuple(counts))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=wide_plans())
+@example(case=(symmetric_instance([0.9]), QueryPlan((0,))))
+def test_blocks_from_the_memo_match_a_direct_build(case):
+    # each block, and each sorted view the split reads of it, is the block
+    # built within the call, bit for bit, with the memo cleared and warm
+    inst, plan = case
+    want = [direct_table(inst, k, r) for k, r in enumerate(plan.counts) if r]
+    if not want:
+        want = [np.zeros((1, inst.n_labels + 1))]
+    pairs = list(itertools.combinations(range(inst.n_labels), 2))
+    _PROFILES.clear()
+    for _ in ("cleared", "warm"):
+        blocks = _model_blocks(inst, plan, {})
+        assert len(blocks) == len(want)
+        for block, table in zip(blocks, want):
+            assert same_bits(block.table, table)
+            direct = _Block(table)
+            for y, z in pairs:
+                got, expected = block.sorted(y, z), direct.sorted(y, z)
+                assert all(same_bits(a, b) for a, b in zip(got, expected))
+
+
+def test_memo_entries_are_read_only():
+    profiles, coef = _PROFILES.get(6, 3)
+    assert same_bits(profiles, _compositions(6, 3, 6).astype(float))
+    for a in (profiles, coef):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_memo_keeps_within_its_bound():
+    # entries of width X count X + 1 floats a row; the least recently used
+    # leave first, and an entry larger than the bound is never kept
+    memo = _ProfileMemo(bound=200)
+    lru: dict[tuple[int, int], int] = {}  # a reference, in use order
+    for r, width in [(3, 2), (10, 2), (4, 3), (3, 2), (6, 3), (12, 2), (4, 3), (3, 4)]:
+        profiles, coef = memo.get(r, width)
+        assert same_bits(profiles, _compositions(r, width, r).astype(float))
+        assert same_bits(coef, direct_coefficients(r, width))
+        lru[r, width] = lru.pop((r, width), len(coef) * (width + 1))
+        while sum(lru.values()) > 200:
+            del lru[next(iter(lru))]
+        assert list(memo._entries) == list(lru)
+        assert memo.held == sum(lru.values()) <= 200
+    kept = list(memo._entries)
+    assert kept == [(12, 2), (4, 3), (3, 4)]
+    profiles, coef = memo.get(30, 3)  # 496 rows of 4 floats
+    assert len(coef) == 496 and same_bits(coef, direct_coefficients(30, 3))
+    assert list(memo._entries) == kept
+    assert memo.held == sum(lru.values())
 
 
 def test_exact_opt_true_vs_surrogate(bsc):
@@ -499,8 +601,8 @@ def split_bounds(
     inst: Instance, plan: QueryPlan, policy: str
 ) -> tuple[list[float], list[float]]:
     """Every label's (lower, upper) bounds once every pair is split."""
-    scale = _log_scale(inst, plan.counts)
-    for lower, upper in _split_bounds(inst, plan, policy, {}, scale):
+    margin = _delta_margin(inst, plan.counts, _log_scale(inst, plan.counts))
+    for lower, upper in _split_bounds(inst, plan, policy, {}, margin):
         pass
     return lower, upper
 
@@ -626,6 +728,30 @@ def test_split_defers_at_the_tolerance(duo):
 
 
 @pytest.mark.parametrize("policy", TIE_POLICIES)
+def test_split_band_grows_with_the_log_scale(policy):
+    # a symbol of probability 1e-300 makes M = _log_scale about 41,000 at
+    # 60 queries, so the band's rounding term 2δ adds about 3.7e-10 to its
+    # 1e-9: a tolerance 1.2e-9 from the scan's error, either way, lies
+    # within the band, and the split defers; one 2e-9 from it is decided
+    tiny = 1e-300
+    a = ModelSpec(
+        "a", tuple("xyz"), np.array([[0.6, 0.4, tiny], [0.35, 0.65, tiny]]), 1.0
+    )
+    b = ModelSpec("b", tuple("xy"), np.array([[0.8, 0.2], [0.25, 0.75]]), 2.0)
+    inst = Instance(("0", "1"), np.array([0.45, 0.55]), (a, b), np.full(2, 0.05))
+    plan = QueryPlan((60, 10))
+    assert 41_000 < _log_scale(inst, plan.counts) < 42_000
+    errors = np.array(exact_error_table(inst, plan, policy).errors)
+    got = [
+        _split_accept(
+            inst.with_tolerances(errors * factor), plan, policy, PROFILE_BUDGET, {}
+        )
+        for factor in (1 + 2e-9, 1 + 1.2e-9, 1 - 1.2e-9, 1 - 2e-9)
+    ]
+    assert got == [True, None, None, False]
+
+
+@pytest.mark.parametrize("policy", TIE_POLICIES)
 def test_split_defers_at_the_delta_margin(policy):
     inst = near_threshold_instance()
     # the profile (1, 1) lies at the threshold SCORE_TOL, so plan (2,)'s
@@ -671,6 +797,14 @@ def test_split_defers_straddling_plans_to_the_scan():
 
 
 def test_split_keeps_the_profile_budget():
+    # a plan over the budget raises before any block is built or memoized,
+    # in the split and in the scan
     inst = symmetric_instance([0.9, 0.75])
+    _PROFILES.clear()
+    cache: dict = {}
     with pytest.raises(EnumerationBudgetError, match="42 profiles"):
-        _split_accept(inst, QueryPlan((5, 6)), "lowest-index", 41, {})
+        _split_accept(inst, QueryPlan((5, 6)), "lowest-index", 41, cache)
+    with pytest.raises(EnumerationBudgetError, match="42 profiles"):
+        exact_error_table(inst, (5, 6), budget=41)
+    assert cache == {}
+    assert (len(_PROFILES), _PROFILES.held) == (0, 0)

@@ -5,7 +5,10 @@ the surrogate searches' walks, the epsilon-free constants and
 run_afptas's audits are built once per Instance object. Every search
 must answer as it would on a fresh copy, in any order and under any
 budget, and the shared state must stay out of everything an Instance
-shows: repr, ==, JSON, pickles and copies.
+shows: repr, ==, JSON, pickles and copies. The exact searches' profile
+compositions are shared wider, by every call in the process, so they
+must answer alike with that memo cleared or warm, and two threads that
+race on one of its keys must keep one entry.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -25,11 +29,14 @@ from queryplan.bounds import (
     pair_stack,
     uniform_feasible_count,
 )
+from queryplan import exact
 from queryplan.exact import (
     EnumerationBudgetError,
     OptResult,
     _Bands,
+    _ProfileMemo,
     _top,
+    exact_error_table,
     exact_opt,
     surrogate_walk,
 )
@@ -40,6 +47,7 @@ from queryplan.instances import (
     instance_to_dict,
     instance_to_json,
 )
+from queryplan.likelihood import TIE_POLICIES
 from queryplan.planner import run_afptas
 from reference_lattice import KEEP_ALL
 
@@ -246,3 +254,66 @@ def test_one_pair_stack_serves_every_search_on_an_instance(monkeypatch, n_labels
     # a fresh copy builds its own
     exact_opt(fresh(inst), problem="surrogate")
     assert len(built) == 2
+
+
+def test_two_threads_racing_on_one_profile_key_keep_one_entry(monkeypatch):
+    # both threads miss and build the same entry at once: each gets equal
+    # read-only arrays, and the memo keeps one entry, counted once
+    memo = _ProfileMemo()
+    both_building = threading.Barrier(2, timeout=10)
+    compositions = exact._compositions
+
+    def racing(total, width, cap):
+        both_building.wait()
+        return compositions(total, width, cap)
+
+    monkeypatch.setattr(exact, "_compositions", racing)
+    got = [None, None]
+
+    def build(i):
+        got[i] = memo.get(30, 3)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    monkeypatch.setattr(exact, "_compositions", compositions)
+    (p0, c0), (p1, c1) = got
+    assert p0.tobytes() == p1.tobytes() and c0.tobytes() == c1.tobytes()
+    assert not (p0.flags.writeable or c0.flags.writeable)
+    assert len(memo) == 1 and memo.held == p0.size + len(c0)
+    kept = memo.get(30, 3)
+    assert any(kept[0] is p and kept[1] is c for p, c in got)
+    fresh_memo = _ProfileMemo()
+    want = fresh_memo.get(30, 3)
+    assert want[0].tobytes() == p0.tobytes() and want[1].tobytes() == c0.tobytes()
+
+
+@pytest.mark.parametrize("n_labels, seed, k", [(2, 5, 3), (3, 7, 0)])
+def test_exact_answers_do_not_depend_on_the_process_memo(n_labels, seed, k):
+    # the true optimum, decided by the pairwise split, and the exact error
+    # tables of its plan read the process's profile memo: in either order,
+    # with the memo cleared or warm, they answer as with it cleared
+    rng = np.random.default_rng(seed)
+    for _ in range(k + 1):
+        inst = random_instance(rng, n_labels=n_labels, max_models=3, alpha=0.02)
+    assert inst.n_models > 1
+    exact._PROFILES.clear()
+    plan = exact_opt(fresh(inst), problem="true").plan
+    jobs = {
+        "opt": lambda copy: repr(exact_opt(copy, problem="true")),
+        "tables": lambda copy: repr(
+            [exact_error_table(copy, plan, policy) for policy in TIE_POLICIES]
+        ),
+    }
+    want = {}
+    for name, job in jobs.items():
+        exact._PROFILES.clear()
+        want[name] = job(fresh(inst))
+    for order in (("opt", "tables"), ("tables", "opt")):
+        for cleared in (True, False):
+            if cleared:
+                exact._PROFILES.clear()
+            copy = fresh(inst)
+            assert {name: jobs[name](copy) for name in order} == want

@@ -42,6 +42,8 @@ class Mutant:
 
 BOUNDS = "queryplan/bounds.py"
 BOUNDS_TESTS = ("tests/test_bounds.py",)
+EXACT = "queryplan/exact.py"
+EXACT_TESTS = ("tests/test_exact.py",)
 
 MUTANTS = (
     # _rule: the bounds a lane's rule answers golden-section rounds with
@@ -87,6 +89,30 @@ MUTANTS = (
         "        + 0.25 * kappa * GSS_TOL * GSS_TOL\n",
         "",
         BOUNDS_TESTS,
+    ),
+    # _split_accept and _split_bounds: the pairwise split's Δ margin, its
+    # rounding band and its lower bound's cut
+    Mutant(
+        "split-margin-zero",
+        EXACT,
+        "margin = _margin(widest, k, scale)",
+        "margin = 0.0",
+        EXACT_TESTS,
+    ),
+    Mutant(
+        "split-band-no-rounding-term",
+        EXACT,
+        "band = 1e-9 + 2.0 * (_gamma(2 * k + 6) * (4.0 * scale + 750.0)"
+        " + _gamma(terms))",
+        "band = 1e-9",
+        EXACT_TESTS,
+    ),
+    Mutant(
+        "split-lower-at-upper-cut",
+        EXACT,
+        "            low_y += term\n",
+        "            low_y += float(e_y @ tail[short]) * f\n",
+        EXACT_TESTS,
     ),
 )
 
